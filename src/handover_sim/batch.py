@@ -32,7 +32,7 @@ def summarize(scenario: Scenario, seeds, results) -> dict:
     row = {
         "scenario": scenario.name,
         "mode": scenario.mode,
-        "seeds": len(list(seeds)),
+        "seeds": len(seeds),
         "success_rate": len(successes) / max(len(results), 1),
         "mean_time": mean(times) if times else "",
         "std_time": stdev(times) if len(times) > 1 else "",
@@ -43,6 +43,7 @@ def summarize(scenario: Scenario, seeds, results) -> dict:
 
 def batch(scenario_dir, seeds, out_csv=None, mode=None) -> list[dict]:
     """Run every scenario file in a directory across the given seeds."""
+    seeds = list(seeds)  # every scenario runs the same seeds, even from a generator
     paths = sorted(
         os.path.join(scenario_dir, f)
         for f in os.listdir(scenario_dir)

@@ -9,6 +9,7 @@ reuse scores for flipped grasps.
 
 Evaluator implementations are pure functions of their inputs; anything
 with the same (pose, cloud) -> score signature can be swapped in.
+GraspSet carries grasps as rows of three arrays from sampler to selection.
 """
 
 from __future__ import annotations
@@ -31,21 +32,52 @@ class Box:
     center: tuple
     half: tuple
 
-    def contains(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-        lo = np.asarray(self.center) - np.asarray(self.half) - margin
-        hi = np.asarray(self.center) + np.asarray(self.half) + margin
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
 
+@dataclass(frozen=True, eq=False)
+class GraspSet:
+    """G grasps as rows: positions p (G, 3), quaternions q (G, 4) in the
+    canonical unit form a Pose holds, and scores (G,) in [0, 1]. With p and
+    q the set is also a stack of poses for the stacked geometry helpers.
+    """
 
-@dataclass(frozen=True)
-class Grasp:
-    pose: Pose
-    score: float
+    p: np.ndarray
+    q: np.ndarray
+    scores: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
+        p = np.array(self.p, dtype=float, order="C").reshape(-1, 3)
+        q = np.array(self.q, dtype=float, order="C").reshape(-1, 4)
+        scores = np.array(self.scores, dtype=float).reshape(-1)
+        if not len(p) == len(q) == len(scores):
+            raise ValueError("p, q and scores need one row per grasp")
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
             raise ValueError("grasp score must be in [0, 1]")
+        for name, arr in (("p", p), ("q", q), ("scores", scores)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, rows) -> "GraspSet":
+        """The grasps picked by a boolean mask or an index array, in order."""
+        return GraspSet(self.p[rows], self.q[rows], self.scores[rows])
+
+    def __add__(self, other: "GraspSet") -> "GraspSet":
+        """These grasps followed by the other set's."""
+        scores = np.concatenate([self.scores, other.scores])
+        return GraspSet(np.vstack([self.p, other.p]), np.vstack([self.q, other.q]), scores)
+
+    @classmethod
+    def empty(cls) -> "GraspSet":
+        return cls(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros(0))
+
+    @classmethod
+    def from_poses(cls, poses, scores) -> "GraspSet":
+        return cls([x.p for x in poses], [x.q for x in poses], scores)
+
+    def pose(self, i: int) -> Pose:
+        return Pose.from_unit(self.p[i], self.q[i])
 
 
 @dataclass(frozen=True)
@@ -58,7 +90,6 @@ class GripperModel:
     )
     palm: Box = Box((0.0, 0.0, -0.04), (0.03, 0.05, 0.02))
     closing_region: Box = Box((0.0, 0.0, 0.0), (0.01, 0.04, 0.02))
-    max_aperture: float = 0.08
 
     def body_boxes(self):
         return (*self.fingers, self.palm)
@@ -81,10 +112,14 @@ def points_in_boxes(pts: np.ndarray, boxes, margin: float = 0.0) -> np.ndarray:
     """(len(boxes), len(pts)) bool: point inside box dilated by margin."""
     lo, hi = _stacked_bounds(tuple(boxes))
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    inside = (pts[None, :, :] >= lo[:, None, :] - margin) & (
-        pts[None, :, :] <= hi[:, None, :] + margin
+    # only points inside the boxes' joint dilated bounds get the per-box test
+    near = np.all((pts >= lo.min(axis=0) - margin) & (pts <= hi.max(axis=0) + margin), axis=1)
+    near_pts = pts[near]
+    inside = np.zeros((len(lo), len(pts)), dtype=bool)
+    inside[:, near] = np.all(
+        (near_pts >= lo[:, None, :] - margin) & (near_pts <= hi[:, None, :] + margin), axis=2
     )
-    return inside.all(axis=2)
+    return inside
 
 
 def evaluate(
@@ -122,24 +157,24 @@ def sample_grasps(
     rng: np.random.Generator | None = None,
     gripper: GripperModel = DEFAULT_GRIPPER,
     max_trials_factor: int = 10,
-) -> list[Grasp]:
+) -> GraspSet:
     """Sample up to n positively-scored grasps anchored on surface points.
 
     Approach axis is the negated surface normal, the closing axis a
     random tangent, and the anchor point lands at the grasp origin
-    (center of the closing region). Returns an empty list when no
+    (center of the closing region). Returns an empty set when no
     candidate scores > 0 within 10 * n trials (ungraspable view).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(object_cloud) == 0:
-        return []
+        return GraspSet.empty()
     if rng is None:
         rng = np.random.default_rng()
     centroid = object_cloud.points.mean(axis=0)
-    grasps: list[Grasp] = []
+    poses, scores = [], []
     for _ in range(max_trials_factor * n):
-        if len(grasps) >= n:
+        if len(poses) >= n:
             break
         idx = int(rng.integers(len(object_cloud)))
         point = object_cloud.points[idx]
@@ -160,5 +195,6 @@ def sample_grasps(
         pose = Pose(point, quat_from_matrix(np.column_stack([x, y, z])))
         score = evaluate(pose, object_cloud, gripper)
         if score > 0.0:
-            grasps.append(Grasp(pose, score))
-    return grasps
+            poses.append(pose)
+            scores.append(score)
+    return GraspSet.from_poses(poses, scores)

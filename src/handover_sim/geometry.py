@@ -7,7 +7,9 @@ else (sampling, refinement, selection, motion) is built on.
 
 Grasp frame convention: local +Z is the approach axis, local Y is the
 finger-closing axis, local X spans the finger width; the origin sits at
-the midpoint between the fingertips.
+the midpoint between the fingertips. quat_mul, quat_to_matrix and
+pose_distance also take stacks of rows and match the one-row call bit
+for bit, as quat_unit_rows matches a Pose's normalisation.
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-QUAT_NORM_TOL = 1e-9
+def row_dot(a, b) -> np.ndarray:
+    """Dot products over the last axis, each summed exactly as np.dot sums
+    one pair of vectors (the batched reductions of einsum and sum do not)."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
@@ -35,9 +41,15 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
     return q
 
 
+def quat_unit_rows(q: np.ndarray) -> np.ndarray:
+    """quat_canonical(quat_normalize(row)) for every row of a (G, 4) stack."""
+    q = q / np.sqrt(row_dot(q, q))[:, None]
+    return np.where(q[:, 3:] < 0.0, -q, q)
+
+
 def quat_mul(a, b) -> np.ndarray:
-    ax, ay, az, aw = a
-    bx, by, bz, bw = b
+    ax, ay, az, aw = np.asarray(a, dtype=float).T
+    bx, by, bz, bw = np.asarray(b, dtype=float).T
     return np.array(
         [
             aw * bx + ax * bw + ay * bz - az * by,
@@ -45,7 +57,7 @@ def quat_mul(a, b) -> np.ndarray:
             aw * bz + ax * by - ay * bx + az * bw,
             aw * bw - ax * bx - ay * by - az * bz,
         ]
-    )
+    ).T
 
 
 def quat_conj(q) -> np.ndarray:
@@ -66,14 +78,16 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    x, y, z, w = q
-    return np.array(
+    """(3, 3) rotation matrix, or a C-contiguous (G, 3, 3) stack for (G, 4)."""
+    x, y, z, w = np.asarray(q, dtype=float).T
+    m = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
             [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
+    return m if m.ndim == 2 else np.ascontiguousarray(m.transpose(2, 0, 1))
 
 
 def quat_from_matrix(m: np.ndarray) -> np.ndarray:
@@ -140,12 +154,22 @@ class Pose:
     q: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).reshape(3).copy()
-        q = quat_canonical(quat_normalize(self.q)).copy()
+        self._freeze(self.p, quat_canonical(quat_normalize(self.q)))
+
+    def _freeze(self, p, q):
+        p = np.array(p, dtype=float).reshape(3)
+        q = np.array(q, dtype=float).reshape(4)
         p.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+
+    @classmethod
+    def from_unit(cls, p, q) -> "Pose":
+        """Take q, a canonical unit row of a grasp set, as is: renormalising can move a bit."""
+        pose = object.__new__(cls)
+        pose._freeze(p, q)
+        return pose
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -161,12 +185,6 @@ class Pose:
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.q)
-
-    def x_axis(self) -> np.ndarray:
-        return self.rotation_matrix()[:, 0]
-
-    def y_axis(self) -> np.ndarray:
-        return self.rotation_matrix()[:, 1]
 
     def z_axis(self) -> np.ndarray:
         return self.rotation_matrix()[:, 2]
@@ -195,21 +213,22 @@ def pose_distance(x1: Pose, x2: Pose, w_q: float = 0.1) -> float:
     """Squared position distance plus w_q * (1 - <q1, q2>).
 
     Symmetric, non-negative, zero only for identical (canonicalized)
-    poses. w_q trades off position against orientation.
+    poses. w_q trades off position against orientation. A GraspSet x1
+    gives one distance per row.
     """
     dp = x1.p - x2.p
     # unit-quaternion dot can exceed 1 by float error; clamp so identical
     # poses measure exactly zero
-    inner = min(float(np.dot(x1.q, x2.q)), 1.0)
-    return float(dp @ dp) + w_q * (1.0 - inner)
+    inner = np.minimum(row_dot(x1.q, x2.q), 1.0)
+    return row_dot(dp, dp) + w_q * (1.0 - inner)
 
 
-_FLIP_Z = np.array([0.0, 0.0, 1.0, 0.0])  # 180 deg about local Z
+FLIP_Z = np.array([0.0, 0.0, 1.0, 0.0])  # 180 deg about local Z
 
 
 def flip_about_grasp_z(g: Pose) -> Pose:
     """Rotate the grasp 180 degrees about its own approach (Z) axis."""
-    return Pose(g.p, quat_mul(g.q, _FLIP_Z))
+    return Pose(g.p, quat_mul(g.q, FLIP_Z))
 
 
 def offset_along_grasp_z(g: Pose, delta: float) -> Pose:

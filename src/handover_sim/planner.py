@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .evaluator import DEFAULT_GRIPPER, GripperModel
+from .evaluator import DEFAULT_GRIPPER, GripperModel, points_in_boxes
 from .geometry import Pose, pose_distance
 
 AT_STANDOFF_TOL = 5e-4  # pose_distance units at w_q = 0.1
@@ -70,4 +70,4 @@ def execute_take(
     if len(object_points) == 0:
         return False
     local = final_pose.inverse_transform_points(object_points)
-    return int(gripper.closing_region.contains(local).sum()) >= min_points
+    return int(points_in_boxes(local, (gripper.closing_region,)).sum()) >= min_points

@@ -6,26 +6,24 @@ min(new_score / old_score, 1). Grasps colliding with the hand cloud are
 pruned, dead grasps (score below the denominator floor) are dropped, and
 the set is topped back up by resampling whenever it falls below a
 threshold.
+
+Pruning tests a whole GraspSet in fixed-size chunks. The MH step stays a
+loop: its accept uniform is drawn only when the ratio is < 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluator import (
-    DEFAULT_GRIPPER,
-    Grasp,
-    GripperModel,
-    evaluate,
-    points_in_boxes,
-    sample_grasps,
-)
-from .geometry import Pose
+from .evaluator import DEFAULT_GRIPPER, GraspSet, GripperModel, evaluate, points_in_boxes
+from .evaluator import sample_grasps
+from .geometry import Pose, quat_to_matrix
 from .scene import LabeledPointCloud
 
 DEFAULT_HAND_MARGIN = 0.005
+PRUNE_CHUNK = 8  # grasps per batched hand test; bounds its temporaries and peak memory
 
 
 @dataclass(frozen=True)
@@ -40,22 +38,6 @@ class PerturbationConfig:
             raise ValueError("delta_t_range must be >= 0")
         if not 0 < self.resample_threshold < self.target_size:
             raise ValueError("need 0 < resample_threshold < target_size")
-
-
-@dataclass(frozen=True)
-class GraspSet:
-    grasps: tuple
-    frame_index: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "grasps", tuple(self.grasps))
-
-    def __len__(self) -> int:
-        return len(self.grasps)
-
-    @classmethod
-    def empty(cls) -> "GraspSet":
-        return cls(())
 
 
 def perturb(pose: Pose, cfg: PerturbationConfig, rng: np.random.Generator) -> Pose:
@@ -84,17 +66,34 @@ def mh_step(
     current cloud so downstream selection sees scores consistent with
     the present observation.
     """
-    out = []
-    for grasp in grasp_set.grasps:
-        score_old = evaluate_fn(grasp.pose, object_cloud)
-        proposal = perturb(grasp.pose, cfg, rng)
+    p, q = grasp_set.p.copy(), grasp_set.q.copy()
+    scores = np.empty(len(grasp_set))
+    for i in range(len(grasp_set)):
+        pose = grasp_set.pose(i)
+        score_old = evaluate_fn(pose, object_cloud)
+        proposal = perturb(pose, cfg, rng)
         score_new = evaluate_fn(proposal, object_cloud)
         r = acceptance_ratio(score_old, score_new, cfg)
         if r >= 1.0 or rng.uniform() < r:
-            out.append(Grasp(proposal, score_new))
+            p[i], q[i], scores[i] = proposal.p, proposal.q, score_new
         else:
-            out.append(Grasp(grasp.pose, score_old))
-    return GraspSet(out, grasp_set.frame_index + 1)
+            scores[i] = score_old
+    return GraspSet(p, q, scores)
+
+
+def _collides_hand(grasps, hand_points, gripper: GripperModel, margin: float) -> np.ndarray:
+    """(G,) bool over a GraspSet (one Pose: G = 1): a hand point is in a dilated box."""
+    p = np.reshape(grasps.p, (-1, 3))
+    hand_points = np.asarray(hand_points, dtype=float).reshape(-1, 3)
+    hits = np.zeros(len(p), dtype=bool)
+    rot = quat_to_matrix(grasps.q).reshape(-1, 3, 3)
+    for start in range(0, len(p), PRUNE_CHUNK):
+        rows = slice(start, start + PRUNE_CHUNK)
+        # per grasp the same (points - p) @ R as Pose.inverse_transform_points
+        local = np.matmul(hand_points - p[rows, None, :], rot[rows])
+        inside = points_in_boxes(local.reshape(-1, 3), gripper.all_boxes(), margin)
+        hits[rows] = inside.any(axis=0).reshape(len(local), -1).any(axis=1)
+    return hits
 
 
 def grasp_collides_hand(
@@ -104,10 +103,7 @@ def grasp_collides_hand(
     margin: float = DEFAULT_HAND_MARGIN,
 ) -> bool:
     """True iff any hand point lies inside any gripper box dilated by margin."""
-    if len(hand_points) == 0:
-        return False
-    local = pose.inverse_transform_points(hand_points)
-    return bool(points_in_boxes(local, gripper.all_boxes(), margin).any())
+    return bool(_collides_hand(pose, hand_points, gripper, margin)[0])
 
 
 def prune_hand_collisions(
@@ -118,12 +114,7 @@ def prune_hand_collisions(
 ) -> GraspSet:
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    survivors = [
-        g
-        for g in grasp_set.grasps
-        if not grasp_collides_hand(g.pose, hand_cloud.points, gripper, margin)
-    ]
-    return GraspSet(survivors, grasp_set.frame_index)
+    return grasp_set[~_collides_hand(grasp_set, hand_cloud.points, gripper, margin)]
 
 
 def maintain(
@@ -133,7 +124,6 @@ def maintain(
     cfg: PerturbationConfig,
     rng: np.random.Generator,
     gripper: GripperModel = DEFAULT_GRIPPER,
-    evaluate_fn=None,
     margin: float = DEFAULT_HAND_MARGIN,
 ):
     """Full per-frame pipeline; returns (new set, resampled flag).
@@ -143,20 +133,17 @@ def maintain(
     an empty previous set). An empty result after resampling signals an
     ungraspable view; the caller falls back to tracking.
     """
-    if evaluate_fn is None:
-        evaluate_fn = lambda pose, cloud: evaluate(pose, cloud, gripper)
     if len(object_cloud) == 0:
-        return GraspSet((), grasp_set.frame_index + 1), False
+        return GraspSet.empty(), False
+    evaluate_fn = lambda pose, cloud: evaluate(pose, cloud, gripper)
     stepped = mh_step(grasp_set, object_cloud, evaluate_fn, cfg, rng)
-    alive = GraspSet(
-        [g for g in stepped.grasps if g.score >= cfg.epsilon_den], stepped.frame_index
-    )
+    alive = stepped[stepped.scores >= cfg.epsilon_den]
     pruned = prune_hand_collisions(alive, hand_cloud, gripper, margin)
     resampled = False
     if len(pruned) < cfg.resample_threshold:
         resampled = True
         needed = cfg.target_size - len(pruned)
         fresh = sample_grasps(object_cloud, needed, rng, gripper)
-        topped = GraspSet(pruned.grasps + tuple(fresh), pruned.frame_index)
-        pruned = prune_hand_collisions(topped, hand_cloud, gripper, margin)
+        # the survivors already cleared this hand cloud; only test the fresh ones
+        pruned = pruned + prune_hand_collisions(fresh, hand_cloud, gripper, margin)
     return pruned, resampled

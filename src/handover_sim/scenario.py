@@ -7,12 +7,13 @@ events, mode, overrides, time_limit (see scenarios/ for examples).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
-from .geometry import Pose, quat_from_axis_angle
+from .geometry import Pose, quat_from_axis_angle, quat_slerp
 from .refinement import PerturbationConfig
 from .scene import DEFAULT_CROP_RADIUS, HandModel, PrimitiveShape
 from .selection import SelectionConfig
@@ -71,8 +72,17 @@ class Scenario:
             raise ScenarioError("hand_trajectory needs at least one keyframe")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ScenarioError("keyframe times must be strictly increasing")
-        if self.time_limit <= 0:
-            raise ScenarioError("time_limit must be > 0")
+        if not 0 < self.time_limit < np.inf:
+            raise ScenarioError("time_limit must be finite and > 0")
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0")
+        if not (0 < self.density < np.inf and 0 < self.crop_radius < np.inf):
+            raise ScenarioError("density and crop_radius must be finite and > 0")
+        if not 0.0 <= self.label_noise <= 1.0:
+            raise ScenarioError("label_noise must be in [0, 1]")
+        poses = [self.grip_offset] + [pose for _, pose in self.hand_keyframes]
+        if not (np.isfinite(times).all() and all(np.isfinite(p.to_array()).all() for p in poses)):
+            raise ScenarioError("keyframe times and poses must be finite")
 
     def hand_pose_at(self, t: float) -> Pose:
         """Linear position interpolation, slerp orientation, clamped ends."""
@@ -84,13 +94,11 @@ class Scenario:
         for (t0, p0), (t1, p1) in zip(frames, frames[1:]):
             if t0 <= t <= t1:
                 u = (t - t0) / (t1 - t0)
-                from .geometry import quat_slerp
-
                 return Pose(p0.p + u * (p1.p - p0.p), quat_slerp(p0.q, p1.q, u))
         return frames[-1][1]
 
     def hand_model(self, palm: Pose) -> HandModel:
-        return HandModel(palm, self.finger_spheres, self.grip_offset)
+        return HandModel(palm, self.finger_spheres)
 
 
 def _pose_from(value) -> Pose:
@@ -100,6 +108,13 @@ def _pose_from(value) -> Pose:
     if arr.shape[0] == 7:
         return Pose(arr[:3], arr[3:])
     raise ScenarioError("pose must be [x,y,z] or [x,y,z,qx,qy,qz,qw]")
+
+
+def _vector3(value, what: str) -> tuple:
+    vec = tuple(float(v) for v in value)
+    if len(vec) != 3 or not np.isfinite(vec).all():
+        raise ScenarioError(f"{what} must be 3 finite numbers")
+    return vec
 
 
 def _parse_event(raw: dict) -> Event:
@@ -115,18 +130,12 @@ def _parse_event(raw: dict) -> Event:
         raise ScenarioError(f"bad event action: {action!r}")
     kind, params = next(iter(action.items()))
     if kind == "rotate_object":
-        return Event(
-            trigger_time,
-            "rotate_object",
-            angle=float(np.deg2rad(params["angle_deg"])),
-            axis=tuple(float(v) for v in params.get("axis", (0.0, 0.0, 1.0))),
-        )
+        axis = _vector3(params.get("axis", (0.0, 0.0, 1.0)), "rotate_object axis")
+        if np.linalg.norm(axis) < 1e-12:
+            raise ScenarioError("rotate_object axis must be nonzero")
+        return Event(trigger_time, kind, angle=float(np.deg2rad(params["angle_deg"])), axis=axis)
     if kind == "translate_hand":
-        return Event(
-            trigger_time,
-            "translate_hand",
-            offset=tuple(float(v) for v in params["offset"]),
-        )
+        return Event(trigger_time, kind, offset=_vector3(params["offset"], "translate_hand offset"))
     if kind == "lower_hand":
         return Event(trigger_time, "lower_hand")
     raise ScenarioError(f"unknown event action {kind!r}")
@@ -171,8 +180,6 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario {path} is not a mapping")
-    import os
-
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return scenario_from_dict(data, name)
 

@@ -8,7 +8,7 @@ desk scale and keeps cloud synthesis deterministic and cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,13 +134,11 @@ class SceneObject:
 class HandModel:
     """Sphere-cluster hand anchored at the palm center.
 
-    finger_spheres: (local offset, radius) pairs; grip_offset is the pose
-    of the held object relative to the palm frame.
+    finger_spheres: (local offset, radius) pairs in the palm frame.
     """
 
     palm_center: Pose
     finger_spheres: tuple
-    grip_offset: Pose = field(default_factory=Pose.identity)
 
     def __post_init__(self):
         if len(self.finger_spheres) < 1:
@@ -153,18 +151,12 @@ class HandModel:
             raise ValueError("sphere radii must be > 0")
         object.__setattr__(self, "finger_spheres", spheres)
 
-    def at(self, palm_center: Pose) -> "HandModel":
-        return HandModel(palm_center, self.finger_spheres, self.grip_offset)
-
     def sphere_worlds(self):
         """(world center, radius) for every sphere in the cluster."""
         return [
             (self.palm_center.transform_point(off), r)
             for off, r in self.finger_spheres
         ]
-
-    def object_pose(self) -> Pose:
-        return self.palm_center.compose(self.grip_offset)
 
 
 @dataclass(frozen=True)
@@ -211,7 +203,6 @@ def synthesize_cloud(
     camera_pose: Pose,
     density: float,
     rng: np.random.Generator,
-    background=(),
 ) -> LabeledPointCloud:
     """Sample camera-facing surface points with ground-truth labels.
 
@@ -239,8 +230,6 @@ def synthesize_cloud(
         for center, r in hand.sphere_worlds():
             sphere = PrimitiveShape("sphere", (r,))
             add_shape(sphere, Pose(center, [0, 0, 0, 1]), LABEL_HAND)
-    for obj in background:
-        add_shape(obj.shape, obj.pose, LABEL_BACKGROUND)
 
     if not pts_all:
         return LabeledPointCloud.empty()

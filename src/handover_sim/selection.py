@@ -1,7 +1,7 @@
 """Per-tick grasp target choice: flip expansion, standoff/push-in
-geometry, the weighted cost over approach poses, and feasibility
-filtering against a reachable region and straight-segment collision
-checks.
+geometry, the weighted cost over approach poses (all three for the whole
+set at once), and feasibility filtering against a reachable region and
+straight-segment collision checks.
 
 Candidates are walked in ascending cost order and the first one passing
 all checks wins; an absent result is the defined no-feasible-grasp
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluator import Grasp
-from .geometry import Pose, flip_about_grasp_z, offset_along_grasp_z, pose_distance
+from .geometry import FLIP_Z, Pose, pose_distance, quat_mul, quat_to_matrix, quat_unit_rows
 from .motion import PathQuery, segment_collision_free
 from .refinement import GraspSet
 
@@ -55,7 +54,8 @@ class ReachableRegion:
 
 @dataclass(frozen=True)
 class SelectedTarget:
-    grasp: Grasp
+    grasp: Pose
+    score: float
     approach_pose: Pose
     final_pose: Pose
     cost: float
@@ -63,26 +63,31 @@ class SelectedTarget:
 
 def expand_flips(grasp_set: GraspSet) -> GraspSet:
     """Double the set with 180-degree-Z-flipped copies carrying the same score."""
-    flipped = [Grasp(flip_about_grasp_z(g.pose), g.score) for g in grasp_set.grasps]
-    return GraspSet(grasp_set.grasps + tuple(flipped), grasp_set.frame_index)
+    flipped = quat_unit_rows(quat_mul(grasp_set.q, FLIP_Z))
+    return grasp_set + GraspSet(grasp_set.p, flipped, grasp_set.scores)
 
 
 def grasp_cost(
     x_appr: Pose, s: float, x_prev: Pose, x_home: Pose, cfg: SelectionConfig
 ) -> float:
-    """w_s * max(s_min - s, 0) + w_prev * d(appr, prev) + w_home * d(appr, home)."""
+    """w_s * max(s_min - s, 0) + w_prev * d(appr, prev) + w_home * d(appr, home).
+
+    Given a GraspSet of standoffs and their scores, one cost per grasp.
+    """
     return (
-        cfg.w_s * max(cfg.s_min - s, 0.0)
+        cfg.w_s * np.maximum(cfg.s_min - s, 0.0)
         + cfg.w_prev * pose_distance(x_appr, x_prev, cfg.w_q)
         + cfg.w_home * pose_distance(x_appr, x_home, cfg.w_q)
     )
 
 
-def make_target(grasp: Grasp, x_prev: Pose, x_home: Pose, cfg: SelectionConfig) -> SelectedTarget:
-    approach = offset_along_grasp_z(grasp.pose, -cfg.standoff)
-    final = offset_along_grasp_z(grasp.pose, cfg.push_in)
-    cost = grasp_cost(approach, grasp.score, x_prev, x_home, cfg)
-    return SelectedTarget(grasp, approach, final, cost)
+def make_targets(grasp_set: GraspSet, cfg: SelectionConfig) -> tuple[GraspSet, np.ndarray]:
+    """Standoff poses of every grasp (rows and scores match grasp_set's) and
+    push-in positions, both offset along the grasp's approach (local +Z) axis."""
+    z = quat_to_matrix(grasp_set.q)[:, :, 2]
+    q = quat_unit_rows(grasp_set.q)
+    approach = GraspSet(grasp_set.p + z * -cfg.standoff, q, grasp_set.scores)
+    return approach, grasp_set.p + z * cfg.push_in
 
 
 def select_target(
@@ -105,24 +110,19 @@ def select_target(
     """
     if len(grasp_set) == 0:
         return None
-    candidates = [make_target(g, x_prev, x_home, cfg) for g in grasp_set.grasps]
-    costs = np.array([c.cost for c in candidates])
-    order = np.argsort(costs, kind="stable")
-    for rank, idx in enumerate(order):
-        if rank >= cfg.max_checks:
-            break
-        cand = candidates[int(idx)]
-        if not (region.contains(cand.approach_pose.p) and region.contains(cand.final_pose.p)):
+    approach, final = make_targets(grasp_set, cfg)
+    costs = grasp_cost(approach, grasp_set.scores, x_prev, x_home, cfg)
+    for i in np.argsort(costs, kind="stable")[: cfg.max_checks]:
+        appr_p, final_p = approach.p[i], final[i]
+        if not (region.contains(appr_p) and region.contains(final_p)):
             continue
-        to_standoff = PathQuery(
-            current_ee.p, cand.approach_pose.p, collider_points, table_z, clearance
-        )
+        to_standoff = PathQuery(current_ee.p, appr_p, collider_points, table_z, clearance)
         if not segment_collision_free(to_standoff):
             continue
-        to_final = PathQuery(
-            cand.approach_pose.p, cand.final_pose.p, collider_points, table_z, clearance
-        )
+        to_final = PathQuery(appr_p, final_p, collider_points, table_z, clearance)
         if not segment_collision_free(to_final):
             continue
-        return cand
+        grasp, score = grasp_set.pose(i), float(grasp_set.scores[i])
+        final_pose = Pose.from_unit(final_p, approach.q[i])
+        return SelectedTarget(grasp, score, approach.pose(i), final_pose, float(costs[i]))
     return None

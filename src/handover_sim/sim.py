@@ -14,33 +14,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .evaluator import DEFAULT_GRIPPER, Grasp, evaluate, sample_grasps
+from .evaluator import DEFAULT_GRIPPER, GraspSet, sample_grasps
 from .geometry import Pose, pose_distance, quat_angle
 from .motion import EndEffectorState, PathQuery, rrt_connect, segment_collision_free, servo_step
-from .planner import (
-    DROP_DURATION,
-    TaskStage,
-    WorldPredicates,
-    at_standoff,
-    decide,
-    execute_take,
-    hand_above_table,
-)
-from .refinement import (
-    DEFAULT_HAND_MARGIN,
-    GraspSet,
-    grasp_collides_hand,
-    maintain,
-    prune_hand_collisions,
-)
-from .scene import (
-    LabeledPointCloud,
-    SceneObject,
-    apply_label_noise,
-    crop_around_palm,
-    synthesize_cloud,
-)
-from .scenario import Scenario
+from .planner import DROP_DURATION, TaskStage, WorldPredicates, decide, execute_take
+from .planner import at_standoff, hand_above_table
+from .refinement import DEFAULT_HAND_MARGIN, grasp_collides_hand, maintain, prune_hand_collisions
+from .scene import LabeledPointCloud, SceneObject, apply_label_noise, crop_around_palm
+from .scene import synthesize_cloud
+from .scenario import Scenario, ScenarioError, rotate_object_pose
 from .selection import ReachableRegion, SelectionConfig, expand_flips, select_target
 
 CLOSURE_DENSITY = 2.0e5  # ground-truth surface sampling at closure time
@@ -49,6 +31,9 @@ ARRIVE_POS_TOL = 1.5e-3
 ARRIVE_ANG_TOL = 0.02
 WAYPOINT_TOL = 1.0e-3
 REPLAN_DISTANCE = 5e-4  # pose_distance trigger for replanning
+# slack for trace rounding (hand points 1e-5 m, poses 1e-7: at most 8.7e-6 m
+# between a point and a grasp), so verify's re-test at the header margin holds
+HAND_MARGIN = DEFAULT_HAND_MARGIN + 1e-5
 
 # rng stream salts
 _SALT_CLOUD = 1
@@ -118,6 +103,8 @@ def run(
 ):
     """Execute one scenario; returns (Metrics, trace records)."""
     seed = scenario.seed if seed is None else seed
+    if seed < 0:  # numpy seeds its streams from non-negative integers only
+        raise ScenarioError("seed must be >= 0")
     layout = layout or WorldLayout()
     schedule = schedule or Schedule()
     dt = schedule.dt
@@ -144,7 +131,6 @@ def run(
     gset = GraspSet.empty()
     selected = None
     x_prev = layout.home
-    cloud = LabeledPointCloud.empty()
     hand_cloud = LabeledPointCloud.empty()
     object_cloud = LabeledPointCloud.empty()
     tracked_palm = scenario.hand_pose_at(0.0)
@@ -158,9 +144,7 @@ def run(
     drop_until = None
     waypoints: list | None = None
     planned_for = None
-    resampled = False
     candidate_count = 0
-    prune_cache = (None, None, None)
 
     n_ticks = int(math.ceil(scenario.time_limit * schedule.base_hz))
     for tick in range(n_ticks):
@@ -177,8 +161,6 @@ def run(
                 continue
             fired[i] = True
             if ev.action == "rotate_object":
-                from .scenario import rotate_object_pose
-
                 grip_offset = rotate_object_pose(grip_offset, ev)
             elif ev.action == "translate_hand":
                 hand_offset = hand_offset + np.asarray(ev.offset, dtype=float)
@@ -215,9 +197,7 @@ def run(
             if (
                 selected is not None
                 and len(hand_cloud) > 0
-                and grasp_collides_hand(
-                    selected.grasp.pose, hand_cloud.points, gripper
-                )
+                and grasp_collides_hand(selected.grasp, hand_cloud.points, gripper, HAND_MARGIN)
             ):
                 selected = None
                 take_active = False
@@ -233,13 +213,11 @@ def run(
             rng = np.random.default_rng([seed, _SALT_REFINE, tick])
             if scenario.mode == "naive":
                 fresh = sample_grasps(object_cloud, pert_cfg.target_size, rng, gripper)
-                gset = prune_hand_collisions(
-                    GraspSet(fresh, gset.frame_index + 1), hand_cloud, gripper
-                )
+                gset = prune_hand_collisions(fresh, hand_cloud, gripper, HAND_MARGIN)
                 resampled = True
             else:
                 gset, resampled = maintain(
-                    gset, object_cloud, hand_cloud, pert_cfg, rng, gripper
+                    gset, object_cloud, hand_cloud, pert_cfg, rng, gripper, HAND_MARGIN
                 )
 
         select_tick = tick % schedule.select_div == 0 and not busy
@@ -248,41 +226,24 @@ def run(
                 if len(object_cloud) > 0:
                     # the tracked object origin, not the visible-surface mean:
                     # a partial view biases the centroid toward the camera
-                    candidates = GraspSet((Grasp(Pose(object_pose.p, TOP_DOWN_Q), 1.0),))
+                    candidates = GraspSet([object_pose.p], [TOP_DOWN_Q], [1.0])
                 else:
                     candidates = GraspSet.empty()
             else:
                 candidates = expand_flips(gset)
-            # re-filter against the freshest hand cloud before committing;
-            # cached (by identity, holding the refs) while neither the set
-            # nor the hand cloud has changed
-            if (
-                scenario.mode != "object_center"
-                and prune_cache[0] is gset
-                and prune_cache[1] is hand_cloud
-            ):
-                candidates = prune_cache[2]
-            else:
-                candidates = prune_hand_collisions(candidates, hand_cloud, gripper)
-                prune_cache = (gset, hand_cloud, candidates)
+            # re-filter against the freshest hand cloud before committing
+            candidates = prune_hand_collisions(candidates, hand_cloud, gripper, HAND_MARGIN)
             candidate_count = len(candidates)
             new_selected = select_target(
-                candidates,
-                ee.pose,
-                x_prev,
-                layout.home,
-                hand_cloud.points,
-                layout.region,
-                sel_cfg,
-                layout.table_z,
+                candidates, ee.pose, x_prev, layout.home, hand_cloud.points,
+                layout.region, sel_cfg, layout.table_z,
             )
             if new_selected is not None:
                 if selected is not None:
-                    metrics.displacements.append(
-                        pose_distance(
-                            new_selected.approach_pose, selected.approach_pose, sel_cfg.w_q
-                        )
+                    d = pose_distance(
+                        new_selected.approach_pose, selected.approach_pose, sel_cfg.w_q
                     )
+                    metrics.displacements.append(float(d))
                 x_prev = new_selected.approach_pose
             selected = new_selected
 
@@ -350,7 +311,7 @@ def run(
             "stage": stage.value,
             "ee_pose": _round_pose(ee.pose),
             "selected_target": _round_pose(selected.approach_pose) if selected else None,
-            "selected_grasp": _round_pose(selected.grasp.pose) if selected else None,
+            "selected_grasp": _round_pose(selected.grasp) if selected else None,
             "candidate_count": candidate_count,
             "resampled": bool(resampled),
             "attempt_count": metrics.attempts,
@@ -360,9 +321,7 @@ def run(
             "selection_tick": bool(select_tick),
         }
         if cloud_tick:
-            rec["hand_points"] = [
-                [round(float(v), 5) for v in p] for p in hand_cloud.points
-            ]
+            rec["hand_points"] = np.round(hand_cloud.points, 5).tolist()
         records.append(rec)
 
         if not robot_started_moving and stage is TaskStage.APPROACH:

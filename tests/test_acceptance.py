@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from handover_sim.evaluator import Grasp
 from handover_sim.geometry import (
     Pose,
     offset_along_grasp_z,
@@ -67,7 +66,7 @@ def rotation_batch():
 def test_criterion_1_mh_acceptance_statistics():
     cfg = PerturbationConfig()
     n = 10_000
-    gset = GraspSet([Grasp(Pose([i * 1e-4, 0, 0], [0, 0, 0, 1]), 0.8) for i in range(n)])
+    gset = GraspSet.from_poses([Pose([i * 1e-4, 0, 0], [0, 0, 0, 1]) for i in range(n)], [0.8] * n)
     calls = {"n": 0}
 
     def stub(pose, cloud):
@@ -78,7 +77,7 @@ def test_criterion_1_mh_acceptance_statistics():
     t0 = time.perf_counter()
     out = mh_step(gset, cloud, stub, cfg, np.random.default_rng(0))
     elapsed = time.perf_counter() - t0
-    rate = sum(1 for g in out.grasps if g.score == 0.2) / n
+    rate = sum(1 for s in out.scores if s == 0.2) / n
     assert acceptance_ratio(0.8, 0.2, cfg) == 0.25
     report(
         1,
@@ -122,20 +121,19 @@ def test_criterion_3_pose_metric_properties():
 def test_criterion_4_geometry_constants():
     rng = np.random.default_rng(4)
     ok = True
-    grasps = [Grasp(Pose(rng.uniform(-1, 1, 3), rng.normal(size=4)), 0.5) for _ in range(50)]
-    for g in grasps:
-        z = g.pose.rotation_matrix()[:, 2]
-        appr = offset_along_grasp_z(g.pose, -0.10)
-        final = offset_along_grasp_z(g.pose, 0.05)
-        ok &= np.allclose(appr.p, g.pose.p - 0.10 * z, atol=1e-12)
-        ok &= np.allclose(final.p, g.pose.p + 0.05 * z, atol=1e-12)
-    gset = GraspSet(grasps)
+    poses = [Pose(rng.uniform(-1, 1, 3), rng.normal(size=4)) for _ in range(50)]
+    for pose in poses:
+        z = pose.rotation_matrix()[:, 2]
+        appr = offset_along_grasp_z(pose, -0.10)
+        final = offset_along_grasp_z(pose, 0.05)
+        ok &= np.allclose(appr.p, pose.p - 0.10 * z, atol=1e-12)
+        ok &= np.allclose(final.p, pose.p + 0.05 * z, atol=1e-12)
+    gset = GraspSet.from_poses(poses, [0.5] * len(poses))
     doubled = expand_flips(gset)
     ok &= len(doubled) == 2 * len(gset)
-    for g, f in zip(doubled.grasps[: len(gset)], doubled.grasps[len(gset):]):
-        ok &= np.allclose(
-            f.pose.rotation_matrix()[:, 2], g.pose.rotation_matrix()[:, 2], atol=1e-9
-        )
+    for i in range(len(gset)):
+        g, f = doubled.pose(i), doubled.pose(len(gset) + i)
+        ok &= np.allclose(f.rotation_matrix()[:, 2], g.rotation_matrix()[:, 2], atol=1e-9)
     report(4, "standoff -0.10 m / push-in +0.05 m exact; flips double and keep axes", bool(ok))
 
 

@@ -1,0 +1,33 @@
+"""Behaviour contract: full-run trace digests of the committed scenarios.
+
+A change that moves any of these digests changes what the simulator
+does; it must name the change and its reason rather than re-record the
+values to make the test pass.
+"""
+
+import pytest
+
+from handover_sim.scenario import load_scenario
+from handover_sim.sim import run
+from handover_sim.trace import trace_digest
+
+PINNED = {
+    ("nominal_cylinder", 0): "c1c5a5b42b7d7592970a977ddda56a2d1be221d66c883b59e5485c4334b77e2e",
+    ("nominal_cylinder", 1): "8ffde6c1aa87650df2b9b89c3404288f0cb913699ada1ccaa7560e6309e8ba63",
+    ("nominal_cylinder", 2): "e14be3f536c178e21fca74cd4641483a374683f39926c15c0033e08fb4e0fec8",
+    ("nominal_cylinder", 3): "3bb8c61125625a6c5466d0ae472b51c1c890b1c686a6b19dbb813035f8a901ff",
+    ("rotate90_midmotion", 0): "b77e00adfc9c320a34815cf0ed3da8e9df7ad755408bff36a7c1af9bd83b71d4",
+    ("rotate90_midmotion", 1): "070120a922b953b166a33f29ff98bb176360e0d4bcda0f76cb3d0f68260c49db",
+    ("rotate90_midmotion", 2): "111d89d97fff20b7e62082d07eb0925c7d78edf65258fb2ce90befda0c1ced6f",
+    ("rotate90_midmotion", 3): "94059ceabbae194b4e04503f74ebf4ee12053374acbae1c60882177623388bcd",
+    ("hand_below_table", 0): "c5e18d9a41bb94e7d6a639e001364c5eea043ead7be4a70fc7d6a270f8762cf7",
+    ("hand_below_table", 1): "7b5f6726b93f67bd26dab2b6ddc4c6b15b50747c3104e7f00c41510ea1e4db88",
+    ("hand_below_table", 2): "b2cd8250b2d69d509a6a873c65d77f18f64e2d5fc0a852ea5e2477c9907ea1cd",
+    ("hand_below_table", 3): "fb4318514c123c64becc7d0175db91cf98a3ce66dc20f0672e941680e327ce6e",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED))
+def test_committed_scenario_digest_is_pinned(name, seed):
+    _, records = run(load_scenario(f"scenarios/{name}.yaml"), seed)
+    assert trace_digest(records) == PINNED[(name, seed)]

@@ -3,7 +3,7 @@ import pytest
 
 from handover_sim.evaluator import (
     DEFAULT_GRIPPER,
-    Grasp,
+    GraspSet,
     evaluate,
     sample_grasps,
 )
@@ -119,30 +119,33 @@ class TestSampleGrasps:
         return LabeledPointCloud(pts, np.full(n, LABEL_OBJECT), nrm)
 
     def test_empty_cloud_returns_empty(self):
-        assert sample_grasps(LabeledPointCloud.empty(), 10, np.random.default_rng(0)) == []
+        assert len(sample_grasps(LabeledPointCloud.empty(), 10, np.random.default_rng(0))) == 0
 
     def test_sphere_approach_axes_are_negated_normals(self):
         cloud = self.sphere_cloud()
         grasps = sample_grasps(cloud, 50, np.random.default_rng(4))
         assert len(grasps) == 50
-        for g in grasps:
-            radial = g.pose.p / np.linalg.norm(g.pose.p)
-            assert np.allclose(g.pose.z_axis(), -radial, atol=1e-6)
+        for i in range(len(grasps)):
+            pose = grasps.pose(i)
+            radial = pose.p / np.linalg.norm(pose.p)
+            assert np.allclose(pose.z_axis(), -radial, atol=1e-6)
 
     def test_scores_match_evaluate(self):
         cloud = self.sphere_cloud()
-        for g in sample_grasps(cloud, 20, np.random.default_rng(5)):
-            assert g.score == pytest.approx(evaluate(g.pose, cloud), abs=1e-12)
-            assert g.score > 0.0
+        grasps = sample_grasps(cloud, 20, np.random.default_rng(5))
+        for i in range(len(grasps)):
+            score = grasps.scores[i]
+            assert score == pytest.approx(evaluate(grasps.pose(i), cloud), abs=1e-12)
+            assert score > 0.0
 
     def test_deterministic_per_seed(self):
         cloud = self.sphere_cloud()
         a = sample_grasps(cloud, 30, np.random.default_rng(6))
         b = sample_grasps(cloud, 30, np.random.default_rng(6))
         assert len(a) == len(b)
-        for ga, gb in zip(a, b):
-            assert np.array_equal(ga.pose.to_array(), gb.pose.to_array())
-            assert ga.score == gb.score
+        for i in range(len(a)):
+            assert np.array_equal(a.pose(i).to_array(), b.pose(i).to_array())
+            assert a.scores[i] == b.scores[i]
 
     def test_ungraspable_view_returns_empty(self):
         # a lone point with no graspable structure far from everything
@@ -156,8 +159,8 @@ class TestSampleGrasps:
             [LABEL_OBJECT, LABEL_OBJECT],
             [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
         )
-        assert sample_grasps(blocker, 5, np.random.default_rng(7)) == []
+        assert len(sample_grasps(blocker, 5, np.random.default_rng(7))) == 0
 
     def test_grasp_score_bounds_enforced(self):
         with pytest.raises(ValueError):
-            Grasp(Pose.identity(), 1.5)
+            GraspSet.from_poses([Pose.identity()], [1.5])

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from handover_sim.evaluator import GraspSet
 from handover_sim.geometry import (
     Pose,
     flip_about_grasp_z,
     offset_along_grasp_z,
     pose_distance,
+    quat_canonical,
     quat_from_axis_angle,
+    quat_mul,
     quat_normalize,
+    quat_to_matrix,
+    quat_unit_rows,
 )
 
 
@@ -140,3 +145,33 @@ class TestGraspFrameOps:
         g, other = random_pose(rng), random_pose(rng)
         f = flip_about_grasp_z(g)
         assert np.allclose(f.p, g.p, atol=1e-15)
+
+
+class TestStackedRows:
+    """Stacked calls must equal the one-row calls bit for bit: the grasp
+    set runs through them, and the trace digests depend on every bit."""
+
+    def test_stacked_helpers_match_row_by_row(self):
+        rng = np.random.default_rng(9)
+        poses = [random_pose(rng) for _ in range(300)]
+        other = random_pose(rng)
+        rows = GraspSet.from_poses(poses, np.zeros(len(poses)))
+        q = rows.q
+        raw = rng.normal(size=(300, 4))
+        dist = pose_distance(rows, other)
+        mats = quat_to_matrix(q)
+        prods = quat_mul(q, raw)
+        units = quat_unit_rows(raw)
+        for i, x in enumerate(poses):
+            assert dist[i] == pose_distance(x, other)
+            assert np.array_equal(mats[i], quat_to_matrix(x.q))
+            assert np.array_equal(prods[i], quat_mul(x.q, raw[i]))
+            assert np.array_equal(units[i], quat_canonical(quat_normalize(raw[i])))
+
+    def test_from_unit_keeps_every_bit(self):
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            pose = random_pose(rng)
+            again = Pose.from_unit(pose.p, pose.q)
+            assert np.array_equal(again.to_array(), pose.to_array())
+            assert not again.q.flags.writeable

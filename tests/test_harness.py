@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
 from handover_sim.batch import batch, run_seeds, summarize
 from handover_sim.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main
@@ -198,7 +199,37 @@ class TestBehaviors:
         assert not any(flags[1:])
 
 
+# A push and an in-hand rotation on a moving hand: at ticks 108-109 the
+# selected grasp clears the exact hand points by the 5 mm margin, but
+# collided with the trace's rounded points until the simulator pruned with
+# slack for the rounding.
+ROUNDING_CASE = {
+    "mode": "temporal_plus",
+    "time_limit": 1.5,
+    "object": {
+        "kind": "box",
+        "dims": [0.050298, 0.175323, 0.050251],
+        "grip_offset": [-0.004363244, -0.114438197, -0.000239112,
+                        -0.706041862, -0.038792896, -0.038792896, 0.706041862],
+    },
+    "hand_trajectory": [
+        {"t": 0.0, "pose": [0.549385065, 0.037438236, 0.273211182, 0, 0, -0.000132461, 0.999999991]},
+        {"t": 0.7681, "pose": [0.522585982, 0.014549874, 0.282038405, 0, 0, -0.000132461, 0.999999991]},
+        {"t": 1.6933, "pose": [0.576184149, 0.060326598, 0.264383959, 0, 0, -0.000132461, 0.999999991]},
+    ],
+    "events": [
+        {"trigger": {"time": 0.614}, "action": {"translate_hand": {"offset": [-0.096302, -0.127024, 0.07447]}}},
+        {"trigger": {"time": 1.171},
+         "action": {"rotate_object": {"angle_deg": 101.99, "axis": [2.234117, 0.43842, -0.18239]}}},
+    ],
+}
+
+
 class TestTraceIO:
+    def test_rounded_trace_verifies_clean(self):
+        _, records = run(scenario_from_dict(ROUNDING_CASE, "x"), 249434631)
+        assert verify_records(records) == []
+
     def test_roundtrip_and_digest_stability(self, tmp_path):
         s = short(load_scenario(NOMINAL), 1.0)
         _, records = run(s, seed=0)
@@ -260,8 +291,48 @@ class TestBatch:
         with pytest.raises(ScenarioError):
             batch(tmp_path, [0])
 
+    def test_batch_runs_generator_seeds_for_every_scenario(self, tmp_path):
+        import shutil
+
+        shutil.copy(BELOW, tmp_path / "a.yaml")
+        shutil.copy(BELOW, tmp_path / "b.yaml")
+        rows = batch(tmp_path, (s for s in [0, 1]))
+        assert [row["seeds"] for row in rows] == [2, 2]
+        assert all(row["mean_attempts"] == 0 for row in rows)
+
+
+def _push_event(offset):
+    return [{"trigger": {"time": 0.1}, "action": {"translate_hand": {"offset": offset}}}]
+
+
+def _rotate_event(axis):
+    return [{"trigger": {"time": 0.1}, "action": {"rotate_object": {"angle_deg": 90, "axis": axis}}}]
+
+
+BAD_SCENARIOS = {
+    "negative_seed": base_dict(seed=-1),
+    "negative_density": base_dict(overrides={"density": -5}),
+    "label_noise_above_one": base_dict(overrides={"label_noise": 2}),
+    "two_vector_push": base_dict(events=_push_event([0.1, 0.0])),
+    "zero_rotation_axis": base_dict(events=_rotate_event([0, 0, 0])),
+    "infinite_time_limit": base_dict(time_limit=float("inf")),
+    "nan_hand_pose": base_dict(hand_trajectory=[{"t": 0.0, "pose": [float("nan"), 0.05, 0.28]}]),
+}
+
 
 class TestCli:
+    @pytest.mark.parametrize("argv", [["run", "--scenario", BELOW], ["batch", "--dir", "scenarios"]])
+    def test_negative_seed_flag_exits_2(self, argv, tmp_path, capsys):
+        flag = ["--seed", "-1"] if argv[0] == "run" else ["--seeds", "-1", "--out", str(tmp_path / "o.csv")]
+        assert main(argv + flag) == EXIT_PARSE
+
+    @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+    def test_invalid_value_exits_2_at_parse(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(BAD_SCENARIOS[case]))
+        assert main(["run", "--scenario", str(path)]) == EXIT_PARSE
+        assert "scenario error" in capsys.readouterr().err
+
     def test_run_ok(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         code = main(["run", "--scenario", BELOW, "--seed", "0", "--trace", str(trace)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handover_sim.evaluator import DEFAULT_GRIPPER, Grasp, evaluate
+from handover_sim.evaluator import DEFAULT_GRIPPER, evaluate, points_in_boxes
 from handover_sim.geometry import Pose
 from handover_sim.refinement import (
     GraspSet,
@@ -27,7 +27,7 @@ def sphere_cloud(r=0.03, n=2000, seed=0, center=(0.0, 0.0, 0.0)):
 
 def make_set(poses, scores=None):
     scores = scores or [0.5] * len(poses)
-    return GraspSet([Grasp(p, s) for p, s in zip(poses, scores)])
+    return GraspSet.from_poses(poses, scores)
 
 
 class TestPerturb:
@@ -85,9 +85,7 @@ class TestMhStep:
         gset = make_set([Pose([i * 1e-4, 0, 0], [0, 0, 0, 1]) for i in range(n)])
         rng = np.random.default_rng(3)
         out = mh_step(gset, sphere_cloud(n=10), self.stub_evaluator(0.8, 0.2), CFG, rng)
-        accepted = sum(
-            1 for before, after in zip(gset.grasps, out.grasps) if after.score == 0.2
-        )
+        accepted = sum(1 for score in out.scores if score == 0.2)
         assert 0.23 <= accepted / n <= 0.27
 
     def test_always_improving_proposals_all_accepted(self):
@@ -97,11 +95,8 @@ class TestMhStep:
             gset, sphere_cloud(n=10), self.stub_evaluator(0.5, 0.9), CFG,
             np.random.default_rng(4),
         )
-        assert all(g.score == 0.9 for g in out.grasps)
-        moved = [
-            not np.allclose(a.pose.p, b.pose.p)
-            for a, b in zip(gset.grasps, out.grasps)
-        ]
+        assert all(score == 0.9 for score in out.scores)
+        moved = [not np.allclose(a, b) for a, b in zip(gset.p, out.p)]
         assert all(moved)
 
     def test_rejected_grasps_keep_pose_with_refreshed_score(self):
@@ -110,14 +105,9 @@ class TestMhStep:
             gset, sphere_cloud(n=10), self.stub_evaluator(0.8, 0.0), CFG,
             np.random.default_rng(5),
         )
-        (g,) = out.grasps
-        assert np.allclose(g.pose.p, 0.0)
-        assert g.score == 0.8
-
-    def test_frame_index_increments(self):
-        gset = GraspSet([], frame_index=7)
-        out = mh_step(gset, sphere_cloud(n=10), lambda p, c: 0.5, CFG, np.random.default_rng(6))
-        assert out.frame_index == 8
+        assert len(out) == 1
+        assert np.allclose(out.p[0], 0.0)
+        assert out.scores[0] == 0.8
 
 
 class TestPrune:
@@ -152,8 +142,8 @@ class TestPrune:
             ((0, 0, 0), (0.01, 0.04, 0.02)),
         ]
         survivors = []
-        for g in gset.grasps:
-            R, t = g.pose.rotation_matrix(), g.pose.p
+        for g in poses:
+            R, t = g.rotation_matrix(), g.p
             hit = False
             for p in hand_pts:
                 lp = R.T @ (p - t)
@@ -163,8 +153,26 @@ class TestPrune:
             if not hit:
                 survivors.append(g)
         assert len(out) == len(survivors)
-        for a, b in zip(out.grasps, survivors):
-            assert np.array_equal(a.pose.to_array(), b.pose.to_array())
+        for i, b in enumerate(survivors):
+            assert np.array_equal(out.pose(i).to_array(), b.to_array())
+
+
+    def test_batched_test_matches_per_pose_test(self):
+        # reference: the per-grasp transform and box test, same arithmetic
+        rng = np.random.default_rng(14)
+        poses = [Pose(rng.uniform(-0.05, 0.05, 3), rng.normal(size=4)) for _ in range(100)]
+        hand_pts = rng.uniform(-0.2, 0.2, size=(300, 3))
+        hand = LabeledPointCloud(hand_pts, np.full(300, LABEL_HAND))
+        out = prune_hand_collisions(make_set(poses), hand, margin=0.005)
+        boxes = DEFAULT_GRIPPER.all_boxes()
+        keep = [
+            g for g in poses
+            if not points_in_boxes(g.inverse_transform_points(hand_pts), boxes, 0.005).any()
+        ]
+        assert 0 < len(keep) < len(poses)
+        assert np.array_equal(out.p, [g.p for g in keep])
+        for g in poses:
+            assert grasp_collides_hand(g, hand_pts) == all(g is not k for k in keep)
 
 
 class TestMaintain:
@@ -212,17 +220,16 @@ class TestMaintain:
         gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), CFG, rng)
         mean_scores = []
         for _ in range(50):
-            prev = {id(g): g.pose.p for g in gset.grasps}
             new_set, _ = maintain(gset, cloud, LabeledPointCloud.empty(), CFG, rng)
             steps = [
-                np.linalg.norm(a.pose.p - b.pose.p)
-                for a, b in zip(gset.grasps, new_set.grasps)
+                np.linalg.norm(a - b)
+                for a, b in zip(gset.p, new_set.p)
                 if len(gset) == len(new_set)
             ]
             if steps:
                 assert np.mean(steps) <= 0.02 * np.sqrt(3) + 1e-12
             gset = new_set
-            mean_scores.append(np.mean([g.score for g in gset.grasps]))
+            mean_scores.append(np.mean(gset.scores))
         first, last = np.mean(mean_scores[:10]), np.mean(mean_scores[-10:])
         assert last >= 0.6 * first
         assert last >= 0.25
@@ -239,4 +246,4 @@ class TestConfigValidation:
             GraspSet.empty(), cloud, LabeledPointCloud.empty(), CFG,
             np.random.default_rng(13),
         )
-        assert all(0.0 <= g.score <= 1.0 for g in gset.grasps)
+        assert all(0.0 <= score <= 1.0 for score in gset.scores)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from handover_sim.evaluator import Grasp
-from handover_sim.geometry import Pose, offset_along_grasp_z, pose_distance
+from handover_sim.geometry import Pose, flip_about_grasp_z, offset_along_grasp_z, pose_distance
 from handover_sim.refinement import GraspSet
 from handover_sim.selection import (
     ReachableRegion,
@@ -10,7 +9,7 @@ from handover_sim.selection import (
     SelectionConfig,
     expand_flips,
     grasp_cost,
-    make_target,
+    make_targets,
     select_target,
 )
 
@@ -22,7 +21,7 @@ NO_HAND = np.zeros((0, 3))
 
 def gset(poses, scores=None):
     scores = scores or [0.8] * len(poses)
-    return GraspSet([Grasp(p, s) for p, s in zip(poses, scores)])
+    return GraspSet.from_poses(poses, scores)
 
 
 class TestExpandFlips:
@@ -34,19 +33,23 @@ class TestExpandFlips:
         )
         out = expand_flips(base)
         assert len(out) == 14
-        for g, f in zip(out.grasps[:7], out.grasps[7:]):
-            assert f.score == g.score
+        for i in range(7):
+            g, f = out.pose(i), out.pose(7 + i)
+            assert out.scores[7 + i] == out.scores[i]
             # flip keeps the position and the approach axis
-            assert np.allclose(f.pose.p, g.pose.p)
-            assert np.allclose(
-                f.pose.rotation_matrix()[:, 2], g.pose.rotation_matrix()[:, 2]
-            )
-            assert np.allclose(
-                f.pose.rotation_matrix()[:, 1], -g.pose.rotation_matrix()[:, 1]
-            )
+            assert np.allclose(f.p, g.p)
+            assert np.allclose(f.rotation_matrix()[:, 2], g.rotation_matrix()[:, 2])
+            assert np.allclose(f.rotation_matrix()[:, 1], -g.rotation_matrix()[:, 1])
 
     def test_empty(self):
         assert len(expand_flips(GraspSet.empty())) == 0
+
+    def test_matches_per_pose_flip_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        poses = [Pose(rng.uniform(-1, 1, 3), rng.normal(size=4)) for _ in range(200)]
+        out = expand_flips(gset(poses))
+        for i, g in enumerate(poses):
+            assert np.array_equal(out.pose(200 + i).to_array(), flip_about_grasp_z(g).to_array())
 
 
 class TestGraspCost:
@@ -80,21 +83,35 @@ class TestGraspCost:
 
 class TestMakeTarget:
     def test_offsets_along_grasp_z(self):
-        g = Grasp(Pose([0.5, 0.1, 0.3], [0, 0, 0, 1]), 0.7)
-        t = make_target(g, HOME, HOME, CFG)
+        g = Pose([0.5, 0.1, 0.3], [0, 0, 0, 1])
+        t = select_target(gset([g], [0.7]), HOME, HOME, HOME, NO_HAND, REGION, CFG)
         assert np.allclose(t.approach_pose.p, [0.5, 0.1, 0.3 - 0.10], atol=1e-12)
         assert np.allclose(t.final_pose.p, [0.5, 0.1, 0.3 + 0.05], atol=1e-12)
-        assert np.allclose(t.approach_pose.q, g.pose.q)
-        assert np.allclose(t.final_pose.q, g.pose.q)
+        assert np.allclose(t.approach_pose.q, g.q)
+        assert np.allclose(t.final_pose.q, g.q)
         assert t.cost == grasp_cost(t.approach_pose, 0.7, HOME, HOME, CFG)
 
     def test_standoff_and_final_separated_by_offsets(self):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            g = Grasp(Pose(rng.uniform(-1, 1, 3), rng.normal(size=4)), 0.5)
-            t = make_target(g, HOME, HOME, CFG)
-            gap = np.linalg.norm(t.final_pose.p - t.approach_pose.p)
+        poses = [Pose(rng.uniform(-1, 1, 3), rng.normal(size=4)) for _ in range(20)]
+        approach, final = make_targets(gset(poses, [0.5] * 20), CFG)
+        for a, f in zip(approach.p, final):
+            gap = np.linalg.norm(f - a)
             assert gap == pytest.approx(CFG.standoff + CFG.push_in, abs=1e-9)
+
+    def test_matches_per_pose_offsets_and_costs_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        poses = [Pose(rng.uniform(-1, 1, 3), rng.normal(size=4)) for _ in range(200)]
+        scores = list(rng.uniform(0, 1, 200))
+        prev = Pose(rng.uniform(-1, 1, 3), rng.normal(size=4))
+        approach, final = make_targets(gset(poses, scores), CFG)
+        costs = grasp_cost(approach, approach.scores, prev, HOME, CFG)
+        for i, (g, s) in enumerate(zip(poses, scores)):
+            appr = offset_along_grasp_z(g, -CFG.standoff)
+            assert np.array_equal(approach.pose(i).to_array(), appr.to_array())
+            final_pose = Pose.from_unit(final[i], approach.q[i])
+            assert np.array_equal(final_pose.to_array(), offset_along_grasp_z(g, CFG.push_in).to_array())
+            assert costs[i] == grasp_cost(appr, s, prev, HOME, CFG)
 
 
 class TestSelectTarget:
@@ -109,23 +126,23 @@ class TestSelectTarget:
         g = self.top_down([0.5, 0.0, 0.2])
         out = select_target(gset([g]), HOME, HOME, HOME, NO_HAND, REGION, CFG)
         assert out is not None
-        assert np.allclose(out.grasp.pose.p, [0.5, 0.0, 0.2])
+        assert np.allclose(out.grasp.p, [0.5, 0.0, 0.2])
 
     def test_picks_global_min_cost(self):
         near = self.top_down([0.35, 0.0, 0.40])
         far = self.top_down([0.7, 0.2, 0.40])
         out = select_target(gset([far, near]), HOME, HOME, HOME, NO_HAND, REGION, CFG)
-        assert np.allclose(out.grasp.pose.p, near.p)
+        assert np.allclose(out.grasp.p, near.p)
 
     def test_previous_target_bias(self):
         a = self.top_down([0.45, 0.12, 0.40])
         b = self.top_down([0.45, -0.12, 0.40])
         prev_b = offset_along_grasp_z(b, -CFG.standoff)
         out = select_target(gset([a, b]), HOME, prev_b, HOME, NO_HAND, REGION, CFG)
-        assert np.allclose(out.grasp.pose.p, b.p)
+        assert np.allclose(out.grasp.p, b.p)
         # symmetric without the bias: falls back to stable order
         out2 = select_target(gset([a, b]), HOME, HOME, HOME, NO_HAND, REGION, CFG)
-        assert np.allclose(out2.grasp.pose.p, a.p)
+        assert np.allclose(out2.grasp.p, a.p)
 
     def test_out_of_region_candidates_skipped(self):
         inside = self.top_down([0.5, 0.0, 0.3])
@@ -134,7 +151,7 @@ class TestSelectTarget:
         out = select_target(
             gset([too_far, below, inside]), HOME, HOME, HOME, NO_HAND, REGION, CFG
         )
-        assert np.allclose(out.grasp.pose.p, inside.p)
+        assert np.allclose(out.grasp.p, inside.p)
 
     def test_all_infeasible_gives_none(self):
         far = self.top_down([2.0, 0.0, 0.3])
@@ -159,26 +176,26 @@ class TestSelectTarget:
                 [Pose(g.p + rng.uniform(-0.005, 0.005, 3), g.q) for g in base]
             )
             out = select_target(jittered, HOME, prev, HOME, NO_HAND, REGION, CFG)
-            if np.linalg.norm(out.grasp.pose.p - base[0].p) < 0.02:
+            if np.linalg.norm(out.grasp.p - base[0].p) < 0.02:
                 kept += 1
         assert kept / n >= 0.95
 
     def test_zero_prev_weight_reduces_to_score_and_home(self):
         cfg = SelectionConfig(w_prev=0.0, w_home=0.0)
-        good = Grasp(self.top_down([0.7, 0.2, 0.3]), 0.45)
-        better = Grasp(self.top_down([0.4, 0.0, 0.4]), 0.30)
-        prev = offset_along_grasp_z(good.pose, -cfg.standoff)
-        out = select_target(GraspSet([good, better]), HOME, prev, HOME, NO_HAND, REGION, cfg)
+        good = self.top_down([0.7, 0.2, 0.3])
+        better = self.top_down([0.4, 0.0, 0.4])
+        prev = offset_along_grasp_z(good, -cfg.standoff)
+        out = select_target(gset([good, better], [0.45, 0.30]), HOME, prev, HOME, NO_HAND, REGION, cfg)
         # only the score-shortfall term remains, so the higher score wins
         # even though the other grasp sits at the previous target
-        assert out.grasp.score == 0.45
+        assert out.score == 0.45
 
     def test_constant_shift_keeps_argmin(self):
         poses = [self.top_down([0.45 + 0.05 * i, 0.0, 0.35]) for i in range(4)]
         hi = select_target(gset(poses, [0.9] * 4), HOME, HOME, HOME, NO_HAND, REGION, CFG)
         lo = select_target(gset(poses, [0.2] * 4), HOME, HOME, HOME, NO_HAND, REGION, CFG)
         # uniform score shift adds a constant to every cost; argmin unchanged
-        assert np.allclose(hi.grasp.pose.p, lo.grasp.pose.p)
+        assert np.allclose(hi.grasp.p, lo.grasp.p)
         assert lo.cost == pytest.approx(hi.cost + 0.3, abs=1e-12)
 
 
