@@ -7,9 +7,11 @@ normals and the closing axis. It is rigid-transform equivariant and
 invariant under the 180-degree Z flip, which selection relies on to
 reuse scores for flipped grasps.
 
-Evaluator implementations are pure functions of their inputs; anything
-with the same (pose, cloud) -> score signature can be swapped in.
-GraspSet carries grasps as rows of three arrays from sampler to selection.
+evaluate_rows scores every row of a GraspSet (or one Pose) in one array
+pass; evaluate is its one-row case. Evaluator implementations are pure
+functions of their inputs; anything with the same stacked
+(grasps, cloud) -> (G,) scores signature can be swapped in. GraspSet
+carries grasps as rows of three arrays from sampler to selection.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Pose, quat_from_matrix
+from .geometry import Pose, quat_from_matrix, quat_to_matrix
 from .scene import LabeledPointCloud
 
 N_CONTAIN_REF = 20  # containment saturates at this many points
+ROW_CHUNK = 8  # grasps per stacked box test; bounds its temporaries and peak memory
 
 
 @dataclass(frozen=True)
@@ -102,53 +105,86 @@ DEFAULT_GRIPPER = GripperModel()
 
 
 @lru_cache(maxsize=8)
-def _stacked_bounds(boxes):
+def _stacked_bounds(boxes, margin):
+    """Dilated per-box bounds (B, 3) and their joint bounds (3,)."""
     lo = np.array([np.asarray(b.center) - np.asarray(b.half) for b in boxes])
     hi = np.array([np.asarray(b.center) + np.asarray(b.half) for b in boxes])
-    return lo, hi
+    return lo - margin, hi + margin, lo.min(axis=0) - margin, hi.max(axis=0) + margin
 
 
 def points_in_boxes(pts: np.ndarray, boxes, margin: float = 0.0) -> np.ndarray:
     """(len(boxes), len(pts)) bool: point inside box dilated by margin."""
-    lo, hi = _stacked_bounds(tuple(boxes))
+    lo, hi, joint_lo, joint_hi = _stacked_bounds(tuple(boxes), margin)
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    x, y, z = pts.T
+    # one comparison per axis and side: reducing over the length-3 axis costs more;
     # only points inside the boxes' joint dilated bounds get the per-box test
-    near = np.all((pts >= lo.min(axis=0) - margin) & (pts <= hi.max(axis=0) + margin), axis=1)
-    near_pts = pts[near]
+    near = np.flatnonzero(
+        (x >= joint_lo[0]) & (x <= joint_hi[0]) & (y >= joint_lo[1]) & (y <= joint_hi[1])
+        & (z >= joint_lo[2]) & (z <= joint_hi[2])
+    )
+    x, y, z = x[near], y[near], z[near]
     inside = np.zeros((len(lo), len(pts)), dtype=bool)
-    inside[:, near] = np.all(
-        (near_pts >= lo[:, None, :] - margin) & (near_pts <= hi[:, None, :] + margin), axis=2
+    inside[:, near] = (
+        (x >= lo[:, 0, None]) & (x <= hi[:, 0, None]) & (y >= lo[:, 1, None])
+        & (y <= hi[:, 1, None]) & (z >= lo[:, 2, None]) & (z <= hi[:, 2, None])
     )
     return inside
+
+
+def stacked_box_hits(grasps, points: np.ndarray, boxes, margin: float = 0.0):
+    """Yield (rows, rotations, hits) per chunk of ROW_CHUNK grasp rows.
+
+    grasps is anything with p and q rows (a GraspSet, or one Pose as one
+    row). hits is (len(boxes), rows, len(points)) bool: the point, in the
+    row's grasp frame, lies inside the box dilated by margin. Each row's
+    transform is the same (points - p) @ R as Pose.inverse_transform_points.
+    """
+    p = np.reshape(grasps.p, (-1, 3))
+    rot = quat_to_matrix(grasps.q).reshape(-1, 3, 3)
+    for start in range(0, len(p), ROW_CHUNK):
+        rows = slice(start, start + ROW_CHUNK)
+        local = np.matmul(points - p[rows, None, :], rot[rows])
+        hits = points_in_boxes(local.reshape(-1, 3), boxes, margin)
+        yield rows, rot[rows], hits.reshape(len(boxes), len(local), len(points))
+
+
+def evaluate_rows(
+    grasps, object_cloud: LabeledPointCloud, gripper: GripperModel = DEFAULT_GRIPPER
+) -> np.ndarray:
+    """Score every row of grasps (a GraspSet, or one Pose) against a cloud: (G,) in [0, 1].
+
+    A row scores zero if any object point collides with a finger or palm
+    box, or if its closing region is empty. Otherwise min(1, n_in/20)
+    times the mean |normal . closing axis| over contained points (1 when
+    normals are absent); that mean is taken one row at a time, so each
+    row's sum runs in the order of a one-row call.
+    """
+    scores = np.zeros(len(np.reshape(grasps.p, (-1, 3))))
+    if len(object_cloud) == 0:
+        return scores
+    n_body = len(gripper.body_boxes())
+    points, normals = object_cloud.points, object_cloud.normals
+    for rows, rot, hits in stacked_box_hits(grasps, points, gripper.all_boxes()):
+        blocked = hits[:n_body].any(axis=(0, 2))
+        inside = hits[-1]
+        n_in = inside.sum(axis=1)
+        for j in np.flatnonzero(~blocked & (n_in > 0)):
+            containment = min(1.0, int(n_in[j]) / N_CONTAIN_REF)
+            if normals is None:
+                alignment = 1.0
+            else:
+                local_normals = normals[inside[j]] @ rot[j]
+                alignment = float(np.mean(np.abs(local_normals[:, 1])))
+            scores[rows.start + j] = containment * alignment
+    return scores
 
 
 def evaluate(
     pose: Pose, object_cloud: LabeledPointCloud, gripper: GripperModel = DEFAULT_GRIPPER
 ) -> float:
-    """Score a grasp pose against an object cloud, in [0, 1].
-
-    Zero if any object point collides with a finger or palm box, or if
-    the closing region is empty. Otherwise min(1, n_in/20) times the
-    mean |normal . closing axis| over contained points (1 when normals
-    are absent).
-    """
-    if len(object_cloud) == 0:
-        return 0.0
-    local = pose.inverse_transform_points(object_cloud.points)
-    hits = points_in_boxes(local, gripper.all_boxes())
-    if hits[: len(gripper.body_boxes())].any():
-        return 0.0
-    inside = hits[-1]
-    n_in = int(inside.sum())
-    if n_in == 0:
-        return 0.0
-    containment = min(1.0, n_in / N_CONTAIN_REF)
-    if object_cloud.normals is None:
-        alignment = 1.0
-    else:
-        local_normals = object_cloud.normals[inside] @ pose.rotation_matrix()
-        alignment = float(np.mean(np.abs(local_normals[:, 1])))
-    return containment * alignment
+    """Score one grasp pose against an object cloud, in [0, 1] (see evaluate_rows)."""
+    return float(evaluate_rows(pose, object_cloud, gripper)[0])
 
 
 def sample_grasps(
@@ -172,29 +208,32 @@ def sample_grasps(
     if rng is None:
         rng = np.random.default_rng()
     centroid = object_cloud.points.mean(axis=0)
-    poses, scores = [], []
-    for _ in range(max_trials_factor * n):
-        if len(poses) >= n:
-            break
-        idx = int(rng.integers(len(object_cloud)))
-        point = object_cloud.points[idx]
-        if object_cloud.normals is not None:
-            normal = object_cloud.normals[idx]
-        else:
-            normal = point - centroid
-            nn = np.linalg.norm(normal)
-            normal = normal / nn if nn > 1e-9 else np.array([0.0, 0.0, 1.0])
-        z = -normal
-        tangent = rng.normal(size=3)
-        tangent -= tangent @ z * z
-        tn = np.linalg.norm(tangent)
-        if tn < 1e-9:
-            continue
-        y = tangent / tn
-        x = np.cross(y, z)
-        pose = Pose(point, quat_from_matrix(np.column_stack([x, y, z])))
-        score = evaluate(pose, object_cloud, gripper)
-        if score > 0.0:
-            poses.append(pose)
-            scores.append(score)
-    return GraspSet.from_poses(poses, scores)
+    found, trials = GraspSet.empty(), max_trials_factor * n
+    while len(found) < n and trials > 0:
+        # trials are drawn one at a time and scored as a block; a block of n - found
+        # trials ends no later than where a one-at-a-time loop stops, so the draws match
+        block = min(n - len(found), trials)
+        trials -= block
+        poses = []
+        for _ in range(block):
+            idx = int(rng.integers(len(object_cloud)))
+            point = object_cloud.points[idx]
+            if object_cloud.normals is not None:
+                normal = object_cloud.normals[idx]
+            else:
+                normal = point - centroid
+                nn = np.linalg.norm(normal)
+                normal = normal / nn if nn > 1e-9 else np.array([0.0, 0.0, 1.0])
+            z = -normal
+            tangent = rng.normal(size=3)
+            tangent -= tangent @ z * z
+            tn = np.linalg.norm(tangent)
+            if tn < 1e-9:
+                continue
+            y = tangent / tn
+            x = np.cross(y, z)
+            poses.append(Pose(point, quat_from_matrix(np.column_stack([x, y, z]))))
+        trial = GraspSet.from_poses(poses, np.zeros(len(poses)))
+        scores = evaluate_rows(trial, object_cloud, gripper)
+        found = found + GraspSet(trial.p, trial.q, scores)[scores > 0.0]
+    return found

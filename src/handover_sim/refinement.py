@@ -7,8 +7,10 @@ pruned, dead grasps (score below the denominator floor) are dropped, and
 the set is topped back up by resampling whenever it falls below a
 threshold.
 
-Pruning tests a whole GraspSet in fixed-size chunks. The MH step stays a
-loop: its accept uniform is drawn only when the ratio is < 1.
+Pruning tests a whole GraspSet in fixed-size chunks. The MH step scores
+every grasp's current pose in one stacked call; its proposals stay a
+loop, one score per call, because the accept uniform is drawn only when
+the ratio is < 1.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluator import DEFAULT_GRIPPER, GraspSet, GripperModel, evaluate, points_in_boxes
-from .evaluator import sample_grasps
-from .geometry import Pose, quat_to_matrix
+from .evaluator import DEFAULT_GRIPPER, GraspSet, GripperModel, evaluate, evaluate_rows
+from .evaluator import sample_grasps, stacked_box_hits
+from .geometry import Pose
 from .scene import LabeledPointCloud
 
 DEFAULT_HAND_MARGIN = 0.005
-PRUNE_CHUNK = 8  # grasps per batched hand test; bounds its temporaries and peak memory
 
 
 @dataclass(frozen=True)
@@ -62,38 +63,30 @@ def mh_step(
 ) -> GraspSet:
     """One Metropolis-Hastings pass over the set.
 
-    Rejected grasps keep their pose but refresh their score against the
-    current cloud so downstream selection sees scores consistent with
-    the present observation.
+    evaluate_fn(grasps, cloud) returns one score per row of a GraspSet or
+    of one Pose. It scores the whole set against the current cloud in one
+    call, then each proposal in its own. Rejected grasps keep their pose
+    with that refreshed score, so downstream selection sees scores
+    consistent with the present observation.
     """
     p, q = grasp_set.p.copy(), grasp_set.q.copy()
-    scores = np.empty(len(grasp_set))
+    scores = np.array(evaluate_fn(grasp_set, object_cloud), dtype=float)
     for i in range(len(grasp_set)):
-        pose = grasp_set.pose(i)
-        score_old = evaluate_fn(pose, object_cloud)
-        proposal = perturb(pose, cfg, rng)
-        score_new = evaluate_fn(proposal, object_cloud)
-        r = acceptance_ratio(score_old, score_new, cfg)
+        proposal = perturb(grasp_set.pose(i), cfg, rng)
+        score_new = evaluate_fn(proposal, object_cloud)[0]
+        r = acceptance_ratio(scores[i], score_new, cfg)
         if r >= 1.0 or rng.uniform() < r:
             p[i], q[i], scores[i] = proposal.p, proposal.q, score_new
-        else:
-            scores[i] = score_old
     return GraspSet(p, q, scores)
 
 
 def _collides_hand(grasps, hand_points, gripper: GripperModel, margin: float) -> np.ndarray:
     """(G,) bool over a GraspSet (one Pose: G = 1): a hand point is in a dilated box."""
-    p = np.reshape(grasps.p, (-1, 3))
     hand_points = np.asarray(hand_points, dtype=float).reshape(-1, 3)
-    hits = np.zeros(len(p), dtype=bool)
-    rot = quat_to_matrix(grasps.q).reshape(-1, 3, 3)
-    for start in range(0, len(p), PRUNE_CHUNK):
-        rows = slice(start, start + PRUNE_CHUNK)
-        # per grasp the same (points - p) @ R as Pose.inverse_transform_points
-        local = np.matmul(hand_points - p[rows, None, :], rot[rows])
-        inside = points_in_boxes(local.reshape(-1, 3), gripper.all_boxes(), margin)
-        hits[rows] = inside.any(axis=0).reshape(len(local), -1).any(axis=1)
-    return hits
+    collides = np.zeros(len(np.reshape(grasps.p, (-1, 3))), dtype=bool)
+    for rows, _, hits in stacked_box_hits(grasps, hand_points, gripper.all_boxes(), margin):
+        collides[rows] = hits.any(axis=(0, 2))
+    return collides
 
 
 def grasp_collides_hand(
@@ -135,7 +128,14 @@ def maintain(
     """
     if len(object_cloud) == 0:
         return GraspSet.empty(), False
-    evaluate_fn = lambda pose, cloud: evaluate(pose, cloud, gripper)
+
+    def evaluate_fn(grasps, cloud):
+        # the set in one evaluate_rows pass; a proposal through evaluate, its one-row
+        # case, where handover_bench's layer tracing counts MH proposal scoring
+        if isinstance(grasps, Pose):
+            return np.array([evaluate(grasps, cloud, gripper)])
+        return evaluate_rows(grasps, cloud, gripper)
+
     stepped = mh_step(grasp_set, object_cloud, evaluate_fn, cfg, rng)
     alive = stepped[stepped.scores >= cfg.epsilon_den]
     pruned = prune_hand_collisions(alive, hand_cloud, gripper, margin)

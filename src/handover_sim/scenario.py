@@ -123,6 +123,8 @@ def _parse_event(raw: dict) -> Event:
         trigger_time = None
     elif isinstance(trigger, dict) and "time" in trigger:
         trigger_time = float(trigger["time"])
+        if not np.isfinite(trigger_time):
+            raise ScenarioError("event trigger time must be finite")
     else:
         raise ScenarioError(f"bad event trigger: {trigger!r}")
     action = raw.get("action")
@@ -133,7 +135,10 @@ def _parse_event(raw: dict) -> Event:
         axis = _vector3(params.get("axis", (0.0, 0.0, 1.0)), "rotate_object axis")
         if np.linalg.norm(axis) < 1e-12:
             raise ScenarioError("rotate_object axis must be nonzero")
-        return Event(trigger_time, kind, angle=float(np.deg2rad(params["angle_deg"])), axis=axis)
+        angle = float(np.deg2rad(params["angle_deg"]))
+        if not np.isfinite(angle):
+            raise ScenarioError("rotate_object angle_deg must be finite")
+        return Event(trigger_time, kind, angle=angle, axis=axis)
     if kind == "translate_hand":
         return Event(trigger_time, kind, offset=_vector3(params["offset"], "translate_hand offset"))
     if kind == "lower_hand":

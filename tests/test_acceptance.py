@@ -69,9 +69,10 @@ def test_criterion_1_mh_acceptance_statistics():
     gset = GraspSet.from_poses([Pose([i * 1e-4, 0, 0], [0, 0, 0, 1]) for i in range(n)], [0.8] * n)
     calls = {"n": 0}
 
-    def stub(pose, cloud):
+    def stub(grasps, cloud):
+        # stacked: the whole set's old scores first, then one proposal per call
         calls["n"] += 1
-        return 0.8 if calls["n"] % 2 == 1 else 0.2
+        return np.full(len(np.reshape(grasps.p, (-1, 3))), 0.8 if calls["n"] == 1 else 0.2)
 
     cloud = LabeledPointCloud(np.zeros((1, 3)), [LABEL_OBJECT])
     t0 = time.perf_counter()

@@ -7,7 +7,7 @@ values to make the test pass.
 
 import pytest
 
-from handover_sim.scenario import load_scenario
+from handover_sim.scenario import load_scenario, scenario_from_dict
 from handover_sim.sim import run
 from handover_sim.trace import trace_digest
 
@@ -27,7 +27,37 @@ PINNED = {
 }
 
 
+# Static holds of the other three shapes. Box faces are where the two MH
+# scores of a grasp can tie, so a last-bit change in scoring shows here.
+SIDEWAYS = [-0.7071067811865476, 0.0, 0.0, 0.7071067811865476]
+STATIC_OBJECTS = {
+    "static_box": {"kind": "box", "dims": [0.05, 0.16, 0.05], "grip_offset": [0.0, -0.11, 0.0, *SIDEWAYS]},
+    "static_capsule": {"kind": "capsule", "dims": [0.02, 0.14], "grip_offset": [0.0, -0.11, 0.0, *SIDEWAYS]},
+    "static_sphere": {"kind": "sphere", "dims": [0.035], "grip_offset": [0.0, -0.08, 0.0]},
+}
+PINNED_STATIC = {
+    ("static_box", 0): "90f9c3fce5bd83a6af33514d194768a117bc02eb562fab4b2a2270e18a7400d6",
+    ("static_box", 1): "3a73527d9662d119ee56183407cb52b7abd8f468647c5b7c441a7d9842bc0a51",
+    ("static_capsule", 0): "bc8bbeb07c5fb86cdf49598bd2ed75b35f94724eb09b863088a382747ab59268",
+    ("static_capsule", 1): "5350c4ab39d75c4281bc759bc55bf75ca6c0e79c36a8141a21ebfc72254002be",
+    ("static_sphere", 0): "6603671d208723b9055f54eb64ee9dd1607ff4095f3daeb3b662c8bc75f38029",
+    ("static_sphere", 1): "7f74bf72cbfd1b37dc96c49ac462582a60f91f424969ed255529d533176e7f41",
+}
+
+
 @pytest.mark.parametrize("name,seed", sorted(PINNED))
 def test_committed_scenario_digest_is_pinned(name, seed):
     _, records = run(load_scenario(f"scenarios/{name}.yaml"), seed)
     assert trace_digest(records) == PINNED[(name, seed)]
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED_STATIC))
+def test_static_shape_digest_is_pinned(name, seed):
+    data = {
+        "mode": "temporal_plus",
+        "time_limit": 3.0,
+        "object": STATIC_OBJECTS[name],
+        "hand_trajectory": [{"t": 0.0, "pose": [0.55, 0.05, 0.28]}],
+    }
+    _, records = run(scenario_from_dict(data, name), seed)
+    assert trace_digest(records) == PINNED_STATIC[(name, seed)]

@@ -1,10 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from handover_sim import evaluator
 from handover_sim.evaluator import (
     DEFAULT_GRIPPER,
+    ROW_CHUNK,
     GraspSet,
     evaluate,
+    evaluate_rows,
+    points_in_boxes,
     sample_grasps,
 )
 from handover_sim.geometry import Pose, flip_about_grasp_z, quat_from_axis_angle, quat_mul
@@ -51,6 +57,113 @@ def brute_force_score(pose, cloud):
     if not alignments:
         return 0.0
     return min(1.0, len(alignments) / 20) * float(np.mean(alignments))
+
+
+def np_all_points_in_boxes(pts, boxes, margin=0.0):
+    """Reference box test: np.all over the length-3 coordinate axis."""
+    lo = np.array([np.asarray(b.center) - np.asarray(b.half) for b in boxes])
+    hi = np.array([np.asarray(b.center) + np.asarray(b.half) for b in boxes])
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    near = np.all((pts >= lo.min(axis=0) - margin) & (pts <= hi.max(axis=0) + margin), axis=1)
+    near_pts = pts[near]
+    inside = np.zeros((len(lo), len(pts)), dtype=bool)
+    inside[:, near] = np.all(
+        (near_pts >= lo[:, None, :] - margin) & (near_pts <= hi[:, None, :] + margin), axis=2
+    )
+    return inside
+
+
+def scalar_evaluate(pose, object_cloud, gripper=DEFAULT_GRIPPER):
+    """Reference scorer: one pose on its own, with the np.all box test."""
+    if len(object_cloud) == 0:
+        return 0.0
+    local = pose.inverse_transform_points(object_cloud.points)
+    hits = np_all_points_in_boxes(local, gripper.all_boxes())
+    if hits[: len(gripper.body_boxes())].any():
+        return 0.0
+    inside = hits[-1]
+    n_in = int(inside.sum())
+    if n_in == 0:
+        return 0.0
+    containment = min(1.0, n_in / 20)
+    if object_cloud.normals is None:
+        alignment = 1.0
+    else:
+        local_normals = object_cloud.normals[inside] @ pose.rotation_matrix()
+        alignment = float(np.mean(np.abs(local_normals[:, 1])))
+    return containment * alignment
+
+
+SHAPES = {
+    "box": (0.05, 0.16, 0.05),
+    "cylinder": (0.02, 0.16),
+    "capsule": (0.02, 0.14),
+    "sphere": (0.035,),
+}
+
+
+def shape_cloud(kind, normals=True, n=1500, seed=31):
+    """A surface cloud of the shape at a random pose, with or without normals."""
+    rng = np.random.default_rng(seed)
+    pts, nrm = PrimitiveShape(kind, SHAPES[kind]).sample_surface(n, rng)
+    world = Pose(rng.uniform(-0.2, 0.2, 3), rng.normal(size=4))
+    nrm = nrm @ world.rotation_matrix().T if normals else None
+    return LabeledPointCloud(world.transform_points(pts), np.full(n, LABEL_OBJECT), nrm)
+
+
+def mixed_grasps(cloud, seed=32):
+    """50 sampled grasps moved up to 1 cm: some keep a score, some collide."""
+    rng = np.random.default_rng(seed)
+    sampled = sample_grasps(cloud, 50, rng)
+    p = sampled.p + rng.uniform(-0.01, 0.01, sampled.p.shape)
+    return GraspSet(p, sampled.q, np.zeros(len(p)))
+
+
+class TestEvaluateRows:
+    @pytest.mark.parametrize("normals", [True, False])
+    @pytest.mark.parametrize("kind", sorted(SHAPES))
+    def test_matches_scalar_reference_bit_for_bit(self, kind, normals):
+        cloud = shape_cloud(kind, normals)
+        grasps = mixed_grasps(cloud)
+        assert len(grasps) == 50
+        for g in (0, 1, ROW_CHUNK, ROW_CHUNK + 1, 50):
+            rows = grasps[np.arange(g)]
+            expected = [scalar_evaluate(rows.pose(i), cloud) for i in range(g)]
+            assert evaluate_rows(rows, cloud).tolist() == expected
+        scores = evaluate_rows(grasps, cloud)
+        assert (scores == 0.0).any() and (scores > 0.0).any()
+        for i in range(len(grasps)):
+            assert evaluate(grasps.pose(i), cloud) == scores[i]
+            assert evaluate_rows(grasps.pose(i), cloud).tolist() == [scores[i]]
+
+    def test_empty_cloud_scores_zero_for_every_row(self):
+        grasps = mixed_grasps(shape_cloud("box"))
+        for g in (0, 1, ROW_CHUNK, ROW_CHUNK + 1, 50):
+            scores = evaluate_rows(grasps[np.arange(g)], LabeledPointCloud.empty())
+            assert scores.tolist() == [0.0] * g
+
+
+class TestPointsInBoxes:
+    @pytest.mark.parametrize("margin", [0.0, 0.005, 0.005 + 1e-5])
+    def test_matches_np_all_form_on_and_around_faces(self, margin):
+        boxes = DEFAULT_GRIPPER.all_boxes()
+        rng = np.random.default_rng(33)
+        pts = [rng.uniform(-0.08, 0.08, (4000, 3))]
+        for box in boxes:
+            lo = np.asarray(box.center) - np.asarray(box.half) - margin
+            hi = np.asarray(box.center) + np.asarray(box.half) + margin
+            for axis in range(3):
+                for face, outward in ((lo, -np.inf), (hi, np.inf)):
+                    # points exactly on the dilated face, one ulp outside and one inside
+                    for value in (face[axis], np.nextafter(face[axis], outward),
+                                  np.nextafter(face[axis], -outward)):
+                        on = rng.uniform(lo, hi, (20, 3))
+                        on[:, axis] = value
+                        pts.append(on)
+        pts = np.vstack(pts)
+        got = points_in_boxes(pts, boxes, margin)
+        assert np.array_equal(got, np_all_points_in_boxes(pts, boxes, margin))
+        assert got.any() and not got.all()
 
 
 class TestEvaluate:
@@ -160,6 +273,23 @@ class TestSampleGrasps:
             [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
         )
         assert len(sample_grasps(blocker, 5, np.random.default_rng(7))) == 0
+
+    def test_blocks_leave_generator_where_sequential_loop_did(self, monkeypatch):
+        # recorded with the one-trial-at-a-time sampler: 36 trials for 20 grasps
+        calls = []
+        scorer = evaluator.evaluate_rows
+        monkeypatch.setattr(
+            evaluator, "evaluate_rows", lambda *a: calls.append(1) or scorer(*a)
+        )
+        rng = np.random.default_rng(21)
+        grasps = sample_grasps(cylinder_cloud(n=3000), 20, rng)
+        assert len(calls) > 1  # some trials score 0, so more than one block ran
+        rows = np.concatenate([grasps.p.ravel(), grasps.q.ravel(), grasps.scores])
+        assert len(grasps) == 20
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "d7249c1d21b3885ba4c1c8bfd624e43d13f261090b6274a5d7062c2143561456"
+        )
+        assert rng.random() == 0.6852613914185123
 
     def test_grasp_score_bounds_enforced(self):
         with pytest.raises(ValueError):

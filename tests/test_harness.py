@@ -301,12 +301,12 @@ class TestBatch:
         assert all(row["mean_attempts"] == 0 for row in rows)
 
 
-def _push_event(offset):
-    return [{"trigger": {"time": 0.1}, "action": {"translate_hand": {"offset": offset}}}]
+def _push_event(offset, time=0.1):
+    return [{"trigger": {"time": time}, "action": {"translate_hand": {"offset": offset}}}]
 
 
-def _rotate_event(axis):
-    return [{"trigger": {"time": 0.1}, "action": {"rotate_object": {"angle_deg": 90, "axis": axis}}}]
+def _rotate_event(axis, angle_deg=90):
+    return [{"trigger": {"time": 0.1}, "action": {"rotate_object": {"angle_deg": angle_deg, "axis": axis}}}]
 
 
 BAD_SCENARIOS = {
@@ -317,6 +317,9 @@ BAD_SCENARIOS = {
     "zero_rotation_axis": base_dict(events=_rotate_event([0, 0, 0])),
     "infinite_time_limit": base_dict(time_limit=float("inf")),
     "nan_hand_pose": base_dict(hand_trajectory=[{"t": 0.0, "pose": [float("nan"), 0.05, 0.28]}]),
+    "nan_trigger_time": base_dict(events=_push_event([0.1, 0.0, 0.0], time=float("nan"))),
+    "infinite_trigger_time": base_dict(events=_push_event([0.1, 0.0, 0.0], time=float("inf"))),
+    "nan_rotation_angle": base_dict(events=_rotate_event([0, 0, 1], angle_deg=float("nan"))),
 }
 
 

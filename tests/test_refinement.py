@@ -71,12 +71,14 @@ class TestAcceptanceRatio:
 
 class TestMhStep:
     def stub_evaluator(self, old_score, new_score):
-        """Returns old_score on the first call per grasp, new_score after."""
+        """Stacked: old_score for every row on the first call (the whole set),
+        new_score for the row of each later call (one proposal)."""
         calls = {"n": 0}
 
-        def fn(pose, cloud):
+        def fn(grasps, cloud):
             calls["n"] += 1
-            return old_score if calls["n"] % 2 == 1 else new_score
+            rows = len(np.reshape(grasps.p, (-1, 3)))
+            return np.full(rows, old_score if calls["n"] == 1 else new_score)
 
         return fn
 
