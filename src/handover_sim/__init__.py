@@ -16,7 +16,7 @@ from .selection import SelectionConfig, SelectedTarget, expand_flips, grasp_cost
 from .planner import TaskStage, WorldPredicates, decide, execute_take
 from .motion import EndEffectorState, PathQuery, rrt_connect, segment_collision_free, servo_step
 from .scenario import Scenario, ScenarioError, load_scenario
-from .sim import Metrics, Schedule, WorldLayout, run
+from .sim import Metrics, run
 from .trace import trace_digest, verify_records, verify_trace, write_trace
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,7 +22,7 @@ SUMMARY_COLUMNS = (
 
 
 def run_seeds(scenario: Scenario, seeds) -> list:
-    """One Metrics per seed; individual failures are recorded, not fatal."""
+    """One Metrics per seed, in order; a raise in any seed propagates."""
     return [run(scenario, seed=s)[0] for s in seeds]
 
 
@@ -44,6 +44,8 @@ def summarize(scenario: Scenario, seeds, results) -> dict:
 def batch(scenario_dir, seeds, out_csv=None, mode=None) -> list[dict]:
     """Run every scenario file in a directory across the given seeds."""
     seeds = list(seeds)  # every scenario runs the same seeds, even from a generator
+    if not seeds:
+        raise ScenarioError("no seeds to run")
     paths = sorted(
         os.path.join(scenario_dir, f)
         for f in os.listdir(scenario_dir)

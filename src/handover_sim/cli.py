@@ -42,6 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_seeds(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ScenarioError(f"--seeds must be comma-separated integers: {text!r}") from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -59,7 +66,7 @@ def main(argv=None) -> int:
             )
             return EXIT_OK
         if args.command == "batch":
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+            seeds = _parse_seeds(args.seeds)
             rows = batch(args.dir, seeds, out_csv=args.out, mode=args.mode)
             for row in rows:
                 print(

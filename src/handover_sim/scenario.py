@@ -22,6 +22,7 @@ MODES = ("object_center", "naive", "temporal", "temporal_plus")
 
 DEFAULT_DENSITY = 6.0e4  # cloud points per square meter
 DEFAULT_TIME_LIMIT = 60.0
+LOWER_HAND_OFFSET = (0.0, 0.0, -0.35)  # lower_hand moves the palm 0.35 m down
 
 # Palm-relative sphere cluster: one palm sphere plus digits wrapping the
 # near end of the held object (held along local -Y, see default grip).
@@ -44,7 +45,7 @@ class Event:
     action: str  # rotate_object | translate_hand | lower_hand
     angle: float = 0.0  # radians, rotate_object
     axis: tuple = (0.0, 0.0, 1.0)
-    offset: tuple = (0.0, 0.0, 0.0)  # translate_hand
+    offset: tuple = (0.0, 0.0, 0.0)  # translate_hand, lower_hand
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def _parse_event(raw: dict) -> Event:
     if kind == "translate_hand":
         return Event(trigger_time, kind, offset=_vector3(params["offset"], "translate_hand offset"))
     if kind == "lower_hand":
-        return Event(trigger_time, "lower_hand")
+        return Event(trigger_time, kind, offset=LOWER_HAND_OFFSET)
     raise ScenarioError(f"unknown event action {kind!r}")
 
 

@@ -5,6 +5,8 @@ does; it must name the change and its reason rather than re-record the
 values to make the test pass.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from handover_sim.scenario import load_scenario, scenario_from_dict
@@ -44,6 +46,29 @@ PINNED_STATIC = {
     ("static_sphere", 1): "7f74bf72cbfd1b37dc96c49ac462582a60f91f424969ed255529d533176e7f41",
 }
 
+# The committed cylinder in the other three modes, cut to 4 s.
+PINNED_MODES = {
+    ("naive", 0): "1cb599f5b465a3c73625c6da4eed205e8ae79f651f76db798ff7bfa83fda887c",
+    ("naive", 1): "cebaf07ff4efffd0a0fab46416ec87e04ff1caa656e6913371107d64f48a8830",
+    ("object_center", 0): "0ab03fdf03a388e068fa302adf5842006a70b793ca070268f0550dadf74a6b67",
+    ("object_center", 1): "00c366f45c3e77dc0f281ea6468f3af06e94eed67b53578bd59b98f12356bbef",
+    ("temporal", 0): "35502c4f9a3cf3759ba41640f6ca163d2630c77b6f645c229b84c8ea5bd39984",
+    ("temporal", 1): "4e9f27ab1282d15815da6b68ab1def0377bd5c732e53a4b2b25363ab59c550f0",
+}
+
+# The static cylinder with a lower_hand event at 1 s, cut to 4 s.
+LOWER_HAND = {
+    "mode": "temporal_plus",
+    "time_limit": 4.0,
+    "object": {"kind": "cylinder", "dims": [0.02, 0.16], "grip_offset": [0.0, -0.11, 0.0, *SIDEWAYS]},
+    "hand_trajectory": [{"t": 0.0, "pose": [0.55, 0.05, 0.28]}],
+    "events": [{"trigger": {"time": 1.0}, "action": {"lower_hand": {}}}],
+}
+PINNED_LOWER_HAND = {
+    0: "ec3dac0a8a3b1872210abab5dec9db88859e3c7521a7249a15556f179f82fe10",
+    1: "8d4fbaec26a190f0373556b05882b34e2502a2777746fc3e08e0908fc795c202",
+}
+
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED))
 def test_committed_scenario_digest_is_pinned(name, seed):
@@ -61,3 +86,16 @@ def test_static_shape_digest_is_pinned(name, seed):
     }
     _, records = run(scenario_from_dict(data, name), seed)
     assert trace_digest(records) == PINNED_STATIC[(name, seed)]
+
+
+@pytest.mark.parametrize("mode,seed", sorted(PINNED_MODES))
+def test_baseline_mode_digest_is_pinned(mode, seed):
+    scenario = replace(load_scenario("scenarios/nominal_cylinder.yaml"), mode=mode, time_limit=4.0)
+    _, records = run(scenario, seed)
+    assert trace_digest(records) == PINNED_MODES[(mode, seed)]
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_LOWER_HAND))
+def test_lower_hand_digest_is_pinned(seed):
+    _, records = run(scenario_from_dict(LOWER_HAND, "lower_hand"), seed)
+    assert trace_digest(records) == PINNED_LOWER_HAND[seed]

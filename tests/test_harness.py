@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from handover_sim.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from handover_sim.sim import Schedule, WorldLayout, run
+from handover_sim.sim import HOME, run
 from handover_sim.trace import read_trace, trace_digest, verify_records, write_trace
 
 NOMINAL = "scenarios/nominal_cylinder.yaml"
@@ -107,10 +108,6 @@ class TestScenarioParsing:
 
 
 class TestSchedule:
-    def test_divisor_validation(self):
-        with pytest.raises(ValueError):
-            Schedule(base_hz=90, cloud_div=7)
-
     def test_tick_flags_follow_divisors(self):
         s = short(load_scenario(BELOW), 1.0)
         _, records = run(s, seed=0)
@@ -133,6 +130,14 @@ class TestDeterminism:
         assert m1.success == m2.success
         assert m1.time_to_success == m2.time_to_success
 
+    def test_concurrent_runs_match_serial_runs(self):
+        runs = [(short(load_scenario(NOMINAL), 1.5), 0), (short(load_scenario(ROTATE), 1.5), 1)]
+        serial = [trace_digest(run(s, seed=k)[1]) for s, k in runs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run, s, k) for s, k in runs]
+            concurrent = [trace_digest(f.result(timeout=300)[1]) for f in futures]
+        assert concurrent == serial
+
     def test_different_seed_different_digest(self):
         s = short(load_scenario(NOMINAL), 2.0)
         _, r1 = run(s, seed=0)
@@ -153,12 +158,11 @@ class TestBehaviors:
         s = load_scenario(BELOW)
         metrics, records = run(s, seed=0)
         assert not metrics.success
-        home = WorldLayout().home
         for r in records:
             if r["type"] != "tick":
                 continue
             assert r["stage"] == "wait_home"
-            assert np.linalg.norm(np.asarray(r["ee_pose"][:3]) - home.p) < 0.02
+            assert np.linalg.norm(np.asarray(r["ee_pose"][:3]) - HOME.p) < 0.02
 
     def test_rotation_event_fires_after_motion_and_still_succeeds(self):
         s = load_scenario(ROTATE)
@@ -168,6 +172,16 @@ class TestBehaviors:
         assert events[0]["tick"] > 0
         assert metrics.success
         assert verify_records(records) == []
+
+    def test_lower_hand_sends_the_robot_home(self):
+        events = [{"trigger": {"time": 1.0}, "action": {"lower_hand": {}}}]
+        metrics, records = run(scenario_from_dict(base_dict(time_limit=4.0, events=events)), seed=0)
+        fired = [r for r in records if r["type"] == "event"]
+        assert [(r["tick"], r["action"]) for r in fired] == [(90, "lower_hand")]
+        stages = [r["stage"] for r in records if r["type"] == "tick"]
+        assert stages[:90] == ["approach"] * 90
+        assert stages[90:] == ["wait_home"] * (len(stages) - 90)
+        assert metrics.attempts == 0
 
     def test_object_center_sphere_grasp_at_center(self):
         center = np.array([0.5, 0.0, 0.30])
@@ -328,6 +342,13 @@ class TestCli:
     def test_negative_seed_flag_exits_2(self, argv, tmp_path, capsys):
         flag = ["--seed", "-1"] if argv[0] == "run" else ["--seeds", "-1", "--out", str(tmp_path / "o.csv")]
         assert main(argv + flag) == EXIT_PARSE
+
+    @pytest.mark.parametrize("seeds", ["0,x", ","])
+    def test_bad_seeds_list_exits_2(self, seeds, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["batch", "--dir", "scenarios", "--seeds", seeds, "--out", str(out)]) == EXIT_PARSE
+        assert "scenario error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
     def test_invalid_value_exits_2_at_parse(self, case, tmp_path, capsys):
