@@ -1,6 +1,6 @@
 """Deterministic desk-scale simulator for reactive human-to-robot handovers."""
 
-from .geometry import Pose, flip_about_grasp_z, offset_along_grasp_z, pose_distance
+from .geometry import Pose, pose_distance
 from .evaluator import GraspSet, GripperModel, evaluate, sample_grasps
 from .refinement import PerturbationConfig, maintain, mh_step, perturb, prune_hand_collisions
 from .scene import (

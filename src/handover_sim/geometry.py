@@ -2,7 +2,7 @@
 
 Quaternions are stored xyzw and canonicalized so the scalar part is
 non-negative (one representative per double-cover pair). The distance
-metric and the grasp-frame offsets below are the primitives everything
+metric and the grasp flip FLIP_Z below are the primitives everything
 else (sampling, refinement, selection, motion) is built on.
 
 Grasp frame convention: local +Z is the approach axis, local Y is the
@@ -58,11 +58,6 @@ def quat_mul(a, b) -> np.ndarray:
             aw * bw - ax * bx - ay * by - az * bz,
         ]
     ).T
-
-
-def quat_conj(q) -> np.ndarray:
-    x, y, z, w = q
-    return np.array([-x, -y, -z, w])
 
 
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
@@ -121,10 +116,6 @@ def quat_from_matrix(m: np.ndarray) -> np.ndarray:
     return quat_normalize([x, y, z, w])
 
 
-def quat_rotate(q, v) -> np.ndarray:
-    return quat_to_matrix(q) @ np.asarray(v, dtype=float)
-
-
 def quat_slerp(q0, q1, u: float) -> np.ndarray:
     """Shortest-path spherical interpolation, u in [0, 1]."""
     q0 = np.asarray(q0, dtype=float)
@@ -175,19 +166,11 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
 
-    @classmethod
-    def from_array(cls, arr) -> "Pose":
-        arr = np.asarray(arr, dtype=float).reshape(7)
-        return cls(arr[:3], arr[3:])
-
     def to_array(self) -> np.ndarray:
         return np.concatenate([self.p, self.q])
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.q)
-
-    def z_axis(self) -> np.ndarray:
-        return self.rotation_matrix()[:, 2]
 
     def transform_point(self, pt) -> np.ndarray:
         return self.rotation_matrix() @ np.asarray(pt, dtype=float) + self.p
@@ -203,10 +186,6 @@ class Pose:
     def compose(self, other: "Pose") -> "Pose":
         """self o other: other expressed in self's frame, result in world."""
         return Pose(self.transform_point(other.p), quat_mul(self.q, other.q))
-
-    def inverse(self) -> "Pose":
-        qc = quat_conj(self.q)
-        return Pose(-quat_rotate(qc, self.p), qc)
 
 
 def pose_distance(x1: Pose, x2: Pose, w_q: float = 0.1) -> float:
@@ -224,13 +203,3 @@ def pose_distance(x1: Pose, x2: Pose, w_q: float = 0.1) -> float:
 
 
 FLIP_Z = np.array([0.0, 0.0, 1.0, 0.0])  # 180 deg about local Z
-
-
-def flip_about_grasp_z(g: Pose) -> Pose:
-    """Rotate the grasp 180 degrees about its own approach (Z) axis."""
-    return Pose(g.p, quat_mul(g.q, FLIP_Z))
-
-
-def offset_along_grasp_z(g: Pose, delta: float) -> Pose:
-    """Translate along the grasp's local +Z by delta meters."""
-    return Pose(g.p + g.z_axis() * delta, g.q)

@@ -2,11 +2,15 @@
 
 Straight-line paths are always attempted first; RRT-Connect over 3D
 positions is the fallback when the straight segment is blocked. Collision
-checking is point-cloud clearance plus a table half-space.
+checking is point-cloud clearance plus a table half-space. RRT-Connect
+returns None before sampling when its start or goal is not free: every
+tree edge must pass the clearance check from its base, so a tree rooted
+inside the clearance can never grow and the search could only fail.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,15 +40,23 @@ class PathQuery:
     clearance: float = DEFAULT_CLEARANCE
 
     def __post_init__(self):
-        object.__setattr__(self, "start", np.asarray(self.start, dtype=float).reshape(3))
-        object.__setattr__(self, "goal", np.asarray(self.goal, dtype=float).reshape(3))
+        start = np.asarray(self.start, dtype=float).ravel()
+        goal = np.asarray(self.goal, dtype=float).ravel()
+        if start.shape != (3,) or goal.shape != (3,):
+            raise ValueError("start and goal must each be 3 numbers")
+        # a NaN compares False everywhere: it would block every segment
+        # (clearance) or none (table_z) without an error
+        if not all(map(math.isfinite, [*start.tolist(), *goal.tolist(), self.table_z])):
+            raise ValueError("start, goal and table_z must be finite")
+        if not (math.isfinite(self.clearance) and self.clearance > 0):
+            raise ValueError("clearance must be finite and > 0")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "goal", goal)
         object.__setattr__(
             self,
             "collider_points",
             np.asarray(self.collider_points, dtype=float).reshape(-1, 3),
         )
-        if self.clearance <= 0:
-            raise ValueError("clearance must be > 0")
 
 
 def point_segment_distances(points: np.ndarray, a, b) -> np.ndarray:
@@ -69,6 +81,10 @@ def _segment_free(a, b, q: PathQuery) -> bool:
     return bool(point_segment_distances(q.collider_points, a, b).min() >= q.clearance)
 
 
+def _point_free(p, q: PathQuery) -> bool:
+    return _segment_free(p, p, q)
+
+
 def segment_collision_free(q: PathQuery) -> bool:
     """True iff the straight start-goal segment keeps clearance everywhere."""
     return _segment_free(q.start, q.goal, q)
@@ -83,10 +99,16 @@ def rrt_connect(
     """Bidirectional RRT in position space; None on failure.
 
     Returns a waypoint polyline start..goal whose every segment passes
-    the clearance check. Start and goal must themselves be free.
+    the clearance check. A start or goal that is not itself free returns
+    None at once, drawing nothing from ``rng``: ``extend`` adds only edges
+    that pass ``_segment_free`` from their base, so a tree rooted there
+    never adds a node and the trees never connect. The full search would
+    return the same None.
     """
     if segment_collision_free(q):
         return [q.start.copy(), q.goal.copy()]
+    if not (_point_free(q.start, q) and _point_free(q.goal, q)):
+        return None
 
     lo = np.minimum(q.start, q.goal) - 0.3
     hi = np.maximum(q.start, q.goal) + 0.3

@@ -12,12 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from handover_sim.geometry import (
-    Pose,
-    offset_along_grasp_z,
-    pose_distance,
-    quat_from_axis_angle,
-)
+from handover_sim.geometry import Pose, pose_distance, quat_from_axis_angle
 from handover_sim.motion import PathQuery, rrt_connect, segment_collision_free
 from handover_sim.planner import TaskStage, WorldPredicates, decide
 from handover_sim.refinement import GraspSet, PerturbationConfig, acceptance_ratio, mh_step
@@ -26,6 +21,7 @@ from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape
 from handover_sim.selection import SelectionConfig, expand_flips, grasp_cost
 from handover_sim.sim import run
 from handover_sim.trace import trace_digest, verify_records
+from reference import offset_along_grasp_z
 
 SEEDS = list(range(20))
 NOMINAL = "scenarios/nominal_cylinder.yaml"

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import pytest
 
+from handover_sim import sim
+from handover_sim.motion import rrt_connect
 from handover_sim.scenario import load_scenario, scenario_from_dict
 from handover_sim.sim import run
 from handover_sim.trace import trace_digest
@@ -69,6 +71,26 @@ PINNED_LOWER_HAND = {
     1: "8d4fbaec26a190f0373556b05882b34e2502a2777746fc3e08e0908fc795c202",
 }
 
+# The static cylinder or capsule pushed toward the robot, cut to 1.2 s.
+# The push puts the hand cloud on the committed straight segment, so the
+# robot plans with rrt_connect: from a start inside the 3 cm clearance
+# (start_blocked), to a goal inside it (goal_blocked), with both inside
+# (both_blocked), and once with both free, where RRT-Connect finds a path
+# (both_free; its run also makes two calls with a blocked start).
+CAPSULE, CYLINDER = STATIC_OBJECTS["static_capsule"], LOWER_HAND["object"]
+PUSHED = {
+    "start_blocked": (CAPSULE, 0.7, [-0.10, -0.12, 0.08]),
+    "goal_blocked": (CAPSULE, 0.6, [-0.15, -0.12, 0.0]),
+    "both_blocked": (CYLINDER, 0.8, [-0.10, -0.12, 0.08]),
+    "both_free": (CAPSULE, 0.8, [-0.10, -0.12, 0.08]),
+}
+PINNED_PUSHED = {
+    ("start_blocked", 1): "b43d1f9c5d42a72955330940c3a162eff48d87a0d3b8841eeada8d338e58d406",
+    ("goal_blocked", 1): "946e021e9c158d1965b31af26c51da5c2920682bac616d0bd371a9c33b5afbd8",
+    ("both_blocked", 1): "8f074592a37ab48901b81bb1b224a5083f5bfb3f62b6fe05aea572f090c02d01",
+    ("both_free", 1): "04206572c975f6000cac6e23bce70be05faf7e3fc339a7e2bdec23cd0c399e95",
+}
+
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED))
 def test_committed_scenario_digest_is_pinned(name, seed):
@@ -99,3 +121,27 @@ def test_baseline_mode_digest_is_pinned(mode, seed):
 def test_lower_hand_digest_is_pinned(seed):
     _, records = run(scenario_from_dict(LOWER_HAND, "lower_hand"), seed)
     assert trace_digest(records) == PINNED_LOWER_HAND[seed]
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED_PUSHED))
+def test_pushed_hand_rrt_digest_is_pinned(name, seed, monkeypatch):
+    obj, push_time, offset = PUSHED[name]
+    data = {
+        "mode": "temporal_plus",
+        "time_limit": 1.2,
+        "object": obj,
+        "hand_trajectory": [{"t": 0.0, "pose": [0.55, 0.05, 0.28]}],
+        "events": [{"trigger": {"time": push_time}, "action": {"translate_hand": {"offset": offset}}}],
+    }
+    paths = []
+
+    def counted(q, rng):
+        paths.append(rrt_connect(q, rng))
+        return paths[-1]
+
+    monkeypatch.setattr(sim, "rrt_connect", counted)
+    _, records = run(scenario_from_dict(data, name), seed)
+    assert trace_digest(records) == PINNED_PUSHED[(name, seed)]
+    # the pin covers the planner only while the run still calls it
+    assert paths
+    assert any(p is not None for p in paths) == (name == "both_free")

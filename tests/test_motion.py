@@ -44,6 +44,30 @@ class TestPointSegmentDistances:
         assert np.allclose(got, brute, atol=1e-6)
 
 
+class TestPathQueryValidation:
+    @pytest.mark.parametrize("clearance", [0.0, -0.03, np.nan, np.inf])
+    def test_rejects_clearance_not_finite_and_positive(self, clearance):
+        with pytest.raises(ValueError):
+            query([0, 0, 0.5], [1, 0, 0.5], clearance=clearance)
+
+    @pytest.mark.parametrize(
+        "start,goal",
+        [
+            ([np.nan, 0, 0.5], [1, 0, 0.5]),
+            ([0, 0, 0.5], [1, np.inf, 0.5]),
+            ([0, 0], [1, 0, 0.5]),
+            ([0, 0, 0.5], [1, 0, 0.5, 0]),
+        ],
+    )
+    def test_rejects_endpoint_not_three_finite_numbers(self, start, goal):
+        with pytest.raises(ValueError):
+            query(start, goal)
+
+    def test_rejects_nan_table_height(self):
+        with pytest.raises(ValueError):
+            query([0, 0, 0.5], [1, 0, 0.5], table_z=np.nan)
+
+
 class TestSegmentCollisionFree:
     def test_far_point_free(self):
         q = query([0, 0, 0.5], [1, 0, 0.5], np.array([[0.5, 1.0, 0.5]]))
@@ -121,6 +145,30 @@ class TestRrtConnect:
         pts = np.vstack(faces)
         q = query([0.0, 0.0, 0.5], c, pts)
         assert rrt_connect(q, np.random.default_rng(5), max_iters=300) is None
+
+    @pytest.mark.parametrize(
+        "start,goal,pts,table_z",
+        [
+            ([0, 0, 0.5], [1, 0, 0.5], [[0, 0.02, 0.5]], -10.0),  # start near a point
+            ([0, 0, 0.5], [1, 0, 0.5], [[1, 0.02, 0.5]], -10.0),  # goal near a point
+            ([0, 0, 0.02], [1, 0, 0.5], NO_PTS, 0.0),  # start below table_z + clearance
+        ],
+    )
+    def test_blocked_endpoint_fails_without_drawing(self, start, goal, pts, table_z):
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        assert rrt_connect(query(start, goal, np.array(pts), table_z), rng) is None
+        assert rng.bit_generator.state == before
+
+    def test_endpoint_at_exact_clearance_is_free(self):
+        # 0.25 m from the start, exactly representable: free, as >= makes it
+        # for segments, so the search runs and draws (the point at x = 1
+        # blocks the straight segment)
+        pts = np.array([[0.0, 0.25, 0.5], [1.0, 0.0, 0.5]])
+        rng = np.random.default_rng(8)
+        before = rng.bit_generator.state
+        rrt_connect(query([0, 0, 0.5], [2, 0, 0.5], pts, clearance=0.25), rng, max_iters=5)
+        assert rng.bit_generator.state != before
 
 
 class TestServoStep:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handover_sim.geometry import Pose, flip_about_grasp_z, offset_along_grasp_z, pose_distance
+from handover_sim.geometry import Pose, pose_distance
 from handover_sim.refinement import GraspSet
 from handover_sim.selection import (
     ReachableRegion,
@@ -12,6 +12,7 @@ from handover_sim.selection import (
     make_targets,
     select_target,
 )
+from reference import flip_about_grasp_z, offset_along_grasp_z
 
 CFG = SelectionConfig()
 HOME = Pose([0.30, 0.0, 0.45], [1, 0, 0, 0])
