@@ -2,7 +2,8 @@
 
 Subcommands: run a single scenario, batch a scenario directory into a
 summary CSV, or verify a trace file's safety/velocity invariants.
-Exit codes: 0 ok, 2 scenario parse error, 3 invariant violation.
+Exit codes: 0 ok, 2 scenario parse error or unreadable trace, 3 invariant
+violation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import replace
 from .batch import batch
 from .scenario import ScenarioError, load_scenario
 from .sim import run
-from .trace import trace_digest, verify_trace, write_trace
+from .trace import TraceError, trace_digest, verify_trace, write_trace
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -84,6 +85,9 @@ def main(argv=None) -> int:
             return EXIT_OK
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except TraceError as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK
 

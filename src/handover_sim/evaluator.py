@@ -83,25 +83,15 @@ class GraspSet:
         return Pose.from_unit(self.p[i], self.q[i])
 
 
-@dataclass(frozen=True)
-class GripperModel:
-    """Franka-class parallel gripper approximated by boxes in the grasp frame."""
-
-    fingers: tuple = (
-        Box((0.0, 0.045, 0.0), (0.01, 0.005, 0.02)),
-        Box((0.0, -0.045, 0.0), (0.01, 0.005, 0.02)),
-    )
-    palm: Box = Box((0.0, 0.0, -0.04), (0.03, 0.05, 0.02))
-    closing_region: Box = Box((0.0, 0.0, 0.0), (0.01, 0.04, 0.02))
-
-    def body_boxes(self):
-        return (*self.fingers, self.palm)
-
-    def all_boxes(self):
-        return (*self.fingers, self.palm, self.closing_region)
-
-
-DEFAULT_GRIPPER = GripperModel()
+# Franka-class parallel gripper approximated by boxes in the grasp frame:
+# two fingers and the palm make the body, and the closing region lies between the fingers
+BODY_BOXES = (
+    Box((0.0, 0.045, 0.0), (0.01, 0.005, 0.02)),
+    Box((0.0, -0.045, 0.0), (0.01, 0.005, 0.02)),
+    Box((0.0, 0.0, -0.04), (0.03, 0.05, 0.02)),
+)
+CLOSING_REGION = Box((0.0, 0.0, 0.0), (0.01, 0.04, 0.02))
+GRIPPER_BOXES = (*BODY_BOXES, CLOSING_REGION)
 
 
 @lru_cache(maxsize=8)
@@ -149,9 +139,7 @@ def stacked_box_hits(grasps, points: np.ndarray, boxes, margin: float = 0.0):
         yield rows, rot[rows], hits.reshape(len(boxes), len(local), len(points))
 
 
-def evaluate_rows(
-    grasps, object_cloud: LabeledPointCloud, gripper: GripperModel = DEFAULT_GRIPPER
-) -> np.ndarray:
+def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
     """Score every row of grasps (a GraspSet, or one Pose) against a cloud: (G,) in [0, 1].
 
     A row scores zero if any object point collides with a finger or palm
@@ -163,10 +151,9 @@ def evaluate_rows(
     scores = np.zeros(len(np.reshape(grasps.p, (-1, 3))))
     if len(object_cloud) == 0:
         return scores
-    n_body = len(gripper.body_boxes())
     points, normals = object_cloud.points, object_cloud.normals
-    for rows, rot, hits in stacked_box_hits(grasps, points, gripper.all_boxes()):
-        blocked = hits[:n_body].any(axis=(0, 2))
+    for rows, rot, hits in stacked_box_hits(grasps, points, GRIPPER_BOXES):
+        blocked = hits[: len(BODY_BOXES)].any(axis=(0, 2))
         inside = hits[-1]
         n_in = inside.sum(axis=1)
         for j in np.flatnonzero(~blocked & (n_in > 0)):
@@ -180,19 +167,15 @@ def evaluate_rows(
     return scores
 
 
-def evaluate(
-    pose: Pose, object_cloud: LabeledPointCloud, gripper: GripperModel = DEFAULT_GRIPPER
-) -> float:
+def evaluate(pose: Pose, object_cloud: LabeledPointCloud) -> float:
     """Score one grasp pose against an object cloud, in [0, 1] (see evaluate_rows)."""
-    return float(evaluate_rows(pose, object_cloud, gripper)[0])
+    return float(evaluate_rows(pose, object_cloud)[0])
 
 
 def sample_grasps(
     object_cloud: LabeledPointCloud,
     n: int = 50,
     rng: np.random.Generator | None = None,
-    gripper: GripperModel = DEFAULT_GRIPPER,
-    max_trials_factor: int = 10,
 ) -> GraspSet:
     """Sample up to n positively-scored grasps anchored on surface points.
 
@@ -208,7 +191,7 @@ def sample_grasps(
     if rng is None:
         rng = np.random.default_rng()
     centroid = object_cloud.points.mean(axis=0)
-    found, trials = GraspSet.empty(), max_trials_factor * n
+    found, trials = GraspSet.empty(), 10 * n
     while len(found) < n and trials > 0:
         # trials are drawn one at a time and scored as a block; a block of n - found
         # trials ends no later than where a one-at-a-time loop stops, so the draws match
@@ -234,6 +217,6 @@ def sample_grasps(
             x = np.cross(y, z)
             poses.append(Pose(point, quat_from_matrix(np.column_stack([x, y, z]))))
         trial = GraspSet.from_poses(poses, np.zeros(len(poses)))
-        scores = evaluate_rows(trial, object_cloud, gripper)
+        scores = evaluate_rows(trial, object_cloud)
         found = found + GraspSet(trial.p, trial.q, scores)[scores > 0.0]
     return found

@@ -11,7 +11,7 @@ inside the clearance can never grow and the search could only fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +22,6 @@ DEFAULT_V_MAX = 0.25  # m/s
 DEFAULT_W_MAX = 1.0  # rad/s
 RRT_STEP = 0.05
 RRT_MAX_ITERS = 2000
-
-
-@dataclass(frozen=True)
-class EndEffectorState:
-    pose: Pose
-    v_max: float = DEFAULT_V_MAX
-    w_max: float = DEFAULT_W_MAX
 
 
 @dataclass(frozen=True)
@@ -184,21 +177,21 @@ def _shortcut(waypoints, q: PathQuery):
     return out
 
 
-def servo_step(state: EndEffectorState, target: Pose, dt: float) -> EndEffectorState:
-    """Move straight toward target, clipped to v_max * dt and w_max * dt."""
+def servo_step(pose: Pose, target: Pose, dt: float) -> Pose:
+    """Move straight toward target, clipped to DEFAULT_V_MAX * dt and DEFAULT_W_MAX * dt."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    d = target.p - state.pose.p
+    d = target.p - pose.p
     dist = np.linalg.norm(d)
-    max_lin = state.v_max * dt
+    max_lin = DEFAULT_V_MAX * dt
     if dist <= max_lin:
         new_p = target.p
     else:
-        new_p = state.pose.p + d / dist * max_lin
-    angle = quat_angle(state.pose.q, target.q)
-    max_ang = state.w_max * dt
+        new_p = pose.p + d / dist * max_lin
+    angle = quat_angle(pose.q, target.q)
+    max_ang = DEFAULT_W_MAX * dt
     if angle <= max_ang or angle < 1e-12:
         new_q = target.q
     else:
-        new_q = quat_slerp(state.pose.q, target.q, max_ang / angle)
-    return EndEffectorState(Pose(new_p, new_q), state.v_max, state.w_max)
+        new_q = quat_slerp(pose.q, target.q, max_ang / angle)
+    return Pose(new_p, new_q)

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .evaluator import DEFAULT_GRIPPER, GripperModel, points_in_boxes
+from .evaluator import CLOSING_REGION, points_in_boxes
 from .geometry import Pose, pose_distance
 
 AT_STANDOFF_TOL = 5e-4  # pose_distance units at w_q = 0.1
@@ -55,19 +55,14 @@ def hand_above_table(palm_z: float, table_z: float = 0.0) -> bool:
     return palm_z > table_z + HAND_ABOVE_TABLE_Z
 
 
-def execute_take(
-    final_pose: Pose,
-    object_points: np.ndarray,
-    gripper: GripperModel = DEFAULT_GRIPPER,
-    min_points: int = CLOSURE_MIN_POINTS,
-) -> bool:
+def execute_take(final_pose: Pose, object_points: np.ndarray) -> bool:
     """Closure test at the final pose after the open-loop move.
 
-    Succeeds iff at least min_points object points lie inside the closing
+    Succeeds iff at least CLOSURE_MIN_POINTS object points lie inside the closing
     region at closure time. A miss is a modeled outcome, not a fault.
     """
     object_points = np.asarray(object_points, dtype=float).reshape(-1, 3)
     if len(object_points) == 0:
         return False
     local = final_pose.inverse_transform_points(object_points)
-    return int(points_in_boxes(local, (gripper.closing_region,)).sum()) >= min_points
+    return int(points_in_boxes(local, (CLOSING_REGION,)).sum()) >= CLOSURE_MIN_POINTS

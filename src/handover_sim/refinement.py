@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluator import DEFAULT_GRIPPER, GraspSet, GripperModel, evaluate, evaluate_rows
-from .evaluator import sample_grasps, stacked_box_hits
+from .evaluator import GRIPPER_BOXES, GraspSet, evaluate, evaluate_rows, sample_grasps
+from .evaluator import stacked_box_hits
 from .geometry import Pose
 from .scene import LabeledPointCloud
 
@@ -80,34 +80,28 @@ def mh_step(
     return GraspSet(p, q, scores)
 
 
-def _collides_hand(grasps, hand_points, gripper: GripperModel, margin: float) -> np.ndarray:
+def _collides_hand(grasps, hand_points, margin: float) -> np.ndarray:
     """(G,) bool over a GraspSet (one Pose: G = 1): a hand point is in a dilated box."""
     hand_points = np.asarray(hand_points, dtype=float).reshape(-1, 3)
     collides = np.zeros(len(np.reshape(grasps.p, (-1, 3))), dtype=bool)
-    for rows, _, hits in stacked_box_hits(grasps, hand_points, gripper.all_boxes(), margin):
+    for rows, _, hits in stacked_box_hits(grasps, hand_points, GRIPPER_BOXES, margin):
         collides[rows] = hits.any(axis=(0, 2))
     return collides
 
 
 def grasp_collides_hand(
-    pose: Pose,
-    hand_points: np.ndarray,
-    gripper: GripperModel = DEFAULT_GRIPPER,
-    margin: float = DEFAULT_HAND_MARGIN,
+    pose: Pose, hand_points: np.ndarray, margin: float = DEFAULT_HAND_MARGIN
 ) -> bool:
     """True iff any hand point lies inside any gripper box dilated by margin."""
-    return bool(_collides_hand(pose, hand_points, gripper, margin)[0])
+    return bool(_collides_hand(pose, hand_points, margin)[0])
 
 
 def prune_hand_collisions(
-    grasp_set: GraspSet,
-    hand_cloud: LabeledPointCloud,
-    gripper: GripperModel = DEFAULT_GRIPPER,
-    margin: float = DEFAULT_HAND_MARGIN,
+    grasp_set: GraspSet, hand_cloud: LabeledPointCloud, margin: float = DEFAULT_HAND_MARGIN
 ) -> GraspSet:
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    return grasp_set[~_collides_hand(grasp_set, hand_cloud.points, gripper, margin)]
+    return grasp_set[~_collides_hand(grasp_set, hand_cloud.points, margin)]
 
 
 def maintain(
@@ -116,7 +110,6 @@ def maintain(
     hand_cloud: LabeledPointCloud,
     cfg: PerturbationConfig,
     rng: np.random.Generator,
-    gripper: GripperModel = DEFAULT_GRIPPER,
     margin: float = DEFAULT_HAND_MARGIN,
 ):
     """Full per-frame pipeline; returns (new set, resampled flag).
@@ -133,17 +126,17 @@ def maintain(
         # the set in one evaluate_rows pass; a proposal through evaluate, its one-row
         # case, where handover_bench's layer tracing counts MH proposal scoring
         if isinstance(grasps, Pose):
-            return np.array([evaluate(grasps, cloud, gripper)])
-        return evaluate_rows(grasps, cloud, gripper)
+            return np.array([evaluate(grasps, cloud)])
+        return evaluate_rows(grasps, cloud)
 
     stepped = mh_step(grasp_set, object_cloud, evaluate_fn, cfg, rng)
     alive = stepped[stepped.scores >= cfg.epsilon_den]
-    pruned = prune_hand_collisions(alive, hand_cloud, gripper, margin)
+    pruned = prune_hand_collisions(alive, hand_cloud, margin)
     resampled = False
     if len(pruned) < cfg.resample_threshold:
         resampled = True
         needed = cfg.target_size - len(pruned)
-        fresh = sample_grasps(object_cloud, needed, rng, gripper)
+        fresh = sample_grasps(object_cloud, needed, rng)
         # the survivors already cleared this hand cloud; only test the fresh ones
-        pruned = pruned + prune_hand_collisions(fresh, hand_cloud, gripper, margin)
+        pruned = pruned + prune_hand_collisions(fresh, hand_cloud, margin)
     return pruned, resampled

@@ -1,38 +1,39 @@
-"""Declarative experiment descriptions: object, hand trajectory,
-scripted events, run mode, and per-module config overrides.
+"""Declarative experiment descriptions: the held object, the hand
+trajectory, scripted events, the run mode, the time limit and the
+perception label noise.
 
-Scenario files are YAML with top-level keys seed, object, hand_trajectory,
-events, mode, overrides, time_limit (see scenarios/ for examples).
+Scenario files are YAML with the top-level keys in SCENARIO_KEYS (see
+scenarios/ for examples). The robot, its gripper and its tuning are
+program constants, so a scenario varies only the handover itself. The
+parser reads every key it accepts and rejects any other, at every level,
+with ScenarioError: a misspelt key fails at parse time instead of being
+ignored.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .geometry import Pose, quat_from_axis_angle, quat_slerp
-from .refinement import PerturbationConfig
-from .scene import DEFAULT_CROP_RADIUS, HandModel, PrimitiveShape
-from .selection import SelectionConfig
+from .scene import PrimitiveShape
 
 MODES = ("object_center", "naive", "temporal", "temporal_plus")
 
-DEFAULT_DENSITY = 6.0e4  # cloud points per square meter
 DEFAULT_TIME_LIMIT = 60.0
 LOWER_HAND_OFFSET = (0.0, 0.0, -0.35)  # lower_hand moves the palm 0.35 m down
 
-# Palm-relative sphere cluster: one palm sphere plus digits wrapping the
-# near end of the held object (held along local -Y, see default grip).
-DEFAULT_FINGER_SPHERES = (
-    ((0.0, 0.0, 0.0), 0.035),
-    ((0.0, -0.040, 0.015), 0.012),
-    ((0.018, -0.045, 0.0), 0.012),
-    ((-0.018, -0.045, 0.0), 0.012),
-    ((0.0, -0.050, -0.012), 0.012),
-)
+# the keys each level of a scenario accepts
+SCENARIO_KEYS = ("seed", "object", "hand_trajectory", "events", "mode", "overrides", "time_limit")
+OBJECT_KEYS = ("kind", "dims", "grip_offset")
+KEYFRAME_KEYS = ("t", "pose")
+EVENT_KEYS = ("trigger", "action")
+TRIGGER_KEYS = ("time",)
+ACTION_KEYS = {"rotate_object": ("angle_deg", "axis"), "translate_hand": ("offset",), "lower_hand": ()}
+OVERRIDE_KEYS = ("label_noise",)
 
 
 class ScenarioError(Exception):
@@ -58,12 +59,7 @@ class Scenario:
     events: tuple = ()
     mode: str = "temporal_plus"
     time_limit: float = DEFAULT_TIME_LIMIT
-    density: float = DEFAULT_DENSITY
-    crop_radius: float = DEFAULT_CROP_RADIUS
     label_noise: float = 0.0
-    finger_spheres: tuple = DEFAULT_FINGER_SPHERES
-    selection: SelectionConfig = field(default_factory=SelectionConfig)
-    perturbation: PerturbationConfig = field(default_factory=PerturbationConfig)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -77,8 +73,6 @@ class Scenario:
             raise ScenarioError("time_limit must be finite and > 0")
         if self.seed < 0:
             raise ScenarioError("seed must be >= 0")
-        if not (0 < self.density < np.inf and 0 < self.crop_radius < np.inf):
-            raise ScenarioError("density and crop_radius must be finite and > 0")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ScenarioError("label_noise must be in [0, 1]")
         poses = [self.grip_offset] + [pose for _, pose in self.hand_keyframes]
@@ -98,9 +92,6 @@ class Scenario:
                 return Pose(p0.p + u * (p1.p - p0.p), quat_slerp(p0.q, p1.q, u))
         return frames[-1][1]
 
-    def hand_model(self, palm: Pose) -> HandModel:
-        return HandModel(palm, self.finger_spheres)
-
 
 def _pose_from(value) -> Pose:
     arr = np.asarray(value, dtype=float).reshape(-1)
@@ -118,12 +109,25 @@ def _vector3(value, what: str) -> tuple:
     return vec
 
 
-def _parse_event(raw: dict) -> Event:
+def _fields(raw, keys, what: str) -> dict:
+    """raw as a mapping (None reads as empty) whose every key is in keys."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{what} must be a mapping, not {raw!r}")
+    unknown = [k for k in raw if k not in keys]
+    if unknown:
+        raise ScenarioError(f"unknown {what} key(s) {unknown}; accepted: {list(keys)}")
+    return raw
+
+
+def _parse_event(raw) -> Event:
+    raw = _fields(raw, EVENT_KEYS, "event")
     trigger = raw.get("trigger")
     if trigger == "robot_started_moving":
         trigger_time = None
     elif isinstance(trigger, dict) and "time" in trigger:
-        trigger_time = float(trigger["time"])
+        trigger_time = float(_fields(trigger, TRIGGER_KEYS, "event trigger")["time"])
         if not np.isfinite(trigger_time):
             raise ScenarioError("event trigger time must be finite")
     else:
@@ -132,6 +136,9 @@ def _parse_event(raw: dict) -> Event:
     if not isinstance(action, dict) or len(action) != 1:
         raise ScenarioError(f"bad event action: {action!r}")
     kind, params = next(iter(action.items()))
+    if kind not in ACTION_KEYS:
+        raise ScenarioError(f"unknown event action {kind!r}")
+    params = _fields(params, ACTION_KEYS[kind], f"{kind} parameter")
     if kind == "rotate_object":
         axis = _vector3(params.get("axis", (0.0, 0.0, 1.0)), "rotate_object axis")
         if np.linalg.norm(axis) < 1e-12:
@@ -142,34 +149,32 @@ def _parse_event(raw: dict) -> Event:
         return Event(trigger_time, kind, angle=angle, axis=axis)
     if kind == "translate_hand":
         return Event(trigger_time, kind, offset=_vector3(params["offset"], "translate_hand offset"))
-    if kind == "lower_hand":
-        return Event(trigger_time, kind, offset=LOWER_HAND_OFFSET)
-    raise ScenarioError(f"unknown event action {kind!r}")
+    return Event(trigger_time, kind, offset=LOWER_HAND_OFFSET)  # lower_hand
 
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     try:
-        obj = data["object"]
+        data = _fields(data, SCENARIO_KEYS, "scenario")
+        obj = _fields(data["object"], OBJECT_KEYS, "object")
         shape = PrimitiveShape(obj["kind"], tuple(obj["dims"]))
         grip = _pose_from(obj.get("grip_offset", [0, 0, 0]))
-        keyframes = tuple(
-            (float(kf["t"]), _pose_from(kf["pose"])) for kf in data["hand_trajectory"]
-        )
+        frames = [_fields(raw, KEYFRAME_KEYS, "keyframe") for raw in data["hand_trajectory"]]
+        keyframes = tuple((float(kf["t"]), _pose_from(kf["pose"])) for kf in frames)
         events = tuple(_parse_event(e) for e in data.get("events", ()))
-        overrides = data.get("overrides", {}) or {}
-        selection = SelectionConfig(**overrides.get("selection", {}))
-        perturbation = PerturbationConfig(**overrides.get("refinement", {}))
+        overrides = _fields(data.get("overrides"), OVERRIDE_KEYS, "overrides")
+        seed = data.get("seed", 0)
+        # int() would truncate 1.7 and read true as 1
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ScenarioError(f"seed must be an integer, not {seed!r}")
         return Scenario(
             name=name,
-            seed=int(data.get("seed", 0)),
+            seed=seed,
             object_shape=shape,
             grip_offset=grip,
             hand_keyframes=keyframes,
             events=events,
             mode=data.get("mode", "temporal_plus"),
             time_limit=float(data.get("time_limit", DEFAULT_TIME_LIMIT)),
-            density=float(overrides.get("density", DEFAULT_DENSITY)),
-            crop_radius=float(overrides.get("crop_radius", DEFAULT_CROP_RADIUS)),
             label_noise=float(overrides.get("label_noise", 0.0)),
         )
     except ScenarioError:

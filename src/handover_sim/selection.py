@@ -99,7 +99,6 @@ def select_target(
     region: ReachableRegion,
     cfg: SelectionConfig,
     table_z: float = 0.0,
-    clearance: float = 0.03,
 ) -> SelectedTarget | None:
     """First feasible candidate in ascending cost order, or None.
 
@@ -116,10 +115,10 @@ def select_target(
         appr_p, final_p = approach.p[i], final[i]
         if not (region.contains(appr_p) and region.contains(final_p)):
             continue
-        to_standoff = PathQuery(current_ee.p, appr_p, collider_points, table_z, clearance)
+        to_standoff = PathQuery(current_ee.p, appr_p, collider_points, table_z)
         if not segment_collision_free(to_standoff):
             continue
-        to_final = PathQuery(appr_p, final_p, collider_points, table_z, clearance)
+        to_final = PathQuery(appr_p, final_p, collider_points, table_z)
         if not segment_collision_free(to_final):
             continue
         grasp, score = grasp_set.pose(i), float(grasp_set.scores[i])

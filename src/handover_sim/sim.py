@@ -15,20 +15,22 @@ when runs share a process across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluator import DEFAULT_GRIPPER, GraspSet, sample_grasps
+from .evaluator import GraspSet, sample_grasps
 from .geometry import Pose, pose_distance, quat_angle
-from .motion import EndEffectorState, PathQuery, rrt_connect, segment_collision_free, servo_step
+from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX, PathQuery, rrt_connect, segment_collision_free
+from .motion import servo_step
 from .planner import DROP_DURATION, TaskStage, WorldPredicates, decide, execute_take
 from .planner import at_standoff, hand_above_table
-from .refinement import DEFAULT_HAND_MARGIN, grasp_collides_hand, maintain, prune_hand_collisions
-from .scene import LabeledPointCloud, SceneObject, apply_label_noise, crop_around_palm
+from .refinement import DEFAULT_HAND_MARGIN, PerturbationConfig, grasp_collides_hand, maintain
+from .refinement import prune_hand_collisions
+from .scene import HandModel, LabeledPointCloud, SceneObject, apply_label_noise, crop_around_palm
 from .scene import synthesize_cloud
 from .scenario import Scenario, ScenarioError, rotate_object_pose
-from .selection import ReachableRegion, expand_flips, select_target
+from .selection import ReachableRegion, SelectionConfig, expand_flips, select_target
 
 # module rates as divisors of the base tick
 BASE_HZ = 90
@@ -48,8 +50,19 @@ REGION = ReachableRegion()
 
 # selection cost terms each baseline drops; the other modes keep them all
 MODE_WEIGHTS = {"naive": {"w_prev": 0.0, "w_home": 0.0}, "temporal": {"w_home": 0.0}}
+PERTURBATION = PerturbationConfig()
 
+CLOUD_DENSITY = 6.0e4  # perceived cloud points per square meter
 CLOSURE_DENSITY = 2.0e5  # ground-truth surface sampling at closure time
+# Palm-relative sphere cluster: one palm sphere plus digits wrapping the
+# near end of the held object (held along local -Y, see default grip).
+HAND_SPHERES = (
+    ((0.0, 0.0, 0.0), 0.035),
+    ((0.0, -0.040, 0.015), 0.012),
+    ((0.018, -0.045, 0.0), 0.012),
+    ((-0.018, -0.045, 0.0), 0.012),
+    ((0.0, -0.050, -0.012), 0.012),
+)
 ARRIVE_POS_TOL = 1.5e-3
 ARRIVE_ANG_TOL = 0.02
 WAYPOINT_TOL = 1.0e-3
@@ -88,9 +101,9 @@ class SimState:
         self.scenario = scenario
         self.seed = seed
         self.object_center = scenario.mode == "object_center"
-        self.sel_cfg = replace(scenario.selection, **MODE_WEIGHTS.get(scenario.mode, {}))
+        self.sel_cfg = SelectionConfig(**MODE_WEIGHTS.get(scenario.mode, {}))
         self.metrics = Metrics()
-        self.ee = EndEffectorState(HOME)
+        self.ee = HOME
         self.records: list[dict] = [
             {
                 "type": "header",
@@ -98,8 +111,8 @@ class SimState:
                 "seed": int(seed),
                 "mode": scenario.mode,
                 "dt": round(DT, 9),
-                "v_max": self.ee.v_max,
-                "w_max": self.ee.w_max,
+                "v_max": DEFAULT_V_MAX,
+                "w_max": DEFAULT_W_MAX,
                 "hand_margin": DEFAULT_HAND_MARGIN,
             }
         ]
@@ -142,8 +155,8 @@ class SimState:
         scenario = self.scenario
         rng = np.random.default_rng([self.seed, _SALT_CLOUD, tick])
         objects = [] if self.metrics.success else [SceneObject(scenario.object_shape, object_pose)]
-        full = synthesize_cloud(objects, scenario.hand_model(palm), CAMERA, scenario.density, rng)
-        cloud = crop_around_palm(full, self.tracked_palm.p, scenario.crop_radius)
+        full = synthesize_cloud(objects, HandModel(palm, HAND_SPHERES), CAMERA, CLOUD_DENSITY, rng)
+        cloud = crop_around_palm(full, self.tracked_palm.p)
         if scenario.label_noise > 0:
             cloud = apply_label_noise(cloud, scenario.label_noise, rng)
         self.hand_cloud = cloud.hand_cloud()
@@ -154,9 +167,7 @@ class SimState:
         if (
             self.selected is not None
             and len(self.hand_cloud) > 0
-            and grasp_collides_hand(
-                self.selected.grasp, self.hand_cloud.points, DEFAULT_GRIPPER, HAND_MARGIN
-            )
+            and grasp_collides_hand(self.selected.grasp, self.hand_cloud.points, HAND_MARGIN)
         ):
             self.selected = None
             self.take = None
@@ -168,13 +179,12 @@ class SimState:
         if self.object_center:
             return False
         rng = np.random.default_rng([self.seed, _SALT_REFINE, tick])
-        pert_cfg = self.scenario.perturbation
         if self.scenario.mode == "naive":
-            fresh = sample_grasps(self.object_cloud, pert_cfg.target_size, rng, DEFAULT_GRIPPER)
-            self.gset = prune_hand_collisions(fresh, self.hand_cloud, DEFAULT_GRIPPER, HAND_MARGIN)
+            fresh = sample_grasps(self.object_cloud, PERTURBATION.target_size, rng)
+            self.gset = prune_hand_collisions(fresh, self.hand_cloud, HAND_MARGIN)
             return True
         self.gset, resampled = maintain(
-            self.gset, self.object_cloud, self.hand_cloud, pert_cfg, rng, DEFAULT_GRIPPER, HAND_MARGIN
+            self.gset, self.object_cloud, self.hand_cloud, PERTURBATION, rng, HAND_MARGIN
         )
         return resampled
 
@@ -189,11 +199,11 @@ class SimState:
         else:
             candidates = GraspSet.empty()
         # re-filter against the freshest hand cloud before committing
-        candidates = prune_hand_collisions(candidates, self.hand_cloud, DEFAULT_GRIPPER, HAND_MARGIN)
+        candidates = prune_hand_collisions(candidates, self.hand_cloud, HAND_MARGIN)
         self.candidate_count = len(candidates)
         sel_cfg = self.sel_cfg
         selected = select_target(
-            candidates, self.ee.pose, self.x_prev, HOME, self.hand_cloud.points,
+            candidates, self.ee, self.x_prev, HOME, self.hand_cloud.points,
             REGION, sel_cfg, TABLE_Z,
         )
         if selected is not None:
@@ -207,7 +217,7 @@ class SimState:
             hand_above_table=hand_above_table(palm.p[2], TABLE_Z),
             has_selected_grasp=selected is not None,
             at_standoff=selected is not None
-            and at_standoff(self.ee.pose, selected.approach_pose, sel_cfg.w_q),
+            and at_standoff(self.ee, selected.approach_pose, sel_cfg.w_q),
             object_in_gripper=self.metrics.success,
         )
         self.stage = decide(preds)
@@ -230,7 +240,7 @@ class SimState:
             self.ee = servo_step(self.ee, HOME, DT)
 
         if not self.robot_started_moving and self.stage is TaskStage.APPROACH:
-            if np.linalg.norm(self.ee.pose.p - HOME.p) > 0.01:
+            if np.linalg.norm(self.ee.p - HOME.p) > 0.01:
                 self.robot_started_moving = True
 
     def close(self, tick: int, t: float, object_pose: Pose) -> None:
@@ -238,8 +248,8 @@ class SimState:
         final = self.take.final_pose
         self.ee = servo_step(self.ee, final, DT)
         arrived = (
-            np.linalg.norm(self.ee.pose.p - final.p) < ARRIVE_POS_TOL
-            and quat_angle(self.ee.pose.q, final.q) < ARRIVE_ANG_TOL
+            np.linalg.norm(self.ee.p - final.p) < ARRIVE_POS_TOL
+            and quat_angle(self.ee.q, final.q) < ARRIVE_ANG_TOL
         )
         if not arrived:
             return
@@ -248,7 +258,7 @@ class SimState:
         pts, _ = shape.sample_surface(int(round(shape.surface_area() * CLOSURE_DENSITY)), rng)
         self.metrics.attempts += 1
         self.take = None
-        if execute_take(final, object_pose.transform_points(pts), DEFAULT_GRIPPER):
+        if execute_take(final, object_pose.transform_points(pts)):
             self.stage = TaskStage.DROP
             self.metrics.success = True
             self.metrics.time_to_success = t
@@ -267,7 +277,7 @@ class SimState:
     def approach(self, tick: int) -> None:
         """Straight-first motion toward the standoff, RRT-Connect fallback."""
         goal = self.selected.approach_pose
-        q = PathQuery(self.ee.pose.p, goal.p, self.hand_cloud.points, TABLE_Z)
+        q = PathQuery(self.ee.p, goal.p, self.hand_cloud.points, TABLE_Z)
         if segment_collision_free(q):
             self.ee = servo_step(self.ee, goal, DT)
             self.waypoints = self.planned_for = None
@@ -281,10 +291,10 @@ class SimState:
             self.ee = servo_step(self.ee, self.tracking_pose(), DT)
             self.waypoints = self.planned_for = None
             return
-        while len(waypoints) > 1 and np.linalg.norm(self.ee.pose.p - waypoints[0]) < WAYPOINT_TOL:
+        while len(waypoints) > 1 and np.linalg.norm(self.ee.p - waypoints[0]) < WAYPOINT_TOL:
             waypoints = waypoints[1:]
         self.ee = servo_step(self.ee, Pose(waypoints[0], goal.q), DT)
-        if np.linalg.norm(self.ee.pose.p - waypoints[0]) < WAYPOINT_TOL:
+        if np.linalg.norm(self.ee.p - waypoints[0]) < WAYPOINT_TOL:
             waypoints = waypoints[1:] or None
         self.waypoints = waypoints
 
@@ -335,7 +345,7 @@ def run(scenario: Scenario, seed: int | None = None):
             "tick": tick,
             "sim_time": round(t, 7),
             "stage": state.stage.value,
-            "ee_pose": _round_pose(state.ee.pose),
+            "ee_pose": _round_pose(state.ee),
             "selected_target": _round_pose(selected.approach_pose) if selected else None,
             "selected_grasp": _round_pose(selected.grasp) if selected else None,
             "candidate_count": state.candidate_count,

@@ -2,7 +2,9 @@
 
 Each record is one JSON object per line: a header, then per-tick records
 (pose arrays are [px, py, pz, qx, qy, qz, qw]); cloud-refresh ticks also
-carry the current hand points so safety can be re-checked offline.
+carry the current hand points so safety can be re-checked offline. A
+trace without a header or a tick record fails verification; one that
+cannot be read or holds a malformed record raises TraceError.
 """
 
 from __future__ import annotations
@@ -12,9 +14,12 @@ import json
 
 import numpy as np
 
-from .evaluator import DEFAULT_GRIPPER
 from .geometry import Pose, quat_angle
 from .refinement import DEFAULT_HAND_MARGIN, grasp_collides_hand
+
+
+class TraceError(Exception):
+    """Raised on a trace file that cannot be read or holds a malformed record."""
 
 
 def write_trace(records, path) -> None:
@@ -43,6 +48,8 @@ def verify_records(records) -> list[str]:
     """
     violations: list[str] = []
     header = records[0] if records and records[0].get("type") == "header" else {}
+    if not header:
+        violations.append("trace has no header record")
     dt = float(header.get("dt", 1.0 / 90.0))
     v_max = float(header.get("v_max", 0.25))
     w_max = float(header.get("w_max", 1.0))
@@ -73,10 +80,20 @@ def verify_records(records) -> list[str]:
         grasp_arr = rec.get("selected_grasp")
         if grasp_arr is not None and len(hand_points) > 0:
             grasp_pose = Pose(np.asarray(grasp_arr[:3]), np.asarray(grasp_arr[3:]))
-            if grasp_collides_hand(grasp_pose, hand_points, DEFAULT_GRIPPER, margin):
+            if grasp_collides_hand(grasp_pose, hand_points, margin):
                 violations.append(f"tick {tick}: selected grasp collides with hand points")
+    if prev_pose is None:
+        violations.append("trace has no tick record")
     return violations
 
 
 def verify_trace(path) -> list[str]:
-    return verify_records(read_trace(path))
+    """verify_records over a trace file; TraceError if it cannot be read or checked."""
+    try:
+        records = read_trace(path)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise TraceError(f"cannot read trace {path}: {exc}") from exc
+    try:
+        return verify_records(records)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise TraceError(f"malformed record in trace {path}: {exc!r}") from exc

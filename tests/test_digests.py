@@ -8,6 +8,7 @@ values to make the test pass.
 from dataclasses import replace
 
 import pytest
+import yaml
 
 from handover_sim import sim
 from handover_sim.motion import rrt_connect
@@ -71,6 +72,14 @@ PINNED_LOWER_HAND = {
     1: "8d4fbaec26a190f0373556b05882b34e2502a2777746fc3e08e0908fc795c202",
 }
 
+# The committed cylinder with 5% label noise, cut to 2 s: label_noise is
+# the one override a scenario sets, and only these runs pass through
+# apply_label_noise.
+PINNED_LABEL_NOISE = {
+    0: "37995fbdfb82c8a4b4535478646146f1e284d3b2cd1aae9cc37ba181cac70fd9",
+    1: "92800b0e5e4a2461072cdcebb8b52e2b529e14bb3fbc2f9eff3f266dd16e6259",
+}
+
 # The static cylinder or capsule pushed toward the robot, cut to 1.2 s.
 # The push puts the hand cloud on the committed straight segment, so the
 # robot plans with rrt_connect: from a start inside the 3 cm clearance
@@ -121,6 +130,15 @@ def test_baseline_mode_digest_is_pinned(mode, seed):
 def test_lower_hand_digest_is_pinned(seed):
     _, records = run(scenario_from_dict(LOWER_HAND, "lower_hand"), seed)
     assert trace_digest(records) == PINNED_LOWER_HAND[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_LABEL_NOISE))
+def test_label_noise_digest_is_pinned(seed):
+    with open("scenarios/nominal_cylinder.yaml") as fh:
+        data = yaml.safe_load(fh)
+    data.update(time_limit=2.0, overrides={"label_noise": 0.05})
+    _, records = run(scenario_from_dict(data, "nominal_cylinder"), seed)
+    assert trace_digest(records) == PINNED_LABEL_NOISE[seed]
 
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED_PUSHED))

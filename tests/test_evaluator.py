@@ -5,7 +5,8 @@ import pytest
 
 from handover_sim import evaluator
 from handover_sim.evaluator import (
-    DEFAULT_GRIPPER,
+    BODY_BOXES,
+    GRIPPER_BOXES,
     ROW_CHUNK,
     GraspSet,
     evaluate,
@@ -74,13 +75,13 @@ def np_all_points_in_boxes(pts, boxes, margin=0.0):
     return inside
 
 
-def scalar_evaluate(pose, object_cloud, gripper=DEFAULT_GRIPPER):
+def scalar_evaluate(pose, object_cloud):
     """Reference scorer: one pose on its own, with the np.all box test."""
     if len(object_cloud) == 0:
         return 0.0
     local = pose.inverse_transform_points(object_cloud.points)
-    hits = np_all_points_in_boxes(local, gripper.all_boxes())
-    if hits[: len(gripper.body_boxes())].any():
+    hits = np_all_points_in_boxes(local, GRIPPER_BOXES)
+    if hits[: len(BODY_BOXES)].any():
         return 0.0
     inside = hits[-1]
     n_in = int(inside.sum())
@@ -147,7 +148,7 @@ class TestEvaluateRows:
 class TestPointsInBoxes:
     @pytest.mark.parametrize("margin", [0.0, 0.005, 0.005 + 1e-5])
     def test_matches_np_all_form_on_and_around_faces(self, margin):
-        boxes = DEFAULT_GRIPPER.all_boxes()
+        boxes = GRIPPER_BOXES
         rng = np.random.default_rng(33)
         pts = [rng.uniform(-0.08, 0.08, (4000, 3))]
         for box in boxes:

@@ -1,7 +1,10 @@
 import copy
 import csv
+import importlib.util
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from handover_sim.trace import read_trace, trace_digest, verify_records, write_t
 NOMINAL = "scenarios/nominal_cylinder.yaml"
 BELOW = "scenarios/hand_below_table.yaml"
 ROTATE = "scenarios/rotate90_midmotion.yaml"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def base_dict(**over):
@@ -93,6 +97,32 @@ class TestScenarioParsing:
     def test_nonpositive_time_limit_rejected(self):
         with pytest.raises(ScenarioError):
             scenario_from_dict(base_dict(time_limit=0))
+
+    def test_lower_hand_takes_empty_or_null_parameters(self):
+        for params in ({}, None):
+            events = [{"trigger": {"time": 1.0}, "action": {"lower_hand": params}}]
+            (event,) = scenario_from_dict(base_dict(events=events)).events
+            assert event.action == "lower_hand"
+            assert event.offset == (0.0, 0.0, -0.35)
+
+    @pytest.mark.parametrize("path", sorted(str(p) for p in (ROOT / "scenarios").glob("*.yaml")))
+    def test_committed_scenario_parses(self, path):
+        assert load_scenario(path).name == Path(path).stem
+
+    @pytest.mark.parametrize("seed", [0, 1009])
+    def test_every_benchmark_case_parses(self, seed, monkeypatch):
+        # the benchmark's generator, loaded from its file without changing it,
+        # so a parser check that would reject benchmark input fails here too
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", ROOT / "handover_bench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        cases = [case for gen in workloads.WORKLOADS.values() for case in gen(seed)]
+        assert len(cases) == 118
+        for case in cases:
+            assert scenario_from_dict(case.scenario, case.name).name == case.name
 
     def test_keyframe_interpolation(self):
         d = base_dict(
@@ -323,9 +353,34 @@ def _rotate_event(axis, angle_deg=90):
     return [{"trigger": {"time": 0.1}, "action": {"rotate_object": {"angle_deg": angle_deg, "axis": axis}}}]
 
 
+def _with_object(**over):
+    d = base_dict()
+    d["object"].update(over)
+    return d
+
+
 BAD_SCENARIOS = {
     "negative_seed": base_dict(seed=-1),
+    "fractional_seed": base_dict(seed=1.7),
+    "boolean_seed": base_dict(seed=True),
     "negative_density": base_dict(overrides={"density": -5}),
+    # the robot's density, crop radius and tuning are program constants
+    "density_override": base_dict(overrides={"density": 6.0e4}),
+    "crop_radius_override": base_dict(overrides={"crop_radius": 0.2}),
+    "selection_override": base_dict(overrides={"selection": {"w_prev": 1.0}}),
+    "refinement_override": base_dict(overrides={"refinement": {"target_size": 40}}),
+    # a misspelt or unknown key at each level
+    "misspelt_time_limit": base_dict(time_limt=2),
+    "misspelt_grip_offset": _with_object(grip_ofset=[0.0, -0.11, 0.0]),
+    "keyframe_key": base_dict(hand_trajectory=[{"t": 0.0, "pose": [0.55, 0.05, 0.28], "v": 1}]),
+    "event_key": base_dict(events=[{**_push_event([0.1, 0.0, 0.0])[0], "repeat": 2}]),
+    "trigger_key": base_dict(events=[{"trigger": {"time": 0.1, "after": 1},
+                                      "action": {"lower_hand": {}}}]),
+    "rotate_parameter": base_dict(events=[{"trigger": {"time": 0.1}, "action": {
+        "rotate_object": {"angle_deg": 90, "axis": [0, 0, 1], "axes": [1, 0, 0]}}}]),
+    "lower_hand_parameters": base_dict(events=[{"trigger": {"time": 0.1},
+                                                "action": {"lower_hand": {"offset": [0, 0, -0.1]}}}]),
+    "lower_hand_list": base_dict(events=[{"trigger": {"time": 0.1}, "action": {"lower_hand": []}}]),
     "label_noise_above_one": base_dict(overrides={"label_noise": 2}),
     "two_vector_push": base_dict(events=_push_event([0.1, 0.0])),
     "zero_rotation_axis": base_dict(events=_rotate_event([0, 0, 0])),
@@ -380,6 +435,39 @@ class TestCli:
                 break
         write_trace(records, trace)
         assert main(["verify", "--trace", str(trace)]) == EXIT_INVARIANT
+
+    @staticmethod
+    def short_trace_lines():
+        _, records = run(short(load_scenario(BELOW), 0.1), seed=0)
+        return [json.dumps(rec) for rec in records]
+
+    @pytest.mark.parametrize("case", ["missing_file", "bad_json", "tick_without_ee_pose", "not_an_object"])
+    def test_verify_unreadable_or_malformed_trace_exits_2(self, case, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        lines = self.short_trace_lines()
+        tick = json.loads(lines[1])
+        if case == "bad_json":
+            lines[2] = lines[2][:-1]
+        elif case == "tick_without_ee_pose":
+            del tick["ee_pose"]
+            lines[1] = json.dumps(tick)
+        elif case == "not_an_object":
+            lines[1] = json.dumps([tick])
+        if case != "missing_file":
+            trace.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--trace", str(trace)]) == EXIT_PARSE
+        assert "trace error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["empty_file", "no_header", "no_tick"])
+    def test_verify_trace_without_header_or_tick_exits_3(self, case, tmp_path, capsys):
+        lines = self.short_trace_lines()
+        kept = {"empty_file": [], "no_header": lines[1:], "no_tick": lines[:1]}[case]
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("".join(line + "\n" for line in kept))
+        assert main(["verify", "--trace", str(trace)]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert ("no header record" in err) == (case != "no_tick")
+        assert ("no tick record" in err) == (case != "no_header")
 
     def test_batch_cli(self, tmp_path, capsys):
         sdir = tmp_path / "s"

@@ -3,7 +3,6 @@ import pytest
 
 from handover_sim.geometry import Pose, quat_angle, quat_from_axis_angle
 from handover_sim.motion import (
-    EndEffectorState,
     PathQuery,
     point_segment_distances,
     rrt_connect,
@@ -173,22 +172,22 @@ class TestRrtConnect:
 
 class TestServoStep:
     def state(self, p=(0, 0, 0), q=(1, 0, 0, 0)):
-        return EndEffectorState(Pose(p, q))
+        return Pose(p, q)
 
     def test_exact_linear_clip(self):
         dt = 1.0 / 90.0
         out = servo_step(self.state(), Pose([1, 0, 0], [1, 0, 0, 0]), dt)
-        assert np.linalg.norm(out.pose.p) == pytest.approx(0.25 * dt, abs=1e-12)
+        assert np.linalg.norm(out.p) == pytest.approx(0.25 * dt, abs=1e-12)
 
     def test_reaches_nearby_target_exactly(self):
         out = servo_step(self.state(), Pose([0.001, 0, 0], [1, 0, 0, 0]), 1.0 / 90.0)
-        assert np.allclose(out.pose.p, [0.001, 0, 0])
+        assert np.allclose(out.p, [0.001, 0, 0])
 
     def test_angular_clip(self):
         dt = 0.1
         target = Pose([0, 0, 0], quat_from_axis_angle([0, 0, 1], 2.0))
         out = servo_step(self.state(), target, dt)
-        assert quat_angle(self.state().pose.q, out.pose.q) == pytest.approx(1.0 * dt, abs=1e-9)
+        assert quat_angle(self.state().q, out.q) == pytest.approx(1.0 * dt, abs=1e-9)
 
     def test_tick_count_to_cover_distance(self):
         # 0.5 m at 0.25 m/s and 90 Hz: ceil(0.5 / (0.25/90)) = 180 ticks
@@ -196,7 +195,7 @@ class TestServoStep:
         st = self.state()
         target = Pose([0.5, 0, 0], [1, 0, 0, 0])
         n = 0
-        while not np.allclose(st.pose.p, target.p):
+        while not np.allclose(st.p, target.p):
             st = servo_step(st, target, dt)
             n += 1
             assert n < 1000
@@ -209,8 +208,8 @@ class TestServoStep:
         for _ in range(200):
             target = Pose(rng.uniform(-1, 1, 3), rng.normal(size=4))
             new = servo_step(st, target, dt)
-            assert np.linalg.norm(new.pose.p - st.pose.p) <= 0.25 * dt + 1e-12
-            assert quat_angle(st.pose.q, new.pose.q) <= 1.0 * dt + 1e-9
+            assert np.linalg.norm(new.p - st.p) <= 0.25 * dt + 1e-12
+            assert quat_angle(st.q, new.q) <= 1.0 * dt + 1e-9
             st = new
 
     def test_rejects_nonpositive_dt(self):

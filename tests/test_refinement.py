@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handover_sim.evaluator import DEFAULT_GRIPPER, evaluate, points_in_boxes
+from handover_sim.evaluator import GRIPPER_BOXES, points_in_boxes
 from handover_sim.geometry import Pose
 from handover_sim.refinement import (
     GraspSet,
@@ -166,7 +166,7 @@ class TestPrune:
         hand_pts = rng.uniform(-0.2, 0.2, size=(300, 3))
         hand = LabeledPointCloud(hand_pts, np.full(300, LABEL_HAND))
         out = prune_hand_collisions(make_set(poses), hand, margin=0.005)
-        boxes = DEFAULT_GRIPPER.all_boxes()
+        boxes = GRIPPER_BOXES
         keep = [
             g for g in poses
             if not points_in_boxes(g.inverse_transform_points(hand_pts), boxes, 0.005).any()
