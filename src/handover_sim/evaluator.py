@@ -5,13 +5,18 @@ zero on body collision or empty closing region, otherwise a containment
 term saturating at 20 points times the mean alignment between surface
 normals and the closing axis. It is rigid-transform equivariant and
 invariant under the 180-degree Z flip, which selection relies on to
-reuse scores for flipped grasps.
+reuse scores for flipped grasps: the flip maps each group of gripper
+boxes onto itself, so a flipped grasp also clears the hand exactly when
+its original does.
 
 evaluate_rows scores every row of a GraspSet (or one Pose) in one array
-pass; evaluate is its one-row case. Evaluator implementations are pure
-functions of their inputs; anything with the same stacked
-(grasps, cloud) -> (G,) scores signature can be swapped in. GraspSet
-carries grasps as rows of three arrays from sampler to selection.
+pass; evaluate is its one-row case. sample_grasps draws its trials one
+at a time, in a fixed order, then builds each block's trial frames in
+one stacked pass that matches the one-trial arithmetic row for row.
+Evaluator implementations are pure functions of their inputs; anything
+with the same stacked (grasps, cloud) -> (G,) scores signature can be
+swapped in. GraspSet carries grasps as rows of three arrays from
+sampler to selection.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Pose, quat_from_matrix, quat_to_matrix
+from .geometry import Pose, quat_from_matrix, quat_to_matrix, quat_unit_rows, row_dot
 from .scene import LabeledPointCloud
 
 N_CONTAIN_REF = 20  # containment saturates at this many points
@@ -74,10 +79,6 @@ class GraspSet:
     @classmethod
     def empty(cls) -> "GraspSet":
         return cls(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros(0))
-
-    @classmethod
-    def from_poses(cls, poses, scores) -> "GraspSet":
-        return cls([x.p for x in poses], [x.q for x in poses], scores)
 
     def pose(self, i: int) -> Pose:
         return Pose.from_unit(self.p[i], self.q[i])
@@ -190,33 +191,37 @@ def sample_grasps(
         return GraspSet.empty()
     if rng is None:
         rng = np.random.default_rng()
-    centroid = object_cloud.points.mean(axis=0)
+    points, normals = object_cloud.points, object_cloud.normals
+    centroid = points.mean(axis=0)
     found, trials = GraspSet.empty(), 10 * n
     while len(found) < n and trials > 0:
         # trials are drawn one at a time and scored as a block; a block of n - found
         # trials ends no later than where a one-at-a-time loop stops, so the draws match
         block = min(n - len(found), trials)
         trials -= block
-        poses = []
-        for _ in range(block):
-            idx = int(rng.integers(len(object_cloud)))
-            point = object_cloud.points[idx]
-            if object_cloud.normals is not None:
-                normal = object_cloud.normals[idx]
-            else:
-                normal = point - centroid
-                nn = np.linalg.norm(normal)
-                normal = normal / nn if nn > 1e-9 else np.array([0.0, 0.0, 1.0])
-            z = -normal
-            tangent = rng.normal(size=3)
-            tangent -= tangent @ z * z
-            tn = np.linalg.norm(tangent)
-            if tn < 1e-9:
-                continue
-            y = tangent / tn
-            x = np.cross(y, z)
-            poses.append(Pose(point, quat_from_matrix(np.column_stack([x, y, z]))))
-        trial = GraspSet.from_poses(poses, np.zeros(len(poses)))
+        idx, tangent = np.empty(block, dtype=np.int64), np.empty((block, 3))
+        for k in range(block):
+            idx[k] = rng.integers(len(object_cloud))
+            tangent[k] = rng.normal(size=3)
+        # each trial's frame in one stacked pass, row for row the one-trial arithmetic
+        point = points[idx]
+        if normals is not None:
+            normal = normals[idx]
+        else:
+            normal = np.tile([0.0, 0.0, 1.0], (block, 1))  # for a point at the centroid
+            radial = point - centroid
+            nn = np.sqrt(row_dot(radial, radial))
+            off = nn > 1e-9
+            normal[off] = radial[off] / nn[off, None]
+        z = -normal
+        tangent = tangent - row_dot(tangent, z)[:, None] * z
+        tn = np.sqrt(row_dot(tangent, tangent))
+        keep = ~(tn < 1e-9)  # a tangent along the approach axis gives no frame
+        y = tangent[keep] / tn[keep, None]
+        z = z[keep]
+        frames = np.stack([np.cross(y, z), y, z], axis=2)
+        q = quat_unit_rows(quat_from_matrix(frames))
+        trial = GraspSet(point[keep], q, np.zeros(len(q)))
         scores = evaluate_rows(trial, object_cloud)
         found = found + GraspSet(trial.p, trial.q, scores)[scores > 0.0]
     return found

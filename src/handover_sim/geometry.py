@@ -9,7 +9,9 @@ Grasp frame convention: local +Z is the approach axis, local Y is the
 finger-closing axis, local X spans the finger width; the origin sits at
 the midpoint between the fingertips. quat_mul, quat_to_matrix and
 pose_distance also take stacks of rows and match the one-row call bit
-for bit, as quat_unit_rows matches a Pose's normalisation.
+for bit, as quat_unit_rows matches a Pose's normalisation;
+quat_from_matrix takes one matrix or a stack, each row computed as the
+one-matrix Shepperd form computes it.
 """
 
 from __future__ import annotations
@@ -85,35 +87,38 @@ def quat_to_matrix(q) -> np.ndarray:
     return m if m.ndim == 2 else np.ascontiguousarray(m.transpose(2, 0, 1))
 
 
-def quat_from_matrix(m: np.ndarray) -> np.ndarray:
-    """Shepperd's method; returns a unit xyzw quaternion."""
+def quat_from_matrix(m) -> np.ndarray:
+    """Shepperd's method: unit xyzw rows (G, 4) for a (G, 3, 3) stack, or
+    one (4,) for a (3, 3) matrix.
+
+    Each row solves first for its largest component: w when the trace is
+    positive, else the x, y or z of the largest diagonal entry. That
+    component is s / 4 with s = 2 sqrt(radicand), and each other one is
+    its entry in K (the sums m_ij + m_ji and differences m_ij - m_ji) over
+    s. Every operation is per row and in the one-matrix form's order, so
+    a row's bits do not depend on the rest of the stack.
+    """
     m = np.asarray(m, dtype=float)
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        w = 0.25 * s
-        x = (m[2, 1] - m[1, 2]) / s
-        y = (m[0, 2] - m[2, 0]) / s
-        z = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        w = (m[2, 1] - m[1, 2]) / s
-        x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] > m[2, 2]:
-        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
-        y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
-    else:
-        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
-        z = 0.25 * s
-    return quat_normalize([x, y, z, w])
+    rows = m.reshape(-1, 3, 3)
+    g = np.arange(len(rows))
+    d = rows[:, [0, 1, 2], [0, 1, 2]]
+    tr = d[:, 0] + d[:, 1] + d[:, 2]
+    x_big = (d[:, 0] > d[:, 1]) & (d[:, 0] > d[:, 2])
+    big = np.where(tr > 0, 3, np.where(x_big, 0, np.where(d[:, 1] > d[:, 2], 1, 2)))
+    # x, y, z: 1 + m_kk minus the other two diagonal entries in index order; w: 1 + trace
+    radicand = np.column_stack([1.0 + d - d[:, [1, 0, 0]] - d[:, [2, 2, 1]], tr + 1.0])
+    s = np.sqrt(radicand[g, big]) * 2.0
+    k = np.zeros((len(rows), 4, 4))
+    k[:, :3, :3] = rows + rows.transpose(0, 2, 1)
+    # m21 - m12, m02 - m20, m10 - m01
+    k[:, :3, 3] = k[:, 3, :3] = rows[:, [2, 0, 1], [1, 2, 0]] - rows[:, [1, 2, 0], [2, 0, 1]]
+    q = k[g, big] / s[:, None]
+    q[g, big] = 0.25 * s
+    n = np.sqrt(row_dot(q, q))
+    if np.any(n < 1e-8):
+        raise ValueError("degenerate quaternion (norm ~ 0)")
+    q = q / n[:, None]
+    return q[0] if m.ndim == 2 else q
 
 
 def quat_slerp(q0, q1, u: float) -> np.ndarray:

@@ -7,7 +7,9 @@ pruned, dead grasps (score below the denominator floor) are dropped, and
 the set is topped back up by resampling whenever it falls below a
 threshold.
 
-Pruning tests a whole GraspSet in fixed-size chunks. The MH step scores
+Pruning tests a whole GraspSet in fixed-size chunks. maintain returns a
+set whose every row clears the hand cloud, which the simulator's
+selection stage reuses instead of pruning again. The MH step scores
 every grasp's current pose in one stacked call; its proposals stay a
 loop, one score per call, because the accept uniform is drawn only when
 the ratio is < 1.

@@ -93,8 +93,15 @@ class Scenario:
         return frames[-1][1]
 
 
-def _pose_from(value) -> Pose:
-    arr = np.asarray(value, dtype=float).reshape(-1)
+def _number(value, what: str) -> float:
+    """value as a float; float() alone would read true as 1.0 and parse "5"."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ScenarioError(f"{what} must be a number, not {value!r}")
+    return float(value)
+
+
+def _pose_from(value, what: str) -> Pose:
+    arr = np.array([_number(v, what) for v in value])
     if arr.shape[0] == 3:
         return Pose(arr, [0.0, 0.0, 0.0, 1.0])
     if arr.shape[0] == 7:
@@ -103,7 +110,7 @@ def _pose_from(value) -> Pose:
 
 
 def _vector3(value, what: str) -> tuple:
-    vec = tuple(float(v) for v in value)
+    vec = tuple(_number(v, what) for v in value)
     if len(vec) != 3 or not np.isfinite(vec).all():
         raise ScenarioError(f"{what} must be 3 finite numbers")
     return vec
@@ -127,7 +134,8 @@ def _parse_event(raw) -> Event:
     if trigger == "robot_started_moving":
         trigger_time = None
     elif isinstance(trigger, dict) and "time" in trigger:
-        trigger_time = float(_fields(trigger, TRIGGER_KEYS, "event trigger")["time"])
+        value = _fields(trigger, TRIGGER_KEYS, "event trigger")["time"]
+        trigger_time = _number(value, "event trigger time")
         if not np.isfinite(trigger_time):
             raise ScenarioError("event trigger time must be finite")
     else:
@@ -143,7 +151,7 @@ def _parse_event(raw) -> Event:
         axis = _vector3(params.get("axis", (0.0, 0.0, 1.0)), "rotate_object axis")
         if np.linalg.norm(axis) < 1e-12:
             raise ScenarioError("rotate_object axis must be nonzero")
-        angle = float(np.deg2rad(params["angle_deg"]))
+        angle = float(np.deg2rad(_number(params["angle_deg"], "rotate_object angle_deg")))
         if not np.isfinite(angle):
             raise ScenarioError("rotate_object angle_deg must be finite")
         return Event(trigger_time, kind, angle=angle, axis=axis)
@@ -156,10 +164,13 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     try:
         data = _fields(data, SCENARIO_KEYS, "scenario")
         obj = _fields(data["object"], OBJECT_KEYS, "object")
-        shape = PrimitiveShape(obj["kind"], tuple(obj["dims"]))
-        grip = _pose_from(obj.get("grip_offset", [0, 0, 0]))
+        shape = PrimitiveShape(obj["kind"], tuple(_number(d, "object dims") for d in obj["dims"]))
+        grip = _pose_from(obj.get("grip_offset", [0, 0, 0]), "object grip_offset")
         frames = [_fields(raw, KEYFRAME_KEYS, "keyframe") for raw in data["hand_trajectory"]]
-        keyframes = tuple((float(kf["t"]), _pose_from(kf["pose"])) for kf in frames)
+        keyframes = tuple(
+            (_number(kf["t"], "keyframe t"), _pose_from(kf["pose"], "keyframe pose"))
+            for kf in frames
+        )
         events = tuple(_parse_event(e) for e in data.get("events", ()))
         overrides = _fields(data.get("overrides"), OVERRIDE_KEYS, "overrides")
         seed = data.get("seed", 0)
@@ -174,8 +185,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
             hand_keyframes=keyframes,
             events=events,
             mode=data.get("mode", "temporal_plus"),
-            time_limit=float(data.get("time_limit", DEFAULT_TIME_LIMIT)),
-            label_noise=float(overrides.get("label_noise", 0.0)),
+            time_limit=_number(data.get("time_limit", DEFAULT_TIME_LIMIT), "time_limit"),
+            label_noise=_number(overrides.get("label_noise", 0.0), "label_noise"),
         )
     except ScenarioError:
         raise

@@ -5,7 +5,14 @@ body tracking 15 Hz, cloud/segmentation 9 Hz, grasp refinement 5 Hz,
 planning/selection 10 Hz. ``SimState`` holds everything a run carries
 from tick to tick and has one method per stage: ``fire_events``,
 ``observe`` (cloud), ``refine``, ``select`` and ``move`` (every tick);
-``run`` calls them in that order and appends the tick record. Runs are
+``run`` calls them in that order and appends the tick record.
+
+Selection reuses refinement's hand prune. Refinement leaves a set whose
+every row clears the hand cloud at ``HAND_MARGIN``, so ``select`` prunes
+the set again only when a cloud has arrived since (by the rate divisors,
+4 of every 10 selection ticks). The flipped copies take their
+originals' result: each group of gripper boxes is its own mirror image
+under the 180-degree Z flip. Runs are
 fully deterministic given (scenario, seed): every random stream is
 derived from the seed plus the tick index and no run state lives at
 module level, so identical inputs produce byte-identical traces, also
@@ -94,7 +101,10 @@ class SimState:
     """Everything one run carries from tick to tick, with a method per stage.
 
     The object is in the gripper once ``metrics.success`` is set; ``take``
-    is the target of the take in flight, or None.
+    is the target of the take in flight, or None. ``gset_clear`` holds the
+    rows of ``gset`` that clear the current hand cloud, or None while they
+    are untested: ``refine`` sets it, ``observe`` resets it and ``select``
+    fills it in when it finds None.
     """
 
     def __init__(self, scenario: Scenario, seed: int):
@@ -118,6 +128,7 @@ class SimState:
         ]
         self.stage = TaskStage.WAIT_HOME
         self.gset = GraspSet.empty()
+        self.gset_clear = None
         self.selected = None
         self.take = None
         self.x_prev = HOME
@@ -161,6 +172,7 @@ class SimState:
             cloud = apply_label_noise(cloud, scenario.label_noise, rng)
         self.hand_cloud = cloud.hand_cloud()
         self.object_cloud = cloud.object_cloud()
+        self.gset_clear = None
         # a fresh hand sample can reveal points the last one missed;
         # abandon any committed target that now touches the hand,
         # aborting an in-flight take
@@ -182,24 +194,31 @@ class SimState:
         if self.scenario.mode == "naive":
             fresh = sample_grasps(self.object_cloud, PERTURBATION.target_size, rng)
             self.gset = prune_hand_collisions(fresh, self.hand_cloud, HAND_MARGIN)
-            return True
-        self.gset, resampled = maintain(
-            self.gset, self.object_cloud, self.hand_cloud, PERTURBATION, rng, HAND_MARGIN
-        )
+            resampled = True
+        else:
+            self.gset, resampled = maintain(
+                self.gset, self.object_cloud, self.hand_cloud, PERTURBATION, rng, HAND_MARGIN
+            )
+        # either way every row already clears this hand cloud at HAND_MARGIN
+        self.gset_clear = self.gset
         return resampled
 
     def select(self, palm: Pose, object_pose: Pose) -> None:
         """Selection tick: pick a target, then decide the stage."""
+        # only grasps that clear the freshest hand cloud are candidates
         if not self.object_center:
-            candidates = expand_flips(self.gset)
+            if self.gset_clear is None:  # a cloud arrived after the last refine
+                self.gset_clear = prune_hand_collisions(self.gset, self.hand_cloud, HAND_MARGIN)
+            # the flip maps the gripper's boxes onto each other, so a flipped
+            # copy clears the hand exactly when its original does
+            candidates = expand_flips(self.gset_clear)
         elif len(self.object_cloud) > 0:
             # the tracked object origin, not the visible-surface mean:
             # a partial view biases the centroid toward the camera
-            candidates = GraspSet([object_pose.p], [TOP_DOWN_Q], [1.0])
+            synthetic = GraspSet([object_pose.p], [TOP_DOWN_Q], [1.0])
+            candidates = prune_hand_collisions(synthetic, self.hand_cloud, HAND_MARGIN)
         else:
             candidates = GraspSet.empty()
-        # re-filter against the freshest hand cloud before committing
-        candidates = prune_hand_collisions(candidates, self.hand_cloud, HAND_MARGIN)
         self.candidate_count = len(candidates)
         sel_cfg = self.sel_cfg
         selected = select_target(

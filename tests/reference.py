@@ -1,13 +1,15 @@
 """One-pose reference forms of grasp-frame operations, for the tests only.
 
 The simulator applies these operations to whole grasp sets as arrays
-(``selection.expand_flips``, ``selection.make_targets``); the tests
+(``selection.expand_flips``, ``selection.make_targets``,
+``geometry.quat_from_matrix``, ``evaluator.sample_grasps``); the tests
 compare those array passes with these plain per-pose forms.
 """
 
 import numpy as np
 
-from handover_sim.geometry import FLIP_Z, Pose, quat_mul, quat_to_matrix
+from handover_sim.evaluator import GraspSet, evaluate
+from handover_sim.geometry import FLIP_Z, Pose, quat_mul, quat_normalize, quat_to_matrix
 
 
 def z_axis(pose: Pose) -> np.ndarray:
@@ -35,3 +37,77 @@ def pose_inverse(pose: Pose) -> Pose:
     """The pose that composes with ``pose`` to the identity."""
     qc = pose.q * np.array([-1.0, -1.0, -1.0, 1.0])
     return Pose(-(quat_to_matrix(qc) @ pose.p), qc)
+
+
+def grasp_set(poses, scores) -> GraspSet:
+    """The grasp set of one row per pose, in order."""
+    return GraspSet([x.p for x in poses], [x.q for x in poses], scores)
+
+
+def quat_from_matrix(m: np.ndarray) -> np.ndarray:
+    """Shepperd's method on one (3, 3) matrix; returns a unit xyzw quaternion."""
+    m = np.asarray(m, dtype=float)
+    tr = m[0, 0] + m[1, 1] + m[2, 2]
+    if tr > 0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        w = 0.25 * s
+        x = (m[2, 1] - m[1, 2]) / s
+        y = (m[0, 2] - m[2, 0]) / s
+        z = (m[1, 0] - m[0, 1]) / s
+    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        w = (m[2, 1] - m[1, 2]) / s
+        x = 0.25 * s
+        y = (m[0, 1] + m[1, 0]) / s
+        z = (m[0, 2] + m[2, 0]) / s
+    elif m[1, 1] > m[2, 2]:
+        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        w = (m[0, 2] - m[2, 0]) / s
+        x = (m[0, 1] + m[1, 0]) / s
+        y = 0.25 * s
+        z = (m[1, 2] + m[2, 1]) / s
+    else:
+        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        w = (m[1, 0] - m[0, 1]) / s
+        x = (m[0, 2] + m[2, 0]) / s
+        y = (m[1, 2] + m[2, 1]) / s
+        z = 0.25 * s
+    return quat_normalize([x, y, z, w])
+
+
+def sample_grasps(object_cloud, n, rng) -> GraspSet:
+    """sample_grasps with every trial frame built and scored on its own.
+
+    Each trial draws its point index and then its tangent, as the
+    stacked sampler does, and the loop stops as soon as n grasps score
+    above zero or 10 * n trials are spent.
+    """
+    if len(object_cloud) == 0:
+        return GraspSet.empty()
+    centroid = object_cloud.points.mean(axis=0)
+    poses, scores = [], []
+    for _ in range(10 * n):
+        if len(poses) == n:
+            break
+        idx = int(rng.integers(len(object_cloud)))
+        point = object_cloud.points[idx]
+        if object_cloud.normals is not None:
+            normal = object_cloud.normals[idx]
+        else:
+            normal = point - centroid
+            nn = np.linalg.norm(normal)
+            normal = normal / nn if nn > 1e-9 else np.array([0.0, 0.0, 1.0])
+        z = -normal
+        tangent = rng.normal(size=3)
+        tangent -= tangent @ z * z
+        tn = np.linalg.norm(tangent)
+        if tn < 1e-9:
+            continue
+        y = tangent / tn
+        x = np.cross(y, z)
+        pose = Pose(point, quat_from_matrix(np.column_stack([x, y, z])))
+        score = evaluate(pose, object_cloud)
+        if score > 0.0:
+            poses.append(pose)
+            scores.append(score)
+    return grasp_set(poses, scores)

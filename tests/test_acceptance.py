@@ -15,13 +15,13 @@ import pytest
 from handover_sim.geometry import Pose, pose_distance, quat_from_axis_angle
 from handover_sim.motion import PathQuery, rrt_connect, segment_collision_free
 from handover_sim.planner import TaskStage, WorldPredicates, decide
-from handover_sim.refinement import GraspSet, PerturbationConfig, acceptance_ratio, mh_step
+from handover_sim.refinement import PerturbationConfig, acceptance_ratio, mh_step
 from handover_sim.scenario import load_scenario
 from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape
 from handover_sim.selection import SelectionConfig, expand_flips, grasp_cost
 from handover_sim.sim import run
 from handover_sim.trace import trace_digest, verify_records
-from reference import offset_along_grasp_z
+from reference import grasp_set, offset_along_grasp_z
 
 SEEDS = list(range(20))
 NOMINAL = "scenarios/nominal_cylinder.yaml"
@@ -62,7 +62,7 @@ def rotation_batch():
 def test_criterion_1_mh_acceptance_statistics():
     cfg = PerturbationConfig()
     n = 10_000
-    gset = GraspSet.from_poses([Pose([i * 1e-4, 0, 0], [0, 0, 0, 1]) for i in range(n)], [0.8] * n)
+    gset = grasp_set([Pose([i * 1e-4, 0, 0], [0, 0, 0, 1]) for i in range(n)], [0.8] * n)
     calls = {"n": 0}
 
     def stub(grasps, cloud):
@@ -125,7 +125,7 @@ def test_criterion_4_geometry_constants():
         final = offset_along_grasp_z(pose, 0.05)
         ok &= np.allclose(appr.p, pose.p - 0.10 * z, atol=1e-12)
         ok &= np.allclose(final.p, pose.p + 0.05 * z, atol=1e-12)
-    gset = GraspSet.from_poses(poses, [0.5] * len(poses))
+    gset = grasp_set(poses, [0.5] * len(poses))
     doubled = expand_flips(gset)
     ok &= len(doubled) == 2 * len(gset)
     for i in range(len(gset)):

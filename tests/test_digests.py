@@ -11,8 +11,11 @@ import pytest
 import yaml
 
 from handover_sim import sim
+from handover_sim.evaluator import GraspSet
 from handover_sim.motion import rrt_connect
-from handover_sim.scenario import load_scenario, scenario_from_dict
+from handover_sim.refinement import prune_hand_collisions
+from handover_sim.scenario import MODES, load_scenario, scenario_from_dict
+from handover_sim.selection import expand_flips
 from handover_sim.sim import run
 from handover_sim.trace import trace_digest
 
@@ -141,8 +144,7 @@ def test_label_noise_digest_is_pinned(seed):
     assert trace_digest(records) == PINNED_LABEL_NOISE[seed]
 
 
-@pytest.mark.parametrize("name,seed", sorted(PINNED_PUSHED))
-def test_pushed_hand_rrt_digest_is_pinned(name, seed, monkeypatch):
+def pushed_scenario(name):
     obj, push_time, offset = PUSHED[name]
     data = {
         "mode": "temporal_plus",
@@ -151,6 +153,11 @@ def test_pushed_hand_rrt_digest_is_pinned(name, seed, monkeypatch):
         "hand_trajectory": [{"t": 0.0, "pose": [0.55, 0.05, 0.28]}],
         "events": [{"trigger": {"time": push_time}, "action": {"translate_hand": {"offset": offset}}}],
     }
+    return scenario_from_dict(data, name)
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED_PUSHED))
+def test_pushed_hand_rrt_digest_is_pinned(name, seed, monkeypatch):
     paths = []
 
     def counted(q, rng):
@@ -158,8 +165,57 @@ def test_pushed_hand_rrt_digest_is_pinned(name, seed, monkeypatch):
         return paths[-1]
 
     monkeypatch.setattr(sim, "rrt_connect", counted)
-    _, records = run(scenario_from_dict(data, name), seed)
+    _, records = run(pushed_scenario(name), seed)
     assert trace_digest(records) == PINNED_PUSHED[(name, seed)]
     # the pin covers the planner only while the run still calls it
     assert paths
     assert any(p is not None for p in paths) == (name == "both_free")
+
+
+def check_select_candidates(monkeypatch):
+    """Wrap sim.select_target so that every selection tick checks its
+    candidates against the whole set pruned in full: originals and flips
+    against the state's hand cloud (the synthetic centre grasp in
+    object_center). Returns the size of each checked tick's whole set."""
+    seen, counts = [], []
+    select, select_target = sim.SimState.select, sim.select_target
+
+    def select_seen(state, palm, object_pose):
+        seen.append((state, object_pose))
+        return select(state, palm, object_pose)
+
+    def select_target_checked(candidates, *args):
+        state, object_pose = seen[-1]
+        if not state.object_center:
+            whole = expand_flips(state.gset)
+        elif len(state.object_cloud) > 0:
+            whole = GraspSet([object_pose.p], [sim.TOP_DOWN_Q], [1.0])
+        else:
+            whole = GraspSet.empty()
+        expected = prune_hand_collisions(whole, state.hand_cloud, sim.HAND_MARGIN)
+        for name in ("p", "q", "scores"):
+            got, want = getattr(candidates, name), getattr(expected, name)
+            assert got.shape == want.shape and (got == want).all()
+        counts.append(len(whole))
+        return select_target(candidates, *args)
+
+    monkeypatch.setattr(sim.SimState, "select", select_seen)
+    monkeypatch.setattr(sim, "select_target", select_target_checked)
+    return counts
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_select_candidates_equal_whole_set_pruned(mode, monkeypatch):
+    counts = check_select_candidates(monkeypatch)
+    scenario = replace(load_scenario("scenarios/nominal_cylinder.yaml"), mode=mode, time_limit=4.0)
+    _, records = run(scenario, 0)
+    assert len(counts) == sum(rec.get("selection_tick", False) for rec in records)
+    assert max(counts) > 0
+
+
+def test_pushed_hand_select_candidates_equal_whole_set_pruned(monkeypatch):
+    counts = check_select_candidates(monkeypatch)
+    _, records = run(pushed_scenario("both_free"), 1)
+    assert trace_digest(records) == PINNED_PUSHED[("both_free", 1)]
+    assert len(counts) == sum(rec.get("selection_tick", False) for rec in records)
+    assert max(counts) > 0

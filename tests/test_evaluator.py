@@ -6,8 +6,10 @@ import pytest
 from handover_sim import evaluator
 from handover_sim.evaluator import (
     BODY_BOXES,
+    CLOSING_REGION,
     GRIPPER_BOXES,
     ROW_CHUNK,
+    Box,
     GraspSet,
     evaluate,
     evaluate_rows,
@@ -16,6 +18,7 @@ from handover_sim.evaluator import (
 )
 from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul
 from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape
+import reference
 from reference import flip_about_grasp_z, z_axis
 
 # regression baseline from the independent brute-force oracle below
@@ -226,6 +229,35 @@ class TestEvaluate:
             )
 
 
+class ScriptedGenerator:
+    """A seeded generator that records the point indices it draws.
+
+    With normals, every parallel_every-th normal() call returns twice the
+    last drawn point's normal plus 1e-12 times its draw: a tangent within
+    1e-12 of the approach axis, which leaves no closing axis.
+    """
+
+    def __init__(self, seed, normals=None, parallel_every=0):
+        self.rng = np.random.default_rng(seed)
+        self.normals, self.parallel_every = normals, parallel_every
+        self.drawn, self.normal_calls = [], 0
+
+    def integers(self, high):
+        idx = self.rng.integers(high)
+        self.drawn.append(int(idx))
+        return idx
+
+    def normal(self, size):
+        draw = self.rng.normal(size=size)
+        self.normal_calls += 1
+        if self.parallel_every and self.normal_calls % self.parallel_every == 0:
+            return 2.0 * self.normals[self.drawn[-1]] + 1e-12 * draw
+        return draw
+
+    def random(self):
+        return self.rng.random()
+
+
 class TestSampleGrasps:
     def sphere_cloud(self, r=0.03, n=2000, seed=3):
         shape = PrimitiveShape("sphere", (r,))
@@ -293,6 +325,73 @@ class TestSampleGrasps:
         )
         assert rng.random() == 0.6852613914185123
 
+    @staticmethod
+    def assert_same_rows(a, b):
+        assert len(a) == len(b)
+        for name in ("p", "q", "scores"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_matches_one_trial_reference_with_normals(self):
+        cloud = cylinder_cloud(n=3000)
+        for seed in (21, 22):
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_grasps(cloud, 20, got_rng)
+            self.assert_same_rows(got, reference.sample_grasps(cloud, 20, ref_rng))
+            assert len(got) == 20
+            assert got_rng.random() == ref_rng.random()
+
+    def test_matches_one_trial_reference_without_normals(self):
+        # a 3x3x3 grid of dyadic points: the mean is exactly the middle point,
+        # whose radial direction is zero and falls back to [0, 0, 1]
+        steps = np.arange(-1, 2) / 64.0
+        grid = np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), axis=-1).reshape(-1, 3)
+        centre = np.array([0.25, 0.5, 0.125])
+        cloud = LabeledPointCloud(grid + centre, np.full(len(grid), LABEL_OBJECT))
+        middle = int(np.flatnonzero((grid == 0.0).all(axis=1))[0])
+        assert np.array_equal(cloud.points.mean(axis=0), cloud.points[middle])
+        got_rng, ref_rng = ScriptedGenerator(3), ScriptedGenerator(3)
+        got = sample_grasps(cloud, 40, got_rng)
+        self.assert_same_rows(got, reference.sample_grasps(cloud, 40, ref_rng))
+        assert middle in got_rng.drawn
+        assert got_rng.random() == ref_rng.random()
+
+    def test_tangent_along_approach_axis_is_skipped_as_in_reference(self):
+        cloud = self.sphere_cloud()
+        got_rng = ScriptedGenerator(4, cloud.normals, parallel_every=3)
+        ref_rng = ScriptedGenerator(4, cloud.normals, parallel_every=3)
+        got = sample_grasps(cloud, 30, got_rng)
+        self.assert_same_rows(got, reference.sample_grasps(cloud, 30, ref_rng))
+        # every third trial is skipped, so the sampler needs more than 30 trials
+        assert len(got) == 30 and len(got_rng.drawn) > 30
+        assert got_rng.random() == ref_rng.random()
+
     def test_grasp_score_bounds_enforced(self):
         with pytest.raises(ValueError):
-            GraspSet.from_poses([Pose.identity()], [1.5])
+            GraspSet([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]], [1.5])
+
+
+def mirrored_under_flip(boxes):
+    """Each box's image under the 180-degree Z flip, centre (-cx, -cy, cz)
+    with the same half extents, is one of the boxes."""
+    return all(Box((-b.center[0], -b.center[1], b.center[2]), b.half) in boxes for b in boxes)
+
+
+class TestFlipSymmetry:
+    """Selection gives a flipped grasp its original's hand test, which
+    holds only while the flip maps each box group onto itself."""
+
+    def test_gripper_box_groups_are_their_own_mirror(self):
+        assert mirrored_under_flip(BODY_BOXES)
+        assert mirrored_under_flip((CLOSING_REGION,))
+        assert GRIPPER_BOXES == (*BODY_BOXES, CLOSING_REGION)
+
+    def test_asymmetric_gripper_fails(self):
+        left, right, palm = BODY_BOXES
+        offset_finger = Box((0.0, -0.05, 0.0), right.half)
+        thick_finger = Box(right.center, (0.01, 0.006, 0.02))
+        offset_palm = Box((0.01, 0.0, -0.04), palm.half)
+        assert not mirrored_under_flip((left, offset_finger, palm))
+        assert not mirrored_under_flip((left, thick_finger, palm))
+        assert not mirrored_under_flip((left, right, offset_palm))
+        assert not mirrored_under_flip((left, palm))
+        assert not mirrored_under_flip((Box((0.0, 0.005, 0.0), CLOSING_REGION.half),))

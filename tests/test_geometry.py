@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from handover_sim.evaluator import GraspSet
 from handover_sim.geometry import (
     Pose,
     pose_distance,
     quat_canonical,
     quat_from_axis_angle,
+    quat_from_matrix,
     quat_mul,
     quat_normalize,
     quat_to_matrix,
     quat_unit_rows,
 )
-from reference import flip_about_grasp_z, offset_along_grasp_z, pose_from_array, pose_inverse, z_axis
+import reference
+from reference import flip_about_grasp_z, grasp_set, offset_along_grasp_z, pose_from_array
+from reference import pose_inverse, z_axis
 
 
 def random_pose(rng):
@@ -154,7 +156,7 @@ class TestStackedRows:
         rng = np.random.default_rng(9)
         poses = [random_pose(rng) for _ in range(300)]
         other = random_pose(rng)
-        rows = GraspSet.from_poses(poses, np.zeros(len(poses)))
+        rows = grasp_set(poses, np.zeros(len(poses)))
         q = rows.q
         raw = rng.normal(size=(300, 4))
         dist = pose_distance(rows, other)
@@ -174,3 +176,55 @@ class TestStackedRows:
             again = Pose.from_unit(pose.p, pose.q)
             assert np.array_equal(again.to_array(), pose.to_array())
             assert not again.q.flags.writeable
+
+
+class TestQuatFromMatrix:
+    """The stacked Shepperd form equals the one-matrix reference bit for bit."""
+
+    @staticmethod
+    def branch(m):
+        """Which of Shepperd's four branches the one-matrix form takes."""
+        if np.trace(m) > 0:
+            return "w"
+        if m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+            return "x"
+        return "y" if m[1, 1] > m[2, 2] else "z"
+
+    def matrices(self):
+        rng = np.random.default_rng(11)
+        mats = [quat_to_matrix(quat_normalize(rng.normal(size=4))) for _ in range(200)]
+        # near half turns about each axis, where the trace is negative
+        for axis in np.eye(3):
+            for angle in (np.pi, 0.9 * np.pi, -0.8 * np.pi):
+                mats.append(quat_to_matrix(quat_from_axis_angle(axis + 0.1 * rng.normal(size=3), angle)))
+        # exact half turns and the identity: the diagonal entries tie
+        mats += [np.diag(d) for d in ((-1.0, -1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0))]
+        mats.append(np.eye(3))
+        # sampler-style frames: columns built from an approach axis and a tangent
+        for _ in range(100):
+            z = quat_normalize(rng.normal(size=3))
+            t = rng.normal(size=3)
+            t -= t @ z * z
+            y = t / np.linalg.norm(t)
+            mats.append(np.column_stack([np.cross(y, z), y, z]))
+        return np.array(mats)
+
+    def test_stack_matches_one_matrix_reference(self):
+        mats = self.matrices()
+        stacked = quat_from_matrix(mats)
+        assert stacked.shape == (len(mats), 4)
+        for m, q in zip(mats, stacked):
+            assert np.array_equal(q, reference.quat_from_matrix(m))
+        assert {self.branch(m) for m in mats} == {"w", "x", "y", "z"}
+
+    def test_single_matrix_gives_one_row(self):
+        for m in self.matrices()[::37]:
+            q = quat_from_matrix(m)
+            assert q.shape == (4,)
+            assert np.array_equal(q, reference.quat_from_matrix(m))
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(12)
+        q = quat_unit_rows(rng.normal(size=(50, 4)))
+        back = quat_unit_rows(quat_from_matrix(quat_to_matrix(q)))
+        assert np.allclose(back, q, atol=1e-12)

@@ -389,6 +389,20 @@ BAD_SCENARIOS = {
     "nan_trigger_time": base_dict(events=_push_event([0.1, 0.0, 0.0], time=float("nan"))),
     "infinite_trigger_time": base_dict(events=_push_event([0.1, 0.0, 0.0], time=float("inf"))),
     "nan_rotation_angle": base_dict(events=_rotate_event([0, 0, 1], angle_deg=float("nan"))),
+    # float() would read true as 1.0 and parse a numeric string
+    "boolean_time_limit": base_dict(time_limit=True),
+    "string_time_limit": base_dict(time_limit="5"),
+    "string_keyframe_time": base_dict(hand_trajectory=[{"t": "0", "pose": [0.55, 0.05, 0.28]}]),
+    "boolean_hand_pose": base_dict(hand_trajectory=[{"t": 0.0, "pose": [0.55, 0.05, True]}]),
+    "boolean_dims": _with_object(dims=[True, True]),
+    "string_dims": _with_object(dims=["0.02", 0.16]),
+    "string_grip_offset": _with_object(grip_offset=["0.0", -0.11, 0.0]),
+    "string_trigger_time": base_dict(events=_push_event([0.1, 0.0, 0.0], time="0.1")),
+    "boolean_rotation_angle": base_dict(events=_rotate_event([0, 0, 1], angle_deg=True)),
+    "boolean_rotation_axis": base_dict(events=_rotate_event([0, 0, True])),
+    "string_push_offset": base_dict(events=_push_event(["0.1", 0.0, 0.0])),
+    "string_label_noise": base_dict(overrides={"label_noise": "0.01"}),
+    "boolean_label_noise": base_dict(overrides={"label_noise": True}),
 }
 
 

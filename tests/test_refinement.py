@@ -14,6 +14,7 @@ from handover_sim.refinement import (
     prune_hand_collisions,
 )
 from handover_sim.scene import LABEL_HAND, LABEL_OBJECT, LabeledPointCloud, PrimitiveShape
+from reference import grasp_set
 
 CFG = PerturbationConfig()
 
@@ -27,7 +28,7 @@ def sphere_cloud(r=0.03, n=2000, seed=0, center=(0.0, 0.0, 0.0)):
 
 def make_set(poses, scores=None):
     scores = scores or [0.5] * len(poses)
-    return GraspSet.from_poses(poses, scores)
+    return grasp_set(poses, scores)
 
 
 class TestPerturb:

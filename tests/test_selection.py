@@ -12,7 +12,7 @@ from handover_sim.selection import (
     make_targets,
     select_target,
 )
-from reference import flip_about_grasp_z, offset_along_grasp_z
+from reference import flip_about_grasp_z, grasp_set, offset_along_grasp_z
 
 CFG = SelectionConfig()
 HOME = Pose([0.30, 0.0, 0.45], [1, 0, 0, 0])
@@ -22,7 +22,7 @@ NO_HAND = np.zeros((0, 3))
 
 def gset(poses, scores=None):
     scores = scores or [0.8] * len(poses)
-    return GraspSet.from_poses(poses, scores)
+    return grasp_set(poses, scores)
 
 
 class TestExpandFlips:
