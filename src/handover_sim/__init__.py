@@ -2,7 +2,7 @@
 
 from .geometry import Pose, pose_distance
 from .evaluator import GraspSet, evaluate, sample_grasps
-from .refinement import PerturbationConfig, maintain, mh_step, perturb, prune_hand_collisions
+from .refinement import maintain, mh_step, perturb, prune_hand_collisions
 from .scene import (
     HandModel,
     LabeledPointCloud,
@@ -12,7 +12,7 @@ from .scene import (
     crop_around_palm,
     synthesize_cloud,
 )
-from .selection import SelectionConfig, SelectedTarget, expand_flips, grasp_cost, select_target
+from .selection import SelectedTarget, expand_flips, grasp_cost, select_target
 from .planner import TaskStage, WorldPredicates, decide, execute_take
 from .motion import PathQuery, rrt_connect, segment_collision_free, servo_step
 from .scenario import Scenario, ScenarioError, load_scenario

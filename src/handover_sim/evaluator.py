@@ -173,11 +173,7 @@ def evaluate(pose: Pose, object_cloud: LabeledPointCloud) -> float:
     return float(evaluate_rows(pose, object_cloud)[0])
 
 
-def sample_grasps(
-    object_cloud: LabeledPointCloud,
-    n: int = 50,
-    rng: np.random.Generator | None = None,
-) -> GraspSet:
+def sample_grasps(object_cloud: LabeledPointCloud, n: int, rng: np.random.Generator) -> GraspSet:
     """Sample up to n positively-scored grasps anchored on surface points.
 
     Approach axis is the negated surface normal, the closing axis a
@@ -189,8 +185,6 @@ def sample_grasps(
         raise ValueError("n must be >= 1")
     if len(object_cloud) == 0:
         return GraspSet.empty()
-    if rng is None:
-        rng = np.random.default_rng()
     points, normals = object_cloud.points, object_cloud.normals
     centroid = points.mean(axis=0)
     found, trials = GraspSet.empty(), 10 * n

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+W_Q = 0.1  # pose_distance weight of the orientation term against squared meters
+
+
 def row_dot(a, b) -> np.ndarray:
     """Dot products over the last axis, each summed exactly as np.dot sums
     one pair of vectors (the batched reductions of einsum and sum do not)."""
@@ -193,18 +196,18 @@ class Pose:
         return Pose(self.transform_point(other.p), quat_mul(self.q, other.q))
 
 
-def pose_distance(x1: Pose, x2: Pose, w_q: float = 0.1) -> float:
-    """Squared position distance plus w_q * (1 - <q1, q2>).
+def pose_distance(x1: Pose, x2: Pose) -> float:
+    """Squared position distance plus W_Q * (1 - <q1, q2>).
 
     Symmetric, non-negative, zero only for identical (canonicalized)
-    poses. w_q trades off position against orientation. A GraspSet x1
+    poses. W_Q trades off position against orientation. A GraspSet x1
     gives one distance per row.
     """
     dp = x1.p - x2.p
     # unit-quaternion dot can exceed 1 by float error; clamp so identical
     # poses measure exactly zero
     inner = np.minimum(row_dot(x1.q, x2.q), 1.0)
-    return row_dot(dp, dp) + w_q * (1.0 - inner)
+    return row_dot(dp, dp) + W_Q * (1.0 - inner)
 
 
 FLIP_Z = np.array([0.0, 0.0, 1.0, 0.0])  # 180 deg about local Z

@@ -6,6 +6,10 @@ checking is point-cloud clearance plus a table half-space. RRT-Connect
 returns None before sampling when its start or goal is not free: every
 tree edge must pass the clearance check from its base, so a tree rooted
 inside the clearance can never grow and the search could only fail.
+
+The desk layout that selection, the planner and the simulator share is
+fixed here: the table plane at TABLE_Z, the robot base at the origin and
+the HOME end-effector pose.
 """
 
 from __future__ import annotations
@@ -23,13 +27,17 @@ DEFAULT_W_MAX = 1.0  # rad/s
 RRT_STEP = 0.05
 RRT_MAX_ITERS = 2000
 
+TABLE_Z = 0.0
+TOP_DOWN_Q = (1.0, 0.0, 0.0, 0.0)  # local +Z pointing at the table
+HOME = Pose((0.30, 0.0, 0.45), TOP_DOWN_Q)
+
 
 @dataclass(frozen=True)
 class PathQuery:
     start: np.ndarray
     goal: np.ndarray
     collider_points: np.ndarray  # (N, 3)
-    table_z: float = 0.0
+    table_z: float = TABLE_Z
     clearance: float = DEFAULT_CLEARANCE
 
     def __post_init__(self):

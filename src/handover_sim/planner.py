@@ -13,8 +13,9 @@ import numpy as np
 
 from .evaluator import CLOSING_REGION, points_in_boxes
 from .geometry import Pose, pose_distance
+from .motion import TABLE_Z
 
-AT_STANDOFF_TOL = 5e-4  # pose_distance units at w_q = 0.1
+AT_STANDOFF_TOL = 5e-4  # pose_distance units
 HAND_ABOVE_TABLE_Z = 0.10  # palm height over the table plane
 CLOSURE_MIN_POINTS = 5
 DROP_DURATION = 1.0  # seconds
@@ -47,12 +48,12 @@ def decide(preds: WorldPredicates) -> TaskStage:
     return TaskStage.WAIT_HOME
 
 
-def at_standoff(ee_pose: Pose, approach_pose: Pose, w_q: float = 0.1) -> bool:
-    return pose_distance(ee_pose, approach_pose, w_q) < AT_STANDOFF_TOL
+def at_standoff(ee_pose: Pose, approach_pose: Pose) -> bool:
+    return pose_distance(ee_pose, approach_pose) < AT_STANDOFF_TOL
 
 
-def hand_above_table(palm_z: float, table_z: float = 0.0) -> bool:
-    return palm_z > table_z + HAND_ABOVE_TABLE_Z
+def hand_above_table(palm_z: float) -> bool:
+    return palm_z > TABLE_Z + HAND_ABOVE_TABLE_Z
 
 
 def execute_take(final_pose: Pose, object_points: np.ndarray) -> bool:

@@ -4,20 +4,19 @@ Each frame, every grasp proposes a uniformly perturbed copy (translation
 only, +/-2 cm per axis) and accepts it with probability
 min(new_score / old_score, 1). Grasps colliding with the hand cloud are
 pruned, dead grasps (score below the denominator floor) are dropped, and
-the set is topped back up by resampling whenever it falls below a
-threshold.
+the set is topped back up to TARGET_SIZE by resampling whenever fewer
+than RESAMPLE_THRESHOLD survive. The tuning is one fixed set of module
+constants.
 
-Pruning tests a whole GraspSet in fixed-size chunks. maintain returns a
-set whose every row clears the hand cloud, which the simulator's
-selection stage reuses instead of pruning again. The MH step scores
-every grasp's current pose in one stacked call; its proposals stay a
-loop, one score per call, because the accept uniform is drawn only when
-the ratio is < 1.
+Pruning tests a whole GraspSet in fixed-size chunks at HAND_MARGIN.
+maintain returns a set whose every row clears the hand cloud, which the
+simulator's selection stage reuses instead of pruning again. The MH
+step scores every grasp's current pose in one stacked call; its
+proposals stay a loop, one score per call, because the accept uniform
+is drawn only when the ratio is < 1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,32 +25,26 @@ from .evaluator import stacked_box_hits
 from .geometry import Pose
 from .scene import LabeledPointCloud
 
-DEFAULT_HAND_MARGIN = 0.005
+DEFAULT_HAND_MARGIN = 0.005  # gripper box dilation a trace header records for verify
+# slack for trace rounding (hand points 1e-5 m, poses 1e-7: at most 8.7e-6 m
+# between a point and a grasp), so verify's re-test at the header margin holds
+HAND_MARGIN = DEFAULT_HAND_MARGIN + 1e-5
+
+DELTA_T_RANGE = 0.02  # uniform +/- per axis, meters
+EPSILON_DEN = 1e-6  # denominator floor for the acceptance ratio
+RESAMPLE_THRESHOLD = 10
+TARGET_SIZE = 50
 
 
-@dataclass(frozen=True)
-class PerturbationConfig:
-    delta_t_range: float = 0.02  # uniform +/- per axis, meters
-    epsilon_den: float = 1e-6  # denominator floor for the acceptance ratio
-    resample_threshold: int = 10
-    target_size: int = 50
-
-    def __post_init__(self):
-        if self.delta_t_range < 0:
-            raise ValueError("delta_t_range must be >= 0")
-        if not 0 < self.resample_threshold < self.target_size:
-            raise ValueError("need 0 < resample_threshold < target_size")
-
-
-def perturb(pose: Pose, cfg: PerturbationConfig, rng: np.random.Generator) -> Pose:
+def perturb(pose: Pose, rng: np.random.Generator) -> Pose:
     """Translation-only proposal: rotation stays identity."""
-    delta = rng.uniform(-cfg.delta_t_range, cfg.delta_t_range, size=3)
+    delta = rng.uniform(-DELTA_T_RANGE, DELTA_T_RANGE, size=3)
     return Pose(pose.p + delta, pose.q)
 
 
-def acceptance_ratio(score_old: float, score_new: float, cfg: PerturbationConfig) -> float:
+def acceptance_ratio(score_old: float, score_new: float) -> float:
     """min(new/old, 1) with the divergence convention at a zero denominator."""
-    if score_old < cfg.epsilon_den:
+    if score_old < EPSILON_DEN:
         return 1.0 if score_new > 0.0 else 0.0
     return min(score_new / score_old, 1.0)
 
@@ -60,7 +53,6 @@ def mh_step(
     grasp_set: GraspSet,
     object_cloud: LabeledPointCloud,
     evaluate_fn,
-    cfg: PerturbationConfig,
     rng: np.random.Generator,
 ) -> GraspSet:
     """One Metropolis-Hastings pass over the set.
@@ -74,9 +66,9 @@ def mh_step(
     p, q = grasp_set.p.copy(), grasp_set.q.copy()
     scores = np.array(evaluate_fn(grasp_set, object_cloud), dtype=float)
     for i in range(len(grasp_set)):
-        proposal = perturb(grasp_set.pose(i), cfg, rng)
+        proposal = perturb(grasp_set.pose(i), rng)
         score_new = evaluate_fn(proposal, object_cloud)[0]
-        r = acceptance_ratio(scores[i], score_new, cfg)
+        r = acceptance_ratio(scores[i], score_new)
         if r >= 1.0 or rng.uniform() < r:
             p[i], q[i], scores[i] = proposal.p, proposal.q, score_new
     return GraspSet(p, q, scores)
@@ -91,28 +83,21 @@ def _collides_hand(grasps, hand_points, margin: float) -> np.ndarray:
     return collides
 
 
-def grasp_collides_hand(
-    pose: Pose, hand_points: np.ndarray, margin: float = DEFAULT_HAND_MARGIN
-) -> bool:
+def grasp_collides_hand(pose: Pose, hand_points: np.ndarray, margin: float) -> bool:
     """True iff any hand point lies inside any gripper box dilated by margin."""
     return bool(_collides_hand(pose, hand_points, margin)[0])
 
 
-def prune_hand_collisions(
-    grasp_set: GraspSet, hand_cloud: LabeledPointCloud, margin: float = DEFAULT_HAND_MARGIN
-) -> GraspSet:
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    return grasp_set[~_collides_hand(grasp_set, hand_cloud.points, margin)]
+def prune_hand_collisions(grasp_set: GraspSet, hand_cloud: LabeledPointCloud) -> GraspSet:
+    """The rows of grasp_set that clear every hand point at HAND_MARGIN."""
+    return grasp_set[~_collides_hand(grasp_set, hand_cloud.points, HAND_MARGIN)]
 
 
 def maintain(
     grasp_set: GraspSet,
     object_cloud: LabeledPointCloud,
     hand_cloud: LabeledPointCloud,
-    cfg: PerturbationConfig,
     rng: np.random.Generator,
-    margin: float = DEFAULT_HAND_MARGIN,
 ):
     """Full per-frame pipeline; returns (new set, resampled flag).
 
@@ -131,14 +116,14 @@ def maintain(
             return np.array([evaluate(grasps, cloud)])
         return evaluate_rows(grasps, cloud)
 
-    stepped = mh_step(grasp_set, object_cloud, evaluate_fn, cfg, rng)
-    alive = stepped[stepped.scores >= cfg.epsilon_den]
-    pruned = prune_hand_collisions(alive, hand_cloud, margin)
+    stepped = mh_step(grasp_set, object_cloud, evaluate_fn, rng)
+    alive = stepped[stepped.scores >= EPSILON_DEN]
+    pruned = prune_hand_collisions(alive, hand_cloud)
     resampled = False
-    if len(pruned) < cfg.resample_threshold:
+    if len(pruned) < RESAMPLE_THRESHOLD:
         resampled = True
-        needed = cfg.target_size - len(pruned)
+        needed = TARGET_SIZE - len(pruned)
         fresh = sample_grasps(object_cloud, needed, rng)
         # the survivors already cleared this hand cloud; only test the fresh ones
-        pruned = pruned + prune_hand_collisions(fresh, hand_cloud, margin)
+        pruned = pruned + prune_hand_collisions(fresh, hand_cloud)
     return pruned, resampled

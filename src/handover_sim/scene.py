@@ -16,7 +16,6 @@ from .geometry import Pose
 
 LABEL_HAND = 0
 LABEL_OBJECT = 1
-LABEL_BACKGROUND = 2
 
 DEFAULT_CROP_RADIUS = 0.20
 
@@ -255,12 +254,11 @@ def crop_around_palm(
 def apply_label_noise(
     cloud: LabeledPointCloud, flip_prob: float, rng: np.random.Generator
 ) -> LabeledPointCloud:
-    """Flip hand<->object labels independently with flip_prob; background untouched."""
+    """Flip hand<->object labels independently with flip_prob; any other label passes through."""
     if not 0.0 <= flip_prob <= 1.0:
         raise ValueError("flip_prob must be in [0, 1]")
     labels = cloud.labels.copy()
-    flippable = labels != LABEL_BACKGROUND
-    flip = flippable & (rng.uniform(size=len(labels)) < flip_prob)
+    flip = rng.uniform(size=len(labels)) < flip_prob
     labels[flip & (cloud.labels == LABEL_HAND)] = LABEL_OBJECT
     labels[flip & (cloud.labels == LABEL_OBJECT)] = LABEL_HAND
     return LabeledPointCloud(cloud.points, labels, cloud.normals)

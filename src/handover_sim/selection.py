@@ -5,7 +5,11 @@ straight-segment collision checks.
 
 Candidates are walked in ascending cost order and the first one passing
 all checks wins; an absent result is the defined no-feasible-grasp
-signal (the caller tracks the object instead).
+signal (the caller tracks the object instead). Every candidate is
+walked: a set holds at most TARGET_SIZE grasps, so with its flips at
+most 100. The score floor, offsets and reachable region are fixed
+module constants; only the (w_prev, w_home) pair varies, by mode
+(MODE_WEIGHTS), and the home anchor is motion.HOME.
 """
 
 from __future__ import annotations
@@ -15,41 +19,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FLIP_Z, Pose, pose_distance, quat_mul, quat_to_matrix, quat_unit_rows
-from .motion import PathQuery, segment_collision_free
+from .motion import HOME, PathQuery, segment_collision_free
 from .refinement import GraspSet
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
-    w_s: float = 1.0
-    w_prev: float = 5.0
-    w_home: float = 5.0
-    w_q: float = 0.1
-    s_min: float = 0.5
-    standoff: float = 0.10
-    push_in: float = 0.05
-    max_checks: int = 100  # deterministic stand-in for a per-candidate time budget
+W_S = 1.0  # weight of the score shortfall below S_MIN
+S_MIN = 0.5
+STANDOFF = 0.10  # approach pose, meters back along the grasp's approach axis
+PUSH_IN = 0.05  # final pose, meters forward from the grasp origin
+# reachable region: a spherical shell around the robot base (the origin),
+# clipped above the table
+REACH_R_MIN = 0.25
+REACH_R_MAX = 0.85
+REACH_Z_MIN = 0.02
 
-    def __post_init__(self):
-        if min(self.w_s, self.w_prev, self.w_home, self.w_q) < 0:
-            raise ValueError("weights must be >= 0")
-        if not 0.0 < self.s_min < 1.0:
-            raise ValueError("s_min must be in (0, 1)")
+# (w_prev, w_home) per mode: the baselines drop the terms they lack
+MODE_WEIGHTS = {
+    "object_center": (5.0, 5.0),
+    "naive": (0.0, 0.0),
+    "temporal": (5.0, 0.0),
+    "temporal_plus": (5.0, 5.0),
+}
 
 
-@dataclass(frozen=True)
-class ReachableRegion:
-    """Spherical shell around the robot base, clipped above the table."""
-
-    base: tuple = (0.0, 0.0, 0.0)
-    r_min: float = 0.25
-    r_max: float = 0.85
-    z_min: float = 0.02
-
-    def contains(self, p) -> bool:
-        p = np.asarray(p, dtype=float)
-        r = np.linalg.norm(p - np.asarray(self.base, dtype=float))
-        return bool(self.r_min <= r <= self.r_max and p[2] > self.z_min)
+def _reachable(p) -> bool:
+    """p lies in the reachable shell; the base at the origin makes r = |p|."""
+    r = np.linalg.norm(p)
+    return bool(REACH_R_MIN <= r <= REACH_R_MAX and p[2] > REACH_Z_MIN)
 
 
 @dataclass(frozen=True)
@@ -68,37 +64,36 @@ def expand_flips(grasp_set: GraspSet) -> GraspSet:
 
 
 def grasp_cost(
-    x_appr: Pose, s: float, x_prev: Pose, x_home: Pose, cfg: SelectionConfig
+    x_appr: Pose, s: float, x_prev: Pose, x_home: Pose, weights: tuple[float, float]
 ) -> float:
-    """w_s * max(s_min - s, 0) + w_prev * d(appr, prev) + w_home * d(appr, home).
+    """W_S * max(S_MIN - s, 0) + w_prev * d(appr, prev) + w_home * d(appr, home),
+    with (w_prev, w_home) = weights.
 
     Given a GraspSet of standoffs and their scores, one cost per grasp.
     """
+    w_prev, w_home = weights
     return (
-        cfg.w_s * np.maximum(cfg.s_min - s, 0.0)
-        + cfg.w_prev * pose_distance(x_appr, x_prev, cfg.w_q)
-        + cfg.w_home * pose_distance(x_appr, x_home, cfg.w_q)
+        W_S * np.maximum(S_MIN - s, 0.0)
+        + w_prev * pose_distance(x_appr, x_prev)
+        + w_home * pose_distance(x_appr, x_home)
     )
 
 
-def make_targets(grasp_set: GraspSet, cfg: SelectionConfig) -> tuple[GraspSet, np.ndarray]:
+def make_targets(grasp_set: GraspSet) -> tuple[GraspSet, np.ndarray]:
     """Standoff poses of every grasp (rows and scores match grasp_set's) and
     push-in positions, both offset along the grasp's approach (local +Z) axis."""
     z = quat_to_matrix(grasp_set.q)[:, :, 2]
     q = quat_unit_rows(grasp_set.q)
-    approach = GraspSet(grasp_set.p + z * -cfg.standoff, q, grasp_set.scores)
-    return approach, grasp_set.p + z * cfg.push_in
+    approach = GraspSet(grasp_set.p + z * -STANDOFF, q, grasp_set.scores)
+    return approach, grasp_set.p + z * PUSH_IN
 
 
 def select_target(
     grasp_set: GraspSet,
     current_ee: Pose,
     x_prev: Pose,
-    x_home: Pose,
     collider_points: np.ndarray,
-    region: ReachableRegion,
-    cfg: SelectionConfig,
-    table_z: float = 0.0,
+    weights: tuple[float, float],
 ) -> SelectedTarget | None:
     """First feasible candidate in ascending cost order, or None.
 
@@ -109,16 +104,16 @@ def select_target(
     """
     if len(grasp_set) == 0:
         return None
-    approach, final = make_targets(grasp_set, cfg)
-    costs = grasp_cost(approach, grasp_set.scores, x_prev, x_home, cfg)
-    for i in np.argsort(costs, kind="stable")[: cfg.max_checks]:
+    approach, final = make_targets(grasp_set)
+    costs = grasp_cost(approach, grasp_set.scores, x_prev, HOME, weights)
+    for i in np.argsort(costs, kind="stable"):
         appr_p, final_p = approach.p[i], final[i]
-        if not (region.contains(appr_p) and region.contains(final_p)):
+        if not (_reachable(appr_p) and _reachable(final_p)):
             continue
-        to_standoff = PathQuery(current_ee.p, appr_p, collider_points, table_z)
+        to_standoff = PathQuery(current_ee.p, appr_p, collider_points)
         if not segment_collision_free(to_standoff):
             continue
-        to_final = PathQuery(appr_p, final_p, collider_points, table_z)
+        to_final = PathQuery(appr_p, final_p, collider_points)
         if not segment_collision_free(to_final):
             continue
         grasp, score = grasp_set.pose(i), float(grasp_set.scores[i])

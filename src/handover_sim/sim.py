@@ -12,11 +12,15 @@ every row clears the hand cloud at ``HAND_MARGIN``, so ``select`` prunes
 the set again only when a cloud has arrived since (by the rate divisors,
 4 of every 10 selection ticks). The flipped copies take their
 originals' result: each group of gripper boxes is its own mirror image
-under the 180-degree Z flip. Runs are
-fully deterministic given (scenario, seed): every random stream is
-derived from the seed plus the tick index and no run state lives at
-module level, so identical inputs produce byte-identical traces, also
-when runs share a process across threads.
+under the 180-degree Z flip.
+
+The tuning is fixed: refinement and selection each hold theirs as
+module constants and motion holds the desk layout (table, base,
+``HOME``). A scenario's mode picks only the selection cost weights,
+``MODE_WEIGHTS[mode]``. Runs are fully deterministic given (scenario,
+seed): every random stream is derived from the seed plus the tick index
+and no run state lives at module level, so identical inputs produce
+byte-identical traces, also when runs share a process across threads.
 """
 
 from __future__ import annotations
@@ -28,16 +32,16 @@ import numpy as np
 
 from .evaluator import GraspSet, sample_grasps
 from .geometry import Pose, pose_distance, quat_angle
-from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX, PathQuery, rrt_connect, segment_collision_free
-from .motion import servo_step
+from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX, HOME, TABLE_Z, TOP_DOWN_Q, PathQuery
+from .motion import rrt_connect, segment_collision_free, servo_step
 from .planner import DROP_DURATION, TaskStage, WorldPredicates, decide, execute_take
 from .planner import at_standoff, hand_above_table
-from .refinement import DEFAULT_HAND_MARGIN, PerturbationConfig, grasp_collides_hand, maintain
-from .refinement import prune_hand_collisions
+from .refinement import DEFAULT_HAND_MARGIN, HAND_MARGIN, TARGET_SIZE, grasp_collides_hand
+from .refinement import maintain, prune_hand_collisions
 from .scene import HandModel, LabeledPointCloud, SceneObject, apply_label_noise, crop_around_palm
 from .scene import synthesize_cloud
 from .scenario import Scenario, ScenarioError, rotate_object_pose
-from .selection import ReachableRegion, SelectionConfig, expand_flips, select_target
+from .selection import MODE_WEIGHTS, expand_flips, select_target
 
 # module rates as divisors of the base tick
 BASE_HZ = 90
@@ -47,17 +51,9 @@ CLOUD_DIV = 10  # 9 Hz
 REFINE_DIV = 18  # 5 Hz
 SELECT_DIV = 9  # 10 Hz
 
-# desk-scale fixed geometry: table at z=0, robot base at the origin
-TOP_DOWN_Q = (1.0, 0.0, 0.0, 0.0)  # local +Z pointing at the table
-TABLE_Z = 0.0
-HOME = Pose((0.30, 0.0, 0.45), TOP_DOWN_Q)
+# the rest of the desk layout (table, base, HOME) is in motion
 DROP = Pose((0.25, -0.35, 0.30), TOP_DOWN_Q)
 CAMERA = Pose((0.30, 0.0, 1.10), (0, 0, 0, 1))
-REGION = ReachableRegion()
-
-# selection cost terms each baseline drops; the other modes keep them all
-MODE_WEIGHTS = {"naive": {"w_prev": 0.0, "w_home": 0.0}, "temporal": {"w_home": 0.0}}
-PERTURBATION = PerturbationConfig()
 
 CLOUD_DENSITY = 6.0e4  # perceived cloud points per square meter
 CLOSURE_DENSITY = 2.0e5  # ground-truth surface sampling at closure time
@@ -74,9 +70,6 @@ ARRIVE_POS_TOL = 1.5e-3
 ARRIVE_ANG_TOL = 0.02
 WAYPOINT_TOL = 1.0e-3
 REPLAN_DISTANCE = 5e-4  # pose_distance trigger for replanning
-# slack for trace rounding (hand points 1e-5 m, poses 1e-7: at most 8.7e-6 m
-# between a point and a grasp), so verify's re-test at the header margin holds
-HAND_MARGIN = DEFAULT_HAND_MARGIN + 1e-5
 
 # rng stream salts
 _SALT_CLOUD = 1
@@ -111,7 +104,7 @@ class SimState:
         self.scenario = scenario
         self.seed = seed
         self.object_center = scenario.mode == "object_center"
-        self.sel_cfg = SelectionConfig(**MODE_WEIGHTS.get(scenario.mode, {}))
+        self.weights = MODE_WEIGHTS[scenario.mode]
         self.metrics = Metrics()
         self.ee = HOME
         self.records: list[dict] = [
@@ -192,13 +185,11 @@ class SimState:
             return False
         rng = np.random.default_rng([self.seed, _SALT_REFINE, tick])
         if self.scenario.mode == "naive":
-            fresh = sample_grasps(self.object_cloud, PERTURBATION.target_size, rng)
-            self.gset = prune_hand_collisions(fresh, self.hand_cloud, HAND_MARGIN)
+            fresh = sample_grasps(self.object_cloud, TARGET_SIZE, rng)
+            self.gset = prune_hand_collisions(fresh, self.hand_cloud)
             resampled = True
         else:
-            self.gset, resampled = maintain(
-                self.gset, self.object_cloud, self.hand_cloud, PERTURBATION, rng, HAND_MARGIN
-            )
+            self.gset, resampled = maintain(self.gset, self.object_cloud, self.hand_cloud, rng)
         # either way every row already clears this hand cloud at HAND_MARGIN
         self.gset_clear = self.gset
         return resampled
@@ -208,7 +199,7 @@ class SimState:
         # only grasps that clear the freshest hand cloud are candidates
         if not self.object_center:
             if self.gset_clear is None:  # a cloud arrived after the last refine
-                self.gset_clear = prune_hand_collisions(self.gset, self.hand_cloud, HAND_MARGIN)
+                self.gset_clear = prune_hand_collisions(self.gset, self.hand_cloud)
             # the flip maps the gripper's boxes onto each other, so a flipped
             # copy clears the hand exactly when its original does
             candidates = expand_flips(self.gset_clear)
@@ -216,27 +207,24 @@ class SimState:
             # the tracked object origin, not the visible-surface mean:
             # a partial view biases the centroid toward the camera
             synthetic = GraspSet([object_pose.p], [TOP_DOWN_Q], [1.0])
-            candidates = prune_hand_collisions(synthetic, self.hand_cloud, HAND_MARGIN)
+            candidates = prune_hand_collisions(synthetic, self.hand_cloud)
         else:
             candidates = GraspSet.empty()
         self.candidate_count = len(candidates)
-        sel_cfg = self.sel_cfg
         selected = select_target(
-            candidates, self.ee, self.x_prev, HOME, self.hand_cloud.points,
-            REGION, sel_cfg, TABLE_Z,
+            candidates, self.ee, self.x_prev, self.hand_cloud.points, self.weights
         )
         if selected is not None:
             if self.selected is not None:
-                d = pose_distance(selected.approach_pose, self.selected.approach_pose, sel_cfg.w_q)
+                d = pose_distance(selected.approach_pose, self.selected.approach_pose)
                 self.metrics.displacements.append(float(d))
             self.x_prev = selected.approach_pose
         self.selected = selected
 
         preds = WorldPredicates(
-            hand_above_table=hand_above_table(palm.p[2], TABLE_Z),
+            hand_above_table=hand_above_table(palm.p[2]),
             has_selected_grasp=selected is not None,
-            at_standoff=selected is not None
-            and at_standoff(self.ee, selected.approach_pose, sel_cfg.w_q),
+            at_standoff=selected is not None and at_standoff(self.ee, selected.approach_pose),
             object_in_gripper=self.metrics.success,
         )
         self.stage = decide(preds)
@@ -296,13 +284,13 @@ class SimState:
     def approach(self, tick: int) -> None:
         """Straight-first motion toward the standoff, RRT-Connect fallback."""
         goal = self.selected.approach_pose
-        q = PathQuery(self.ee.p, goal.p, self.hand_cloud.points, TABLE_Z)
+        q = PathQuery(self.ee.p, goal.p, self.hand_cloud.points)
         if segment_collision_free(q):
             self.ee = servo_step(self.ee, goal, DT)
             self.waypoints = self.planned_for = None
             return
         # waypoints are only ever set together with planned_for
-        if self.waypoints is None or pose_distance(goal, self.planned_for, 0.1) > REPLAN_DISTANCE:
+        if self.waypoints is None or pose_distance(goal, self.planned_for) > REPLAN_DISTANCE:
             self.waypoints = rrt_connect(q, np.random.default_rng([self.seed, _SALT_MOTION, tick]))
             self.planned_for = goal
         waypoints = self.waypoints

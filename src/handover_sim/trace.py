@@ -15,7 +15,9 @@ import json
 import numpy as np
 
 from .geometry import Pose, quat_angle
+from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX
 from .refinement import DEFAULT_HAND_MARGIN, grasp_collides_hand
+from .sim import DT
 
 
 class TraceError(Exception):
@@ -50,9 +52,9 @@ def verify_records(records) -> list[str]:
     header = records[0] if records and records[0].get("type") == "header" else {}
     if not header:
         violations.append("trace has no header record")
-    dt = float(header.get("dt", 1.0 / 90.0))
-    v_max = float(header.get("v_max", 0.25))
-    w_max = float(header.get("w_max", 1.0))
+    dt = float(header.get("dt", DT))
+    v_max = float(header.get("v_max", DEFAULT_V_MAX))
+    w_max = float(header.get("w_max", DEFAULT_W_MAX))
     margin = float(header.get("hand_margin", DEFAULT_HAND_MARGIN))
 
     prev_pose = None

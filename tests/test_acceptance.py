@@ -15,10 +15,10 @@ import pytest
 from handover_sim.geometry import Pose, pose_distance, quat_from_axis_angle
 from handover_sim.motion import PathQuery, rrt_connect, segment_collision_free
 from handover_sim.planner import TaskStage, WorldPredicates, decide
-from handover_sim.refinement import PerturbationConfig, acceptance_ratio, mh_step
+from handover_sim.refinement import acceptance_ratio, mh_step
 from handover_sim.scenario import load_scenario
 from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape
-from handover_sim.selection import SelectionConfig, expand_flips, grasp_cost
+from handover_sim.selection import MODE_WEIGHTS, expand_flips, grasp_cost
 from handover_sim.sim import run
 from handover_sim.trace import trace_digest, verify_records
 from reference import grasp_set, offset_along_grasp_z
@@ -60,7 +60,6 @@ def rotation_batch():
 
 
 def test_criterion_1_mh_acceptance_statistics():
-    cfg = PerturbationConfig()
     n = 10_000
     gset = grasp_set([Pose([i * 1e-4, 0, 0], [0, 0, 0, 1]) for i in range(n)], [0.8] * n)
     calls = {"n": 0}
@@ -72,10 +71,10 @@ def test_criterion_1_mh_acceptance_statistics():
 
     cloud = LabeledPointCloud(np.zeros((1, 3)), [LABEL_OBJECT])
     t0 = time.perf_counter()
-    out = mh_step(gset, cloud, stub, cfg, np.random.default_rng(0))
+    out = mh_step(gset, cloud, stub, np.random.default_rng(0))
     elapsed = time.perf_counter() - t0
     rate = sum(1 for s in out.scores if s == 0.2) / n
-    assert acceptance_ratio(0.8, 0.2, cfg) == 0.25
+    assert acceptance_ratio(0.8, 0.2) == 0.25
     report(
         1,
         f"MH acceptance rate {rate:.4f} in [0.23, 0.27], runtime {elapsed:.2f}s < 1s",
@@ -84,13 +83,13 @@ def test_criterion_1_mh_acceptance_statistics():
 
 
 def test_criterion_2_cost_function_exactness():
-    cfg = SelectionConfig()
+    weights = MODE_WEIGHTS["temporal_plus"]  # (w_prev, w_home) = (5, 5)
     x = Pose([0.4, 0.0, 0.3], [1, 0, 0, 0])
-    c0 = grasp_cost(x, 0.9, x, x, cfg)
-    c1 = grasp_cost(x, 0.3, x, x, cfg)
+    c0 = grasp_cost(x, 0.9, x, x, weights)
+    c1 = grasp_cost(x, 0.3, x, x, weights)
     prev = Pose([0.4, 0.1, 0.3], [1, 0, 0, 0])  # d_prev = 0.1^2 = 0.01
     home = Pose([0.4, 0.0, 0.5], [1, 0, 0, 0])  # d_home = 0.2^2 = 0.04
-    c2 = grasp_cost(x, 0.9, prev, home, cfg)
+    c2 = grasp_cost(x, 0.9, prev, home, weights)
     ok = abs(c0) <= 1e-12 and abs(c1 - 0.2) <= 1e-12 and abs(c2 - 0.25) <= 1e-12
     report(2, f"grasp costs {c0}, {c1}, {c2} == 0, 0.2, 0.25 to 1e-12", ok)
 

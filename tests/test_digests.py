@@ -13,7 +13,7 @@ import yaml
 from handover_sim import sim
 from handover_sim.evaluator import GraspSet
 from handover_sim.motion import rrt_connect
-from handover_sim.refinement import prune_hand_collisions
+from handover_sim.refinement import TARGET_SIZE, prune_hand_collisions
 from handover_sim.scenario import MODES, load_scenario, scenario_from_dict
 from handover_sim.selection import expand_flips
 from handover_sim.sim import run
@@ -176,7 +176,9 @@ def check_select_candidates(monkeypatch):
     """Wrap sim.select_target so that every selection tick checks its
     candidates against the whole set pruned in full: originals and flips
     against the state's hand cloud (the synthetic centre grasp in
-    object_center). Returns the size of each checked tick's whole set."""
+    object_center), and that the whole set holds at most 2 * TARGET_SIZE
+    rows, the bound that lets select_target walk every candidate. Returns
+    the size of each checked tick's whole set."""
     seen, counts = [], []
     select, select_target = sim.SimState.select, sim.select_target
 
@@ -192,11 +194,12 @@ def check_select_candidates(monkeypatch):
             whole = GraspSet([object_pose.p], [sim.TOP_DOWN_Q], [1.0])
         else:
             whole = GraspSet.empty()
-        expected = prune_hand_collisions(whole, state.hand_cloud, sim.HAND_MARGIN)
+        expected = prune_hand_collisions(whole, state.hand_cloud)
         for name in ("p", "q", "scores"):
             got, want = getattr(candidates, name), getattr(expected, name)
             assert got.shape == want.shape and (got == want).all()
         counts.append(len(whole))
+        assert max(counts) <= 2 * TARGET_SIZE
         return select_target(candidates, *args)
 
     monkeypatch.setattr(sim.SimState, "select", select_seen)

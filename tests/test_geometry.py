@@ -57,36 +57,36 @@ class TestPoseDistance:
     def test_identity_is_zero(self):
         rng = np.random.default_rng(0)
         x = random_pose(rng)
-        assert pose_distance(x, x, 0.1) == pytest.approx(0.0, abs=1e-12)
+        assert pose_distance(x, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_position_term_only(self):
         x1 = Pose([0, 0, 0], [0, 0, 0, 1])
         x2 = Pose([1, 0, 0], [0, 0, 0, 1])
-        assert pose_distance(x1, x2, 0.1) == pytest.approx(1.0, abs=1e-12)
+        assert pose_distance(x1, x2) == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_worked_value(self):
         # 90 deg about Z: quaternion dot with identity is cos(45 deg)
         x1 = Pose([0.2, -0.1, 0.5], [0, 0, 0, 1])
         x2 = Pose(x1.p, quat_from_axis_angle([0, 0, 1], np.pi / 2))
         expected = 0.1 * (1.0 - np.cos(np.pi / 4))
-        assert pose_distance(x1, x2, 0.1) == pytest.approx(expected, abs=1e-9)
+        assert pose_distance(x1, x2) == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.0292893, abs=1e-7)
 
     def test_symmetry_and_nonnegativity(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
             a, b = random_pose(rng), random_pose(rng)
-            d_ab = pose_distance(a, b, 0.1)
+            d_ab = pose_distance(a, b)
             assert d_ab >= 0.0
-            assert d_ab == pytest.approx(pose_distance(b, a, 0.1), abs=1e-12)
+            assert d_ab == pytest.approx(pose_distance(b, a), abs=1e-12)
 
     def test_double_cover_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             a, b = random_pose(rng), random_pose(rng)
             b_neg = Pose(b.p, -np.asarray(b.q))
-            assert pose_distance(a, b, 0.1) == pytest.approx(
-                pose_distance(a, b_neg, 0.1), abs=1e-12
+            assert pose_distance(a, b) == pytest.approx(
+                pose_distance(a, b_neg), abs=1e-12
             )
 
 

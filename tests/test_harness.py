@@ -1,6 +1,8 @@
 import copy
 import csv
+import importlib
 import importlib.util
+import inspect
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +14,7 @@ import yaml
 
 from handover_sim.batch import batch, run_seeds, summarize
 from handover_sim.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main
-from handover_sim.geometry import Pose
+from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul
 from handover_sim.scenario import (
     Scenario,
     ScenarioError,
@@ -42,6 +44,16 @@ def base_dict(**over):
     }
     d.update(over)
     return d
+
+
+def load_bench_module(name: str, monkeypatch):
+    """A module of the benchmark, loaded from its file without changing it."""
+    path = ROOT / "handover_bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def short(scenario: Scenario, seconds: float) -> Scenario:
@@ -111,14 +123,9 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize("seed", [0, 1009])
     def test_every_benchmark_case_parses(self, seed, monkeypatch):
-        # the benchmark's generator, loaded from its file without changing it,
-        # so a parser check that would reject benchmark input fails here too
-        spec = importlib.util.spec_from_file_location(
-            "bench_workloads", ROOT / "handover_bench" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
-        spec.loader.exec_module(workloads)
+        # the benchmark's generator, so a parser check that would reject
+        # benchmark input fails here too
+        workloads = load_bench_module("workloads", monkeypatch)
         cases = [case for gen in workloads.WORKLOADS.values() for case in gen(seed)]
         assert len(cases) == 118
         for case in cases:
@@ -292,6 +299,27 @@ class TestTraceIO:
         out = verify_records(bad)
         assert any("linear step" in v for v in out)
 
+    def test_header_without_limits_verifies_as_with_them(self):
+        # verify falls back to the program's own DT, DEFAULT_V_MAX and DEFAULT_W_MAX
+        s = short(load_scenario(NOMINAL), 1.0)
+        _, records = run(s, seed=0)
+        bare = copy.deepcopy(records)
+        for key in ("dt", "v_max", "w_max"):
+            del bare[0][key]
+        assert verify_records(bare) == verify_records(records) == []
+        flagged = []
+        for trace in (records, bare):
+            bad = copy.deepcopy(trace)
+            prev, last = [r for r in bad if r["type"] == "tick"][-2:]
+            # just over both limits: 0.0028 m > 0.25 m/s / 90 Hz, 0.0113 rad > 1 rad/s / 90 Hz
+            last["ee_pose"][:3] = [prev["ee_pose"][0] + 0.0028, *prev["ee_pose"][1:3]]
+            turn = quat_from_axis_angle([1.0, 0.0, 0.0], 0.0113)
+            last["ee_pose"][3:] = quat_mul(prev["ee_pose"][3:], turn).tolist()
+            flagged.append(verify_records(bad))
+        assert flagged[0] == flagged[1]
+        assert any("linear step" in v for v in flagged[1])
+        assert any("angular step" in v for v in flagged[1])
+
     def test_verify_flags_grasp_in_hand(self):
         s = short(load_scenario(NOMINAL), 1.0)
         _, records = run(s, seed=0)
@@ -305,6 +333,27 @@ class TestTraceIO:
             if r["type"] == "tick":
                 r["selected_grasp"] = list(hand_pt) + [0, 0, 0, 1]
         assert any("collides" in v for v in verify_records(bad))
+
+
+class TestBenchmarkTracer:
+    """The benchmark's traced pass wraps program functions by module and
+    name and reads some of their arguments by position; Tier-1 does not
+    run the benchmark, so these guard what it relies on."""
+
+    def test_every_entry_point_resolves(self, monkeypatch):
+        layers = load_bench_module("layers", monkeypatch)
+        for module_name, attr, _, _ in layers.ENTRY_POINTS:
+            assert callable(getattr(importlib.import_module(module_name), attr, None)), attr
+
+    def test_noted_arguments_keep_their_positions(self):
+        def params(module_name, attr):
+            fn = getattr(importlib.import_module(module_name), attr)
+            return list(inspect.signature(fn).parameters)
+
+        for module_name in ("handover_sim.sim", "handover_sim.refinement"):
+            assert params(module_name, "prune_hand_collisions")[0] == "grasp_set"
+            assert params(module_name, "sample_grasps")[1] == "n"
+        assert params("handover_sim.sim", "select_target")[0] == "grasp_set"
 
 
 class TestBatch:

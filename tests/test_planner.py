@@ -67,10 +67,6 @@ class TestHandAboveTable:
         assert not hand_above_table(HAND_ABOVE_TABLE_Z)
         assert hand_above_table(HAND_ABOVE_TABLE_Z + 1e-9)
 
-    def test_table_offset(self):
-        assert hand_above_table(0.35, table_z=0.2)
-        assert not hand_above_table(0.25, table_z=0.2)
-
 
 class TestExecuteTake:
     def grid_in_closing(self, pose, n):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from handover_sim import refinement
 from handover_sim.evaluator import GRIPPER_BOXES, points_in_boxes
 from handover_sim.geometry import Pose
 from handover_sim.refinement import (
+    HAND_MARGIN,
+    RESAMPLE_THRESHOLD,
+    TARGET_SIZE,
     GraspSet,
-    PerturbationConfig,
     acceptance_ratio,
     grasp_collides_hand,
     maintain,
@@ -15,9 +18,6 @@ from handover_sim.refinement import (
 )
 from handover_sim.scene import LABEL_HAND, LABEL_OBJECT, LabeledPointCloud, PrimitiveShape
 from reference import grasp_set
-
-CFG = PerturbationConfig()
-
 
 def sphere_cloud(r=0.03, n=2000, seed=0, center=(0.0, 0.0, 0.0)):
     shape = PrimitiveShape("sphere", (r,))
@@ -32,25 +32,18 @@ def make_set(poses, scores=None):
 
 
 class TestPerturb:
-    def test_zero_range_is_identity(self):
-        cfg = PerturbationConfig(delta_t_range=0.0)
-        pose = Pose([0.1, 0.2, 0.3], [0, 0, 0, 1])
-        out = perturb(pose, cfg, np.random.default_rng(0))
-        assert np.allclose(out.p, pose.p)
-        assert np.allclose(out.q, pose.q)
-
     def test_inf_norm_bound_and_rotation_fixed(self):
         rng = np.random.default_rng(1)
         pose = Pose([0, 0, 0], [0.5, 0.5, 0.5, 0.5])
         for _ in range(200):
-            out = perturb(pose, CFG, rng)
+            out = perturb(pose, rng)
             assert np.max(np.abs(out.p - pose.p)) <= 0.02
             assert np.allclose(out.q, pose.q)
 
     def test_uniform_statistics_oracle(self):
         rng = np.random.default_rng(2)
         pose = Pose.identity()
-        deltas = np.array([perturb(pose, CFG, rng).p for _ in range(10_000)])
+        deltas = np.array([perturb(pose, rng).p for _ in range(10_000)])
         assert np.all(np.abs(deltas.mean(axis=0)) < 0.002)
         assert np.all(deltas.min(axis=0) < -0.018)
         assert np.all(deltas.max(axis=0) > 0.018)
@@ -58,16 +51,16 @@ class TestPerturb:
 
 class TestAcceptanceRatio:
     def test_improvement_clamps_to_one(self):
-        assert acceptance_ratio(0.4, 0.8, CFG) == 1.0
+        assert acceptance_ratio(0.4, 0.8) == 1.0
 
     def test_direct_ratio(self):
-        assert acceptance_ratio(0.8, 0.2, CFG) == pytest.approx(0.25)
+        assert acceptance_ratio(0.8, 0.2) == pytest.approx(0.25)
 
     def test_zero_denominator_accepts_positive_proposal(self):
-        assert acceptance_ratio(0.0, 0.5, CFG) == 1.0
+        assert acceptance_ratio(0.0, 0.5) == 1.0
 
     def test_both_dead_rejects(self):
-        assert acceptance_ratio(0.0, 0.0, CFG) == 0.0
+        assert acceptance_ratio(0.0, 0.0) == 0.0
 
 
 class TestMhStep:
@@ -87,7 +80,7 @@ class TestMhStep:
         n = 10_000
         gset = make_set([Pose([i * 1e-4, 0, 0], [0, 0, 0, 1]) for i in range(n)])
         rng = np.random.default_rng(3)
-        out = mh_step(gset, sphere_cloud(n=10), self.stub_evaluator(0.8, 0.2), CFG, rng)
+        out = mh_step(gset, sphere_cloud(n=10), self.stub_evaluator(0.8, 0.2), rng)
         accepted = sum(1 for score in out.scores if score == 0.2)
         assert 0.23 <= accepted / n <= 0.27
 
@@ -95,7 +88,7 @@ class TestMhStep:
         n = 500
         gset = make_set([Pose([i * 1e-3, 0, 0], [0, 0, 0, 1]) for i in range(n)])
         out = mh_step(
-            gset, sphere_cloud(n=10), self.stub_evaluator(0.5, 0.9), CFG,
+            gset, sphere_cloud(n=10), self.stub_evaluator(0.5, 0.9),
             np.random.default_rng(4),
         )
         assert all(score == 0.9 for score in out.scores)
@@ -105,7 +98,7 @@ class TestMhStep:
     def test_rejected_grasps_keep_pose_with_refreshed_score(self):
         gset = make_set([Pose.identity()], [0.9])
         out = mh_step(
-            gset, sphere_cloud(n=10), self.stub_evaluator(0.8, 0.0), CFG,
+            gset, sphere_cloud(n=10), self.stub_evaluator(0.8, 0.0),
             np.random.default_rng(5),
         )
         assert len(out) == 1
@@ -137,7 +130,7 @@ class TestPrune:
         gset = make_set(poses)
         hand_pts = rng.uniform(-0.1, 0.1, size=(200, 3))
         hand = LabeledPointCloud(hand_pts, np.full(200, LABEL_HAND))
-        out = prune_hand_collisions(gset, hand, margin=0.005)
+        out = prune_hand_collisions(gset, hand)
         boxes = [
             ((0, 0.045, 0), (0.01, 0.005, 0.02)),
             ((0, -0.045, 0), (0.01, 0.005, 0.02)),
@@ -151,7 +144,7 @@ class TestPrune:
             for p in hand_pts:
                 lp = R.T @ (p - t)
                 for c, h in boxes:
-                    if all(abs(lp[i] - c[i]) <= h[i] + 0.005 for i in range(3)):
+                    if all(abs(lp[i] - c[i]) <= h[i] + HAND_MARGIN for i in range(3)):
                         hit = True
             if not hit:
                 survivors.append(g)
@@ -166,23 +159,23 @@ class TestPrune:
         poses = [Pose(rng.uniform(-0.05, 0.05, 3), rng.normal(size=4)) for _ in range(100)]
         hand_pts = rng.uniform(-0.2, 0.2, size=(300, 3))
         hand = LabeledPointCloud(hand_pts, np.full(300, LABEL_HAND))
-        out = prune_hand_collisions(make_set(poses), hand, margin=0.005)
+        out = prune_hand_collisions(make_set(poses), hand)
         boxes = GRIPPER_BOXES
         keep = [
             g for g in poses
-            if not points_in_boxes(g.inverse_transform_points(hand_pts), boxes, 0.005).any()
+            if not points_in_boxes(g.inverse_transform_points(hand_pts), boxes, HAND_MARGIN).any()
         ]
         assert 0 < len(keep) < len(poses)
         assert np.array_equal(out.p, [g.p for g in keep])
         for g in poses:
-            assert grasp_collides_hand(g, hand_pts) == all(g is not k for k in keep)
+            assert grasp_collides_hand(g, hand_pts, HAND_MARGIN) == all(g is not k for k in keep)
 
 
 class TestMaintain:
     def test_bootstrap_from_empty(self):
         cloud = sphere_cloud()
         out, resampled = maintain(
-            GraspSet.empty(), cloud, LabeledPointCloud.empty(), CFG,
+            GraspSet.empty(), cloud, LabeledPointCloud.empty(),
             np.random.default_rng(8),
         )
         assert resampled
@@ -191,25 +184,54 @@ class TestMaintain:
     def test_static_scene_no_resample_over_100_steps(self):
         cloud = sphere_cloud()
         rng = np.random.default_rng(9)
-        gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), CFG, rng)
+        gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), rng)
         for _ in range(100):
-            gset, resampled = maintain(gset, cloud, LabeledPointCloud.empty(), CFG, rng)
+            gset, resampled = maintain(gset, cloud, LabeledPointCloud.empty(), rng)
             assert not resampled
-            assert len(gset) >= CFG.resample_threshold
+            assert len(gset) >= RESAMPLE_THRESHOLD
 
     def test_teleport_triggers_resample(self):
         cloud = sphere_cloud()
         rng = np.random.default_rng(10)
-        gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), CFG, rng)
+        gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), rng)
         far = sphere_cloud(center=(0.5, 0.0, 0.0))
-        gset, resampled = maintain(gset, far, LabeledPointCloud.empty(), CFG, rng)
+        gset, resampled = maintain(gset, far, LabeledPointCloud.empty(), rng)
         assert resampled
         assert len(gset) > 0
+
+    def test_resample_after_partial_prune_stays_within_target_size(self, monkeypatch):
+        cloud = sphere_cloud()
+        no_hand = LabeledPointCloud.empty()
+        gset, _ = maintain(GraspSet.empty(), cloud, no_hand, np.random.default_rng(8))
+        assert len(gset) == TARGET_SIZE
+        # a hand shell over the +x half of the object prunes most of the set, not all
+        shell, _ = PrimitiveShape("sphere", (0.07,)).sample_surface(3000, np.random.default_rng(1))
+        shell = shell[shell[:, 0] > 0.0]
+        hand = LabeledPointCloud(shell, np.full(len(shell), LABEL_HAND))
+        pruned, requested = [], []
+        prune, sample = refinement.prune_hand_collisions, refinement.sample_grasps
+
+        def prune_seen(grasps, hand_cloud):
+            pruned.append(prune(grasps, hand_cloud))
+            return pruned[-1]
+
+        def sample_seen(object_cloud, n, rng):
+            requested.append(n)
+            return sample(object_cloud, n, rng)
+
+        monkeypatch.setattr(refinement, "prune_hand_collisions", prune_seen)
+        monkeypatch.setattr(refinement, "sample_grasps", sample_seen)
+        out, resampled = maintain(gset, cloud, hand, np.random.default_rng(9))
+        survivors = len(pruned[0])
+        assert resampled and 0 < survivors < RESAMPLE_THRESHOLD
+        # the top-up asks only for the rows the survivors leave free
+        assert requested == [TARGET_SIZE - survivors]
+        assert len(out) == survivors + len(pruned[1]) <= TARGET_SIZE
 
     def test_empty_object_cloud_empties_the_set(self):
         gset = make_set([Pose.identity()])
         out, resampled = maintain(
-            gset, LabeledPointCloud.empty(), LabeledPointCloud.empty(), CFG,
+            gset, LabeledPointCloud.empty(), LabeledPointCloud.empty(),
             np.random.default_rng(11),
         )
         assert len(out) == 0
@@ -220,10 +242,10 @@ class TestMaintain:
         # the chain equilibrates near the seeded quality rather than decaying
         cloud = sphere_cloud()
         rng = np.random.default_rng(12)
-        gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), CFG, rng)
+        gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), rng)
         mean_scores = []
         for _ in range(50):
-            new_set, _ = maintain(gset, cloud, LabeledPointCloud.empty(), CFG, rng)
+            new_set, _ = maintain(gset, cloud, LabeledPointCloud.empty(), rng)
             steps = [
                 np.linalg.norm(a - b)
                 for a, b in zip(gset.p, new_set.p)
@@ -239,14 +261,10 @@ class TestMaintain:
 
 
 class TestConfigValidation:
-    def test_threshold_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            PerturbationConfig(resample_threshold=50, target_size=50)
-
     def test_scores_stay_in_bounds(self):
         cloud = sphere_cloud()
         gset, _ = maintain(
-            GraspSet.empty(), cloud, LabeledPointCloud.empty(), CFG,
+            GraspSet.empty(), cloud, LabeledPointCloud.empty(),
             np.random.default_rng(13),
         )
         assert all(0.0 <= score <= 1.0 for score in gset.scores)

@@ -3,7 +3,6 @@ import pytest
 
 from handover_sim.geometry import Pose
 from handover_sim.scene import (
-    LABEL_BACKGROUND,
     LABEL_HAND,
     LABEL_OBJECT,
     HandModel,
@@ -149,10 +148,11 @@ class TestLabelNoise:
         assert np.array_equal(out.labels, cloud.labels)
 
     def test_full_prob_swaps_all(self):
-        labels = np.array([LABEL_HAND, LABEL_OBJECT, LABEL_BACKGROUND])
+        other = 2  # neither hand nor object: passes through
+        labels = np.array([LABEL_HAND, LABEL_OBJECT, other])
         cloud = LabeledPointCloud(np.zeros((3, 3)), labels)
         out = apply_label_noise(cloud, 1.0, np.random.default_rng(0))
-        assert np.array_equal(out.labels, [LABEL_OBJECT, LABEL_HAND, LABEL_BACKGROUND])
+        assert np.array_equal(out.labels, [LABEL_OBJECT, LABEL_HAND, other])
 
     def test_flip_fraction_binomial_oracle(self):
         n = 10_000
@@ -167,5 +167,4 @@ class TestLabelNoise:
         rng = np.random.default_rng(12)
         cloud = synthesize_cloud(sphere_scene(), simple_hand(Pose([0.2, 0, 0], [0, 0, 0, 1])), CAMERA, 2e4, rng)
         hand, obj = cloud.hand_cloud(), cloud.object_cloud()
-        background = cloud.subset(cloud.labels == LABEL_BACKGROUND)
-        assert len(hand) + len(obj) + len(background) == len(cloud)
+        assert len(hand) + len(obj) == len(cloud)
