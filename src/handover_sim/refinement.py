@@ -74,8 +74,12 @@ def mh_step(
     return GraspSet(p, q, scores)
 
 
-def _collides_hand(grasps, hand_points, margin: float) -> np.ndarray:
-    """(G,) bool over a GraspSet (one Pose: G = 1): a hand point is in a dilated box."""
+def collides_hand(grasps, hand_points, margin: float) -> np.ndarray:
+    """(G,) bool over a GraspSet (one Pose: G = 1): a hand point is in a dilated box.
+
+    Each row's result is that of its one-row call, so a stacked test of
+    many grasps against one cloud agrees with testing them one by one.
+    """
     hand_points = np.asarray(hand_points, dtype=float).reshape(-1, 3)
     collides = np.zeros(len(np.reshape(grasps.p, (-1, 3))), dtype=bool)
     for rows, _, hits in stacked_box_hits(grasps, hand_points, GRIPPER_BOXES, margin):
@@ -85,12 +89,12 @@ def _collides_hand(grasps, hand_points, margin: float) -> np.ndarray:
 
 def grasp_collides_hand(pose: Pose, hand_points: np.ndarray, margin: float) -> bool:
     """True iff any hand point lies inside any gripper box dilated by margin."""
-    return bool(_collides_hand(pose, hand_points, margin)[0])
+    return bool(collides_hand(pose, hand_points, margin)[0])
 
 
 def prune_hand_collisions(grasp_set: GraspSet, hand_cloud: LabeledPointCloud) -> GraspSet:
     """The rows of grasp_set that clear every hand point at HAND_MARGIN."""
-    return grasp_set[~_collides_hand(grasp_set, hand_cloud.points, HAND_MARGIN)]
+    return grasp_set[~collides_hand(grasp_set, hand_cloud.points, HAND_MARGIN)]
 
 
 def maintain(

@@ -2,22 +2,43 @@
 
 Each record is one JSON object per line: a header, then per-tick records
 (pose arrays are [px, py, pz, qx, qy, qz, qw]); cloud-refresh ticks also
-carry the current hand points so safety can be re-checked offline. A
-trace without a header or a tick record fails verification; one that
-cannot be read or holds a malformed record raises TraceError.
+carry the current hand points so safety can be re-checked offline.
+
+verify_records re-checks, for every tick record:
+
+- the tick indices count 0, 1, 2, ... with no gap;
+- the rate flags match the rate divisors in ``sim``: ``tracking_tick``
+  and ``cloud_tick`` hold exactly on their ticks, ``hand_points`` come
+  exactly with ``cloud_tick``, ``refined`` and ``selection_tick`` fall
+  only on their ticks, and ``resampled`` only with ``refined``;
+- ``ee_pose``, ``selected_grasp`` and ``hand_points`` are finite;
+- the end effector's linear and angular steps stay within the header's
+  speed limits;
+- the end effector stays above the table (z >= ``motion.TABLE_Z``);
+- the selected grasp clears the hand cloud in force (the last
+  ``hand_points``) at the header's margin.
+
+A trace without a header or a tick record fails verification; one that
+cannot be read or holds a malformed record (a degenerate quaternion
+among them) raises TraceError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
-from .geometry import Pose, quat_angle
-from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX
-from .refinement import DEFAULT_HAND_MARGIN, grasp_collides_hand
-from .sim import DT
+from .evaluator import GraspSet
+from .geometry import quat_unit_rows, row_dot
+from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX, TABLE_Z
+from .refinement import DEFAULT_HAND_MARGIN, collides_hand
+from .sim import CLOUD_DIV, DT, REFINE_DIV, SELECT_DIV, TRACKING_DIV
+
+IDENTITY = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # stands in for a pose with a non-finite value
 
 
 class TraceError(Exception):
@@ -43,49 +64,132 @@ def trace_digest(records) -> str:
     return h.hexdigest()
 
 
-def verify_records(records) -> list[str]:
-    """Re-check velocity limits and the grasp-vs-hand safety invariant.
-
-    Returns a list of human-readable violations (empty means clean).
+def _pose_rows(poses) -> tuple[np.ndarray, np.ndarray]:
+    """Pose lists as (N, 7) rows with q made canonical unit as a Pose makes
+    it, and (N,) whether each pose is finite; a non-finite pose reads as
+    the identity. ValueError unless each pose is 7 numbers with q non-zero.
     """
-    violations: list[str] = []
+    rows = np.array(poses, dtype=float) if poses else np.zeros((0, 7))
+    if rows.shape[1:] != (7,):
+        raise ValueError("a pose is 7 numbers")
+    finite = np.isfinite(rows).all(axis=1)
+    rows[~finite] = IDENTITY
+    q = rows[:, 3:]
+    if np.any(np.sqrt(row_dot(q, q)) < 1e-8):
+        raise ValueError("degenerate quaternion (norm ~ 0)")
+    rows[:, 3:] = quat_unit_rows(q)
+    return rows, finite
+
+
+def _point_array(points) -> np.ndarray:
+    """A hand_points list as (N, 3) rows (fromiter builds it in half the
+    time np.asarray takes over nested lists)."""
+    return np.fromiter(chain.from_iterable(points), dtype=float).reshape(-1, 3)
+
+
+def _finite_points(points) -> bool:
+    """Whether every coordinate of a hand_points list is finite. A
+    non-finite value makes the plain sum non-finite, so only then is an
+    array built."""
+    if math.isfinite(sum(chain.from_iterable(points))):
+        return True
+    return bool(np.isfinite(_point_array(points)).all())
+
+
+def verify_records(records) -> list[str]:
+    """Re-check a trace's tick records; returns the violations found, in
+    tick order (empty means clean). See the module docstring for the checks.
+
+    Every check is an array pass over all ticks. The grasp test runs once
+    per hand cloud, over the distinct grasps selected while it is in
+    force, and only then are that cloud's points made an array.
+    """
     header = records[0] if records and records[0].get("type") == "header" else {}
-    if not header:
-        violations.append("trace has no header record")
+    violations = [] if header else ["trace has no header record"]
     dt = float(header.get("dt", DT))
     v_max = float(header.get("v_max", DEFAULT_V_MAX))
     w_max = float(header.get("w_max", DEFAULT_W_MAX))
     margin = float(header.get("hand_margin", DEFAULT_HAND_MARGIN))
+    ticks = [rec for rec in records if rec.get("type") == "tick"]
+    if not ticks:
+        return violations + ["trace has no tick record"]
 
-    prev_pose = None
-    hand_points = np.zeros((0, 3))
-    for rec in records:
-        if rec.get("type") != "tick":
-            continue
-        tick = rec["tick"]
-        pose_arr = np.asarray(rec["ee_pose"], dtype=float)
-        pose = Pose(pose_arr[:3], pose_arr[3:])
-        if prev_pose is not None:
-            step = float(np.linalg.norm(pose.p - prev_pose.p))
-            if step > v_max * dt + 1e-6:
-                violations.append(
-                    f"tick {tick}: linear step {step:.6f} exceeds {v_max * dt:.6f}"
-                )
-            ang = quat_angle(pose.q, prev_pose.q)
-            if ang > w_max * dt + 1e-5:
-                violations.append(
-                    f"tick {tick}: angular step {ang:.6f} exceeds {w_max * dt:.6f}"
-                )
-        prev_pose = pose
-        if "hand_points" in rec:
-            hand_points = np.asarray(rec["hand_points"], dtype=float).reshape(-1, 3)
-        grasp_arr = rec.get("selected_grasp")
-        if grasp_arr is not None and len(hand_points) > 0:
-            grasp_pose = Pose(np.asarray(grasp_arr[:3]), np.asarray(grasp_arr[3:]))
-            if grasp_collides_hand(grasp_pose, hand_points, margin):
-                violations.append(f"tick {tick}: selected grasp collides with hand points")
-    if prev_pose is None:
-        violations.append("trace has no tick record")
+    flags = np.array([
+        (rec["tick"], rec["tracking_tick"], rec["cloud_tick"], rec["refined"],
+         rec["selection_tick"], rec["resampled"], "hand_points" in rec)
+        for rec in ticks
+    ])
+    tick, tracking, cloud, refined, selection, resampled, has_points = flags.T
+    expected = np.concatenate([[0], tick[:-1] + 1])
+
+    ee, ee_finite = _pose_rows([rec["ee_pose"] for rec in ticks])
+    prev = np.concatenate([ee[:1], ee[:-1]])  # the first tick stands in for its own
+    step_finite = np.concatenate([[False], ee_finite[1:] & ee_finite[:-1]])
+    d = ee[:, :3] - prev[:, :3]
+    step = np.sqrt(row_dot(d, d))
+    # quat_angle, row by row
+    angle = 2.0 * np.arccos(np.clip(np.abs(row_dot(ee[:, 3:], prev[:, 3:])), -1.0, 1.0))
+
+    picked = [rec.get("selected_grasp") for rec in ticks]
+    has_grasp = np.array([g is not None for g in picked])
+    grasp = np.tile(IDENTITY, (len(ticks), 1))
+    grasp_finite = np.zeros(len(ticks), dtype=bool)
+    grasp[has_grasp], grasp_finite[has_grasp] = _pose_rows([g for g in picked if g is not None])
+
+    # the cloud in force at each tick: the last tick at or before it with hand points
+    clouds = np.flatnonzero(has_points)
+    cloud_of = np.maximum.accumulate(np.where(has_points, np.arange(len(ticks)), -1))
+    tested = np.flatnonzero(grasp_finite & (cloud_of >= 0))
+    # one test per run of ticks with the same cloud and grasp; heads are runs' first ticks
+    same_cloud = cloud_of[tested][1:] == cloud_of[tested][:-1]
+    same_grasp = np.all(grasp[tested][1:] == grasp[tested][:-1], axis=1)
+    first = np.ones(len(tested), dtype=bool)
+    first[1:] = ~(same_cloud & same_grasp)
+    heads = tested[first]
+    head_clouds, starts = np.unique(cloud_of[heads], return_index=True)
+    # only a cloud that some grasp is tested against becomes an array
+    points = {k: _point_array(ticks[k]["hand_points"]) for k in head_clouds}
+    points_finite = np.ones(len(ticks), dtype=bool)
+    points_finite[clouds] = [
+        np.isfinite(points[k]).all() if k in points else _finite_points(ticks[k]["hand_points"])
+        for k in clouds
+    ]
+    hits = np.zeros(len(heads), dtype=bool)
+    for k, lo, hi in zip(head_clouds, starts, [*starts[1:], len(heads)]):
+        runs = heads[lo:hi]
+        grasps = GraspSet(grasp[runs, :3], grasp[runs, 3:], np.zeros(len(runs)))
+        pts = points[k]
+        hits[lo:hi] = collides_hand(grasps, pts[np.isfinite(pts).all(axis=1)], margin)
+    collides = np.zeros(len(ticks), dtype=bool)
+    collides[tested] = hits[np.cumsum(first) - 1]
+
+    lin_max, ang_max = v_max * dt, w_max * dt
+    # (flagged ticks, message after "tick N: ", per-tick value for its {} field)
+    checks = (
+        (tick != expected, "tick index breaks the count 0, 1, 2, ...: expected {}", expected),
+        (tracking != (tick % TRACKING_DIV == 0), f"tracking_tick is not tick % {TRACKING_DIV} == 0",
+         tick),
+        (cloud != (tick % CLOUD_DIV == 0), f"cloud_tick is not tick % {CLOUD_DIV} == 0", tick),
+        (has_points != cloud, "hand_points do not match cloud_tick", tick),
+        ((refined != 0) & (tick % REFINE_DIV != 0), f"refined off tick % {REFINE_DIV} == 0", tick),
+        ((selection != 0) & (tick % SELECT_DIV != 0),
+         f"selection_tick off tick % {SELECT_DIV} == 0", tick),
+        ((resampled != 0) & (refined == 0), "resampled without refined", tick),
+        (~ee_finite, "non-finite ee_pose", tick),
+        (step_finite & (step > lin_max + 1e-6), f"linear step {{:.6f}} exceeds {lin_max:.6f}",
+         step),
+        (step_finite & (angle > ang_max + 1e-5), f"angular step {{:.6f}} exceeds {ang_max:.6f}",
+         angle),
+        (ee_finite & (ee[:, 2] < TABLE_Z), f"ee_pose z {{:.6f}} is below the table at {TABLE_Z}",
+         ee[:, 2]),
+        (has_grasp & ~grasp_finite, "non-finite selected_grasp", tick),
+        (~points_finite, "non-finite hand_points", tick),
+        (collides, "selected grasp collides with hand points", tick),
+    )
+    for i in np.flatnonzero(np.any([flagged for flagged, _, _ in checks], axis=0)):
+        for flagged, text, value in checks:
+            if flagged[i]:
+                violations.append(f"tick {ticks[i]['tick']}: " + text.format(value[i]))
     return violations
 
 

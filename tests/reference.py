@@ -2,14 +2,19 @@
 
 The simulator applies these operations to whole grasp sets as arrays
 (``selection.expand_flips``, ``selection.make_targets``,
-``geometry.quat_from_matrix``, ``evaluator.sample_grasps``); the tests
-compare those array passes with these plain per-pose forms.
+``geometry.quat_from_matrix``, ``evaluator.sample_grasps``,
+``trace.verify_records``); the tests compare those array passes with
+these plain per-pose forms.
 """
 
 import numpy as np
 
 from handover_sim.evaluator import GraspSet, evaluate
-from handover_sim.geometry import FLIP_Z, Pose, quat_mul, quat_normalize, quat_to_matrix
+from handover_sim.geometry import FLIP_Z, Pose, quat_angle, quat_mul, quat_normalize
+from handover_sim.geometry import quat_to_matrix
+from handover_sim.motion import DEFAULT_V_MAX, DEFAULT_W_MAX
+from handover_sim.refinement import DEFAULT_HAND_MARGIN, grasp_collides_hand
+from handover_sim.sim import DT
 
 
 def z_axis(pose: Pose) -> np.ndarray:
@@ -111,3 +116,47 @@ def sample_grasps(object_cloud, n, rng) -> GraspSet:
             poses.append(pose)
             scores.append(score)
     return grasp_set(poses, scores)
+
+
+def verify_records(records) -> list[str]:
+    """trace.verify_records' velocity and grasp-vs-hand checks, one tick
+    record at a time: two Poses and a one-row hand test per tick."""
+    violations: list[str] = []
+    header = records[0] if records and records[0].get("type") == "header" else {}
+    if not header:
+        violations.append("trace has no header record")
+    dt = float(header.get("dt", DT))
+    v_max = float(header.get("v_max", DEFAULT_V_MAX))
+    w_max = float(header.get("w_max", DEFAULT_W_MAX))
+    margin = float(header.get("hand_margin", DEFAULT_HAND_MARGIN))
+
+    prev_pose = None
+    hand_points = np.zeros((0, 3))
+    for rec in records:
+        if rec.get("type") != "tick":
+            continue
+        tick = rec["tick"]
+        pose_arr = np.asarray(rec["ee_pose"], dtype=float)
+        pose = Pose(pose_arr[:3], pose_arr[3:])
+        if prev_pose is not None:
+            step = float(np.linalg.norm(pose.p - prev_pose.p))
+            if step > v_max * dt + 1e-6:
+                violations.append(
+                    f"tick {tick}: linear step {step:.6f} exceeds {v_max * dt:.6f}"
+                )
+            ang = quat_angle(pose.q, prev_pose.q)
+            if ang > w_max * dt + 1e-5:
+                violations.append(
+                    f"tick {tick}: angular step {ang:.6f} exceeds {w_max * dt:.6f}"
+                )
+        prev_pose = pose
+        if "hand_points" in rec:
+            hand_points = np.asarray(rec["hand_points"], dtype=float).reshape(-1, 3)
+        grasp_arr = rec.get("selected_grasp")
+        if grasp_arr is not None and len(hand_points) > 0:
+            grasp_pose = Pose(np.asarray(grasp_arr[:3]), np.asarray(grasp_arr[3:]))
+            if grasp_collides_hand(grasp_pose, hand_points, margin):
+                violations.append(f"tick {tick}: selected grasp collides with hand points")
+    if prev_pose is None:
+        violations.append("trace has no tick record")
+    return violations

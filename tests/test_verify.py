@@ -1,0 +1,193 @@
+"""verify_records: the array passes against the one-record-at-a-time
+reference, and the checks the reference does not make."""
+
+import copy
+
+import pytest
+
+import reference
+from handover_sim.cli import EXIT_INVARIANT, EXIT_PARSE, main
+from handover_sim.geometry import quat_from_axis_angle, quat_mul
+from handover_sim.scenario import load_scenario
+from handover_sim.sim import run
+from handover_sim.trace import verify_records, write_trace
+
+SCENARIOS = ("nominal_cylinder", "rotate90_midmotion", "hand_below_table")
+
+
+@pytest.fixture(scope="module")
+def traces():
+    return {
+        (name, seed): run(load_scenario(f"scenarios/{name}.yaml"), seed)[1]
+        for name in SCENARIOS
+        for seed in range(4)
+    }
+
+
+@pytest.fixture
+def nominal(traces):
+    """A fresh copy of the nominal run at seed 0: a grasp is selected on
+    every tick, and every tenth tick brings a non-empty hand cloud."""
+    records = copy.deepcopy(traces["nominal_cylinder", 0])
+    ticks = ticks_of(records)
+    assert all(r["selected_grasp"] is not None for r in ticks)
+    assert all(r["hand_points"] for r in ticks if r["cloud_tick"])
+    return records
+
+
+def ticks_of(records):
+    return [r for r in records if r["type"] == "tick"]
+
+
+def hand_grasp(tick_record):
+    """A grasp centred on the first hand point the tick record carries."""
+    return list(tick_record["hand_points"][0]) + [0.0, 0.0, 0.0, 1.0]
+
+
+def test_committed_scenarios_verify_as_the_reference(traces):
+    for records in traces.values():
+        assert verify_records(records) == reference.verify_records(records) == []
+
+
+def linear_jump(records):
+    ticks_of(records)[100]["ee_pose"][0] += 0.5
+
+
+def angular_step_just_over(records):
+    prev, cur = ticks_of(records)[99:101]
+    # 0.0113 rad against a limit of 1 rad/s / 90 Hz = 0.01111 rad
+    turn = quat_from_axis_angle([1.0, 0.0, 0.0], 0.0113)
+    cur["ee_pose"][3:] = quat_mul(prev["ee_pose"][3:], turn).tolist()
+
+
+def colliding_grasp_mid_span(records):
+    ticks = ticks_of(records)
+    ticks[55]["selected_grasp"] = hand_grasp(ticks[50])
+
+
+def grasp_changes_within_span(records):
+    ticks = ticks_of(records)
+    # cloud 50's span: the run's grasp, then a colliding one, the run's again, the colliding again
+    for t in (52, 53, 56, 57, 58):
+        ticks[t]["selected_grasp"] = hand_grasp(ticks[50])
+
+
+def empty_cloud(records):
+    ticks = ticks_of(records)
+    ticks[50]["hand_points"] = []
+    # the grasp is tested against cloud 40 up to tick 49, and against nothing after
+    for t in range(45, 60):
+        ticks[t]["selected_grasp"] = hand_grasp(ticks[40])
+
+
+def header_without_limits(records):
+    for key in ("dt", "v_max", "w_max"):
+        del records[0][key]
+    linear_jump(records)
+    angular_step_just_over(records)
+
+
+@pytest.mark.parametrize("tamper", [
+    linear_jump, angular_step_just_over, colliding_grasp_mid_span, grasp_changes_within_span,
+    empty_cloud, header_without_limits,
+])
+def test_tampered_trace_verifies_as_the_reference(nominal, tamper):
+    tamper(nominal)
+    out = verify_records(nominal)
+    assert out and out == reference.verify_records(nominal)
+
+
+def test_grasp_before_the_first_cloud_is_not_tested(nominal):
+    ticks = ticks_of(nominal)
+    # the first cloud now comes at tick 10; grasps at ticks 0-9 meet no hand cloud
+    cloud = ticks[10]
+    del ticks[0]["hand_points"]
+    for t in range(12):
+        ticks[t]["selected_grasp"] = hand_grasp(cloud)
+    ref = reference.verify_records(nominal)
+    assert ref == [f"tick {t}: selected grasp collides with hand points" for t in (10, 11)]
+    # the tick flags rule out a trace without a cloud at tick 0
+    assert verify_records(nominal) == ["tick 0: hand_points do not match cloud_tick", *ref]
+
+
+def test_non_finite_ee_pose(nominal):
+    ticks_of(nominal)[100]["ee_pose"][1] = float("nan")
+    assert verify_records(nominal) == ["tick 100: non-finite ee_pose"]
+
+
+def test_non_finite_selected_grasp(nominal):
+    ticks = ticks_of(nominal)
+    for r in ticks:
+        r["selected_grasp"] = [float("nan")] * 7
+    assert verify_records(nominal) == [f"tick {r['tick']}: non-finite selected_grasp" for r in ticks]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_hand_points(nominal, value):
+    ticks_of(nominal)[50]["hand_points"][3][2] = value
+    assert verify_records(nominal) == ["tick 50: non-finite hand_points"]
+
+
+def test_non_finite_hand_points_in_a_cloud_no_grasp_meets(nominal):
+    for r in ticks_of(nominal)[50:60]:
+        r["selected_grasp"] = None
+    ticks_of(nominal)[50]["hand_points"][0][0] = float("nan")
+    assert verify_records(nominal) == ["tick 50: non-finite hand_points"]
+
+
+@pytest.mark.parametrize("field", ["ee_pose", "selected_grasp", "hand_points"])
+def test_non_finite_value_exits_3(nominal, field, tmp_path, capsys):
+    rec = ticks_of(nominal)[50]
+    (rec[field][0] if field == "hand_points" else rec[field])[0] = float("nan")
+    trace = tmp_path / "t.jsonl"
+    write_trace(nominal, trace)
+    assert main(["verify", "--trace", str(trace)]) == EXIT_INVARIANT
+    assert f"tick 50: non-finite {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["ee_pose", "selected_grasp"])
+def test_zero_quaternion_exits_2(nominal, field, tmp_path, capsys):
+    ticks_of(nominal)[50][field][3:] = [0.0, 0.0, 0.0, 0.0]
+    trace = tmp_path / "t.jsonl"
+    write_trace(nominal, trace)
+    assert main(["verify", "--trace", str(trace)]) == EXIT_PARSE
+    assert "degenerate quaternion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, expected", [
+    ("drop", "tick 101: tick index breaks the count 0, 1, 2, ...: expected 100"),
+    ("repeat", "tick 100: tick index breaks the count 0, 1, 2, ...: expected 101"),
+])
+def test_tick_index_gap(nominal, change, expected):
+    i = nominal.index(ticks_of(nominal)[100])
+    if change == "drop":
+        del nominal[i]
+    else:
+        nominal.insert(i + 1, copy.deepcopy(nominal[i]))
+    assert verify_records(nominal)[0] == expected
+
+
+@pytest.mark.parametrize("tick, field, value, expected", [
+    (12, "tracking_tick", False, "tracking_tick is not tick % 6 == 0"),
+    (13, "tracking_tick", True, "tracking_tick is not tick % 6 == 0"),
+    (21, "cloud_tick", True, "cloud_tick is not tick % 10 == 0"),
+    (30, "hand_points", None, "hand_points do not match cloud_tick"),
+    (19, "refined", True, "refined off tick % 18 == 0"),
+    (10, "selection_tick", True, "selection_tick off tick % 9 == 0"),
+    (19, "resampled", True, "resampled without refined"),
+])
+def test_flags_follow_the_rates(nominal, tick, field, value, expected):
+    rec = ticks_of(nominal)[tick]
+    if value is None:
+        del rec[field]
+    else:
+        rec[field] = value
+    out = verify_records(nominal)
+    assert f"tick {tick}: {expected}" in out
+    assert all(v.startswith(f"tick {tick}: ") for v in out)
+
+
+def test_end_effector_below_the_table(nominal):
+    ticks_of(nominal)[100]["ee_pose"][2] = -0.01
+    assert "tick 100: ee_pose z -0.010000 is below the table at 0.0" in verify_records(nominal)
+
