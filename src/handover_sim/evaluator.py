@@ -1,13 +1,13 @@
 """Analytic grasp quality and surface-normal grasp sampling.
 
-The evaluator scores a parallel-jaw grasp against an object point cloud:
-zero on body collision or empty closing region, otherwise a containment
-term saturating at 20 points times the mean alignment between surface
-normals and the closing axis. It is rigid-transform equivariant and
-invariant under the 180-degree Z flip, which selection relies on to
-reuse scores for flipped grasps: the flip maps each group of gripper
-boxes onto itself, so a flipped grasp also clears the hand exactly when
-its original does.
+The evaluator scores a parallel-jaw grasp against an object point cloud,
+which always carries its surface normals: zero on body collision or
+empty closing region, otherwise a containment term saturating at 20
+points times the mean alignment between those normals and the closing
+axis. It is rigid-transform equivariant and invariant under the
+180-degree Z flip, which selection relies on to reuse scores for
+flipped grasps: the flip maps each group of gripper boxes onto itself,
+so a flipped grasp also clears the hand exactly when its original does.
 
 evaluate_rows scores every row of a GraspSet (or one Pose) in one array
 pass; evaluate is its one-row case. sample_grasps draws its trials one
@@ -145,9 +145,9 @@ def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
 
     A row scores zero if any object point collides with a finger or palm
     box, or if its closing region is empty. Otherwise min(1, n_in/20)
-    times the mean |normal . closing axis| over contained points (1 when
-    normals are absent); that mean is taken one row at a time, so each
-    row's sum runs in the order of a one-row call.
+    times the mean |normal . closing axis| over contained points; that
+    mean is taken one row at a time, so each row's sum runs in the order
+    of a one-row call.
     """
     scores = np.zeros(len(np.reshape(grasps.p, (-1, 3))))
     if len(object_cloud) == 0:
@@ -159,11 +159,8 @@ def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
         n_in = inside.sum(axis=1)
         for j in np.flatnonzero(~blocked & (n_in > 0)):
             containment = min(1.0, int(n_in[j]) / N_CONTAIN_REF)
-            if normals is None:
-                alignment = 1.0
-            else:
-                local_normals = normals[inside[j]] @ rot[j]
-                alignment = float(np.mean(np.abs(local_normals[:, 1])))
+            local_normals = normals[inside[j]] @ rot[j]
+            alignment = float(np.mean(np.abs(local_normals[:, 1])))
             scores[rows.start + j] = containment * alignment
     return scores
 
@@ -186,7 +183,6 @@ def sample_grasps(object_cloud: LabeledPointCloud, n: int, rng: np.random.Genera
     if len(object_cloud) == 0:
         return GraspSet.empty()
     points, normals = object_cloud.points, object_cloud.normals
-    centroid = points.mean(axis=0)
     found, trials = GraspSet.empty(), 10 * n
     while len(found) < n and trials > 0:
         # trials are drawn one at a time and scored as a block; a block of n - found
@@ -199,15 +195,7 @@ def sample_grasps(object_cloud: LabeledPointCloud, n: int, rng: np.random.Genera
             tangent[k] = rng.normal(size=3)
         # each trial's frame in one stacked pass, row for row the one-trial arithmetic
         point = points[idx]
-        if normals is not None:
-            normal = normals[idx]
-        else:
-            normal = np.tile([0.0, 0.0, 1.0], (block, 1))  # for a point at the centroid
-            radial = point - centroid
-            nn = np.sqrt(row_dot(radial, radial))
-            off = nn > 1e-9
-            normal[off] = radial[off] / nn[off, None]
-        z = -normal
+        z = -normals[idx]
         tangent = tangent - row_dot(tangent, z)[:, None] * z
         tn = np.sqrt(row_dot(tangent, tangent))
         keep = ~(tn < 1e-9)  # a tangent along the approach axis gives no frame

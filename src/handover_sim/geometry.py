@@ -170,10 +170,6 @@ class Pose:
         pose._freeze(p, q)
         return pose
 
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
-
     def to_array(self) -> np.ndarray:
         return np.concatenate([self.p, self.q])
 

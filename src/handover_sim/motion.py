@@ -1,21 +1,24 @@
 """Velocity-limited end-effector motion in position space.
 
 Straight-line paths are always attempted first; RRT-Connect over 3D
-positions is the fallback when the straight segment is blocked. Collision
-checking is point-cloud clearance plus a table half-space. RRT-Connect
-returns None before sampling when its start or goal is not free: every
-tree edge must pass the clearance check from its base, so a tree rooted
-inside the clearance can never grow and the search could only fail.
+positions is the fallback when the straight segment is blocked. Both take
+a start, a goal and the collider points. There is one collision
+predicate, segment_collision_free: DEFAULT_CLEARANCE from every point
+plus the table half-space, for a segment or (start == goal) a point.
+RRT-Connect returns None before sampling when its start or goal is not
+free: every tree edge must pass the predicate from its base, so a tree
+rooted inside the clearance can never grow and the search could only
+fail.
 
 The desk layout that selection, the planner and the simulator share is
 fixed here: the table plane at TABLE_Z, the robot base at the origin and
-the HOME end-effector pose.
+the HOME end-effector pose. The clearance and the RRT step and iteration
+budget are fixed too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,34 +35,6 @@ TOP_DOWN_Q = (1.0, 0.0, 0.0, 0.0)  # local +Z pointing at the table
 HOME = Pose((0.30, 0.0, 0.45), TOP_DOWN_Q)
 
 
-@dataclass(frozen=True)
-class PathQuery:
-    start: np.ndarray
-    goal: np.ndarray
-    collider_points: np.ndarray  # (N, 3)
-    table_z: float = TABLE_Z
-    clearance: float = DEFAULT_CLEARANCE
-
-    def __post_init__(self):
-        start = np.asarray(self.start, dtype=float).ravel()
-        goal = np.asarray(self.goal, dtype=float).ravel()
-        if start.shape != (3,) or goal.shape != (3,):
-            raise ValueError("start and goal must each be 3 numbers")
-        # a NaN compares False everywhere: it would block every segment
-        # (clearance) or none (table_z) without an error
-        if not all(map(math.isfinite, [*start.tolist(), *goal.tolist(), self.table_z])):
-            raise ValueError("start, goal and table_z must be finite")
-        if not (math.isfinite(self.clearance) and self.clearance > 0):
-            raise ValueError("clearance must be finite and > 0")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "goal", goal)
-        object.__setattr__(
-            self,
-            "collider_points",
-            np.asarray(self.collider_points, dtype=float).reshape(-1, 3),
-        )
-
-
 def point_segment_distances(points: np.ndarray, a, b) -> np.ndarray:
     """Distance from each point to segment a-b."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -74,50 +49,54 @@ def point_segment_distances(points: np.ndarray, a, b) -> np.ndarray:
     return np.linalg.norm(points - closest, axis=1)
 
 
-def _segment_free(a, b, q: PathQuery) -> bool:
-    if min(a[2], b[2]) < q.table_z + q.clearance:
+def segment_collision_free(start, goal, points) -> bool:
+    """True iff the straight start-goal segment keeps DEFAULT_CLEARANCE from
+    every point (>=) and from the table plane everywhere.
+
+    ValueError unless start and goal are each 3 finite numbers: a NaN
+    compares False everywhere, so it would block every segment or none
+    without an error.
+    """
+    a = np.asarray(start, dtype=float).ravel()
+    b = np.asarray(goal, dtype=float).ravel()
+    if a.shape != (3,) or b.shape != (3,):
+        raise ValueError("start and goal must each be 3 numbers")
+    if not all(map(math.isfinite, [*a.tolist(), *b.tolist()])):
+        raise ValueError("start and goal must be finite")
+    if min(a[2], b[2]) < TABLE_Z + DEFAULT_CLEARANCE:
         return False
-    if len(q.collider_points) == 0:
+    if len(points) == 0:
         return True
-    return bool(point_segment_distances(q.collider_points, a, b).min() >= q.clearance)
+    return bool(point_segment_distances(points, a, b).min() >= DEFAULT_CLEARANCE)
 
 
-def _point_free(p, q: PathQuery) -> bool:
-    return _segment_free(p, p, q)
-
-
-def segment_collision_free(q: PathQuery) -> bool:
-    """True iff the straight start-goal segment keeps clearance everywhere."""
-    return _segment_free(q.start, q.goal, q)
-
-
-def rrt_connect(
-    q: PathQuery,
-    rng: np.random.Generator,
-    max_iters: int = RRT_MAX_ITERS,
-    step: float = RRT_STEP,
-):
+def rrt_connect(start, goal, points, rng: np.random.Generator):
     """Bidirectional RRT in position space; None on failure.
 
     Returns a waypoint polyline start..goal whose every segment passes
-    the clearance check. A start or goal that is not itself free returns
-    None at once, drawing nothing from ``rng``: ``extend`` adds only edges
-    that pass ``_segment_free`` from their base, so a tree rooted there
-    never adds a node and the trees never connect. The full search would
-    return the same None.
+    segment_collision_free. A start or goal that is not itself free
+    returns None at once, drawing nothing from ``rng``: ``extend`` adds
+    only edges that are free from their base, so a tree rooted there never
+    adds a node and the trees never connect. The full search would return
+    the same None.
     """
-    if segment_collision_free(q):
-        return [q.start.copy(), q.goal.copy()]
-    if not (_point_free(q.start, q) and _point_free(q.goal, q)):
+    start = np.array(start, dtype=float).ravel()
+    goal = np.array(goal, dtype=float).ravel()
+    if segment_collision_free(start, goal, points):
+        return [start, goal]
+    if not (
+        segment_collision_free(start, start, points)
+        and segment_collision_free(goal, goal, points)
+    ):
         return None
 
-    lo = np.minimum(q.start, q.goal) - 0.3
-    hi = np.maximum(q.start, q.goal) + 0.3
-    lo[2] = max(lo[2], q.table_z + q.clearance)
+    lo = np.minimum(start, goal) - 0.3
+    hi = np.maximum(start, goal) + 0.3
+    lo[2] = max(lo[2], TABLE_Z + DEFAULT_CLEARANCE)
 
     # each tree: list of (point, parent_index)
-    tree_a = [(q.start.copy(), -1)]
-    tree_b = [(q.goal.copy(), -1)]
+    tree_a = [(start, -1)]
+    tree_b = [(goal, -1)]
 
     def nearest(tree, pt):
         pts = np.array([n[0] for n in tree])
@@ -131,9 +110,9 @@ def rrt_connect(
         dist = np.linalg.norm(d)
         if dist < 1e-12:
             return None, True
-        reached = dist <= step
-        new = target.copy() if reached else base + d / dist * step
-        if not _segment_free(base, new, q):
+        reached = dist <= RRT_STEP
+        new = target.copy() if reached else base + d / dist * RRT_STEP
+        if not segment_collision_free(base, new, points):
             return None, False
         tree.append((new, i))
         return len(tree) - 1, reached
@@ -154,7 +133,7 @@ def rrt_connect(
         return path[::-1]
 
     a_is_start = True
-    for _ in range(max_iters):
+    for _ in range(RRT_MAX_ITERS):
         sample = rng.uniform(lo, hi)
         idx_a, _ = extend(tree_a, sample)
         if idx_a is not None:
@@ -166,19 +145,19 @@ def rrt_connect(
                     waypoints = path_a + path_b[::-1]
                 else:
                     waypoints = path_b + path_a[::-1]
-                return _shortcut(waypoints, q)
+                return _shortcut(waypoints, points)
         tree_a, tree_b = tree_b, tree_a
         a_is_start = not a_is_start
     return None
 
 
-def _shortcut(waypoints, q: PathQuery):
+def _shortcut(waypoints, points):
     """Greedy pass removing interior waypoints whose bypass segment is free."""
     out = [waypoints[0]]
     i = 0
     while i < len(waypoints) - 1:
         j = len(waypoints) - 1
-        while j > i + 1 and not _segment_free(waypoints[i], waypoints[j], q):
+        while j > i + 1 and not segment_collision_free(waypoints[i], waypoints[j], points):
             j -= 1
         out.append(waypoints[j])
         i = j

@@ -1,13 +1,19 @@
-"""Synthetic desk scene: primitive shapes, a sphere-cluster hand model,
-and a virtual camera that produces labeled point clouds.
+"""Synthetic desk scene: primitive shapes, the fixed camera and hand, and
+labeled point clouds.
 
-Visibility is a normal-facing test (outward normal must face the
-camera), which is an adequate occlusion proxy for convex primitives at
-desk scale and keeps cloud synthesis deterministic and cheap.
+The camera (CAMERA), the cloud density (CLOUD_DENSITY), the crop radius
+(CROP_RADIUS) and the hand, a palm-relative sphere cluster
+(HAND_SPHERES), are fixed program facts. synthesize_cloud samples the
+held object and the hand at a palm pose. Visibility is a normal-facing
+test (outward normal must face the camera), which is an adequate
+occlusion proxy for convex primitives at desk scale and keeps cloud
+synthesis deterministic and cheap. Every cloud carries the outward unit
+normal of each point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +23,18 @@ from .geometry import Pose
 LABEL_HAND = 0
 LABEL_OBJECT = 1
 
-DEFAULT_CROP_RADIUS = 0.20
+CAMERA = Pose((0.30, 0.0, 1.10), (0, 0, 0, 1))
+CLOUD_DENSITY = 6.0e4  # perceived cloud points per square meter
+CROP_RADIUS = 0.20
+# Palm-relative sphere cluster: one palm sphere plus digits wrapping the
+# near end of the held object (held along local -Y, see default grip).
+HAND_SPHERES = (
+    ((0.0, 0.0, 0.0), 0.035),
+    ((0.0, -0.040, 0.015), 0.012),
+    ((0.018, -0.045, 0.0), 0.012),
+    ((-0.018, -0.045, 0.0), 0.012),
+    ((0.0, -0.050, -0.012), 0.012),
+)
 
 _KINDS = ("box", "cylinder", "capsule", "sphere")
 
@@ -33,12 +50,16 @@ class PrimitiveShape:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown shape kind {self.kind!r}")
         dims = tuple(float(d) for d in self.dims)
-        if any(d <= 0 for d in dims):
-            raise ValueError("shape dimensions must be > 0")
+        if not all(math.isfinite(d) and d > 0 for d in dims):
+            raise ValueError("shape dimensions must be finite and > 0")
         n_expected = {"box": 3, "cylinder": 2, "capsule": 2, "sphere": 1}[self.kind]
         if len(dims) != n_expected:
             raise ValueError(f"{self.kind} expects {n_expected} dimensions")
         object.__setattr__(self, "dims", dims)
+        # a cloud samples round(area * density) points: an overflowing area
+        # would fail mid-run instead of here
+        if not math.isfinite(self.surface_area()):
+            raise ValueError("shape surface area must be finite")
 
     def surface_area(self) -> float:
         if self.kind == "sphere":
@@ -124,56 +145,19 @@ def _sample_capsule_caps(r, length, n, rng):
 
 
 @dataclass(frozen=True)
-class SceneObject:
-    shape: PrimitiveShape
-    pose: Pose
-
-
-@dataclass(frozen=True)
-class HandModel:
-    """Sphere-cluster hand anchored at the palm center.
-
-    finger_spheres: (local offset, radius) pairs in the palm frame.
-    """
-
-    palm_center: Pose
-    finger_spheres: tuple
-
-    def __post_init__(self):
-        if len(self.finger_spheres) < 1:
-            raise ValueError("hand model needs at least one sphere")
-        spheres = tuple(
-            (np.asarray(off, dtype=float).reshape(3), float(r))
-            for off, r in self.finger_spheres
-        )
-        if any(r <= 0 for _, r in spheres):
-            raise ValueError("sphere radii must be > 0")
-        object.__setattr__(self, "finger_spheres", spheres)
-
-    def sphere_worlds(self):
-        """(world center, radius) for every sphere in the cluster."""
-        return [
-            (self.palm_center.transform_point(off), r)
-            for off, r in self.finger_spheres
-        ]
-
-
-@dataclass(frozen=True)
 class LabeledPointCloud:
     points: np.ndarray  # (N, 3)
     labels: np.ndarray  # (N,) int
-    normals: np.ndarray | None = None  # (N, 3) unit, optional
+    normals: np.ndarray  # (N, 3) unit outward surface normals
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         labels = np.asarray(self.labels, dtype=int).reshape(-1)
+        normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
         if len(points) != len(labels):
             raise ValueError("labels length must match points length")
-        normals = self.normals
-        if normals is not None:
-            normals = np.asarray(normals, dtype=float).reshape(-1, 3)
-            if len(normals) != len(points):
-                raise ValueError("normals length must match points length")
+        if len(normals) != len(points):
+            raise ValueError("normals length must match points length")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "normals", normals)
@@ -186,8 +170,7 @@ class LabeledPointCloud:
         return cls(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros((0, 3)))
 
     def subset(self, mask: np.ndarray) -> "LabeledPointCloud":
-        normals = self.normals[mask] if self.normals is not None else None
-        return LabeledPointCloud(self.points[mask], self.labels[mask], normals)
+        return LabeledPointCloud(self.points[mask], self.labels[mask], self.normals[mask])
 
     def hand_cloud(self) -> "LabeledPointCloud":
         return self.subset(self.labels == LABEL_HAND)
@@ -196,25 +179,17 @@ class LabeledPointCloud:
         return self.subset(self.labels == LABEL_OBJECT)
 
 
-def synthesize_cloud(
-    objects,
-    hand: HandModel | None,
-    camera_pose: Pose,
-    density: float,
-    rng: np.random.Generator,
-) -> LabeledPointCloud:
-    """Sample camera-facing surface points with ground-truth labels.
+def synthesize_cloud(held, palm: Pose, rng: np.random.Generator) -> LabeledPointCloud:
+    """Sample the camera-facing surface points of the scene with ground-truth labels.
 
-    density is points per square meter of surface; point counts per shape
-    are round(area * density) before the visibility cut. An empty result
-    signals a fully occluded view, not an error.
+    held is the (shape, pose) of the object in the hand, or None once the
+    robot has it; the hand is HAND_SPHERES at the palm pose. Each shape
+    gets round(area * CLOUD_DENSITY) points before the visibility cut.
     """
-    if density <= 0:
-        raise ValueError("density must be > 0")
     pts_all, nrm_all, lbl_all = [], [], []
 
     def add_shape(shape: PrimitiveShape, pose: Pose, label: int):
-        n = int(round(shape.surface_area() * density))
+        n = int(round(shape.surface_area() * CLOUD_DENSITY))
         pts, nrm = shape.sample_surface(n, rng)
         if len(pts) == 0:
             return
@@ -223,32 +198,25 @@ def synthesize_cloud(
         nrm_all.append(nrm @ rot.T)
         lbl_all.append(np.full(len(pts), label, dtype=int))
 
-    for obj in objects:
-        add_shape(obj.shape, obj.pose, LABEL_OBJECT)
-    if hand is not None:
-        for center, r in hand.sphere_worlds():
-            sphere = PrimitiveShape("sphere", (r,))
-            add_shape(sphere, Pose(center, [0, 0, 0, 1]), LABEL_HAND)
+    if held is not None:
+        add_shape(*held, LABEL_OBJECT)
+    for offset, r in HAND_SPHERES:
+        center = palm.transform_point(offset)
+        add_shape(PrimitiveShape("sphere", (r,)), Pose(center, [0, 0, 0, 1]), LABEL_HAND)
 
-    if not pts_all:
-        return LabeledPointCloud.empty()
     points = np.vstack(pts_all)
     normals = np.vstack(nrm_all)
     labels = np.concatenate(lbl_all)
-    view = points - camera_pose.p
+    view = points - CAMERA.p
     visible = np.einsum("ij,ij->i", normals, view) < 0.0
     return LabeledPointCloud(points[visible], labels[visible], normals[visible])
 
 
-def crop_around_palm(
-    cloud: LabeledPointCloud, palm_center, radius: float = DEFAULT_CROP_RADIUS
-) -> LabeledPointCloud:
-    """Keep points within the closed ball of the given radius."""
-    if radius <= 0:
-        raise ValueError("crop radius must be > 0")
+def crop_around_palm(cloud: LabeledPointCloud, palm_center) -> LabeledPointCloud:
+    """Keep points within the closed ball of CROP_RADIUS around the palm center."""
     palm_center = np.asarray(palm_center, dtype=float).reshape(3)
     d = np.linalg.norm(cloud.points - palm_center, axis=1)
-    return cloud.subset(d <= radius)
+    return cloud.subset(d <= CROP_RADIUS)
 
 
 def apply_label_noise(

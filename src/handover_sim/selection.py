@@ -9,7 +9,7 @@ signal (the caller tracks the object instead). Every candidate is
 walked: a set holds at most TARGET_SIZE grasps, so with its flips at
 most 100. The score floor, offsets and reachable region are fixed
 module constants; only the (w_prev, w_home) pair varies, by mode
-(MODE_WEIGHTS), and the home anchor is motion.HOME.
+(MODE_WEIGHTS), and the home term always measures to motion.HOME.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FLIP_Z, Pose, pose_distance, quat_mul, quat_to_matrix, quat_unit_rows
-from .motion import HOME, PathQuery, segment_collision_free
+from .motion import HOME, segment_collision_free
 from .refinement import GraspSet
 
 
@@ -63,10 +63,8 @@ def expand_flips(grasp_set: GraspSet) -> GraspSet:
     return grasp_set + GraspSet(grasp_set.p, flipped, grasp_set.scores)
 
 
-def grasp_cost(
-    x_appr: Pose, s: float, x_prev: Pose, x_home: Pose, weights: tuple[float, float]
-) -> float:
-    """W_S * max(S_MIN - s, 0) + w_prev * d(appr, prev) + w_home * d(appr, home),
+def grasp_cost(x_appr: Pose, s: float, x_prev: Pose, weights: tuple[float, float]) -> float:
+    """W_S * max(S_MIN - s, 0) + w_prev * d(appr, prev) + w_home * d(appr, HOME),
     with (w_prev, w_home) = weights.
 
     Given a GraspSet of standoffs and their scores, one cost per grasp.
@@ -75,7 +73,7 @@ def grasp_cost(
     return (
         W_S * np.maximum(S_MIN - s, 0.0)
         + w_prev * pose_distance(x_appr, x_prev)
-        + w_home * pose_distance(x_appr, x_home)
+        + w_home * pose_distance(x_appr, HOME)
     )
 
 
@@ -105,16 +103,14 @@ def select_target(
     if len(grasp_set) == 0:
         return None
     approach, final = make_targets(grasp_set)
-    costs = grasp_cost(approach, grasp_set.scores, x_prev, HOME, weights)
+    costs = grasp_cost(approach, grasp_set.scores, x_prev, weights)
     for i in np.argsort(costs, kind="stable"):
         appr_p, final_p = approach.p[i], final[i]
         if not (_reachable(appr_p) and _reachable(final_p)):
             continue
-        to_standoff = PathQuery(current_ee.p, appr_p, collider_points)
-        if not segment_collision_free(to_standoff):
+        if not segment_collision_free(current_ee.p, appr_p, collider_points):
             continue
-        to_final = PathQuery(appr_p, final_p, collider_points)
-        if not segment_collision_free(to_final):
+        if not segment_collision_free(appr_p, final_p, collider_points):
             continue
         grasp, score = grasp_set.pose(i), float(grasp_set.scores[i])
         final_pose = Pose.from_unit(final_p, approach.q[i])

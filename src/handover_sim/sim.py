@@ -15,12 +15,14 @@ originals' result: each group of gripper boxes is its own mirror image
 under the 180-degree Z flip.
 
 The tuning is fixed: refinement and selection each hold theirs as
-module constants and motion holds the desk layout (table, base,
-``HOME``). A scenario's mode picks only the selection cost weights,
-``MODE_WEIGHTS[mode]``. Runs are fully deterministic given (scenario,
-seed): every random stream is derived from the seed plus the tick index
-and no run state lives at module level, so identical inputs produce
-byte-identical traces, also when runs share a process across threads.
+module constants, motion holds the desk layout (table, base, ``HOME``)
+and the clearance, and scene holds the camera, the cloud density, the
+crop radius and the hand's sphere cluster. A scenario's mode picks only
+the selection cost weights, ``MODE_WEIGHTS[mode]``. Runs are fully
+deterministic given (scenario, seed): every random stream is derived
+from the seed plus the tick index and no run state lives at module
+level, so identical inputs produce byte-identical traces, also when
+runs share a process across threads.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ import numpy as np
 
 from .evaluator import GraspSet, sample_grasps
 from .geometry import Pose, pose_distance, quat_angle
-from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX, HOME, TABLE_Z, TOP_DOWN_Q, PathQuery
+from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX, HOME, TABLE_Z, TOP_DOWN_Q
 from .motion import rrt_connect, segment_collision_free, servo_step
 from .planner import DROP_DURATION, TaskStage, WorldPredicates, decide, execute_take
 from .planner import at_standoff, hand_above_table
 from .refinement import DEFAULT_HAND_MARGIN, HAND_MARGIN, TARGET_SIZE, grasp_collides_hand
 from .refinement import maintain, prune_hand_collisions
-from .scene import HandModel, LabeledPointCloud, SceneObject, apply_label_noise, crop_around_palm
-from .scene import synthesize_cloud
+from .scene import LabeledPointCloud, apply_label_noise, crop_around_palm, synthesize_cloud
 from .scenario import Scenario, ScenarioError, rotate_object_pose
 from .selection import MODE_WEIGHTS, expand_flips, select_target
 
@@ -51,21 +52,11 @@ CLOUD_DIV = 10  # 9 Hz
 REFINE_DIV = 18  # 5 Hz
 SELECT_DIV = 9  # 10 Hz
 
-# the rest of the desk layout (table, base, HOME) is in motion
+# the rest of the desk layout (table, base, HOME) is in motion; the
+# camera and the hand's sphere cluster are in scene
 DROP = Pose((0.25, -0.35, 0.30), TOP_DOWN_Q)
-CAMERA = Pose((0.30, 0.0, 1.10), (0, 0, 0, 1))
 
-CLOUD_DENSITY = 6.0e4  # perceived cloud points per square meter
 CLOSURE_DENSITY = 2.0e5  # ground-truth surface sampling at closure time
-# Palm-relative sphere cluster: one palm sphere plus digits wrapping the
-# near end of the held object (held along local -Y, see default grip).
-HAND_SPHERES = (
-    ((0.0, 0.0, 0.0), 0.035),
-    ((0.0, -0.040, 0.015), 0.012),
-    ((0.018, -0.045, 0.0), 0.012),
-    ((-0.018, -0.045, 0.0), 0.012),
-    ((0.0, -0.050, -0.012), 0.012),
-)
 ARRIVE_POS_TOL = 1.5e-3
 ARRIVE_ANG_TOL = 0.02
 WAYPOINT_TOL = 1.0e-3
@@ -158,8 +149,8 @@ class SimState:
         """Cloud tick: a fresh labeled cloud, cropped around the tracked palm."""
         scenario = self.scenario
         rng = np.random.default_rng([self.seed, _SALT_CLOUD, tick])
-        objects = [] if self.metrics.success else [SceneObject(scenario.object_shape, object_pose)]
-        full = synthesize_cloud(objects, HandModel(palm, HAND_SPHERES), CAMERA, CLOUD_DENSITY, rng)
+        held = None if self.metrics.success else (scenario.object_shape, object_pose)
+        full = synthesize_cloud(held, palm, rng)
         cloud = crop_around_palm(full, self.tracked_palm.p)
         if scenario.label_noise > 0:
             cloud = apply_label_noise(cloud, scenario.label_noise, rng)
@@ -284,14 +275,15 @@ class SimState:
     def approach(self, tick: int) -> None:
         """Straight-first motion toward the standoff, RRT-Connect fallback."""
         goal = self.selected.approach_pose
-        q = PathQuery(self.ee.p, goal.p, self.hand_cloud.points)
-        if segment_collision_free(q):
+        points = self.hand_cloud.points
+        if segment_collision_free(self.ee.p, goal.p, points):
             self.ee = servo_step(self.ee, goal, DT)
             self.waypoints = self.planned_for = None
             return
         # waypoints are only ever set together with planned_for
         if self.waypoints is None or pose_distance(goal, self.planned_for) > REPLAN_DISTANCE:
-            self.waypoints = rrt_connect(q, np.random.default_rng([self.seed, _SALT_MOTION, tick]))
+            rng = np.random.default_rng([self.seed, _SALT_MOTION, tick])
+            self.waypoints = rrt_connect(self.ee.p, goal.p, points, rng)
             self.planned_for = goal
         waypoints = self.waypoints
         if not waypoints:

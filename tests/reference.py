@@ -4,7 +4,7 @@ The simulator applies these operations to whole grasp sets as arrays
 (``selection.expand_flips``, ``selection.make_targets``,
 ``geometry.quat_from_matrix``, ``evaluator.sample_grasps``,
 ``trace.verify_records``); the tests compare those array passes with
-these plain per-pose forms.
+these plain per-pose forms. ``IDENTITY`` is the identity pose.
 """
 
 import numpy as np
@@ -14,7 +14,11 @@ from handover_sim.geometry import FLIP_Z, Pose, quat_angle, quat_mul, quat_norma
 from handover_sim.geometry import quat_to_matrix
 from handover_sim.motion import DEFAULT_V_MAX, DEFAULT_W_MAX
 from handover_sim.refinement import DEFAULT_HAND_MARGIN, grasp_collides_hand
+from handover_sim.scene import LabeledPointCloud
 from handover_sim.sim import DT
+
+
+IDENTITY = Pose(np.zeros(3), (0.0, 0.0, 0.0, 1.0))
 
 
 def z_axis(pose: Pose) -> np.ndarray:
@@ -42,6 +46,14 @@ def pose_inverse(pose: Pose) -> Pose:
     """The pose that composes with ``pose`` to the identity."""
     qc = pose.q * np.array([-1.0, -1.0, -1.0, 1.0])
     return Pose(-(quat_to_matrix(qc) @ pose.p), qc)
+
+
+def point_cloud(points, labels) -> LabeledPointCloud:
+    """A cloud of the points with the given labels (one label for all, or one
+    per point), every normal +Z: for tests where the normals play no part."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    labels = np.broadcast_to(labels, len(points))
+    return LabeledPointCloud(points, labels, np.tile([0.0, 0.0, 1.0], (len(points), 1)))
 
 
 def grasp_set(poses, scores) -> GraspSet:
@@ -89,20 +101,13 @@ def sample_grasps(object_cloud, n, rng) -> GraspSet:
     """
     if len(object_cloud) == 0:
         return GraspSet.empty()
-    centroid = object_cloud.points.mean(axis=0)
     poses, scores = [], []
     for _ in range(10 * n):
         if len(poses) == n:
             break
         idx = int(rng.integers(len(object_cloud)))
         point = object_cloud.points[idx]
-        if object_cloud.normals is not None:
-            normal = object_cloud.normals[idx]
-        else:
-            normal = point - centroid
-            nn = np.linalg.norm(normal)
-            normal = normal / nn if nn > 1e-9 else np.array([0.0, 0.0, 1.0])
-        z = -normal
+        z = -object_cloud.normals[idx]
         tangent = rng.normal(size=3)
         tangent -= tangent @ z * z
         tn = np.linalg.norm(tangent)

@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 from handover_sim.geometry import Pose, pose_distance, quat_from_axis_angle
-from handover_sim.motion import PathQuery, rrt_connect, segment_collision_free
+from handover_sim.motion import HOME, rrt_connect, segment_collision_free
 from handover_sim.planner import TaskStage, WorldPredicates, decide
 from handover_sim.refinement import acceptance_ratio, mh_step
 from handover_sim.scenario import load_scenario
-from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape
+from handover_sim.scene import LABEL_OBJECT, PrimitiveShape
 from handover_sim.selection import MODE_WEIGHTS, expand_flips, grasp_cost
 from handover_sim.sim import run
 from handover_sim.trace import trace_digest, verify_records
-from reference import grasp_set, offset_along_grasp_z
+from reference import grasp_set, offset_along_grasp_z, point_cloud
 
 SEEDS = list(range(20))
 NOMINAL = "scenarios/nominal_cylinder.yaml"
@@ -69,7 +69,7 @@ def test_criterion_1_mh_acceptance_statistics():
         calls["n"] += 1
         return np.full(len(np.reshape(grasps.p, (-1, 3))), 0.8 if calls["n"] == 1 else 0.2)
 
-    cloud = LabeledPointCloud(np.zeros((1, 3)), [LABEL_OBJECT])
+    cloud = point_cloud(np.zeros((1, 3)), LABEL_OBJECT)
     t0 = time.perf_counter()
     out = mh_step(gset, cloud, stub, np.random.default_rng(0))
     elapsed = time.perf_counter() - t0
@@ -84,12 +84,11 @@ def test_criterion_1_mh_acceptance_statistics():
 
 def test_criterion_2_cost_function_exactness():
     weights = MODE_WEIGHTS["temporal_plus"]  # (w_prev, w_home) = (5, 5)
-    x = Pose([0.4, 0.0, 0.3], [1, 0, 0, 0])
-    c0 = grasp_cost(x, 0.9, x, x, weights)
-    c1 = grasp_cost(x, 0.3, x, x, weights)
-    prev = Pose([0.4, 0.1, 0.3], [1, 0, 0, 0])  # d_prev = 0.1^2 = 0.01
-    home = Pose([0.4, 0.0, 0.5], [1, 0, 0, 0])  # d_home = 0.2^2 = 0.04
-    c2 = grasp_cost(x, 0.9, prev, home, weights)
+    c0 = grasp_cost(HOME, 0.9, HOME, weights)
+    c1 = grasp_cost(HOME, 0.3, HOME, weights)
+    x = Pose(HOME.p - [0.0, 0.0, 0.2], HOME.q)  # d_home = 0.2^2 = 0.04
+    prev = Pose(x.p + [0.0, 0.1, 0.0], HOME.q)  # d_prev = 0.1^2 = 0.01
+    c2 = grasp_cost(x, 0.9, prev, weights)
     ok = abs(c0) <= 1e-12 and abs(c1 - 0.2) <= 1e-12 and abs(c2 - 0.25) <= 1e-12
     report(2, f"grasp costs {c0}, {c1}, {c2} == 0, 0.2, 0.25 to 1e-12", ok)
 
@@ -278,16 +277,13 @@ def test_criterion_12_rrt_fallback():
     yy, zz = np.meshgrid(ys, zs)
     wall = np.column_stack([np.full(yy.size, 0.5), yy.ravel(), zz.ravel()])
     keep = yy.ravel() ** 2 + (zz.ravel() - 0.8) ** 2 > 0.10**2
-    q = PathQuery([0.2, 0, 0.6], [0.8, 0, 0.6], wall[keep], 0.0, 0.03)
-    path = rrt_connect(q, np.random.default_rng(12))
+    start, goal, pts = [0.2, 0, 0.6], [0.8, 0, 0.6], wall[keep]
+    path = rrt_connect(start, goal, pts, np.random.default_rng(12))
     ok = (
         path is not None
         and len(path) > 2
-        and not segment_collision_free(q)
-        and all(
-            segment_collision_free(PathQuery(a, b, q.collider_points, 0.0, 0.03))
-            for a, b in zip(path, path[1:])
-        )
+        and not segment_collision_free(start, goal, pts)
+        and all(segment_collision_free(a, b, pts) for a, b in zip(path, path[1:]))
     )
 
     # goal sealed inside a box of points: clean failure, then the simulator
@@ -303,8 +299,7 @@ def test_criterion_12_rrt_fallback():
             face[:, (axis + 1) % 3] = gg.ravel()
             face[:, (axis + 2) % 3] = hh.ravel()
             faces.append(face + c)
-    enclosed = PathQuery([0.0, 0.0, 0.5], c, np.vstack(faces), 0.0, 0.03)
-    ok &= rrt_connect(enclosed, np.random.default_rng(13), max_iters=300) is None
+    ok &= rrt_connect([0.0, 0.0, 0.5], c, np.vstack(faces), np.random.default_rng(13)) is None
 
     from handover_sim.scenario import scenario_from_dict
 

@@ -160,8 +160,8 @@ def pushed_scenario(name):
 def test_pushed_hand_rrt_digest_is_pinned(name, seed, monkeypatch):
     paths = []
 
-    def counted(q, rng):
-        paths.append(rrt_connect(q, rng))
+    def counted(start, goal, points, rng):
+        paths.append(rrt_connect(start, goal, points, rng))
         return paths[-1]
 
     monkeypatch.setattr(sim, "rrt_connect", counted)

@@ -19,7 +19,7 @@ from handover_sim.evaluator import (
 from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul
 from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape
 import reference
-from reference import flip_about_grasp_z, z_axis
+from reference import IDENTITY, flip_about_grasp_z, point_cloud, z_axis
 
 # regression baseline from the independent brute-force oracle below
 CYLINDER_ORACLE_SCORE = 0.5261610521753719
@@ -91,11 +91,8 @@ def scalar_evaluate(pose, object_cloud):
     if n_in == 0:
         return 0.0
     containment = min(1.0, n_in / 20)
-    if object_cloud.normals is None:
-        alignment = 1.0
-    else:
-        local_normals = object_cloud.normals[inside] @ pose.rotation_matrix()
-        alignment = float(np.mean(np.abs(local_normals[:, 1])))
+    local_normals = object_cloud.normals[inside] @ pose.rotation_matrix()
+    alignment = float(np.mean(np.abs(local_normals[:, 1])))
     return containment * alignment
 
 
@@ -107,12 +104,12 @@ SHAPES = {
 }
 
 
-def shape_cloud(kind, normals=True, n=1500, seed=31):
-    """A surface cloud of the shape at a random pose, with or without normals."""
+def shape_cloud(kind, n=1500, seed=31):
+    """A surface cloud of the shape at a random pose."""
     rng = np.random.default_rng(seed)
     pts, nrm = PrimitiveShape(kind, SHAPES[kind]).sample_surface(n, rng)
     world = Pose(rng.uniform(-0.2, 0.2, 3), rng.normal(size=4))
-    nrm = nrm @ world.rotation_matrix().T if normals else None
+    nrm = nrm @ world.rotation_matrix().T
     return LabeledPointCloud(world.transform_points(pts), np.full(n, LABEL_OBJECT), nrm)
 
 
@@ -125,10 +122,9 @@ def mixed_grasps(cloud, seed=32):
 
 
 class TestEvaluateRows:
-    @pytest.mark.parametrize("normals", [True, False])
     @pytest.mark.parametrize("kind", sorted(SHAPES))
-    def test_matches_scalar_reference_bit_for_bit(self, kind, normals):
-        cloud = shape_cloud(kind, normals)
+    def test_matches_scalar_reference_bit_for_bit(self, kind):
+        cloud = shape_cloud(kind)
         grasps = mixed_grasps(cloud)
         assert len(grasps) == 50
         for g in (0, 1, ROW_CHUNK, ROW_CHUNK + 1, 50):
@@ -173,7 +169,7 @@ class TestPointsInBoxes:
 
 class TestEvaluate:
     def test_empty_cloud_scores_zero(self):
-        assert evaluate(Pose.identity(), LabeledPointCloud.empty()) == 0.0
+        assert evaluate(IDENTITY, LabeledPointCloud.empty()) == 0.0
 
     def test_far_grasp_scores_zero(self):
         cloud = cylinder_cloud(n=500)
@@ -182,8 +178,8 @@ class TestEvaluate:
 
     def test_point_in_finger_box_gates_to_zero(self):
         pt = np.array([[0.0, 0.045, 0.0]])  # center of a finger box
-        cloud = LabeledPointCloud(pt, [LABEL_OBJECT])
-        assert evaluate(Pose.identity(), cloud) == 0.0
+        cloud = point_cloud(pt, LABEL_OBJECT)
+        assert evaluate(IDENTITY, cloud) == 0.0
 
     def test_cylinder_matches_brute_force_oracle(self):
         cloud = cylinder_cloud()
@@ -195,12 +191,6 @@ class TestEvaluate:
         phi0 = np.arcsin(1 / 3)
         analytic = (2 * (1 - 1 / 3)) / (np.pi - 2 * phi0)
         assert score == pytest.approx(analytic, abs=0.03)
-
-    def test_missing_normals_fall_back_to_unit_alignment(self):
-        cloud = cylinder_cloud(n=5000)
-        bare = LabeledPointCloud(cloud.points, cloud.labels, None)
-        pose = Pose([0, 0, 0.03], TOP_DOWN)
-        assert evaluate(pose, bare) == pytest.approx(1.0)  # containment saturates
 
     def test_rigid_transform_equivariance(self):
         cloud = cylinder_cloud(n=3000)
@@ -339,21 +329,6 @@ class TestSampleGrasps:
             self.assert_same_rows(got, reference.sample_grasps(cloud, 20, ref_rng))
             assert len(got) == 20
             assert got_rng.random() == ref_rng.random()
-
-    def test_matches_one_trial_reference_without_normals(self):
-        # a 3x3x3 grid of dyadic points: the mean is exactly the middle point,
-        # whose radial direction is zero and falls back to [0, 0, 1]
-        steps = np.arange(-1, 2) / 64.0
-        grid = np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), axis=-1).reshape(-1, 3)
-        centre = np.array([0.25, 0.5, 0.125])
-        cloud = LabeledPointCloud(grid + centre, np.full(len(grid), LABEL_OBJECT))
-        middle = int(np.flatnonzero((grid == 0.0).all(axis=1))[0])
-        assert np.array_equal(cloud.points.mean(axis=0), cloud.points[middle])
-        got_rng, ref_rng = ScriptedGenerator(3), ScriptedGenerator(3)
-        got = sample_grasps(cloud, 40, got_rng)
-        self.assert_same_rows(got, reference.sample_grasps(cloud, 40, ref_rng))
-        assert middle in got_rng.drawn
-        assert got_rng.random() == ref_rng.random()
 
     def test_tangent_along_approach_axis_is_skipped_as_in_reference(self):
         cloud = self.sphere_cloud()

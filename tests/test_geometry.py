@@ -14,7 +14,7 @@ from handover_sim.geometry import (
 )
 import reference
 from reference import flip_about_grasp_z, grasp_set, offset_along_grasp_z, pose_from_array
-from reference import pose_inverse, z_axis
+from reference import IDENTITY, pose_inverse, z_axis
 
 
 def random_pose(rng):
@@ -92,7 +92,7 @@ class TestPoseDistance:
 
 class TestGraspFrameOps:
     def test_flip_identity_pose(self):
-        flipped = flip_about_grasp_z(Pose.identity())
+        flipped = flip_about_grasp_z(IDENTITY)
         expected = quat_from_axis_angle([0, 0, 1], np.pi)
         assert np.allclose(flipped.p, 0)
         assert abs(np.dot(flipped.q, expected)) == pytest.approx(1.0, abs=1e-12)
@@ -123,7 +123,7 @@ class TestGraspFrameOps:
         assert np.allclose(z_axis(f), [1, 0, 0], atol=1e-9)
 
     def test_offset_standoff_and_push_in(self):
-        g = Pose.identity()
+        g = IDENTITY
         back = offset_along_grasp_z(g, -0.10)
         assert np.allclose(back.p, [0, 0, -0.10], atol=1e-15)
         fwd = offset_along_grasp_z(g, 0.05)

@@ -444,6 +444,10 @@ BAD_SCENARIOS = {
     "string_keyframe_time": base_dict(hand_trajectory=[{"t": "0", "pose": [0.55, 0.05, 0.28]}]),
     "boolean_hand_pose": base_dict(hand_trajectory=[{"t": 0.0, "pose": [0.55, 0.05, True]}]),
     "boolean_dims": _with_object(dims=[True, True]),
+    # each would parse, then fail mid-run sampling round(area * density) points
+    "infinite_dims": _with_object(dims=[float("inf"), 0.16]),
+    "nan_dims": _with_object(dims=[float("nan"), 0.16]),
+    "overflowing_dims": _with_object(dims=[1.0e300, 0.16]),
     "string_dims": _with_object(dims=["0.02", 0.16]),
     "string_grip_offset": _with_object(grip_offset=["0.0", -0.11, 0.0]),
     "string_trigger_time": base_dict(events=_push_event([0.1, 0.0, 0.0], time="0.1")),

@@ -3,18 +3,16 @@ import pytest
 
 from handover_sim.geometry import Pose, quat_angle, quat_from_axis_angle
 from handover_sim.motion import (
-    PathQuery,
+    DEFAULT_CLEARANCE,
+    TABLE_Z,
     point_segment_distances,
     rrt_connect,
     segment_collision_free,
     servo_step,
 )
+from reference import IDENTITY
 
 NO_PTS = np.zeros((0, 3))
-
-
-def query(start, goal, pts=NO_PTS, table_z=-10.0, clearance=0.03):
-    return PathQuery(start, goal, pts, table_z, clearance)
 
 
 class TestPointSegmentDistances:
@@ -44,10 +42,7 @@ class TestPointSegmentDistances:
 
 
 class TestPathQueryValidation:
-    @pytest.mark.parametrize("clearance", [0.0, -0.03, np.nan, np.inf])
-    def test_rejects_clearance_not_finite_and_positive(self, clearance):
-        with pytest.raises(ValueError):
-            query([0, 0, 0.5], [1, 0, 0.5], clearance=clearance)
+    """The start and goal of a path query are each 3 finite numbers."""
 
     @pytest.mark.parametrize(
         "start,goal",
@@ -60,27 +55,27 @@ class TestPathQueryValidation:
     )
     def test_rejects_endpoint_not_three_finite_numbers(self, start, goal):
         with pytest.raises(ValueError):
-            query(start, goal)
-
-    def test_rejects_nan_table_height(self):
+            segment_collision_free(start, goal, NO_PTS)
         with pytest.raises(ValueError):
-            query([0, 0, 0.5], [1, 0, 0.5], table_z=np.nan)
+            rrt_connect(start, goal, NO_PTS, np.random.default_rng(0))
 
 
 class TestSegmentCollisionFree:
     def test_far_point_free(self):
-        q = query([0, 0, 0.5], [1, 0, 0.5], np.array([[0.5, 1.0, 0.5]]))
-        assert segment_collision_free(q)
+        assert segment_collision_free([0, 0, 0.5], [1, 0, 0.5], np.array([[0.5, 1.0, 0.5]]))
 
     def test_clearance_boundary(self):
-        near = query([0, 0, 0.5], [1, 0, 0.5], np.array([[0.5, 0.0299, 0.5]]))
-        assert not segment_collision_free(near)
-        at = query([0, 0, 0.5], [1, 0, 0.5], np.array([[0.5, 0.0301, 0.5]]))
-        assert segment_collision_free(at)
+        def free_at(y):
+            return segment_collision_free([0, 0, 0.5], [1, 0, 0.5], np.array([[0.5, y, 0.5]]))
+
+        assert not free_at(DEFAULT_CLEARANCE - 1e-4)
+        assert free_at(DEFAULT_CLEARANCE)  # >=: exactly at the clearance is free
+        assert free_at(DEFAULT_CLEARANCE + 1e-4)
 
     def test_table_halfspace(self):
-        assert not segment_collision_free(query([0, 0, 0.5], [1, 0, 0.02], table_z=0.0))
-        assert segment_collision_free(query([0, 0, 0.5], [1, 0, 0.04], table_z=0.0))
+        floor = TABLE_Z + DEFAULT_CLEARANCE
+        assert not segment_collision_free([0, 0, 0.5], [1, 0, floor - 0.01], NO_PTS)
+        assert segment_collision_free([0, 0, 0.5], [1, 0, floor + 0.01], NO_PTS)
 
 
 class TestRrtConnect:
@@ -95,41 +90,40 @@ class TestRrtConnect:
             pts = pts[keep]
         return pts
 
-    def path_is_valid(self, path, q):
-        assert np.allclose(path[0], q.start)
-        assert np.allclose(path[-1], q.goal)
+    def path_is_valid(self, path, start, goal, pts):
+        assert np.allclose(path[0], start)
+        assert np.allclose(path[-1], goal)
         for a, b in zip(path, path[1:]):
-            assert segment_collision_free(PathQuery(a, b, q.collider_points, q.table_z, q.clearance))
+            assert segment_collision_free(a, b, pts)
 
     def test_free_space_returns_straight_segment(self):
-        q = query([0, 0, 0.5], [1, 0, 0.5])
-        path = rrt_connect(q, np.random.default_rng(1))
+        path = rrt_connect([0, 0, 0.5], [1, 0, 0.5], NO_PTS, np.random.default_rng(1))
         assert len(path) == 2
-        self.path_is_valid(path, q)
+        self.path_is_valid(path, [0, 0, 0.5], [1, 0, 0.5], NO_PTS)
 
     def test_routes_around_solid_wall(self):
-        q = query([0.2, 0, 0.6], [0.8, 0, 0.6], self.wall(), table_z=0.0)
-        path = rrt_connect(q, np.random.default_rng(2))
+        start, goal, pts = [0.2, 0, 0.6], [0.8, 0, 0.6], self.wall()
+        path = rrt_connect(start, goal, pts, np.random.default_rng(2))
         assert path is not None
         assert len(path) > 2
-        self.path_is_valid(path, q)
+        self.path_is_valid(path, start, goal, pts)
 
     def test_finds_gap_in_wall(self):
-        q = query([0.2, 0, 0.6], [0.8, 0, 0.6], self.wall(gap=(0.0, 0.6, 0.12)), table_z=0.0)
-        path = rrt_connect(q, np.random.default_rng(3))
+        start, goal, pts = [0.2, 0, 0.6], [0.8, 0, 0.6], self.wall(gap=(0.0, 0.6, 0.12))
+        path = rrt_connect(start, goal, pts, np.random.default_rng(3))
         assert path is not None
-        self.path_is_valid(path, q)
+        self.path_is_valid(path, start, goal, pts)
 
     def test_deterministic_for_fixed_seed(self):
-        q = query([0.2, 0, 0.6], [0.8, 0, 0.6], self.wall(), table_z=0.0)
-        p1 = rrt_connect(q, np.random.default_rng(4))
-        p2 = rrt_connect(q, np.random.default_rng(4))
+        start, goal, pts = [0.2, 0, 0.6], [0.8, 0, 0.6], self.wall()
+        p1 = rrt_connect(start, goal, pts, np.random.default_rng(4))
+        p2 = rrt_connect(start, goal, pts, np.random.default_rng(4))
         assert len(p1) == len(p2)
         for a, b in zip(p1, p2):
             assert np.array_equal(a, b)
 
     def test_enclosed_goal_fails(self):
-        # goal boxed in by six walls of points
+        # goal boxed in by six walls of points: the search spends every iteration
         c = np.array([0.5, 0.0, 0.5])
         faces = []
         grid = np.linspace(-0.06, 0.06, 13)
@@ -142,31 +136,31 @@ class TestRrtConnect:
                 face[:, (axis + 2) % 3] = hh.ravel()
                 faces.append(face + c)
         pts = np.vstack(faces)
-        q = query([0.0, 0.0, 0.5], c, pts)
-        assert rrt_connect(q, np.random.default_rng(5), max_iters=300) is None
+        assert rrt_connect([0.0, 0.0, 0.5], c, pts, np.random.default_rng(5)) is None
 
     @pytest.mark.parametrize(
-        "start,goal,pts,table_z",
+        "start,goal,pts",
         [
-            ([0, 0, 0.5], [1, 0, 0.5], [[0, 0.02, 0.5]], -10.0),  # start near a point
-            ([0, 0, 0.5], [1, 0, 0.5], [[1, 0.02, 0.5]], -10.0),  # goal near a point
-            ([0, 0, 0.02], [1, 0, 0.5], NO_PTS, 0.0),  # start below table_z + clearance
+            ([0, 0, 0.5], [1, 0, 0.5], [[0, 0.02, 0.5]]),  # start near a point
+            ([0, 0, 0.5], [1, 0, 0.5], [[1, 0.02, 0.5]]),  # goal near a point
+            ([0, 0, 0.02], [1, 0, 0.5], NO_PTS),  # start below TABLE_Z + clearance
         ],
     )
-    def test_blocked_endpoint_fails_without_drawing(self, start, goal, pts, table_z):
+    def test_blocked_endpoint_fails_without_drawing(self, start, goal, pts):
         rng = np.random.default_rng(7)
         before = rng.bit_generator.state
-        assert rrt_connect(query(start, goal, np.array(pts), table_z), rng) is None
+        assert rrt_connect(start, goal, np.array(pts), rng) is None
         assert rng.bit_generator.state == before
 
     def test_endpoint_at_exact_clearance_is_free(self):
-        # 0.25 m from the start, exactly representable: free, as >= makes it
-        # for segments, so the search runs and draws (the point at x = 1
-        # blocks the straight segment)
-        pts = np.array([[0.0, 0.25, 0.5], [1.0, 0.0, 0.5]])
+        # exactly DEFAULT_CLEARANCE from the start (sqrt(c * c) == c): free, as
+        # >= makes it for segments, so the search runs and draws (the point at
+        # x = 1 blocks the straight segment)
+        pts = np.array([[0.0, DEFAULT_CLEARANCE, 0.5], [1.0, 0.0, 0.5]])
+        assert point_segment_distances(pts[:1], [0, 0, 0.5], [0, 0, 0.5])[0] == DEFAULT_CLEARANCE
         rng = np.random.default_rng(8)
         before = rng.bit_generator.state
-        rrt_connect(query([0, 0, 0.5], [2, 0, 0.5], pts, clearance=0.25), rng, max_iters=5)
+        rrt_connect([0, 0, 0.5], [2, 0, 0.5], pts, rng)
         assert rng.bit_generator.state != before
 
 
@@ -214,4 +208,4 @@ class TestServoStep:
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            servo_step(self.state(), Pose.identity(), 0.0)
+            servo_step(self.state(), IDENTITY, 0.0)

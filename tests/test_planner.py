@@ -14,6 +14,7 @@ from handover_sim.planner import (
     execute_take,
     hand_above_table,
 )
+from reference import IDENTITY
 
 
 def expected_stage(hand, grasp, standoff, holding):
@@ -81,7 +82,7 @@ class TestExecuteTake:
         return pose.transform_points(local)
 
     def test_empty_points_fails(self):
-        assert not execute_take(Pose.identity(), np.zeros((0, 3)))
+        assert not execute_take(IDENTITY, np.zeros((0, 3)))
 
     def test_exact_count_threshold(self):
         pose = Pose([0.4, 0.1, 0.3], [0.2, -0.4, 0.1, 0.88])
@@ -90,7 +91,7 @@ class TestExecuteTake:
         assert not execute_take(pose, inside[:-1])
 
     def test_points_outside_do_not_count(self):
-        pose = Pose.identity()
+        pose = IDENTITY
         far = np.array([[0.0, 0.0, 0.5]] * 50)
         assert not execute_take(pose, far)
         mixed = np.vstack([far, self.grid_in_closing(pose, CLOSURE_MIN_POINTS)])
@@ -102,4 +103,4 @@ class TestExecuteTake:
             pose = Pose(rng.uniform(-1, 1, 3), rng.normal(size=4))
             pts = self.grid_in_closing(pose, 20)
             assert execute_take(pose, pts)
-            assert not execute_take(Pose.identity(), pts + 10.0)
+            assert not execute_take(IDENTITY, pts + 10.0)

@@ -17,7 +17,7 @@ from handover_sim.refinement import (
     prune_hand_collisions,
 )
 from handover_sim.scene import LABEL_HAND, LABEL_OBJECT, LabeledPointCloud, PrimitiveShape
-from reference import grasp_set
+from reference import IDENTITY, grasp_set, point_cloud
 
 def sphere_cloud(r=0.03, n=2000, seed=0, center=(0.0, 0.0, 0.0)):
     shape = PrimitiveShape("sphere", (r,))
@@ -42,7 +42,7 @@ class TestPerturb:
 
     def test_uniform_statistics_oracle(self):
         rng = np.random.default_rng(2)
-        pose = Pose.identity()
+        pose = IDENTITY
         deltas = np.array([perturb(pose, rng).p for _ in range(10_000)])
         assert np.all(np.abs(deltas.mean(axis=0)) < 0.002)
         assert np.all(deltas.min(axis=0) < -0.018)
@@ -96,7 +96,7 @@ class TestMhStep:
         assert all(moved)
 
     def test_rejected_grasps_keep_pose_with_refreshed_score(self):
-        gset = make_set([Pose.identity()], [0.9])
+        gset = make_set([IDENTITY], [0.9])
         out = mh_step(
             gset, sphere_cloud(n=10), self.stub_evaluator(0.8, 0.0),
             np.random.default_rng(5),
@@ -108,18 +108,18 @@ class TestMhStep:
 
 class TestPrune:
     def test_empty_hand_is_identity(self):
-        gset = make_set([Pose.identity(), Pose([0.1, 0, 0], [0, 0, 0, 1])])
+        gset = make_set([IDENTITY, Pose([0.1, 0, 0], [0, 0, 0, 1])])
         out = prune_hand_collisions(gset, LabeledPointCloud.empty())
         assert len(out) == len(gset)
 
     def test_hand_point_at_grasp_origin_removes_grasp(self):
-        gset = make_set([Pose.identity()])
-        hand = LabeledPointCloud([[0.0, 0.0, 0.0]], [LABEL_HAND])
+        gset = make_set([IDENTITY])
+        hand = point_cloud([[0.0, 0.0, 0.0]], LABEL_HAND)
         assert len(prune_hand_collisions(gset, hand)) == 0
 
     def test_point_in_finger_box_removes_grasp(self):
-        gset = make_set([Pose.identity()])
-        hand = LabeledPointCloud([[0.0, -0.045, 0.0]], [LABEL_HAND])
+        gset = make_set([IDENTITY])
+        hand = point_cloud([[0.0, -0.045, 0.0]], LABEL_HAND)
         assert len(prune_hand_collisions(gset, hand)) == 0
 
     def test_matches_brute_force_dilated_filter(self):
@@ -129,7 +129,7 @@ class TestPrune:
         ]
         gset = make_set(poses)
         hand_pts = rng.uniform(-0.1, 0.1, size=(200, 3))
-        hand = LabeledPointCloud(hand_pts, np.full(200, LABEL_HAND))
+        hand = point_cloud(hand_pts, LABEL_HAND)
         out = prune_hand_collisions(gset, hand)
         boxes = [
             ((0, 0.045, 0), (0.01, 0.005, 0.02)),
@@ -158,7 +158,7 @@ class TestPrune:
         rng = np.random.default_rng(14)
         poses = [Pose(rng.uniform(-0.05, 0.05, 3), rng.normal(size=4)) for _ in range(100)]
         hand_pts = rng.uniform(-0.2, 0.2, size=(300, 3))
-        hand = LabeledPointCloud(hand_pts, np.full(300, LABEL_HAND))
+        hand = point_cloud(hand_pts, LABEL_HAND)
         out = prune_hand_collisions(make_set(poses), hand)
         boxes = GRIPPER_BOXES
         keep = [
@@ -207,7 +207,7 @@ class TestMaintain:
         # a hand shell over the +x half of the object prunes most of the set, not all
         shell, _ = PrimitiveShape("sphere", (0.07,)).sample_surface(3000, np.random.default_rng(1))
         shell = shell[shell[:, 0] > 0.0]
-        hand = LabeledPointCloud(shell, np.full(len(shell), LABEL_HAND))
+        hand = point_cloud(shell, LABEL_HAND)
         pruned, requested = [], []
         prune, sample = refinement.prune_hand_collisions, refinement.sample_grasps
 
@@ -229,7 +229,7 @@ class TestMaintain:
         assert len(out) == survivors + len(pruned[1]) <= TARGET_SIZE
 
     def test_empty_object_cloud_empties_the_set(self):
-        gset = make_set([Pose.identity()])
+        gset = make_set([IDENTITY])
         out, resampled = maintain(
             gset, LabeledPointCloud.empty(), LabeledPointCloud.empty(),
             np.random.default_rng(11),

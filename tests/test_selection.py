@@ -54,32 +54,33 @@ class TestExpandFlips:
             assert np.array_equal(out.pose(200 + i).to_array(), flip_about_grasp_z(g).to_array())
 
 
+def near_home(offset):
+    """HOME moved by offset, same orientation."""
+    return Pose(HOME.p + offset, HOME.q)
+
+
 class TestGraspCost:
     def test_all_terms_zero(self):
-        x = Pose([0.4, 0.0, 0.3], [1, 0, 0, 0])
-        assert grasp_cost(x, 0.9, x, x, W) == 0.0
+        assert grasp_cost(HOME, 0.9, HOME, W) == 0.0
 
     def test_score_shortfall_only(self):
-        x = Pose([0.4, 0.0, 0.3], [1, 0, 0, 0])
         # w_s * (0.5 - 0.3) = 0.2
-        assert grasp_cost(x, 0.3, x, x, W) == pytest.approx(0.2, abs=1e-12)
+        assert grasp_cost(HOME, 0.3, HOME, W) == pytest.approx(0.2, abs=1e-12)
 
     def test_distance_terms_exact(self):
-        x = Pose([0.4, 0.0, 0.3], [1, 0, 0, 0])
-        prev = Pose([0.4, 0.1, 0.3], [1, 0, 0, 0])
-        # w_prev * 0.1^2 + w_home * 0.1^2 with home == prev here
-        assert grasp_cost(x, 0.9, prev, prev, W) == pytest.approx(0.1, abs=1e-12)
+        x = near_home([0.0, 0.1, 0.0])
+        # w_prev * 0.1^2 + w_home * 0.1^2 with prev == HOME here
+        assert grasp_cost(x, 0.9, HOME, W) == pytest.approx(0.1, abs=1e-12)
 
     def test_above_floor_score_is_free(self):
-        x = Pose([0.4, 0.0, 0.3], [1, 0, 0, 0])
-        assert grasp_cost(x, 0.51, x, x, W) == grasp_cost(x, 1.0, x, x, W)
+        x = near_home([0.1, 0.0, -0.1])
+        assert grasp_cost(x, 0.51, x, W) == grasp_cost(x, 1.0, x, W)
 
     def test_mixed_worked_value(self):
-        appr = Pose([0.5, 0.0, 0.3], [1, 0, 0, 0])
-        prev = Pose([0.5, 0.0, 0.25], [1, 0, 0, 0])
-        home = Pose([0.3, 0.0, 0.3], [1, 0, 0, 0])
+        appr = near_home([0.2, 0.0, 0.0])
+        prev = near_home([0.2, 0.0, -0.05])
         # 1*(0.5-0.4) + 5*0.05^2 + 5*0.2^2 = 0.1 + 0.0125 + 0.2
-        got = grasp_cost(appr, 0.4, prev, home, W)
+        got = grasp_cost(appr, 0.4, prev, W)
         assert got == pytest.approx(0.3125, abs=1e-12)
 
 
@@ -91,7 +92,7 @@ class TestMakeTarget:
         assert np.allclose(t.final_pose.p, [0.5, 0.1, 0.3 + 0.05], atol=1e-12)
         assert np.allclose(t.approach_pose.q, g.q)
         assert np.allclose(t.final_pose.q, g.q)
-        assert t.cost == grasp_cost(t.approach_pose, 0.7, HOME, HOME, W)
+        assert t.cost == grasp_cost(t.approach_pose, 0.7, HOME, W)
 
     def test_standoff_and_final_separated_by_offsets(self):
         rng = np.random.default_rng(1)
@@ -107,13 +108,13 @@ class TestMakeTarget:
         scores = list(rng.uniform(0, 1, 200))
         prev = Pose(rng.uniform(-1, 1, 3), rng.normal(size=4))
         approach, final = make_targets(gset(poses, scores))
-        costs = grasp_cost(approach, approach.scores, prev, HOME, W)
+        costs = grasp_cost(approach, approach.scores, prev, W)
         for i, (g, s) in enumerate(zip(poses, scores)):
             appr = offset_along_grasp_z(g, -STANDOFF)
             assert np.array_equal(approach.pose(i).to_array(), appr.to_array())
             final_pose = Pose.from_unit(final[i], approach.q[i])
             assert np.array_equal(final_pose.to_array(), offset_along_grasp_z(g, PUSH_IN).to_array())
-            assert costs[i] == grasp_cost(appr, s, prev, HOME, W)
+            assert costs[i] == grasp_cost(appr, s, prev, W)
 
 
 class TestSelectTarget:
