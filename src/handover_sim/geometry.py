@@ -16,6 +16,7 @@ one-matrix Shepperd form computes it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,24 +31,28 @@ def row_dot(a, b) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm of one float vector, bit for bit: the same
+    sqrt(v.dot(v)), without the wrapper's dispatch."""
+    return math.sqrt(v.dot(v))
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1) of a float array, bit for bit: the same
+    sqrt(add.reduce(v * v)), without the wrapper's dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
+    n = vector_norm(q)
     if n < 1e-8:
         raise ValueError("degenerate quaternion (norm ~ 0)")
     return q / n
 
 
-def quat_canonical(q: np.ndarray) -> np.ndarray:
-    """Return the double-cover representative with scalar part >= 0."""
-    q = np.asarray(q, dtype=float)
-    if q[3] < 0.0:
-        return -q
-    return q
-
-
 def quat_unit_rows(q: np.ndarray) -> np.ndarray:
-    """quat_canonical(quat_normalize(row)) for every row of a (G, 4) stack."""
+    """A Pose's normalisation (unit norm, scalar part >= 0) for every row of a (G, 4) stack."""
     q = q / np.sqrt(row_dot(q, q))[:, None]
     return np.where(q[:, 3:] < 0.0, -q, q)
 
@@ -134,7 +139,7 @@ def quat_slerp(q0, q1, u: float) -> np.ndarray:
         dot = -dot
     if dot > 1.0 - 1e-12:
         return quat_normalize(q0 + u * (q1 - q0))
-    theta = np.arccos(np.clip(dot, -1.0, 1.0))
+    theta = np.arccos(dot)  # 0 <= dot <= 1 - 1e-12 here: clipping to [-1, 1] is a no-op
     s = np.sin(theta)
     return quat_normalize(np.sin((1 - u) * theta) / s * q0 + np.sin(u * theta) / s * q1)
 
@@ -142,7 +147,7 @@ def quat_slerp(q0, q1, u: float) -> np.ndarray:
 def quat_angle(q0, q1) -> float:
     """Geodesic angle (radians) between two orientations."""
     dot = abs(float(np.dot(q0, q1)))
-    return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))
+    return 2.0 * np.arccos(min(dot, 1.0))  # dot >= 0 (or NaN): np.clip to [-1, 1]
 
 
 @dataclass(frozen=True)
@@ -153,11 +158,18 @@ class Pose:
     q: np.ndarray
 
     def __post_init__(self):
-        self._freeze(self.p, quat_canonical(quat_normalize(self.q)))
+        # quat_normalize and the scalar-part sign flip, on one copy of q
+        q = np.array(self.q, dtype=float).reshape(4)
+        n = vector_norm(q)
+        if n < 1e-8:
+            raise ValueError("degenerate quaternion (norm ~ 0)")
+        q /= n
+        if q[3] < 0.0:
+            np.negative(q, out=q)
+        self._freeze(np.array(self.p, dtype=float).reshape(3), q)
 
     def _freeze(self, p, q):
-        p = np.array(p, dtype=float).reshape(3)
-        q = np.array(q, dtype=float).reshape(4)
+        """Keep p and q, arrays this pose owns, read-only."""
         p.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -167,7 +179,7 @@ class Pose:
     def from_unit(cls, p, q) -> "Pose":
         """Take q, a canonical unit row of a grasp set, as is: renormalising can move a bit."""
         pose = object.__new__(cls)
-        pose._freeze(p, q)
+        pose._freeze(np.array(p, dtype=float).reshape(3), np.array(q, dtype=float).reshape(4))
         return pose
 
     def to_array(self) -> np.ndarray:

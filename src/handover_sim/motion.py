@@ -5,6 +5,13 @@ positions is the fallback when the straight segment is blocked. Both take
 a start, a goal and the collider points. There is one collision
 predicate, segment_collision_free: DEFAULT_CLEARANCE from every point
 plus the table half-space, for a segment or (start == goal) a point.
+It runs a broad phase first: only the points inside the segment's
+axis-aligned box, dilated by DEFAULT_CLEARANCE plus 1e-9 m, reach the
+distance pass. The boolean cannot change. Every point of the segment
+lies in the undilated box, so a point outside the dilated one is more
+than the clearance away along one axis alone, and the 1e-9 m slack is
+far wider than the rounding of the box's corners or of a computed
+distance at desk scale. A NaN point stays in, as it blocked before.
 RRT-Connect returns None before sampling when its start or goal is not
 free: every tree edge must pass the predicate from its base, so a tree
 rooted inside the clearance can never grow and the search could only
@@ -22,13 +29,16 @@ import math
 
 import numpy as np
 
-from .geometry import Pose, quat_angle, quat_slerp
+from .geometry import Pose, quat_angle, quat_slerp, row_norms, vector_norm
 
 DEFAULT_CLEARANCE = 0.03
 DEFAULT_V_MAX = 0.25  # m/s
 DEFAULT_W_MAX = 1.0  # rad/s
 RRT_STEP = 0.05
 RRT_MAX_ITERS = 2000
+# the broad phase's box dilation: the clearance plus an outward slack far
+# above the rounding of a desk-scale box corner
+_BROAD_REACH = DEFAULT_CLEARANCE + 1e-9
 
 TABLE_Z = 0.0
 TOP_DOWN_Q = (1.0, 0.0, 0.0, 0.0)  # local +Z pointing at the table
@@ -36,17 +46,22 @@ HOME = Pose((0.30, 0.0, 0.45), TOP_DOWN_Q)
 
 
 def point_segment_distances(points: np.ndarray, a, b) -> np.ndarray:
-    """Distance from each point to segment a-b."""
+    """Distance from each point to segment a-b.
+
+    minimum(maximum(...)) and row_norms are what np.clip and
+    np.linalg.norm(axis=1) compute, without their wrappers.
+    """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ab = b - a
     denom = float(ab @ ab)
     if denom < 1e-18:
-        return np.linalg.norm(points - a, axis=1)
-    t = np.clip((points - a) @ ab / denom, 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return np.linalg.norm(points - closest, axis=1)
+        d = points - a
+    else:
+        t = np.minimum(np.maximum((points - a) @ ab / denom, 0.0), 1.0)
+        d = points - (a + t[:, None] * ab)
+    return row_norms(d)
 
 
 def segment_collision_free(start, goal, points) -> bool:
@@ -55,19 +70,29 @@ def segment_collision_free(start, goal, points) -> bool:
 
     ValueError unless start and goal are each 3 finite numbers: a NaN
     compares False everywhere, so it would block every segment or none
-    without an error.
+    without an error. Only the points inside the segment's box dilated
+    by _BROAD_REACH reach the distance pass (see the module docstring).
     """
     a = np.asarray(start, dtype=float).ravel()
     b = np.asarray(goal, dtype=float).ravel()
     if a.shape != (3,) or b.shape != (3,):
         raise ValueError("start and goal must each be 3 numbers")
-    if not all(map(math.isfinite, [*a.tolist(), *b.tolist()])):
+    ends = a.tolist() + b.tolist()
+    if not all(map(math.isfinite, ends)):
         raise ValueError("start and goal must be finite")
-    if min(a[2], b[2]) < TABLE_Z + DEFAULT_CLEARANCE:
+    if min(ends[2], ends[5]) < TABLE_Z + DEFAULT_CLEARANCE:
         return False
-    if len(points) == 0:
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    # one contiguous row per axis: comparing a row with a scalar bound is
+    # far cheaper than broadcasting (N, 3) against a 3-vector
+    axes = np.ascontiguousarray(points.T)
+    out = (axes < (np.minimum(a, b) - _BROAD_REACH)[:, None]) | (
+        axes > (np.maximum(a, b) + _BROAD_REACH)[:, None]
+    )
+    near = ~(out[0] | out[1] | out[2])  # NaN compares False, so it stays in
+    if not near.any():
         return True
-    return bool(point_segment_distances(points, a, b).min() >= DEFAULT_CLEARANCE)
+    return bool(point_segment_distances(points[near], a, b).min() >= DEFAULT_CLEARANCE)
 
 
 def rrt_connect(start, goal, points, rng: np.random.Generator):
@@ -100,14 +125,14 @@ def rrt_connect(start, goal, points, rng: np.random.Generator):
 
     def nearest(tree, pt):
         pts = np.array([n[0] for n in tree])
-        return int(np.argmin(np.linalg.norm(pts - pt, axis=1)))
+        return int(np.argmin(row_norms(pts - pt)))
 
     def extend(tree, target):
         """One step from the nearest node toward target; returns new index or None."""
         i = nearest(tree, target)
         base = tree[i][0]
         d = target - base
-        dist = np.linalg.norm(d)
+        dist = vector_norm(d)
         if dist < 1e-12:
             return None, True
         reached = dist <= RRT_STEP
@@ -169,7 +194,7 @@ def servo_step(pose: Pose, target: Pose, dt: float) -> Pose:
     if dt <= 0:
         raise ValueError("dt must be > 0")
     d = target.p - pose.p
-    dist = np.linalg.norm(d)
+    dist = vector_norm(d)
     max_lin = DEFAULT_V_MAX * dt
     if dist <= max_lin:
         new_p = target.p

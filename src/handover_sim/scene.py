@@ -4,21 +4,24 @@ labeled point clouds.
 The camera (CAMERA), the cloud density (CLOUD_DENSITY), the crop radius
 (CROP_RADIUS) and the hand, a palm-relative sphere cluster
 (HAND_SPHERES), are fixed program facts. synthesize_cloud samples the
-held object and the hand at a palm pose. Visibility is a normal-facing
-test (outward normal must face the camera), which is an adequate
-occlusion proxy for convex primitives at desk scale and keeps cloud
-synthesis deterministic and cheap. Every cloud carries the outward unit
-normal of each point.
+held object and the hand at a palm pose. It draws the hand's spheres in
+one call: Generator.normal fills rows in order, so one draw of all the
+spheres' points is their per-sphere draws one after the other, and the
+per-sphere counts and radii are constants. Object dimensions are at
+most MAX_DIM, which also bounds the points per cloud. Visibility is a
+normal-facing test (outward normal must face the camera), which is an
+adequate occlusion proxy for convex primitives at desk scale and keeps
+cloud synthesis deterministic and cheap. Every cloud carries the
+outward unit normal of each point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import Pose, row_norms
 
 LABEL_HAND = 0
 LABEL_OBJECT = 1
@@ -36,6 +39,8 @@ HAND_SPHERES = (
     ((0.0, -0.050, -0.012), 0.012),
 )
 
+MAX_DIM = 0.5  # m: the largest shape dimension, an object a hand can hold
+
 _KINDS = ("box", "cylinder", "capsule", "sphere")
 
 
@@ -50,16 +55,14 @@ class PrimitiveShape:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown shape kind {self.kind!r}")
         dims = tuple(float(d) for d in self.dims)
-        if not all(math.isfinite(d) and d > 0 for d in dims):
-            raise ValueError("shape dimensions must be finite and > 0")
+        # a cloud samples round(area * density) points: a huge shape would
+        # fail mid-run, or fill memory, instead of failing here
+        if not all(0 < d <= MAX_DIM for d in dims):  # NaN fails both tests
+            raise ValueError(f"shape dimensions must be > 0 and <= MAX_DIM ({MAX_DIM} m)")
         n_expected = {"box": 3, "cylinder": 2, "capsule": 2, "sphere": 1}[self.kind]
         if len(dims) != n_expected:
             raise ValueError(f"{self.kind} expects {n_expected} dimensions")
         object.__setattr__(self, "dims", dims)
-        # a cloud samples round(area * density) points: an overflowing area
-        # would fail mid-run instead of here
-        if not math.isfinite(self.surface_area()):
-            raise ValueError("shape surface area must be finite")
 
     def surface_area(self) -> float:
         if self.kind == "sphere":
@@ -98,7 +101,7 @@ class PrimitiveShape:
 
 def _unit_dirs(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=(n, 3))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms = row_norms(v)[:, None]
     norms[norms < 1e-12] = 1.0
     return v / norms
 
@@ -144,6 +147,19 @@ def _sample_capsule_caps(r, length, n, rng):
     return pts, d
 
 
+# The hand's spheres as one draw of unit directions: Generator.normal
+# fills rows in order, so rows [sum(counts[:i]), sum(counts[:i + 1])) are
+# what sphere i's own draw of round(area * CLOUD_DENSITY) rows would be.
+# Each row's radius is its sphere's; a sphere's identity-rotation
+# placement is only the shift to its center.
+_HAND_OFFSETS = tuple(np.asarray(offset, dtype=float) for offset, _ in HAND_SPHERES)
+_HAND_COUNTS = tuple(
+    int(round(PrimitiveShape("sphere", (r,)).surface_area() * CLOUD_DENSITY))
+    for _, r in HAND_SPHERES
+)
+_HAND_RADII = np.repeat([r for _, r in HAND_SPHERES], _HAND_COUNTS)[:, None]
+
+
 @dataclass(frozen=True)
 class LabeledPointCloud:
     points: np.ndarray  # (N, 3)
@@ -185,28 +201,27 @@ def synthesize_cloud(held, palm: Pose, rng: np.random.Generator) -> LabeledPoint
     held is the (shape, pose) of the object in the hand, or None once the
     robot has it; the hand is HAND_SPHERES at the palm pose. Each shape
     gets round(area * CLOUD_DENSITY) points before the visibility cut.
+    The object is drawn first, then the hand's spheres in one draw.
     """
-    pts_all, nrm_all, lbl_all = [], [], []
-
-    def add_shape(shape: PrimitiveShape, pose: Pose, label: int):
-        n = int(round(shape.surface_area() * CLOUD_DENSITY))
-        pts, nrm = shape.sample_surface(n, rng)
-        if len(pts) == 0:
-            return
+    if held is None:
+        obj_pts = obj_nrm = np.zeros((0, 3))
+    else:
+        shape, pose = held
+        obj_pts, obj_nrm = shape.sample_surface(
+            int(round(shape.surface_area() * CLOUD_DENSITY)), rng
+        )
         rot = pose.rotation_matrix()
-        pts_all.append(pts @ rot.T + pose.p)
-        nrm_all.append(nrm @ rot.T)
-        lbl_all.append(np.full(len(pts), label, dtype=int))
+        obj_pts, obj_nrm = obj_pts @ rot.T + pose.p, obj_nrm @ rot.T
+    rot = palm.rotation_matrix()
+    # one product per sphere, as palm.transform_point computes it: a stacked
+    # product of all five can round differently
+    centers = [rot @ offset + palm.p for offset in _HAND_OFFSETS]
+    dirs = _unit_dirs(len(_HAND_RADII), rng)
+    hand_pts = dirs * _HAND_RADII + np.repeat(centers, _HAND_COUNTS, axis=0)
 
-    if held is not None:
-        add_shape(*held, LABEL_OBJECT)
-    for offset, r in HAND_SPHERES:
-        center = palm.transform_point(offset)
-        add_shape(PrimitiveShape("sphere", (r,)), Pose(center, [0, 0, 0, 1]), LABEL_HAND)
-
-    points = np.vstack(pts_all)
-    normals = np.vstack(nrm_all)
-    labels = np.concatenate(lbl_all)
+    points = np.vstack([obj_pts, hand_pts])
+    normals = np.vstack([obj_nrm, dirs])
+    labels = np.repeat([LABEL_OBJECT, LABEL_HAND], [len(obj_pts), len(hand_pts)])
     view = points - CAMERA.p
     visible = np.einsum("ij,ij->i", normals, view) < 0.0
     return LabeledPointCloud(points[visible], labels[visible], normals[visible])
@@ -215,7 +230,7 @@ def synthesize_cloud(held, palm: Pose, rng: np.random.Generator) -> LabeledPoint
 def crop_around_palm(cloud: LabeledPointCloud, palm_center) -> LabeledPointCloud:
     """Keep points within the closed ball of CROP_RADIUS around the palm center."""
     palm_center = np.asarray(palm_center, dtype=float).reshape(3)
-    d = np.linalg.norm(cloud.points - palm_center, axis=1)
+    d = row_norms(cloud.points - palm_center)
     return cloud.subset(d <= CROP_RADIUS)
 
 

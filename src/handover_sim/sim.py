@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluator import GraspSet, sample_grasps
-from .geometry import Pose, pose_distance, quat_angle
+from .geometry import Pose, pose_distance, quat_angle, vector_norm
 from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX, HOME, TABLE_Z, TOP_DOWN_Q
 from .motion import rrt_connect, segment_collision_free, servo_step
 from .planner import DROP_DURATION, TaskStage, WorldPredicates, decide, execute_take
@@ -78,7 +78,7 @@ class Metrics:
 
 
 def _round_pose(pose: Pose) -> list:
-    return [round(float(v), 7) for v in pose.to_array()]
+    return [round(v, 7) for v in pose.p.tolist() + pose.q.tolist()]
 
 
 class SimState:
@@ -238,7 +238,7 @@ class SimState:
             self.ee = servo_step(self.ee, HOME, DT)
 
         if not self.robot_started_moving and self.stage is TaskStage.APPROACH:
-            if np.linalg.norm(self.ee.p - HOME.p) > 0.01:
+            if vector_norm(self.ee.p - HOME.p) > 0.01:
                 self.robot_started_moving = True
 
     def close(self, tick: int, t: float, object_pose: Pose) -> None:
@@ -246,7 +246,7 @@ class SimState:
         final = self.take.final_pose
         self.ee = servo_step(self.ee, final, DT)
         arrived = (
-            np.linalg.norm(self.ee.p - final.p) < ARRIVE_POS_TOL
+            vector_norm(self.ee.p - final.p) < ARRIVE_POS_TOL
             and quat_angle(self.ee.q, final.q) < ARRIVE_ANG_TOL
         )
         if not arrived:
@@ -290,10 +290,10 @@ class SimState:
             self.ee = servo_step(self.ee, self.tracking_pose(), DT)
             self.waypoints = self.planned_for = None
             return
-        while len(waypoints) > 1 and np.linalg.norm(self.ee.p - waypoints[0]) < WAYPOINT_TOL:
+        while len(waypoints) > 1 and vector_norm(self.ee.p - waypoints[0]) < WAYPOINT_TOL:
             waypoints = waypoints[1:]
         self.ee = servo_step(self.ee, Pose(waypoints[0], goal.q), DT)
-        if np.linalg.norm(self.ee.p - waypoints[0]) < WAYPOINT_TOL:
+        if vector_norm(self.ee.p - waypoints[0]) < WAYPOINT_TOL:
             waypoints = waypoints[1:] or None
         self.waypoints = waypoints
 
@@ -302,7 +302,7 @@ class SimState:
         cloud = self.object_cloud
         anchor = cloud.points.mean(axis=0) if len(cloud) > 0 else self.tracked_palm.p
         away = HOME.p - anchor
-        n = np.linalg.norm(away)
+        n = vector_norm(away)
         if n < 1e-9:
             away, n = np.array([0.0, 0.0, 1.0]), 1.0
         p = anchor + away / n * 0.20

@@ -1,20 +1,28 @@
-"""One-pose reference forms of grasp-frame operations, for the tests only.
+"""Reference forms of simulator operations, for the tests only.
 
-The simulator applies these operations to whole grasp sets as arrays
+The simulator applies some operations to whole grasp sets as arrays
 (``selection.expand_flips``, ``selection.make_targets``,
 ``geometry.quat_from_matrix``, ``evaluator.sample_grasps``,
 ``trace.verify_records``); the tests compare those array passes with
-these plain per-pose forms. ``IDENTITY`` is the identity pose.
+these plain per-pose forms. Others run every tick in a leaner form
+(``geometry.Pose``'s normalisation, ``motion.segment_collision_free``
+with its broad phase, ``motion.servo_step``, ``scene.synthesize_cloud``
+with its single hand draw, ``sim._round_pose``); the tests compare
+those, byte for byte, with the plain bodies kept here. ``IDENTITY`` is
+the identity pose.
 """
+
+import math
 
 import numpy as np
 
 from handover_sim.evaluator import GraspSet, evaluate
 from handover_sim.geometry import FLIP_Z, Pose, quat_angle, quat_mul, quat_normalize
 from handover_sim.geometry import quat_to_matrix
-from handover_sim.motion import DEFAULT_V_MAX, DEFAULT_W_MAX
+from handover_sim.motion import DEFAULT_CLEARANCE, DEFAULT_V_MAX, DEFAULT_W_MAX, TABLE_Z
 from handover_sim.refinement import DEFAULT_HAND_MARGIN, grasp_collides_hand
-from handover_sim.scene import LabeledPointCloud
+from handover_sim.scene import CAMERA, CLOUD_DENSITY, HAND_SPHERES, LABEL_HAND, LABEL_OBJECT
+from handover_sim.scene import LabeledPointCloud, PrimitiveShape
 from handover_sim.sim import DT
 
 
@@ -165,3 +173,113 @@ def verify_records(records) -> list[str]:
     if prev_pose is None:
         violations.append("trace has no tick record")
     return violations
+
+
+def unit_quat(q) -> np.ndarray:
+    """A Pose's q through np.linalg.norm, a new array per step and the
+    canonical sign (scalar part >= 0)."""
+    q = np.asarray(q, dtype=float)
+    n = np.linalg.norm(q)
+    if n < 1e-8:
+        raise ValueError("degenerate quaternion (norm ~ 0)")
+    q = q / n
+    if q[3] < 0.0:
+        q = -q
+    return np.array(q, dtype=float).reshape(4)
+
+
+def _slerp(q0, q1, u: float) -> np.ndarray:
+    q0 = np.asarray(q0, dtype=float)
+    q1 = np.asarray(q1, dtype=float)
+    dot = float(np.dot(q0, q1))
+    if dot < 0.0:
+        q1 = -q1
+        dot = -dot
+    if dot > 1.0 - 1e-12:
+        q = q0 + u * (q1 - q0)
+    else:
+        theta = np.arccos(np.clip(dot, -1.0, 1.0))
+        s = np.sin(theta)
+        q = np.sin((1 - u) * theta) / s * q0 + np.sin(u * theta) / s * q1
+    return q / np.linalg.norm(q)
+
+
+def servo_step(pose: Pose, target: Pose, dt: float) -> Pose:
+    """motion.servo_step through np.linalg.norm, np.clip and unit_quat."""
+    d = target.p - pose.p
+    dist = np.linalg.norm(d)
+    max_lin = DEFAULT_V_MAX * dt
+    if dist <= max_lin:
+        new_p = target.p
+    else:
+        new_p = pose.p + d / dist * max_lin
+    angle = 2.0 * np.arccos(np.clip(abs(float(np.dot(pose.q, target.q))), -1.0, 1.0))
+    max_ang = DEFAULT_W_MAX * dt
+    if angle <= max_ang or angle < 1e-12:
+        new_q = target.q
+    else:
+        new_q = _slerp(pose.q, target.q, max_ang / angle)
+    return Pose.from_unit(new_p, unit_quat(new_q))
+
+
+def point_segment_distances(points, a, b) -> np.ndarray:
+    """Distance from each point to segment a-b, through np.clip and np.linalg.norm."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom < 1e-18:
+        return np.linalg.norm(points - a, axis=1)
+    t = np.clip((points - a) @ ab / denom, 0.0, 1.0)
+    closest = a + t[:, None] * ab
+    return np.linalg.norm(points - closest, axis=1)
+
+
+def segment_collision_free(start, goal, points) -> bool:
+    """motion.segment_collision_free with every point in the distance pass."""
+    a = np.asarray(start, dtype=float).ravel()
+    b = np.asarray(goal, dtype=float).ravel()
+    if a.shape != (3,) or b.shape != (3,):
+        raise ValueError("start and goal must each be 3 numbers")
+    if not all(map(math.isfinite, [*a.tolist(), *b.tolist()])):
+        raise ValueError("start and goal must be finite")
+    if min(a[2], b[2]) < TABLE_Z + DEFAULT_CLEARANCE:
+        return False
+    if len(points) == 0:
+        return True
+    return bool(point_segment_distances(points, a, b).min() >= DEFAULT_CLEARANCE)
+
+
+def synthesize_cloud(held, palm: Pose, rng: np.random.Generator) -> LabeledPointCloud:
+    """scene.synthesize_cloud with each hand sphere a shape of its own: its
+    own draw, a Pose at its center and a multiply by the identity rotation."""
+    pts_all, nrm_all, lbl_all = [], [], []
+
+    def add_shape(shape: PrimitiveShape, pose: Pose, label: int):
+        n = int(round(shape.surface_area() * CLOUD_DENSITY))
+        pts, nrm = shape.sample_surface(n, rng)
+        if len(pts) == 0:
+            return
+        rot = pose.rotation_matrix()
+        pts_all.append(pts @ rot.T + pose.p)
+        nrm_all.append(nrm @ rot.T)
+        lbl_all.append(np.full(len(pts), label, dtype=int))
+
+    if held is not None:
+        add_shape(*held, LABEL_OBJECT)
+    for offset, r in HAND_SPHERES:
+        center = palm.transform_point(offset)
+        add_shape(PrimitiveShape("sphere", (r,)), Pose(center, [0, 0, 0, 1]), LABEL_HAND)
+
+    points = np.vstack(pts_all)
+    normals = np.vstack(nrm_all)
+    labels = np.concatenate(lbl_all)
+    view = points - CAMERA.p
+    visible = np.einsum("ij,ij->i", normals, view) < 0.0
+    return LabeledPointCloud(points[visible], labels[visible], normals[visible])
+
+
+def round_pose(pose: Pose) -> list:
+    """sim._round_pose through to_array and float()."""
+    return [round(float(v), 7) for v in pose.to_array()]

@@ -448,6 +448,11 @@ BAD_SCENARIOS = {
     "infinite_dims": _with_object(dims=[float("inf"), 0.16]),
     "nan_dims": _with_object(dims=[float("nan"), 0.16]),
     "overflowing_dims": _with_object(dims=[1.0e300, 0.16]),
+    # finite area, but too large an object: an overflowing point count, or
+    # a cloud of millions of points every cloud tick
+    "huge_dims": _with_object(dims=[1.0e150, 0.16]),
+    "ten_metre_radius": _with_object(dims=[10.0, 0.16]),
+    "long_cylinder": _with_object(dims=[0.02, 0.6]),
     "string_dims": _with_object(dims=["0.02", 0.16]),
     "string_grip_offset": _with_object(grip_offset=["0.0", -0.11, 0.0]),
     "string_trigger_time": base_dict(events=_push_event([0.1, 0.0, 0.0], time="0.1")),

@@ -9,6 +9,7 @@ from handover_sim.scene import (
     HAND_SPHERES,
     LABEL_HAND,
     LABEL_OBJECT,
+    MAX_DIM,
     LabeledPointCloud,
     PrimitiveShape,
     apply_label_noise,
@@ -39,6 +40,20 @@ class TestPrimitiveShape:
         for dims in ((np.inf, 0.16), (np.nan, 0.16), (1.0e300, 0.16)):
             with pytest.raises(ValueError):
                 PrimitiveShape("cylinder", dims)
+
+    def test_rejects_dims_above_max_dim(self):
+        # the bound itself is a shape; a 10 m radius would ask for about
+        # 4e7 points per cloud tick, and 1e150 m overflows the point count
+        PrimitiveShape("box", (MAX_DIM, MAX_DIM, MAX_DIM))
+        for kind, dims in (
+            ("cylinder", (1.0e150, 0.16)),
+            ("cylinder", (10.0, 0.16)),
+            ("capsule", (0.02, MAX_DIM + 1e-9)),
+            ("box", (0.05, 0.6, 0.05)),
+            ("sphere", (0.51,)),
+        ):
+            with pytest.raises(ValueError, match="MAX_DIM"):
+                PrimitiveShape(kind, dims)
 
     @pytest.mark.parametrize(
         "shape",
