@@ -11,7 +11,10 @@ distance pass. The boolean cannot change. Every point of the segment
 lies in the undilated box, so a point outside the dilated one is more
 than the clearance away along one axis alone, and the 1e-9 m slack is
 far wider than the rounding of the box's corners or of a computed
-distance at desk scale. A NaN point stays in, as it blocked before.
+distance at desk scale. That holds for finite points, which is every
+cloud the scene builds from a parsed scenario. A NaN point stays in and
+blocks; an infinite coordinate is dropped, where the distance pass alone
+could read NaN from inf * 0 and block.
 RRT-Connect returns None before sampling when its start or goal is not
 free: every tree edge must pass the predicate from its base, so a tree
 rooted inside the clearance can never grow and the search could only
