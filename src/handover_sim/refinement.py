@@ -25,9 +25,9 @@ from .evaluator import stacked_box_hits
 from .geometry import Pose
 from .scene import LabeledPointCloud
 
-DEFAULT_HAND_MARGIN = 0.005  # gripper box dilation a trace header records for verify
+DEFAULT_HAND_MARGIN = 0.005  # gripper box dilation verify re-tests every trace at
 # slack for trace rounding (hand points 1e-5 m, poses 1e-7: at most 8.7e-6 m
-# between a point and a grasp), so verify's re-test at the header margin holds
+# between a point and a grasp), so verify's re-test at DEFAULT_HAND_MARGIN holds
 HAND_MARGIN = DEFAULT_HAND_MARGIN + 1e-5
 
 DELTA_T_RANGE = 0.02  # uniform +/- per axis, meters

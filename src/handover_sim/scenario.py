@@ -44,9 +44,8 @@ class ScenarioError(Exception):
 class Event:
     trigger_time: float | None  # None means "when the robot starts moving"
     action: str  # rotate_object | translate_hand | lower_hand
-    angle: float = 0.0  # radians, rotate_object
-    axis: tuple = (0.0, 0.0, 1.0)
-    offset: tuple = (0.0, 0.0, 0.0)  # translate_hand, lower_hand
+    turn: Pose | None = None  # rotate_object: the in-hand rotation, composed onto grip_offset
+    offset: tuple = (0.0, 0.0, 0.0)  # translate_hand, lower_hand: the palm's shift
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def _parse_event(raw) -> Event:
         angle = float(np.deg2rad(_number(params["angle_deg"], "rotate_object angle_deg")))
         if not np.isfinite(angle):
             raise ScenarioError("rotate_object angle_deg must be finite")
-        return Event(trigger_time, kind, angle=angle, axis=axis)
+        return Event(trigger_time, kind, turn=Pose(np.zeros(3), quat_from_axis_angle(axis, angle)))
     if kind == "translate_hand":
         return Event(trigger_time, kind, offset=_vector3(params["offset"], "translate_hand offset"))
     return Event(trigger_time, kind, offset=LOWER_HAND_OFFSET)  # lower_hand
@@ -204,9 +203,3 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario {path} is not a mapping")
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return scenario_from_dict(data, name)
-
-
-def rotate_object_pose(grip_offset: Pose, event: Event) -> Pose:
-    """Apply an in-hand rotation about the object center."""
-    q = quat_from_axis_angle(event.axis, event.angle)
-    return grip_offset.compose(Pose(np.zeros(3), q))

@@ -41,7 +41,7 @@ from .planner import at_standoff, hand_above_table
 from .refinement import DEFAULT_HAND_MARGIN, HAND_MARGIN, TARGET_SIZE, grasp_collides_hand
 from .refinement import maintain, prune_hand_collisions
 from .scene import LabeledPointCloud, apply_label_noise, crop_around_palm, synthesize_cloud
-from .scenario import Scenario, ScenarioError, rotate_object_pose
+from .scenario import Scenario, ScenarioError
 from .selection import MODE_WEIGHTS, expand_flips, select_target
 
 # module rates as divisors of the base tick
@@ -84,11 +84,12 @@ def _round_pose(pose: Pose) -> list:
 class SimState:
     """Everything one run carries from tick to tick, with a method per stage.
 
-    The object is in the gripper once ``metrics.success`` is set; ``take``
-    is the target of the take in flight, or None. ``gset_clear`` holds the
-    rows of ``gset`` that clear the current hand cloud, or None while they
-    are untested: ``refine`` sets it, ``observe`` resets it and ``select``
-    fills it in when it finds None.
+    The object is in the gripper once ``metrics.success`` is set; while
+    ``stage`` is TAKE, ``selected`` is the target of the take in flight.
+    ``gset_clear`` holds the rows of ``gset`` that clear the current hand
+    cloud, or None while they are untested: ``refine`` sets it, ``observe``
+    resets it and ``select`` fills it in when it finds None. ``plan`` is the
+    RRT-Connect path being followed, (goal, waypoints left), or None.
     """
 
     def __init__(self, scenario: Scenario, seed: int):
@@ -114,7 +115,6 @@ class SimState:
         self.gset = GraspSet.empty()
         self.gset_clear = None
         self.selected = None
-        self.take = None
         self.x_prev = HOME
         self.hand_cloud = LabeledPointCloud.empty()
         self.object_cloud = LabeledPointCloud.empty()
@@ -123,8 +123,7 @@ class SimState:
         self.hand_offset = np.zeros(3)
         self.pending = list(scenario.events)
         self.robot_started_moving = False
-        self.waypoints: list | None = None
-        self.planned_for = None
+        self.plan: tuple | None = None
         self.candidate_count = 0
 
     def fire_events(self, tick: int, t: float) -> None:
@@ -139,7 +138,7 @@ class SimState:
                 waiting.append(ev)
                 continue
             if ev.action == "rotate_object":
-                self.grip_offset = rotate_object_pose(self.grip_offset, ev)
+                self.grip_offset = self.grip_offset.compose(ev.turn)
             else:  # translate_hand, lower_hand
                 self.hand_offset = self.hand_offset + np.asarray(ev.offset, dtype=float)
             self.records.append({"type": "event", "tick": tick, "action": ev.action})
@@ -166,7 +165,6 @@ class SimState:
             and grasp_collides_hand(self.selected.grasp, self.hand_cloud.points, HAND_MARGIN)
         ):
             self.selected = None
-            self.take = None
             if self.stage is TaskStage.TAKE:
                 self.stage = TaskStage.APPROACH
 
@@ -219,12 +217,10 @@ class SimState:
             object_in_gripper=self.metrics.success,
         )
         self.stage = decide(preds)
-        if self.stage is TaskStage.TAKE:
-            self.take = selected
 
     def move(self, tick: int, t: float, object_pose: Pose) -> None:
         """Every tick: one velocity-limited end-effector step for the stage."""
-        if self.take is not None:
+        if self.stage is TaskStage.TAKE:
             self.close(tick, t, object_pose)
         elif self.stage is TaskStage.DROP:
             self.ee = servo_step(self.ee, DROP, DT)
@@ -243,7 +239,7 @@ class SimState:
 
     def close(self, tick: int, t: float, object_pose: Pose) -> None:
         """Servo onto the take's final pose; on arrival, test the closure."""
-        final = self.take.final_pose
+        final = self.selected.final_pose
         self.ee = servo_step(self.ee, final, DT)
         arrived = (
             vector_norm(self.ee.p - final.p) < ARRIVE_POS_TOL
@@ -255,7 +251,6 @@ class SimState:
         rng = np.random.default_rng([self.seed, _SALT_CLOSURE, tick])
         pts, _ = shape.sample_surface(int(round(shape.surface_area() * CLOSURE_DENSITY)), rng)
         self.metrics.attempts += 1
-        self.take = None
         if execute_take(final, object_pose.transform_points(pts)):
             self.stage = TaskStage.DROP
             self.metrics.success = True
@@ -278,24 +273,22 @@ class SimState:
         points = self.hand_cloud.points
         if segment_collision_free(self.ee.p, goal.p, points):
             self.ee = servo_step(self.ee, goal, DT)
-            self.waypoints = self.planned_for = None
+            self.plan = None
             return
-        # waypoints are only ever set together with planned_for
-        if self.waypoints is None or pose_distance(goal, self.planned_for) > REPLAN_DISTANCE:
+        if self.plan is None or pose_distance(goal, self.plan[0]) > REPLAN_DISTANCE:
             rng = np.random.default_rng([self.seed, _SALT_MOTION, tick])
-            self.waypoints = rrt_connect(self.ee.p, goal.p, points, rng)
-            self.planned_for = goal
-        waypoints = self.waypoints
+            self.plan = (goal, rrt_connect(self.ee.p, goal.p, points, rng))
+        planned_for, waypoints = self.plan
         if not waypoints:
             self.ee = servo_step(self.ee, self.tracking_pose(), DT)
-            self.waypoints = self.planned_for = None
+            self.plan = None
             return
         while len(waypoints) > 1 and vector_norm(self.ee.p - waypoints[0]) < WAYPOINT_TOL:
             waypoints = waypoints[1:]
         self.ee = servo_step(self.ee, Pose(waypoints[0], goal.q), DT)
         if vector_norm(self.ee.p - waypoints[0]) < WAYPOINT_TOL:
-            waypoints = waypoints[1:] or None
-        self.waypoints = waypoints
+            waypoints = waypoints[1:]
+        self.plan = (planned_for, waypoints) if waypoints else None
 
     def tracking_pose(self) -> Pose:
         """Collision-free hold pose near the object while no grasp is feasible."""
@@ -330,7 +323,7 @@ def run(scenario: Scenario, seed: int | None = None):
         cloud_tick = tick % CLOUD_DIV == 0
         if cloud_tick:
             state.observe(tick, palm, object_pose)
-        busy = state.take is not None or state.stage in (TaskStage.DROP, TaskStage.DONE)
+        busy = state.stage in (TaskStage.TAKE, TaskStage.DROP, TaskStage.DONE)
         refine_tick = tick % REFINE_DIV == 0 and not busy
         resampled = refine_tick and state.refine(tick)
         select_tick = tick % SELECT_DIV == 0 and not busy

@@ -12,11 +12,14 @@ verify_records re-checks, for every tick record:
   exactly with ``cloud_tick``, ``refined`` and ``selection_tick`` fall
   only on their ticks, and ``resampled`` only with ``refined``;
 - ``ee_pose``, ``selected_grasp`` and ``hand_points`` are finite;
-- the end effector's linear and angular steps stay within the header's
+- the end effector's linear and angular steps stay within the program's
   speed limits;
 - the end effector stays above the table (z >= ``motion.TABLE_Z``);
 - the selected grasp clears the hand cloud in force (the last
-  ``hand_points``) at the header's margin.
+  ``hand_points``) at the program's margin.
+
+The limits and the margin are the program's constants, never values the
+header records, so a trace cannot loosen the checks it is judged by.
 
 A trace without a header or a tick record fails verification; one that
 cannot be read or holds a malformed record (a degenerate quaternion
@@ -97,19 +100,16 @@ def _finite_points(points) -> bool:
 
 
 def verify_records(records) -> list[str]:
-    """Re-check a trace's tick records; returns the violations found, in
-    tick order (empty means clean). See the module docstring for the checks.
+    """Re-check a trace's tick records against the program's speed limits
+    and margin; returns the violations found, in tick order (empty means
+    clean). See the module docstring for the checks.
 
     Every check is an array pass over all ticks. The grasp test runs once
     per hand cloud, over the distinct grasps selected while it is in
     force, and only then are that cloud's points made an array.
     """
-    header = records[0] if records and records[0].get("type") == "header" else {}
-    violations = [] if header else ["trace has no header record"]
-    dt = float(header.get("dt", DT))
-    v_max = float(header.get("v_max", DEFAULT_V_MAX))
-    w_max = float(header.get("w_max", DEFAULT_W_MAX))
-    margin = float(header.get("hand_margin", DEFAULT_HAND_MARGIN))
+    has_header = records and records[0].get("type") == "header"
+    violations = [] if has_header else ["trace has no header record"]
     ticks = [rec for rec in records if rec.get("type") == "tick"]
     if not ticks:
         return violations + ["trace has no tick record"]
@@ -158,12 +158,12 @@ def verify_records(records) -> list[str]:
     for k, lo, hi in zip(head_clouds, starts, [*starts[1:], len(heads)]):
         runs = heads[lo:hi]
         grasps = GraspSet(grasp[runs, :3], grasp[runs, 3:], np.zeros(len(runs)))
-        pts = points[k]
-        hits[lo:hi] = collides_hand(grasps, pts[np.isfinite(pts).all(axis=1)], margin)
+        pts = points[k][np.isfinite(points[k]).all(axis=1)]
+        hits[lo:hi] = collides_hand(grasps, pts, DEFAULT_HAND_MARGIN)
     collides = np.zeros(len(ticks), dtype=bool)
     collides[tested] = hits[np.cumsum(first) - 1]
 
-    lin_max, ang_max = v_max * dt, w_max * dt
+    lin_max, ang_max = DEFAULT_V_MAX * DT, DEFAULT_W_MAX * DT
     # (flagged ticks, message after "tick N: ", per-tick value for its {} field)
     checks = (
         (tick != expected, "tick index breaks the count 0, 1, 2, ...: expected {}", expected),

@@ -104,6 +104,34 @@ PINNED_PUSHED = {
 }
 
 
+# A fresh cloud collides with the take in flight, so the take is abandoned
+# before its closure: the stage goes take -> approach on a cloud tick. This
+# is the benchmark's reactive_handover seed 1009 case reactive-capsule-31
+# (a swept capsule, turned in hand once the robot moves, then pushed toward it).
+TAKE_ABORT = {
+    "mode": "temporal_plus",
+    "time_limit": 1.0,
+    "object": {
+        "kind": "capsule",
+        "dims": [0.02125, 0.134392],
+        "grip_offset": [-0.004574422, -0.113873721, -0.003731001,
+                        -0.705106375, -0.053150729, -0.053150729, 0.705106375],
+    },
+    "hand_trajectory": [
+        {"t": 0.0, "pose": [0.531301526, 0.06077913, 0.27703891, -0.0, -0.0, -0.108094948, 0.994140575]},
+        {"t": 0.7482, "pose": [0.547900008, 0.04568506, 0.270849863, -0.0, -0.0, -0.108094948, 0.994140575]},
+        {"t": 1.4624, "pose": [0.514703043, 0.075873199, 0.283227957, -0.0, -0.0, -0.108094948, 0.994140575]},
+    ],
+    "events": [
+        {"trigger": {"time": 0.863}, "action": {"translate_hand": {"offset": [-0.098818, -0.119901, 0.082421]}}},
+        {"trigger": "robot_started_moving",
+         "action": {"rotate_object": {"angle_deg": 84.84, "axis": [0.431332, -0.372045, -0.147446]}}},
+    ],
+}
+TAKE_ABORT_SEED = 1064202822
+PINNED_TAKE_ABORT = "67975afed7d44b9a8e7528ef4f5b2cfddf7934c899c8220896516e64da108f40"
+
+
 @pytest.mark.parametrize("name,seed", sorted(PINNED))
 def test_committed_scenario_digest_is_pinned(name, seed):
     _, records = run(load_scenario(f"scenarios/{name}.yaml"), seed)
@@ -143,6 +171,15 @@ def test_label_noise_digest_is_pinned(seed):
     _, records = run(scenario_from_dict(data, "nominal_cylinder"), seed)
     assert trace_digest(records) == PINNED_LABEL_NOISE[seed]
 
+
+def test_take_abort_digest_is_pinned():
+    _, records = run(scenario_from_dict(TAKE_ABORT, "reactive-capsule-31"), TAKE_ABORT_SEED)
+    assert trace_digest(records) == PINNED_TAKE_ABORT
+    # the pin covers the abort only while the run still takes it
+    ticks = [rec for rec in records if rec["type"] == "tick"]
+    aborts = [b for a, b in zip(ticks, ticks[1:]) if (a["stage"], b["stage"]) == ("take", "approach")]
+    assert aborts and all(b["cloud_tick"] and b["selected_grasp"] is None for b in aborts)
+    assert not any(rec["type"] == "closure" for rec in records)
 
 def pushed_scenario(name):
     obj, push_time, offset = PUSHED[name]

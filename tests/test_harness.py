@@ -116,6 +116,19 @@ class TestScenarioParsing:
             (event,) = scenario_from_dict(base_dict(events=events)).events
             assert event.action == "lower_hand"
             assert event.offset == (0.0, 0.0, -0.35)
+            assert event.turn is None
+        # the other two actions: rotate_object resolves its turn at parse time
+        axis = [0.431332, -0.372045, -0.147446]
+        events = [
+            {"trigger": {"time": 1.0}, "action": {"translate_hand": {"offset": [0.1, 0.0, 0.0]}}},
+            {"trigger": "robot_started_moving",
+             "action": {"rotate_object": {"angle_deg": 84.84, "axis": axis}}},
+        ]
+        translate, rotate = scenario_from_dict(base_dict(events=events)).events
+        assert translate.turn is None and translate.offset == (0.1, 0.0, 0.0)
+        expected = Pose(np.zeros(3), quat_from_axis_angle(axis, np.deg2rad(84.84)))
+        assert rotate.turn.p.tobytes() == expected.p.tobytes()
+        assert rotate.turn.q.tobytes() == expected.q.tobytes()
 
     @pytest.mark.parametrize("path", sorted(str(p) for p in (ROOT / "scenarios").glob("*.yaml")))
     def test_committed_scenario_parses(self, path):
@@ -300,7 +313,7 @@ class TestTraceIO:
         assert any("linear step" in v for v in out)
 
     def test_header_without_limits_verifies_as_with_them(self):
-        # verify falls back to the program's own DT, DEFAULT_V_MAX and DEFAULT_W_MAX
+        # verify judges by the program's own DT, DEFAULT_V_MAX and DEFAULT_W_MAX
         s = short(load_scenario(NOMINAL), 1.0)
         _, records = run(s, seed=0)
         bare = copy.deepcopy(records)

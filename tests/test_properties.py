@@ -3,9 +3,11 @@
 Hypothesis draws scenario dicts (the YAML schema) covering the four
 shapes, keyframed hand motion, each event kind with either trigger, all
 four modes and label noise. Every run must finish without an exception,
-verify clean and give the same trace digest when rerun. The search is
-derandomized, with few examples and short simulated time limits, so the
-test is a fixed, repeatable part of the suite.
+verify clean, still verify clean with the header's limits and margin
+rewritten (verify judges by the program's own), and give the same trace
+digest when rerun. The search is derandomized, with few examples and
+short simulated time limits, so the test is a fixed, repeatable part of
+the suite.
 """
 
 import math
@@ -90,6 +92,13 @@ def scenarios(draw):
     }
 
 
+# header values verify must not read: speed limits and margin loosened
+# past any step or grasp, and tightened past every one
+REWRITTEN_HEADERS = (
+    {"dt": 1.0, "v_max": 1e3, "w_max": 1e3, "hand_margin": float("nan")},
+    {"dt": 1.0, "v_max": 0.0, "w_max": 0.0, "hand_margin": 0.5},
+)
+
 # a held cylinder that the robot takes and drops: generated examples
 # seldom run long enough for a closure
 TAKEN = {
@@ -120,5 +129,7 @@ def test_generated_scenario_runs_verifies_and_reruns_identically(data):
     scenario = scenario_from_dict(data, "generated")
     _, records = run(scenario)
     assert verify_records(records) == []
+    for rewritten in REWRITTEN_HEADERS:
+        assert verify_records([{**records[0], **rewritten}, *records[1:]]) == []
     _, again = run(scenario)
     assert trace_digest(again) == trace_digest(records)

@@ -97,6 +97,45 @@ def test_tampered_trace_verifies_as_the_reference(nominal, tamper):
     assert out and out == reference.verify_records(nominal)
 
 
+# header values that would hide every tampered step and grasp if verify read them
+LOOSE_HEADERS = {
+    "speed_limits": {"v_max": 1e3, "w_max": 1e3},
+    "dt": {"dt": 1.0},
+    "negative_margin": {"hand_margin": -0.05},
+    "nan_margin": {"hand_margin": float("nan")},
+}
+
+
+def step_and_grasp_violations(records):
+    linear_jump(records)
+    angular_step_just_over(records)
+    colliding_grasp_mid_span(records)
+
+
+@pytest.mark.parametrize("loose", LOOSE_HEADERS.values(), ids=LOOSE_HEADERS)
+def test_header_cannot_loosen_the_checks(nominal, loose):
+    step_and_grasp_violations(nominal)
+    expected = verify_records(nominal)
+    # the reference reads the header, which still records the program's values
+    assert expected == reference.verify_records(nominal)
+    for text in ("linear step", "angular step", "selected grasp collides"):
+        assert any(text in v for v in expected)
+    nominal[0].update(loose)
+    assert verify_records(nominal) == expected
+
+
+@pytest.mark.parametrize("margin", [-0.05, float("nan")])
+def test_loosened_header_exits_3(nominal, margin, tmp_path, capsys):
+    step_and_grasp_violations(nominal)
+    nominal[0].update(dt=1.0, v_max=1e3, w_max=1e3, hand_margin=margin)
+    trace = tmp_path / "t.jsonl"
+    write_trace(nominal, trace)
+    assert main(["verify", "--trace", str(trace)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    for text in ("tick 55: selected grasp collides", "tick 100: linear step", "tick 100: angular step"):
+        assert text in err
+
+
 def test_grasp_before_the_first_cloud_is_not_tested(nominal):
     ticks = ticks_of(nominal)
     # the first cloud now comes at tick 10; grasps at ticks 0-9 meet no hand cloud
