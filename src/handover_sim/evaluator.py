@@ -10,12 +10,18 @@ flipped grasps: the flip maps each group of gripper boxes onto itself,
 so a flipped grasp also clears the hand exactly when its original does.
 
 evaluate_rows scores every row of a GraspSet (or one Pose) in one array
-pass; evaluate is its one-row case. sample_grasps draws its trials one
-at a time, in a fixed order, then builds each block's trial frames in
-one stacked pass that matches the one-trial arithmetic row for row.
-Evaluator implementations are pure functions of their inputs; anything
-with the same stacked (grasps, cloud) -> (G,) scores signature can be
-swapped in. GraspSet carries grasps as rows of three arrays from
+pass; evaluate is its one-row case, and refinement scores each MH
+proposal through it. Both test the cloud in the grasp frame through
+stacked_box_hits, which transforms a chunk of rows in component-major
+form, a (rows, 3, N) stack of x, y and z rows, so that points_in_boxes
+compares contiguous rows and joins the three axes in one reduction.
+Per call, the set-up is the rows' rotation matrices and one transposed
+copy of the cloud; the rest is the geometry. sample_grasps draws its
+trials one at a time, in a fixed order, then builds each block's trial
+frames in one stacked pass that matches the one-trial arithmetic row for
+row. Evaluator implementations are pure functions of their inputs;
+anything with the same stacked (grasps, cloud) -> (G,) scores signature
+can be swapped in. GraspSet carries grasps as rows of three arrays from
 sampler to selection.
 """
 
@@ -96,31 +102,25 @@ GRIPPER_BOXES = (*BODY_BOXES, CLOSING_REGION)
 
 
 @lru_cache(maxsize=8)
-def _stacked_bounds(boxes, margin):
-    """Dilated per-box bounds (B, 3) and their joint bounds (3,)."""
-    lo = np.array([np.asarray(b.center) - np.asarray(b.half) for b in boxes])
-    hi = np.array([np.asarray(b.center) + np.asarray(b.half) for b in boxes])
-    return lo - margin, hi + margin, lo.min(axis=0) - margin, hi.max(axis=0) + margin
+def _box_bounds(boxes, margin):
+    """Dilated lower and upper bounds, each (3, len(boxes)): axis by box."""
+    lo = np.array([np.asarray(b.center) - np.asarray(b.half) for b in boxes]) - margin
+    hi = np.array([np.asarray(b.center) + np.asarray(b.half) for b in boxes]) + margin
+    return lo.T, hi.T
 
 
-def points_in_boxes(pts: np.ndarray, boxes, margin: float = 0.0) -> np.ndarray:
-    """(len(boxes), len(pts)) bool: point inside box dilated by margin."""
-    lo, hi, joint_lo, joint_hi = _stacked_bounds(tuple(boxes), margin)
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    x, y, z = pts.T
-    # one comparison per axis and side: reducing over the length-3 axis costs more;
-    # only points inside the boxes' joint dilated bounds get the per-box test
-    near = np.flatnonzero(
-        (x >= joint_lo[0]) & (x <= joint_hi[0]) & (y >= joint_lo[1]) & (y <= joint_hi[1])
-        & (z >= joint_lo[2]) & (z <= joint_hi[2])
-    )
-    x, y, z = x[near], y[near], z[near]
-    inside = np.zeros((len(lo), len(pts)), dtype=bool)
-    inside[:, near] = (
-        (x >= lo[:, 0, None]) & (x <= hi[:, 0, None]) & (y >= lo[:, 1, None])
-        & (y <= hi[:, 1, None]) & (z >= lo[:, 2, None]) & (z <= hi[:, 2, None])
-    )
-    return inside
+def points_in_boxes(coords: np.ndarray, boxes, margin: float = 0.0) -> np.ndarray:
+    """Point inside box dilated by margin, for points given as coordinate rows.
+
+    coords is (3, N), the x, y and z rows of N points, or a stack of them,
+    (rows, 3, N); the result is (len(boxes), N) or (len(boxes), rows, N)
+    bool. Every comparison runs along contiguous points, and one reduction
+    over the leading axis joins the three axes.
+    """
+    lo, hi = _box_bounds(tuple(boxes), margin)
+    coords = np.asarray(coords, dtype=float).swapaxes(0, -2)[:, None]  # (3, 1, [rows,] N)
+    shape = lo.shape + (1,) * (coords.ndim - 2)
+    return ((coords >= lo.reshape(shape)) & (coords <= hi.reshape(shape))).all(axis=0)
 
 
 def stacked_box_hits(grasps, points: np.ndarray, boxes, margin: float = 0.0):
@@ -128,16 +128,20 @@ def stacked_box_hits(grasps, points: np.ndarray, boxes, margin: float = 0.0):
 
     grasps is anything with p and q rows (a GraspSet, or one Pose as one
     row). hits is (len(boxes), rows, len(points)) bool: the point, in the
-    row's grasp frame, lies inside the box dilated by margin. Each row's
-    transform is the same (points - p) @ R as Pose.inverse_transform_points.
+    row's grasp frame, lies inside the box dilated by margin. Each chunk is
+    transformed in component-major form, R^T (points^T - p), a (rows, 3, N)
+    stack of coordinate rows: the same three products per coordinate, in
+    the same order, as Pose.inverse_transform_points's (points - p) @ R,
+    and the tests hold the two forms equal byte for byte.
     """
     p = np.reshape(grasps.p, (-1, 3))
     rot = quat_to_matrix(grasps.q).reshape(-1, 3, 3)
+    rot_t = rot.transpose(0, 2, 1)
+    coords = np.ascontiguousarray(points.T)
     for start in range(0, len(p), ROW_CHUNK):
         rows = slice(start, start + ROW_CHUNK)
-        local = np.matmul(points - p[rows, None, :], rot[rows])
-        hits = points_in_boxes(local.reshape(-1, 3), boxes, margin)
-        yield rows, rot[rows], hits.reshape(len(boxes), len(local), len(points))
+        local = rot_t[rows] @ (coords - p[rows, :, None])
+        yield rows, rot[rows], points_in_boxes(local, boxes, margin)
 
 
 def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
@@ -158,10 +162,11 @@ def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
         inside = hits[-1]
         n_in = inside.sum(axis=1)
         for j in np.flatnonzero(~blocked & (n_in > 0)):
-            containment = min(1.0, int(n_in[j]) / N_CONTAIN_REF)
+            k = int(n_in[j])
             local_normals = normals[inside[j]] @ rot[j]
-            alignment = float(np.mean(np.abs(local_normals[:, 1])))
-            scores[rows.start + j] = containment * alignment
+            # np.mean's pairwise sum and division, without its wrapper
+            alignment = float(np.add.reduce(np.abs(local_normals[:, 1]))) / k
+            scores[rows.start + j] = min(1.0, k / N_CONTAIN_REF) * alignment
     return scores
 
 

@@ -84,7 +84,9 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
 
 def quat_to_matrix(q) -> np.ndarray:
     """(3, 3) rotation matrix, or a C-contiguous (G, 3, 3) stack for (G, 4)."""
-    x, y, z, w = np.asarray(q, dtype=float).T
+    q = np.asarray(q, dtype=float)
+    # one q as Python floats: the same IEEE arithmetic without numpy scalar dispatch
+    x, y, z, w = q.tolist() if q.ndim == 1 else q.T
     m = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],

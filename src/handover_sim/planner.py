@@ -66,4 +66,4 @@ def execute_take(final_pose: Pose, object_points: np.ndarray) -> bool:
     if len(object_points) == 0:
         return False
     local = final_pose.inverse_transform_points(object_points)
-    return int(points_in_boxes(local, (CLOSING_REGION,)).sum()) >= CLOSURE_MIN_POINTS
+    return int(points_in_boxes(local.T, (CLOSING_REGION,)).sum()) >= CLOSURE_MIN_POINTS

@@ -10,10 +10,17 @@ constants.
 
 Pruning tests a whole GraspSet in fixed-size chunks at HAND_MARGIN.
 maintain returns a set whose every row clears the hand cloud, which the
-simulator's selection stage reuses instead of pruning again. The MH
-step scores every grasp's current pose in one stacked call; its
-proposals stay a loop, one score per call, because the accept uniform
-is drawn only when the ratio is < 1.
+simulator's selection stage reuses instead of pruning again.
+
+The MH step scores every grasp's current pose in one stacked call. Its
+proposals stay a loop, one evaluate call each, in the order of the
+random stream: each proposal draws its translation, and its accept
+uniform only when the ratio is below 1, so scoring the proposals
+together would need the draws in another order and change every run.
+What is the same for every proposal of a step is done once, before the
+loop: the proposal quaternions of all rows are normalised in one
+quat_unit_rows pass (bit for bit a Pose's normalisation), and each
+proposal is a Pose.from_unit of its moved position and that row.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from .evaluator import GRIPPER_BOXES, GraspSet, evaluate, evaluate_rows, sample_grasps
 from .evaluator import stacked_box_hits
-from .geometry import Pose
+from .geometry import Pose, quat_unit_rows
 from .scene import LabeledPointCloud
 
 DEFAULT_HAND_MARGIN = 0.005  # gripper box dilation verify re-tests every trace at
@@ -36,10 +43,9 @@ RESAMPLE_THRESHOLD = 10
 TARGET_SIZE = 50
 
 
-def perturb(pose: Pose, rng: np.random.Generator) -> Pose:
-    """Translation-only proposal: rotation stays identity."""
-    delta = rng.uniform(-DELTA_T_RANGE, DELTA_T_RANGE, size=3)
-    return Pose(pose.p + delta, pose.q)
+def perturb(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Translation-only proposal for a grasp at position p; its rotation stays."""
+    return p + rng.uniform(-DELTA_T_RANGE, DELTA_T_RANGE, size=3)
 
 
 def acceptance_ratio(score_old: float, score_new: float) -> float:
@@ -64,9 +70,10 @@ def mh_step(
     consistent with the present observation.
     """
     p, q = grasp_set.p.copy(), grasp_set.q.copy()
+    q_prop = quat_unit_rows(grasp_set.q)  # each proposal's q, as its Pose would normalise it
     scores = np.array(evaluate_fn(grasp_set, object_cloud), dtype=float)
     for i in range(len(grasp_set)):
-        proposal = perturb(grasp_set.pose(i), rng)
+        proposal = Pose.from_unit(perturb(grasp_set.p[i], rng), q_prop[i])
         score_new = evaluate_fn(proposal, object_cloud)[0]
         r = acceptance_ratio(scores[i], score_new)
         if r >= 1.0 or rng.uniform() < r:

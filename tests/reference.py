@@ -5,22 +5,25 @@ The simulator applies some operations to whole grasp sets as arrays
 ``geometry.quat_from_matrix``, ``evaluator.sample_grasps``,
 ``trace.verify_records``); the tests compare those array passes with
 these plain per-pose forms. Others run every tick in a leaner form
-(``geometry.Pose``'s normalisation, ``motion.segment_collision_free``
-with its broad phase, ``motion.servo_step``, ``scene.synthesize_cloud``
-with its single hand draw, ``sim._round_pose``); the tests compare
-those, byte for byte, with the plain bodies kept here. ``IDENTITY`` is
-the identity pose.
-"""
+(``geometry.Pose``'s normalisation, ``geometry.quat_to_matrix`` on one
+quaternion, ``motion.segment_collision_free`` with its broad phase,
+``motion.servo_step``, ``scene.synthesize_cloud`` with its single hand
+draw, ``sim._round_pose``, the component-major box test of
+``evaluator.stacked_box_hits`` and ``evaluate_rows``, and
+``refinement.mh_step`` with its proposals' normalisation hoisted out of
+the loop); the tests compare those, byte for byte, with the plain bodies
+kept here. ``IDENTITY`` is the identity pose."""
 
 import math
 
 import numpy as np
 
+from handover_sim.evaluator import BODY_BOXES, GRIPPER_BOXES, N_CONTAIN_REF, ROW_CHUNK
 from handover_sim.evaluator import GraspSet, evaluate
 from handover_sim.geometry import FLIP_Z, Pose, quat_angle, quat_mul, quat_normalize
-from handover_sim.geometry import quat_to_matrix
 from handover_sim.motion import DEFAULT_CLEARANCE, DEFAULT_V_MAX, DEFAULT_W_MAX, TABLE_Z
-from handover_sim.refinement import DEFAULT_HAND_MARGIN, grasp_collides_hand
+from handover_sim.refinement import DEFAULT_HAND_MARGIN, DELTA_T_RANGE, acceptance_ratio
+from handover_sim.refinement import grasp_collides_hand
 from handover_sim.scene import CAMERA, CLOUD_DENSITY, HAND_SPHERES, LABEL_HAND, LABEL_OBJECT
 from handover_sim.scene import LabeledPointCloud, PrimitiveShape
 from handover_sim.sim import DT
@@ -283,3 +286,80 @@ def synthesize_cloud(held, palm: Pose, rng: np.random.Generator) -> LabeledPoint
 def round_pose(pose: Pose) -> list:
     """sim._round_pose through to_array and float()."""
     return [round(float(v), 7) for v in pose.to_array()]
+
+
+def quat_to_matrix(q) -> np.ndarray:
+    """geometry.quat_to_matrix with one quaternion's terms as numpy scalars."""
+    x, y, z, w = np.asarray(q, dtype=float).T
+    m = np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+    return m if m.ndim == 2 else np.ascontiguousarray(m.transpose(2, 0, 1))
+
+
+def points_in_boxes(pts: np.ndarray, boxes, margin: float = 0.0) -> np.ndarray:
+    """(len(boxes), len(pts)) bool for point-major (N, 3) points: strided
+    columns, and only points inside the boxes' joint bounds tested per box."""
+    lo = np.array([np.asarray(b.center) - np.asarray(b.half) for b in boxes]) - margin
+    hi = np.array([np.asarray(b.center) + np.asarray(b.half) for b in boxes]) + margin
+    joint_lo, joint_hi = lo.min(axis=0), hi.max(axis=0)
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    x, y, z = pts.T
+    near = np.flatnonzero(
+        (x >= joint_lo[0]) & (x <= joint_hi[0]) & (y >= joint_lo[1]) & (y <= joint_hi[1])
+        & (z >= joint_lo[2]) & (z <= joint_hi[2])
+    )
+    x, y, z = x[near], y[near], z[near]
+    inside = np.zeros((len(lo), len(pts)), dtype=bool)
+    inside[:, near] = (
+        (x >= lo[:, 0, None]) & (x <= hi[:, 0, None]) & (y >= lo[:, 1, None])
+        & (y <= hi[:, 1, None]) & (z >= lo[:, 2, None]) & (z <= hi[:, 2, None])
+    )
+    return inside
+
+
+def stacked_box_hits(grasps, points: np.ndarray, boxes, margin: float = 0.0):
+    """evaluator.stacked_box_hits through (points - p) @ R, point-major."""
+    p = np.reshape(grasps.p, (-1, 3))
+    rot = quat_to_matrix(grasps.q).reshape(-1, 3, 3)
+    for start in range(0, len(p), ROW_CHUNK):
+        rows = slice(start, start + ROW_CHUNK)
+        local = np.matmul(points - p[rows, None, :], rot[rows])
+        hits = points_in_boxes(local.reshape(-1, 3), boxes, margin)
+        yield rows, rot[rows], hits.reshape(len(boxes), len(local), len(points))
+
+
+def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
+    """evaluator.evaluate_rows over the point-major hits, through np.mean."""
+    scores = np.zeros(len(np.reshape(grasps.p, (-1, 3))))
+    if len(object_cloud) == 0:
+        return scores
+    points, normals = object_cloud.points, object_cloud.normals
+    for rows, rot, hits in stacked_box_hits(grasps, points, GRIPPER_BOXES):
+        blocked = hits[: len(BODY_BOXES)].any(axis=(0, 2))
+        inside = hits[-1]
+        n_in = inside.sum(axis=1)
+        for j in np.flatnonzero(~blocked & (n_in > 0)):
+            containment = min(1.0, int(n_in[j]) / N_CONTAIN_REF)
+            local_normals = normals[inside[j]] @ rot[j]
+            alignment = float(np.mean(np.abs(local_normals[:, 1])))
+            scores[rows.start + j] = containment * alignment
+    return scores
+
+
+def mh_step(grasp_set: GraspSet, object_cloud, evaluate_fn, rng) -> GraspSet:
+    """refinement.mh_step with each proposal a new Pose, normalised on its own."""
+    p, q = grasp_set.p.copy(), grasp_set.q.copy()
+    scores = np.array(evaluate_fn(grasp_set, object_cloud), dtype=float)
+    for i in range(len(grasp_set)):
+        pose = grasp_set.pose(i)
+        proposal = Pose(pose.p + rng.uniform(-DELTA_T_RANGE, DELTA_T_RANGE, size=3), pose.q)
+        score_new = evaluate_fn(proposal, object_cloud)[0]
+        r = acceptance_ratio(scores[i], score_new)
+        if r >= 1.0 or rng.uniform() < r:
+            p[i], q[i], scores[i] = proposal.p, proposal.q, score_new
+    return GraspSet(p, q, scores)

@@ -162,7 +162,7 @@ class TestPointsInBoxes:
                         on[:, axis] = value
                         pts.append(on)
         pts = np.vstack(pts)
-        got = points_in_boxes(pts, boxes, margin)
+        got = points_in_boxes(pts.T, boxes, margin)  # coordinate rows
         assert np.array_equal(got, np_all_points_in_boxes(pts, boxes, margin))
         assert got.any() and not got.all()
 

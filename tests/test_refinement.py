@@ -36,14 +36,21 @@ class TestPerturb:
         rng = np.random.default_rng(1)
         pose = Pose([0, 0, 0], [0.5, 0.5, 0.5, 0.5])
         for _ in range(200):
-            out = perturb(pose, rng)
-            assert np.max(np.abs(out.p - pose.p)) <= 0.02
-            assert np.allclose(out.q, pose.q)
+            out = perturb(pose.p, rng)
+            assert np.max(np.abs(out - pose.p)) <= 0.02
+        # mh_step builds each proposal from perturb and its grasp's rotation
+
+        def improving(grasps, cloud):  # a proposal outscores its grasp: all accepted
+            return np.full(len(np.reshape(grasps.p, (-1, 3))), 0.9 if isinstance(grasps, Pose) else 0.5)
+
+        gset = make_set([pose] * 200)
+        out = mh_step(gset, sphere_cloud(n=10), improving, rng)
+        assert np.all(np.abs(out.p - pose.p) <= 0.02) and np.any(out.p != pose.p)
+        assert np.allclose(out.q, pose.q)
 
     def test_uniform_statistics_oracle(self):
         rng = np.random.default_rng(2)
-        pose = IDENTITY
-        deltas = np.array([perturb(pose, rng).p for _ in range(10_000)])
+        deltas = np.array([perturb(IDENTITY.p, rng) for _ in range(10_000)])
         assert np.all(np.abs(deltas.mean(axis=0)) < 0.002)
         assert np.all(deltas.min(axis=0) < -0.018)
         assert np.all(deltas.max(axis=0) > 0.018)
@@ -163,7 +170,7 @@ class TestPrune:
         boxes = GRIPPER_BOXES
         keep = [
             g for g in poses
-            if not points_in_boxes(g.inverse_transform_points(hand_pts), boxes, HAND_MARGIN).any()
+            if not points_in_boxes(g.inverse_transform_points(hand_pts).T, boxes, HAND_MARGIN).any()
         ]
         assert 0 < len(keep) < len(poses)
         assert np.array_equal(out.p, [g.p for g in keep])
@@ -227,6 +234,28 @@ class TestMaintain:
         # the top-up asks only for the rows the survivors leave free
         assert requested == [TARGET_SIZE - survivors]
         assert len(out) == survivors + len(pruned[1]) <= TARGET_SIZE
+
+    def test_each_proposal_scored_by_one_evaluate_call(self, monkeypatch):
+        # layer tracing wraps refinement.evaluate, looked up at call time, to
+        # count and time MH proposal scoring: one call per proposal, no other
+        cloud = sphere_cloud()
+        gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), np.random.default_rng(8))
+        assert len(gset) == TARGET_SIZE
+        seen = []
+        scorer = refinement.evaluate
+
+        def counted(grasp, object_cloud):
+            seen.append(grasp)
+            return scorer(grasp, object_cloud)
+
+        monkeypatch.setattr(refinement, "evaluate", counted)
+        _, resampled = maintain(gset, cloud, LabeledPointCloud.empty(), np.random.default_rng(9))
+        assert not resampled
+        assert len(seen) == len(gset)
+        assert all(isinstance(g, Pose) for g in seen)
+        # the rows keep their order: the i-th call scores a move of the i-th grasp
+        moves = np.array([g.p for g in seen]) - gset.p
+        assert np.all(np.abs(moves) <= 0.02) and np.all(np.any(moves != 0.0, axis=1))
 
     def test_empty_object_cloud_empties_the_set(self):
         gset = make_set([IDENTITY])

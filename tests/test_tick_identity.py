@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import reference
-from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul, row_norms, vector_norm
+from handover_sim.evaluator import GRIPPER_BOXES, GraspSet, evaluate, evaluate_rows
+from handover_sim.evaluator import points_in_boxes, sample_grasps, stacked_box_hits
+from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul, quat_to_matrix
+from handover_sim.geometry import row_norms, vector_norm
 from handover_sim.motion import (
     DEFAULT_CLEARANCE,
     HOME,
@@ -19,7 +22,8 @@ from handover_sim.motion import (
     segment_collision_free,
     servo_step,
 )
-from handover_sim.scene import PrimitiveShape, synthesize_cloud
+from handover_sim.refinement import HAND_MARGIN, mh_step
+from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape, synthesize_cloud
 from handover_sim.sim import DT, _round_pose
 
 A = np.array([0.30, 0.0, 0.45])
@@ -239,3 +243,178 @@ class TestHandCloud:
         synthesize_cloud(None, palm, rngs[0])
         reference.synthesize_cloud(None, palm, rngs[1])
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+OBJECTS = {
+    "box": PrimitiveShape("box", (0.05, 0.16, 0.05)),
+    "cylinder": PrimitiveShape("cylinder", (0.02, 0.16)),
+    "capsule": PrimitiveShape("capsule", (0.02, 0.14)),
+    "sphere": PrimitiveShape("sphere", (0.035,)),
+}
+ROW_COUNTS = (1, 7, 8, 9, 50)
+
+
+def object_cloud(kind, seed=41):
+    """A surface cloud of the whole shape, every side sampled, at a random pose."""
+    rng = np.random.default_rng(seed)
+    pts, nrm = OBJECTS[kind].sample_surface(1200, rng)
+    world = Pose(rng.uniform(-0.2, 0.2, 3), rng.normal(size=4))
+    return LabeledPointCloud(world.transform_points(pts), np.full(len(pts), LABEL_OBJECT),
+                             nrm @ world.rotation_matrix().T)
+
+
+def grasps_near(cloud, seed=42):
+    """50 sampled grasps moved up to 1 cm, so that some collide or score 0."""
+    rng = np.random.default_rng(seed)
+    sampled = sample_grasps(cloud, 50, rng)
+    p = sampled.p + rng.uniform(-0.01, 0.01, sampled.p.shape)
+    return GraspSet(p, sampled.q, np.zeros(len(p)))
+
+
+def same_hits(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for (rows, rot, hits), (rows_ref, rot_ref, hits_ref) in zip(got, want):
+        assert rows == rows_ref
+        assert same_bytes(rot, rot_ref) and same_bytes(hits, hits_ref)
+    return got
+
+
+class TestBoxKernel:
+    @pytest.mark.parametrize("margin", [0.0, HAND_MARGIN])
+    @pytest.mark.parametrize("kind", sorted(OBJECTS))
+    def test_stacked_box_hits(self, kind, margin):
+        cloud = object_cloud(kind)
+        grasps = grasps_near(cloud)
+        assert len(grasps) == 50
+        for g in ROW_COUNTS:
+            rows = grasps[np.arange(g)]
+            got = same_hits(stacked_box_hits(rows, cloud.points, GRIPPER_BOXES, margin),
+                            reference.stacked_box_hits(rows, cloud.points, GRIPPER_BOXES, margin))
+        hits = np.concatenate([h for _, _, h in got], axis=1)
+        assert hits[:3].any() and hits[-1].any() and not hits.all()
+
+    @pytest.mark.parametrize("kind", sorted(OBJECTS))
+    def test_evaluate_rows(self, kind):
+        cloud = object_cloud(kind)
+        grasps = grasps_near(cloud)
+        for g in ROW_COUNTS:
+            rows = grasps[np.arange(g)]
+            assert same_bytes(evaluate_rows(rows, cloud), reference.evaluate_rows(rows, cloud))
+        scores = evaluate_rows(grasps, cloud)
+        assert (scores == 0.0).any() and (scores > 0.0).any()
+
+    @pytest.mark.parametrize("margin", [0.0, HAND_MARGIN])
+    def test_points_on_box_faces(self, margin):
+        # points put on the dilated faces in each grasp's frame come back
+        # within an ulp of them, so a transform that rounds differently
+        # moves some across a face
+        rng = np.random.default_rng(46)
+        poses = [Pose(rng.uniform(-0.2, 0.2, 3), rng.normal(size=4)) for _ in range(9)]
+        world = []
+        for pose in poses:
+            for box in GRIPPER_BOXES:
+                lo = np.subtract(box.center, box.half) - margin
+                hi = np.add(box.center, box.half) + margin
+                for axis in range(3):
+                    for face in (lo, hi):
+                        pts = rng.uniform(lo, hi, (40, 3))
+                        pts[:, axis] = face[axis]
+                        world.append(pose.transform_points(pts))
+        world = np.vstack(world)
+        grasps = reference.grasp_set(poses, np.zeros(len(poses)))
+        same_hits(stacked_box_hits(grasps, world, GRIPPER_BOXES, margin),
+                  reference.stacked_box_hits(grasps, world, GRIPPER_BOXES, margin))
+
+    def test_single_pose(self):
+        cloud = object_cloud("cylinder")
+        grasps = grasps_near(cloud)
+        for i in range(len(grasps)):
+            pose = grasps.pose(i)
+            for margin in (0.0, HAND_MARGIN):
+                same_hits(stacked_box_hits(pose, cloud.points, GRIPPER_BOXES, margin),
+                          reference.stacked_box_hits(pose, cloud.points, GRIPPER_BOXES, margin))
+            assert same_bytes(evaluate_rows(pose, cloud), reference.evaluate_rows(pose, cloud))
+            assert evaluate(pose, cloud) == reference.evaluate_rows(pose, cloud)[0]
+
+    def test_empty_cloud_and_empty_set(self):
+        cloud = object_cloud("box")
+        grasps = grasps_near(cloud)
+        none = np.zeros((0, 3))
+        for g in ROW_COUNTS:
+            rows = grasps[np.arange(g)]
+            same_hits(stacked_box_hits(rows, none, GRIPPER_BOXES),
+                      reference.stacked_box_hits(rows, none, GRIPPER_BOXES))
+            empty = LabeledPointCloud.empty()
+            assert same_bytes(evaluate_rows(rows, empty), reference.evaluate_rows(rows, empty))
+        for points in (cloud.points, none):
+            assert same_hits(stacked_box_hits(GraspSet.empty(), points, GRIPPER_BOXES),
+                             reference.stacked_box_hits(GraspSet.empty(), points, GRIPPER_BOXES)) == []
+        assert same_bytes(evaluate_rows(GraspSet.empty(), cloud),
+                          reference.evaluate_rows(GraspSet.empty(), cloud))
+
+    @pytest.mark.parametrize("margin", [0.0, HAND_MARGIN])
+    def test_points_in_boxes(self, margin):
+        rng = np.random.default_rng(43)
+        pts = rng.uniform(-0.08, 0.08, (3000, 3))
+        got = points_in_boxes(pts.T, GRIPPER_BOXES, margin)
+        assert same_bytes(got, reference.points_in_boxes(pts, GRIPPER_BOXES, margin))
+        stack = pts.reshape(6, 500, 3)
+        got = points_in_boxes(stack.transpose(0, 2, 1), GRIPPER_BOXES, margin)
+        want = reference.points_in_boxes(pts, GRIPPER_BOXES, margin).reshape(4, 6, 500)
+        assert same_bytes(got, want) and got.any() and not got.all()
+
+    def test_quat_to_matrix(self):
+        rng = np.random.default_rng(44)
+        qs = rng.normal(size=(300, 4))
+        for q in qs:
+            assert same_bytes(quat_to_matrix(q), reference.quat_to_matrix(q))
+        assert same_bytes(quat_to_matrix(qs), reference.quat_to_matrix(qs))
+
+
+def scorer(score_rows):
+    """maintain's evaluate_fn over the given stacked scorer."""
+    def fn(grasps, cloud):
+        if isinstance(grasps, Pose):
+            return np.array([float(score_rows(grasps, cloud)[0])])
+        return score_rows(grasps, cloud)
+
+    return fn
+
+
+class TestMhStep:
+    def check(self, grasps, cloud, seed):
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = mh_step(grasps, cloud, scorer(evaluate_rows), rngs[0])
+        want = reference.mh_step(grasps, cloud, scorer(reference.evaluate_rows), rngs[1])
+        for name in ("p", "q", "scores"):
+            assert same_bytes(getattr(got, name), getattr(want, name))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("kind", sorted(OBJECTS))
+    def test_matches_per_proposal_poses(self, kind):
+        cloud = object_cloud(kind)
+        grasps = grasps_near(cloud)
+        scored = GraspSet(grasps.p, grasps.q, evaluate_rows(grasps, cloud))
+        for seed in range(3):
+            out = self.check(scored, cloud, seed)
+            moved = np.any(out.p != scored.p, axis=1)
+            assert moved.any() and not moved.all()  # both accepts and rejects
+
+    def test_unnormalised_rows(self):
+        # q rows a few ulps off the unit sphere, some with a negative scalar
+        # part: each proposal still gets a Pose's normalisation of its row
+        cloud = object_cloud("capsule")
+        grasps = grasps_near(cloud)
+        rng = np.random.default_rng(45)
+        sign = rng.choice([-1.0, 1.0], (len(grasps), 1))
+        q = grasps.q * sign * (1.0 + rng.normal(scale=1e-13, size=grasps.q.shape))
+        assert np.any(q[:, 3] < 0.0)
+        self.check(GraspSet(grasps.p, q, grasps.scores), cloud, 5)
+
+    def test_single_row_and_empty_set(self):
+        cloud = object_cloud("sphere")
+        grasps = grasps_near(cloud)
+        self.check(grasps[np.arange(1)], cloud, 6)
+        assert len(self.check(GraspSet.empty(), cloud, 7)) == 0
