@@ -13,13 +13,14 @@ evaluate_rows scores every row of a GraspSet (or one Pose) in one array
 pass; evaluate is its one-row case, and refinement scores each MH
 proposal through it. Both test the cloud in the grasp frame through
 stacked_box_hits, which transforms a chunk of rows in component-major
-form, a (rows, 3, N) stack of x, y and z rows, so that points_in_boxes
+form, a (rows, 3, N) stack of x, y and z rows, so that points_in_bounds
 compares contiguous rows and joins the three axes in one reduction.
-Per call, the set-up is the rows' rotation matrices and one transposed
-copy of the cloud; the rest is the geometry. sample_grasps draws its
-trials one at a time, in a fixed order, then builds each block's trial
-frames in one stacked pass that matches the one-trial arithmetic row for
-row. Evaluator implementations are pure functions of their inputs;
+Per call, the set-up is only the rows' rotation matrices: a cloud
+carries its coordinate rows (LabeledPointCloud.coords, made once per
+cloud), and the gripper's box bounds are made once, at import.
+sample_grasps draws its trials one at a time, in a fixed order, then
+builds each block's trial frames in one stacked pass that matches the
+one-trial arithmetic row for row. Evaluator implementations are pure functions of their inputs;
 anything with the same stacked (grasps, cloud) -> (G,) scores signature
 can be swapped in. GraspSet carries grasps as rows of three arrays from
 sampler to selection.
@@ -102,46 +103,56 @@ GRIPPER_BOXES = (*BODY_BOXES, CLOSING_REGION)
 
 
 @lru_cache(maxsize=8)
-def _box_bounds(boxes, margin):
-    """Dilated lower and upper bounds, each (3, len(boxes)): axis by box."""
+def box_bounds(boxes, margin: float = 0.0):
+    """Dilated lower and upper bounds of a tuple of boxes, each (3, len(boxes)): axis by box."""
     lo = np.array([np.asarray(b.center) - np.asarray(b.half) for b in boxes]) - margin
     hi = np.array([np.asarray(b.center) + np.asarray(b.half) for b in boxes]) + margin
+    for bound in (lo, hi):  # every caller shares the cached pair
+        bound.setflags(write=False)
     return lo.T, hi.T
 
 
-def points_in_boxes(coords: np.ndarray, boxes, margin: float = 0.0) -> np.ndarray:
-    """Point inside box dilated by margin, for points given as coordinate rows.
+GRIPPER_BOUNDS = box_bounds(GRIPPER_BOXES)
+
+
+def points_in_bounds(coords: np.ndarray, bounds) -> np.ndarray:
+    """Point inside each box of box_bounds' (lo, hi), for points given as coordinate rows.
 
     coords is (3, N), the x, y and z rows of N points, or a stack of them,
-    (rows, 3, N); the result is (len(boxes), N) or (len(boxes), rows, N)
-    bool. Every comparison runs along contiguous points, and one reduction
-    over the leading axis joins the three axes.
+    (rows, 3, N); the result is (boxes, N) or (boxes, rows, N) bool. Every
+    comparison runs along contiguous points, and one reduction over the
+    leading axis joins the three axes.
     """
-    lo, hi = _box_bounds(tuple(boxes), margin)
+    lo, hi = bounds
     coords = np.asarray(coords, dtype=float).swapaxes(0, -2)[:, None]  # (3, 1, [rows,] N)
     shape = lo.shape + (1,) * (coords.ndim - 2)
     return ((coords >= lo.reshape(shape)) & (coords <= hi.reshape(shape))).all(axis=0)
 
 
-def stacked_box_hits(grasps, points: np.ndarray, boxes, margin: float = 0.0):
+def points_in_boxes(coords: np.ndarray, boxes, margin: float = 0.0) -> np.ndarray:
+    """points_in_bounds for boxes dilated by margin: (len(boxes), [rows,] N) bool."""
+    return points_in_bounds(coords, box_bounds(tuple(boxes), margin))
+
+
+def stacked_box_hits(grasps, coords: np.ndarray, bounds):
     """Yield (rows, rotations, hits) per chunk of ROW_CHUNK grasp rows.
 
     grasps is anything with p and q rows (a GraspSet, or one Pose as one
-    row). hits is (len(boxes), rows, len(points)) bool: the point, in the
-    row's grasp frame, lies inside the box dilated by margin. Each chunk is
-    transformed in component-major form, R^T (points^T - p), a (rows, 3, N)
-    stack of coordinate rows: the same three products per coordinate, in
-    the same order, as Pose.inverse_transform_points's (points - p) @ R,
-    and the tests hold the two forms equal byte for byte.
+    row); coords is the cloud's (3, N) coordinate rows (geometry.coordinate_rows)
+    and bounds a box_bounds result. hits is (boxes, rows, N) bool: the
+    point, in the row's grasp frame, lies inside the dilated box. Each
+    chunk is transformed in component-major form, R^T (coords - p), a
+    (rows, 3, N) stack of coordinate rows: the same three products per
+    coordinate, in the same order, as Pose.inverse_transform_points's
+    (points - p) @ R, and the tests hold the two forms equal byte for byte.
     """
     p = np.reshape(grasps.p, (-1, 3))
     rot = quat_to_matrix(grasps.q).reshape(-1, 3, 3)
     rot_t = rot.transpose(0, 2, 1)
-    coords = np.ascontiguousarray(points.T)
     for start in range(0, len(p), ROW_CHUNK):
         rows = slice(start, start + ROW_CHUNK)
         local = rot_t[rows] @ (coords - p[rows, :, None])
-        yield rows, rot[rows], points_in_boxes(local, boxes, margin)
+        yield rows, rot[rows], points_in_bounds(local, bounds)
 
 
 def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
@@ -156,8 +167,8 @@ def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
     scores = np.zeros(len(np.reshape(grasps.p, (-1, 3))))
     if len(object_cloud) == 0:
         return scores
-    points, normals = object_cloud.points, object_cloud.normals
-    for rows, rot, hits in stacked_box_hits(grasps, points, GRIPPER_BOXES):
+    normals = object_cloud.normals
+    for rows, rot, hits in stacked_box_hits(grasps, object_cloud.coords, GRIPPER_BOUNDS):
         blocked = hits[: len(BODY_BOXES)].any(axis=(0, 2))
         inside = hits[-1]
         n_in = inside.sum(axis=1)

@@ -37,6 +37,11 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def coordinate_rows(points) -> np.ndarray:
+    """(N, 3) points as their C-contiguous (3, N) x, y and z rows."""
+    return np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1, 3).T)
+
+
 def row_norms(v: np.ndarray) -> np.ndarray:
     """np.linalg.norm(v, axis=-1) of a float array, bit for bit: the same
     sqrt(add.reduce(v * v)), without the wrapper's dispatch."""

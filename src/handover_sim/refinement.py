@@ -28,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluator import GRIPPER_BOXES, GraspSet, evaluate, evaluate_rows, sample_grasps
-from .evaluator import stacked_box_hits
-from .geometry import Pose, quat_unit_rows
+from .evaluator import box_bounds, stacked_box_hits
+from .geometry import Pose, coordinate_rows, quat_unit_rows
 from .scene import LabeledPointCloud
 
 DEFAULT_HAND_MARGIN = 0.005  # gripper box dilation verify re-tests every trace at
@@ -87,9 +87,9 @@ def collides_hand(grasps, hand_points, margin: float) -> np.ndarray:
     Each row's result is that of its one-row call, so a stacked test of
     many grasps against one cloud agrees with testing them one by one.
     """
-    hand_points = np.asarray(hand_points, dtype=float).reshape(-1, 3)
+    coords, bounds = coordinate_rows(hand_points), box_bounds(GRIPPER_BOXES, margin)
     collides = np.zeros(len(np.reshape(grasps.p, (-1, 3))), dtype=bool)
-    for rows, _, hits in stacked_box_hits(grasps, hand_points, GRIPPER_BOXES, margin):
+    for rows, _, hits in stacked_box_hits(grasps, coords, bounds):
         collides[rows] = hits.any(axis=(0, 2))
     return collides
 

@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .geometry import Pose, quat_from_axis_angle, quat_slerp
 from .scene import PrimitiveShape
@@ -194,6 +193,10 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    # imported here, the one place that reads YAML: a caller that builds
+    # scenarios from dicts never pays for the import
+    import yaml
+
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)

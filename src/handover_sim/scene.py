@@ -12,16 +12,18 @@ most MAX_DIM, which also bounds the points per cloud. Visibility is a
 normal-facing test (outward normal must face the camera), which is an
 adequate occlusion proxy for convex primitives at desk scale and keeps
 cloud synthesis deterministic and cheap. Every cloud carries the
-outward unit normal of each point.
+outward unit normal of each point, and its points' coordinate rows once
+a grasp layer first asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import Pose, row_norms
+from .geometry import Pose, coordinate_rows, row_norms
 
 LABEL_HAND = 0
 LABEL_OBJECT = 1
@@ -180,6 +182,14 @@ class LabeledPointCloud:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The points as C-contiguous (3, N) x, y and z rows, made on first use:
+        the grasp layers test every grasp of a cloud against the same rows."""
+        coords = coordinate_rows(self.points)
+        coords.setflags(write=False)  # every caller shares it
+        return coords
 
     @classmethod
     def empty(cls) -> "LabeledPointCloud":

@@ -7,6 +7,12 @@ from tick to tick and has one method per stage: ``fire_events``,
 ``observe`` (cloud), ``refine``, ``select`` and ``move`` (every tick);
 ``run`` calls them in that order and appends the tick record.
 
+``run`` builds the palm and object poses (``SimState.poses_at``) only on
+the ticks that read them: tracking, cloud and selection ticks, 26 of
+every 90, and the tick a take arrives and tests its closure. It rounds
+the selected target and grasp once each time the selection changes, and
+gives every tick record its own copy of the rounded lists.
+
 Selection reuses refinement's hand prune. Refinement leaves a set whose
 every row clears the hand cloud at ``HAND_MARGIN``, so ``select`` prunes
 the set again only when a cloud has arrived since (by the rate divisors,
@@ -34,11 +40,11 @@ import numpy as np
 
 from .evaluator import GraspSet, sample_grasps
 from .geometry import Pose, pose_distance, quat_angle, vector_norm
-from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX, HOME, TABLE_Z, TOP_DOWN_Q
+from .motion import HOME, TABLE_Z, TOP_DOWN_Q
 from .motion import rrt_connect, segment_collision_free, servo_step
 from .planner import DROP_DURATION, TaskStage, WorldPredicates, decide, execute_take
 from .planner import at_standoff, hand_above_table
-from .refinement import DEFAULT_HAND_MARGIN, HAND_MARGIN, TARGET_SIZE, grasp_collides_hand
+from .refinement import HAND_MARGIN, TARGET_SIZE, grasp_collides_hand
 from .refinement import maintain, prune_hand_collisions
 from .scene import LabeledPointCloud, apply_label_noise, crop_around_palm, synthesize_cloud
 from .scenario import Scenario, ScenarioError
@@ -61,6 +67,9 @@ ARRIVE_POS_TOL = 1.5e-3
 ARRIVE_ANG_TOL = 0.02
 WAYPOINT_TOL = 1.0e-3
 REPLAN_DISTANCE = 5e-4  # pose_distance trigger for replanning
+
+# stages with no refinement or selection
+_BUSY = (TaskStage.TAKE, TaskStage.DROP, TaskStage.DONE)
 
 # rng stream salts
 _SALT_CLOUD = 1
@@ -105,10 +114,6 @@ class SimState:
                 "name": scenario.name,
                 "seed": int(seed),
                 "mode": scenario.mode,
-                "dt": round(DT, 9),
-                "v_max": DEFAULT_V_MAX,
-                "w_max": DEFAULT_W_MAX,
-                "hand_margin": DEFAULT_HAND_MARGIN,
             }
         ]
         self.stage = TaskStage.WAIT_HOME
@@ -125,6 +130,12 @@ class SimState:
         self.robot_started_moving = False
         self.plan: tuple | None = None
         self.candidate_count = 0
+
+    def poses_at(self, t: float) -> tuple[Pose, Pose]:
+        """The palm and the held object's pose at t, events applied."""
+        base_palm = self.scenario.hand_pose_at(t)
+        palm = Pose(base_palm.p + self.hand_offset, base_palm.q)
+        return palm, palm.compose(self.grip_offset)
 
     def fire_events(self, tick: int, t: float) -> None:
         """Apply, once each and in scenario order, the scripted events now due."""
@@ -218,10 +229,10 @@ class SimState:
         )
         self.stage = decide(preds)
 
-    def move(self, tick: int, t: float, object_pose: Pose) -> None:
+    def move(self, tick: int, t: float) -> None:
         """Every tick: one velocity-limited end-effector step for the stage."""
         if self.stage is TaskStage.TAKE:
-            self.close(tick, t, object_pose)
+            self.close(tick, t)
         elif self.stage is TaskStage.DROP:
             self.ee = servo_step(self.ee, DROP, DT)
             if t >= self.metrics.time_to_success + DROP_DURATION:
@@ -237,8 +248,9 @@ class SimState:
             if vector_norm(self.ee.p - HOME.p) > 0.01:
                 self.robot_started_moving = True
 
-    def close(self, tick: int, t: float, object_pose: Pose) -> None:
-        """Servo onto the take's final pose; on arrival, test the closure."""
+    def close(self, tick: int, t: float) -> None:
+        """Servo onto the take's final pose; on arrival, test the closure
+        against the object where it is now."""
         final = self.selected.final_pose
         self.ee = servo_step(self.ee, final, DT)
         arrived = (
@@ -251,6 +263,7 @@ class SimState:
         rng = np.random.default_rng([self.seed, _SALT_CLOSURE, tick])
         pts, _ = shape.sample_surface(int(round(shape.surface_area() * CLOSURE_DENSITY)), rng)
         self.metrics.attempts += 1
+        _, object_pose = self.poses_at(t)
         if execute_take(final, object_pose.transform_points(pts)):
             self.stage = TaskStage.DROP
             self.metrics.success = True
@@ -310,36 +323,45 @@ def run(scenario: Scenario, seed: int | None = None):
         raise ScenarioError("seed must be >= 0")
     state = SimState(scenario, seed)
     records = state.records
+    rounded_for, target, grasp = None, None, None
     for tick in range(int(math.ceil(scenario.time_limit * BASE_HZ))):
         t = tick * DT
         state.fire_events(tick, t)
-        base_palm = scenario.hand_pose_at(t)
-        palm = Pose(base_palm.p + state.hand_offset, base_palm.q)
-        object_pose = palm.compose(state.grip_offset)
-
         tracking_tick = tick % TRACKING_DIV == 0
+        cloud_tick = tick % CLOUD_DIV == 0
+        # the poses only on the ticks that read them: observe can end a take
+        # but not start one, so a selection tick busy here stays busy
+        # unless it is also a cloud tick
+        palm = object_pose = None
+        if tracking_tick or cloud_tick or tick % SELECT_DIV == 0 and state.stage not in _BUSY:
+            palm, object_pose = state.poses_at(t)
+
         if tracking_tick:
             state.tracked_palm = palm
-        cloud_tick = tick % CLOUD_DIV == 0
         if cloud_tick:
             state.observe(tick, palm, object_pose)
-        busy = state.stage in (TaskStage.TAKE, TaskStage.DROP, TaskStage.DONE)
+        busy = state.stage in _BUSY
         refine_tick = tick % REFINE_DIV == 0 and not busy
         resampled = refine_tick and state.refine(tick)
         select_tick = tick % SELECT_DIV == 0 and not busy
         if select_tick:
             state.select(palm, object_pose)
-        state.move(tick, t, object_pose)
+        state.move(tick, t)
 
         selected = state.selected
+        if selected is not rounded_for:  # rounded once per selection
+            rounded_for = selected
+            target = _round_pose(selected.approach_pose) if selected else None
+            grasp = _round_pose(selected.grasp) if selected else None
         rec = {
             "type": "tick",
             "tick": tick,
             "sim_time": round(t, 7),
             "stage": state.stage.value,
             "ee_pose": _round_pose(state.ee),
-            "selected_target": _round_pose(selected.approach_pose) if selected else None,
-            "selected_grasp": _round_pose(selected.grasp) if selected else None,
+            # each record its own lists, so that editing one edits no other
+            "selected_target": [*target] if selected else None,
+            "selected_grasp": [*grasp] if selected else None,
             "candidate_count": state.candidate_count,
             "resampled": bool(resampled),
             "attempt_count": state.metrics.attempts,
@@ -349,7 +371,7 @@ def run(scenario: Scenario, seed: int | None = None):
             "selection_tick": bool(select_tick),
         }
         if cloud_tick:
-            rec["hand_points"] = np.round(state.hand_cloud.points, 5).tolist()
+            rec["hand_points"] = np.round(state.hand_cloud.points, 5).ravel().tolist()
         records.append(rec)
         if state.stage is TaskStage.DONE:
             break

@@ -1,8 +1,13 @@
 """Line-delimited trace output and the post-hoc invariant checker.
 
-Each record is one JSON object per line: a header, then per-tick records
-(pose arrays are [px, py, pz, qx, qy, qz, qw]); cloud-refresh ticks also
-carry the current hand points so safety can be re-checked offline.
+Each record is one JSON object per line. The header comes first and
+holds ``type`` ("header"), ``name``, ``seed`` and ``mode``: what was
+run, never a limit to judge it by. Tick records follow, one per tick,
+with ``event`` and ``closure`` records between them. Pose arrays are
+[px, py, pz, qx, qy, qz, qw], rounded to 1e-7. Cloud-refresh ticks also
+carry the hand points in force, so safety can be re-checked offline:
+``hand_points`` is one flat list [x0, y0, z0, x1, y1, z1, ...], rounded
+to 1e-5 m.
 
 verify_records re-checks, for every tick record:
 
@@ -22,8 +27,9 @@ The limits and the margin are the program's constants, never values the
 header records, so a trace cannot loosen the checks it is judged by.
 
 A trace without a header or a tick record fails verification; one that
-cannot be read or holds a malformed record (a degenerate quaternion
-among them) raises TraceError.
+cannot be read or holds a malformed record raises TraceError: among
+them a degenerate quaternion, and hand points that hold a non-number or
+whose length is not a multiple of 3.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -84,19 +89,17 @@ def _pose_rows(poses) -> tuple[np.ndarray, np.ndarray]:
     return rows, finite
 
 
-def _point_array(points) -> np.ndarray:
-    """A hand_points list as (N, 3) rows (fromiter builds it in half the
-    time np.asarray takes over nested lists)."""
-    return np.fromiter(chain.from_iterable(points), dtype=float).reshape(-1, 3)
-
-
 def _finite_points(points) -> bool:
-    """Whether every coordinate of a hand_points list is finite. A
-    non-finite value makes the plain sum non-finite, so only then is an
-    array built."""
-    if math.isfinite(sum(chain.from_iterable(points))):
+    """Whether every coordinate of a flat hand_points list is finite;
+    ValueError unless it holds whole (x, y, z) triples. The plain sum is
+    a TypeError on a non-number (fromiter would parse a string and read
+    null as NaN), and non-finite when a value is, so only then is an array
+    built."""
+    if len(points) % 3:
+        raise ValueError("hand_points is not a flat list of (x, y, z) triples")
+    if math.isfinite(sum(points)):
         return True
-    return bool(np.isfinite(_point_array(points)).all())
+    return bool(np.isfinite(np.fromiter(points, dtype=float)).all())
 
 
 def verify_records(records) -> list[str]:
@@ -147,13 +150,12 @@ def verify_records(records) -> list[str]:
     first[1:] = ~(same_cloud & same_grasp)
     heads = tested[first]
     head_clouds, starts = np.unique(cloud_of[heads], return_index=True)
-    # only a cloud that some grasp is tested against becomes an array
-    points = {k: _point_array(ticks[k]["hand_points"]) for k in head_clouds}
     points_finite = np.ones(len(ticks), dtype=bool)
-    points_finite[clouds] = [
-        np.isfinite(points[k]).all() if k in points else _finite_points(ticks[k]["hand_points"])
-        for k in clouds
-    ]
+    points_finite[clouds] = [_finite_points(ticks[k]["hand_points"]) for k in clouds]
+    # only a cloud that some grasp is tested against becomes an array
+    points = {
+        k: np.fromiter(ticks[k]["hand_points"], dtype=float).reshape(-1, 3) for k in head_clouds
+    }
     hits = np.zeros(len(heads), dtype=bool)
     for k, lo, hi in zip(head_clouds, starts, [*starts[1:], len(heads)]):
         runs = heads[lo:hi]

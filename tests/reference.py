@@ -12,7 +12,9 @@ draw, ``sim._round_pose``, the component-major box test of
 ``evaluator.stacked_box_hits`` and ``evaluate_rows``, and
 ``refinement.mh_step`` with its proposals' normalisation hoisted out of
 the loop); the tests compare those, byte for byte, with the plain bodies
-kept here. ``IDENTITY`` is the identity pose."""
+kept here. ``legacy_digest`` hashes a trace in its earlier format, so
+that pins recorded before the format changed still hold every run to
+its old bits. ``IDENTITY`` is the identity pose."""
 
 import math
 
@@ -27,6 +29,7 @@ from handover_sim.refinement import grasp_collides_hand
 from handover_sim.scene import CAMERA, CLOUD_DENSITY, HAND_SPHERES, LABEL_HAND, LABEL_OBJECT
 from handover_sim.scene import LabeledPointCloud, PrimitiveShape
 from handover_sim.sim import DT
+from handover_sim.trace import trace_digest
 
 
 IDENTITY = Pose(np.zeros(3), (0.0, 0.0, 0.0, 1.0))
@@ -176,6 +179,25 @@ def verify_records(records) -> list[str]:
     if prev_pose is None:
         violations.append("trace has no tick record")
     return violations
+
+
+def legacy_digest(records) -> str:
+    """trace_digest of the records in the trace format before the header
+    lost its limits and the hand points were flattened: the header gets
+    dt, v_max, w_max and hand_margin back after mode, with the program's
+    values, and each flat hand_points list is regrouped into [x, y, z]
+    rows. Nothing else changed, so the legacy pins still hold a run to
+    every bit of its old trace."""
+    legacy = []
+    for rec in records:
+        if rec.get("type") == "header":  # mode is its last key
+            rec = {**rec, "dt": round(DT, 9), "v_max": DEFAULT_V_MAX, "w_max": DEFAULT_W_MAX,
+                   "hand_margin": DEFAULT_HAND_MARGIN}
+        elif "hand_points" in rec:
+            flat = rec["hand_points"]
+            rec = {**rec, "hand_points": [flat[i:i + 3] for i in range(0, len(flat), 3)]}
+        legacy.append(rec)
+    return trace_digest(legacy)
 
 
 def unit_quat(q) -> np.ndarray:

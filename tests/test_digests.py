@@ -3,9 +3,16 @@
 A change that moves any of these digests changes what the simulator
 does; it must name the change and its reason rather than re-record the
 values to make the test pass.
+
+Each run has two pins. The LEGACY_ pins were recorded in the trace
+format the header's speed limits and margin and the [x, y, z] hand-point
+rows were dropped from; reference.legacy_digest rebuilds that format, so
+they still hold every run to the bits it had before the format changed.
+The other pins hash the current format.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 import yaml
@@ -18,8 +25,10 @@ from handover_sim.scenario import MODES, load_scenario, scenario_from_dict
 from handover_sim.selection import expand_flips
 from handover_sim.sim import run
 from handover_sim.trace import trace_digest
+from reference import legacy_digest
 
-PINNED = {
+# recorded in the earlier trace format; see the module docstring
+LEGACY_PINNED = {
     ("nominal_cylinder", 0): "c1c5a5b42b7d7592970a977ddda56a2d1be221d66c883b59e5485c4334b77e2e",
     ("nominal_cylinder", 1): "8ffde6c1aa87650df2b9b89c3404288f0cb913699ada1ccaa7560e6309e8ba63",
     ("nominal_cylinder", 2): "e14be3f536c178e21fca74cd4641483a374683f39926c15c0033e08fb4e0fec8",
@@ -43,7 +52,7 @@ STATIC_OBJECTS = {
     "static_capsule": {"kind": "capsule", "dims": [0.02, 0.14], "grip_offset": [0.0, -0.11, 0.0, *SIDEWAYS]},
     "static_sphere": {"kind": "sphere", "dims": [0.035], "grip_offset": [0.0, -0.08, 0.0]},
 }
-PINNED_STATIC = {
+LEGACY_PINNED_STATIC = {
     ("static_box", 0): "90f9c3fce5bd83a6af33514d194768a117bc02eb562fab4b2a2270e18a7400d6",
     ("static_box", 1): "3a73527d9662d119ee56183407cb52b7abd8f468647c5b7c441a7d9842bc0a51",
     ("static_capsule", 0): "bc8bbeb07c5fb86cdf49598bd2ed75b35f94724eb09b863088a382747ab59268",
@@ -53,7 +62,7 @@ PINNED_STATIC = {
 }
 
 # The committed cylinder in the other three modes, cut to 4 s.
-PINNED_MODES = {
+LEGACY_PINNED_MODES = {
     ("naive", 0): "1cb599f5b465a3c73625c6da4eed205e8ae79f651f76db798ff7bfa83fda887c",
     ("naive", 1): "cebaf07ff4efffd0a0fab46416ec87e04ff1caa656e6913371107d64f48a8830",
     ("object_center", 0): "0ab03fdf03a388e068fa302adf5842006a70b793ca070268f0550dadf74a6b67",
@@ -70,7 +79,7 @@ LOWER_HAND = {
     "hand_trajectory": [{"t": 0.0, "pose": [0.55, 0.05, 0.28]}],
     "events": [{"trigger": {"time": 1.0}, "action": {"lower_hand": {}}}],
 }
-PINNED_LOWER_HAND = {
+LEGACY_PINNED_LOWER_HAND = {
     0: "ec3dac0a8a3b1872210abab5dec9db88859e3c7521a7249a15556f179f82fe10",
     1: "8d4fbaec26a190f0373556b05882b34e2502a2777746fc3e08e0908fc795c202",
 }
@@ -78,7 +87,7 @@ PINNED_LOWER_HAND = {
 # The committed cylinder with 5% label noise, cut to 2 s: label_noise is
 # the one override a scenario sets, and only these runs pass through
 # apply_label_noise.
-PINNED_LABEL_NOISE = {
+LEGACY_PINNED_LABEL_NOISE = {
     0: "37995fbdfb82c8a4b4535478646146f1e284d3b2cd1aae9cc37ba181cac70fd9",
     1: "92800b0e5e4a2461072cdcebb8b52e2b529e14bb3fbc2f9eff3f266dd16e6259",
 }
@@ -96,7 +105,7 @@ PUSHED = {
     "both_blocked": (CYLINDER, 0.8, [-0.10, -0.12, 0.08]),
     "both_free": (CAPSULE, 0.8, [-0.10, -0.12, 0.08]),
 }
-PINNED_PUSHED = {
+LEGACY_PINNED_PUSHED = {
     ("start_blocked", 1): "b43d1f9c5d42a72955330940c3a162eff48d87a0d3b8841eeada8d338e58d406",
     ("goal_blocked", 1): "946e021e9c158d1965b31af26c51da5c2920682bac616d0bd371a9c33b5afbd8",
     ("both_blocked", 1): "8f074592a37ab48901b81bb1b224a5083f5bfb3f62b6fe05aea572f090c02d01",
@@ -129,57 +138,41 @@ TAKE_ABORT = {
     ],
 }
 TAKE_ABORT_SEED = 1064202822
-PINNED_TAKE_ABORT = "67975afed7d44b9a8e7528ef4f5b2cfddf7934c899c8220896516e64da108f40"
+LEGACY_PINNED_TAKE_ABORT = "67975afed7d44b9a8e7528ef4f5b2cfddf7934c899c8220896516e64da108f40"
 
 
-@pytest.mark.parametrize("name,seed", sorted(PINNED))
-def test_committed_scenario_digest_is_pinned(name, seed):
-    _, records = run(load_scenario(f"scenarios/{name}.yaml"), seed)
-    assert trace_digest(records) == PINNED[(name, seed)]
+def committed(name):
+    return load_scenario(f"scenarios/{name}.yaml")
 
 
-@pytest.mark.parametrize("name,seed", sorted(PINNED_STATIC))
-def test_static_shape_digest_is_pinned(name, seed):
+def static_shape(name):
     data = {
         "mode": "temporal_plus",
         "time_limit": 3.0,
         "object": STATIC_OBJECTS[name],
         "hand_trajectory": [{"t": 0.0, "pose": [0.55, 0.05, 0.28]}],
     }
-    _, records = run(scenario_from_dict(data, name), seed)
-    assert trace_digest(records) == PINNED_STATIC[(name, seed)]
+    return scenario_from_dict(data, name)
 
 
-@pytest.mark.parametrize("mode,seed", sorted(PINNED_MODES))
-def test_baseline_mode_digest_is_pinned(mode, seed):
-    scenario = replace(load_scenario("scenarios/nominal_cylinder.yaml"), mode=mode, time_limit=4.0)
-    _, records = run(scenario, seed)
-    assert trace_digest(records) == PINNED_MODES[(mode, seed)]
+def baseline_mode(mode):
+    return replace(committed("nominal_cylinder"), mode=mode, time_limit=4.0)
 
 
-@pytest.mark.parametrize("seed", sorted(PINNED_LOWER_HAND))
-def test_lower_hand_digest_is_pinned(seed):
-    _, records = run(scenario_from_dict(LOWER_HAND, "lower_hand"), seed)
-    assert trace_digest(records) == PINNED_LOWER_HAND[seed]
+def lower_hand():
+    return scenario_from_dict(LOWER_HAND, "lower_hand")
 
 
-@pytest.mark.parametrize("seed", sorted(PINNED_LABEL_NOISE))
-def test_label_noise_digest_is_pinned(seed):
+def label_noise():
     with open("scenarios/nominal_cylinder.yaml") as fh:
         data = yaml.safe_load(fh)
     data.update(time_limit=2.0, overrides={"label_noise": 0.05})
-    _, records = run(scenario_from_dict(data, "nominal_cylinder"), seed)
-    assert trace_digest(records) == PINNED_LABEL_NOISE[seed]
+    return scenario_from_dict(data, "nominal_cylinder")
 
 
-def test_take_abort_digest_is_pinned():
-    _, records = run(scenario_from_dict(TAKE_ABORT, "reactive-capsule-31"), TAKE_ABORT_SEED)
-    assert trace_digest(records) == PINNED_TAKE_ABORT
-    # the pin covers the abort only while the run still takes it
-    ticks = [rec for rec in records if rec["type"] == "tick"]
-    aborts = [b for a, b in zip(ticks, ticks[1:]) if (a["stage"], b["stage"]) == ("take", "approach")]
-    assert aborts and all(b["cloud_tick"] and b["selected_grasp"] is None for b in aborts)
-    assert not any(rec["type"] == "closure" for rec in records)
+def take_abort():
+    return scenario_from_dict(TAKE_ABORT, "reactive-capsule-31")
+
 
 def pushed_scenario(name):
     obj, push_time, offset = PUSHED[name]
@@ -191,6 +184,114 @@ def pushed_scenario(name):
         "events": [{"trigger": {"time": push_time}, "action": {"translate_hand": {"offset": offset}}}],
     }
     return scenario_from_dict(data, name)
+
+
+# The pins in the trace format since the header dropped its limits and the
+# hand points became flat lists. Every simulated outcome and the random
+# stream are those of the legacy pins above, which legacy_digest still
+# reproduces from the same runs.
+PINNED = {
+    ("nominal_cylinder", 0): "bf6579e7ae8b20dfd2d8b93823bfef97390ece0177bd1483cad9a2b8be4ad355",
+    ("nominal_cylinder", 1): "d46ed04a5279e0725fec1239fa47807dd191c65dfd55949066393313d986955d",
+    ("nominal_cylinder", 2): "3b29afd11cbef1efd7cc62c5b81daf95fe89a1b0f5c92c2004f887e137259b07",
+    ("nominal_cylinder", 3): "40f9b99ceeefe2b82292caff0fd281d4cf7d1dc3a918ef6111b980f54af818af",
+    ("rotate90_midmotion", 0): "dff8e0eb6eae866e9b7c8962633548281c23162a1e5de70ef8ae11a47310f3d2",
+    ("rotate90_midmotion", 1): "9fb298e5cb0e047e17cb700c95c1f15f49ce7f78f0d4197bdb46b0a084d414b3",
+    ("rotate90_midmotion", 2): "fabfaa708de81f8cfe1cf5b9eb015fb8e5820c803bcd7d0813b626fe722b3501",
+    ("rotate90_midmotion", 3): "12735c1dea6c783b6f60291bfbd42c0fa5bb8d8b5063f32b155ba41881184905",
+    ("hand_below_table", 0): "f373f9e52b2c171a7c190ed0973ae0ccbd0586ffe613edca5035896d03f0bb35",
+    ("hand_below_table", 1): "755856d29ff44cb3b15bf73f67a3c8b4878a8c9ac18c672006ff158c90e33543",
+    ("hand_below_table", 2): "c3da4d04d9ccb4c333e110ac123f548d28e247bca5be211f42323d2e025d24b9",
+    ("hand_below_table", 3): "e402d288d6091321f3c0c381dd8e55b2bf4ac60cf119f409bb7a838523455eb0",
+}
+PINNED_STATIC = {
+    ("static_box", 0): "f2e7d00854386a5cd763a50ef530329e15b3b96fbaa04b6880e5ebf2bbd83c01",
+    ("static_box", 1): "fefb15b977a8d897c3e7085b6644471bad016f9b8f27ca2049d74a5ec504535a",
+    ("static_capsule", 0): "ab3b0ece0e6f77740f69007c111ab9713bab9aac860881c15e7436ee1da955ee",
+    ("static_capsule", 1): "198005890954606c307c9af4d6f1e22b879617bc2befba04d6df02b6035cb6a5",
+    ("static_sphere", 0): "e827527292c608b2027f953ce7802a45ffe3c951c84eb8852bd587a323baed72",
+    ("static_sphere", 1): "edb1ebeabf4ead80e23589c074d8203e16c7f8a989236a03926fbfe08d9c7a1c",
+}
+PINNED_MODES = {
+    ("naive", 0): "e35aa0fa5c8bb9024a4d33bd1702e54a0a5c89a6acc4769109bd3e2621a3cc51",
+    ("naive", 1): "96e62ca286e54d1916f8c64b8a493c4b2540b2a94d450c779ccd5db763b1a971",
+    ("object_center", 0): "f8be6978b122857996b633acae32e1d136bb5951c05a8b0c53dff2151b9b60b5",
+    ("object_center", 1): "cedbe055fd5176daf4e22e6f11bc97f133bb575aebc0f249676a1812e1078f66",
+    ("temporal", 0): "dfc322b32cc610757e971d4599c771897dc786307256e635cbe15fd7d5cabf0c",
+    ("temporal", 1): "bb929bbc5c40d24a36cffb4e0e4d88212867e200e46f44cedc0d19ca6b282714",
+}
+PINNED_LOWER_HAND = {
+    0: "7addb5ddb78eb0ce35661ae3a48cc2e23c9529221884fa37635b96353c3d34bf",
+    1: "a5cd2051e998060eb055c4467b5838806e0a3801a9d469c63e5d8ae380d665ff",
+}
+PINNED_LABEL_NOISE = {
+    0: "eb65b3c1446c472fa93c80f8d8e27b8b26358f150407fcb2a4137c43f08a9bc7",
+    1: "eee3b8178ca9c60a0e412603ac56a727e76ad73921a64a2861eb0af8e190e81f",
+}
+PINNED_PUSHED = {
+    ("start_blocked", 1): "55eab753101b66e46cf43e1fdb7ee61d18bdb03c9d84432541be73a6c00cfc2f",
+    ("goal_blocked", 1): "29e4d4734ff0cd4c49c942c87ae03da3adaf0ed00f6659092686db5d69da7f9a",
+    ("both_blocked", 1): "c35c82511b312d293deb0d9c5d51b40e1aec291e10fd5c06d05ad2732375e2a4",
+    ("both_free", 1): "871d7e0f6aa2751e86249bb2a7e01e3b2d055b8bc3676f4016d15755f0ff12e0",
+}
+PINNED_TAKE_ABORT = "c07849f065c539955a8bdd6ed17cb9d98908716a96912178170468e5debfe771"
+
+# (test id, scenario builder, seed, legacy pin) for every pinned run
+LEGACY_RUNS = [
+    *[(f"{n}-{s}", partial(committed, n), s, pin) for (n, s), pin in LEGACY_PINNED.items()],
+    *[(f"{n}-{s}", partial(static_shape, n), s, pin) for (n, s), pin in LEGACY_PINNED_STATIC.items()],
+    *[(f"{m}-{s}", partial(baseline_mode, m), s, pin) for (m, s), pin in LEGACY_PINNED_MODES.items()],
+    *[(f"lower_hand-{s}", lower_hand, s, pin) for s, pin in LEGACY_PINNED_LOWER_HAND.items()],
+    *[(f"label_noise-{s}", label_noise, s, pin) for s, pin in LEGACY_PINNED_LABEL_NOISE.items()],
+    *[(f"{n}-{s}", partial(pushed_scenario, n), s, pin) for (n, s), pin in LEGACY_PINNED_PUSHED.items()],
+    ("take_abort", take_abort, TAKE_ABORT_SEED, LEGACY_PINNED_TAKE_ABORT),
+]
+
+
+@pytest.mark.parametrize("build,seed,pin", [r[1:] for r in LEGACY_RUNS], ids=[r[0] for r in LEGACY_RUNS])
+def test_legacy_digest_reproduces_the_legacy_pins(build, seed, pin):
+    _, records = run(build(), seed)
+    assert legacy_digest(records) == pin
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED))
+def test_committed_scenario_digest_is_pinned(name, seed):
+    _, records = run(committed(name), seed)
+    assert trace_digest(records) == PINNED[(name, seed)]
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED_STATIC))
+def test_static_shape_digest_is_pinned(name, seed):
+    _, records = run(static_shape(name), seed)
+    assert trace_digest(records) == PINNED_STATIC[(name, seed)]
+
+
+@pytest.mark.parametrize("mode,seed", sorted(PINNED_MODES))
+def test_baseline_mode_digest_is_pinned(mode, seed):
+    _, records = run(baseline_mode(mode), seed)
+    assert trace_digest(records) == PINNED_MODES[(mode, seed)]
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_LOWER_HAND))
+def test_lower_hand_digest_is_pinned(seed):
+    _, records = run(lower_hand(), seed)
+    assert trace_digest(records) == PINNED_LOWER_HAND[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_LABEL_NOISE))
+def test_label_noise_digest_is_pinned(seed):
+    _, records = run(label_noise(), seed)
+    assert trace_digest(records) == PINNED_LABEL_NOISE[seed]
+
+
+def test_take_abort_digest_is_pinned():
+    _, records = run(take_abort(), TAKE_ABORT_SEED)
+    assert trace_digest(records) == PINNED_TAKE_ABORT
+    # the pin covers the abort only while the run still takes it
+    ticks = [rec for rec in records if rec["type"] == "tick"]
+    aborts = [b for a, b in zip(ticks, ticks[1:]) if (a["stage"], b["stage"]) == ("take", "approach")]
+    assert aborts and all(b["cloud_tick"] and b["selected_grasp"] is None for b in aborts)
+    assert not any(rec["type"] == "closure" for rec in records)
 
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED_PUSHED))

@@ -15,13 +15,15 @@ import yaml
 from handover_sim.batch import batch, run_seeds, summarize
 from handover_sim.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main
 from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul
+from handover_sim.motion import DEFAULT_V_MAX, DEFAULT_W_MAX
 from handover_sim.scenario import (
     Scenario,
     ScenarioError,
     load_scenario,
     scenario_from_dict,
 )
-from handover_sim.sim import HOME, run
+from handover_sim import sim
+from handover_sim.sim import DT, HOME, run
 from handover_sim.trace import read_trace, trace_digest, verify_records, write_trace
 
 NOMINAL = "scenarios/nominal_cylinder.yaml"
@@ -170,6 +172,25 @@ class TestSchedule:
             assert r["refined"] == (k % 18 == 0)
             assert r["selection_tick"] == (k % 9 == 0)
 
+    def test_poses_built_only_on_the_ticks_that_read_them(self, monkeypatch):
+        # tracking, cloud and selection ticks, and each closure test
+        calls = []
+        poses_at = sim.SimState.poses_at
+
+        def counted(state, t):
+            calls.append(round(t * sim.BASE_HZ))
+            return poses_at(state, t)
+
+        monkeypatch.setattr(sim.SimState, "poses_at", counted)
+        _, records = run(load_scenario(NOMINAL), seed=0)
+        reading = [
+            r["tick"] for r in records
+            if r["type"] == "tick" and (r["tracking_tick"] or r["cloud_tick"] or r["selection_tick"])
+        ]
+        closures = [r["tick"] for r in records if r["type"] == "closure"]
+        assert closures and len(reading) < len(records) / 2
+        assert calls == sorted(reading + closures)
+
 
 class TestDeterminism:
     def test_same_seed_same_digest(self):
@@ -313,12 +334,13 @@ class TestTraceIO:
         assert any("linear step" in v for v in out)
 
     def test_header_without_limits_verifies_as_with_them(self):
-        # verify judges by the program's own DT, DEFAULT_V_MAX and DEFAULT_W_MAX
+        # verify judges by the program's own DT, DEFAULT_V_MAX and DEFAULT_W_MAX;
+        # the header records none of them, and one that does changes nothing
         s = short(load_scenario(NOMINAL), 1.0)
-        _, records = run(s, seed=0)
-        bare = copy.deepcopy(records)
-        for key in ("dt", "v_max", "w_max"):
-            del bare[0][key]
+        _, bare = run(s, seed=0)
+        assert not {"dt", "v_max", "w_max", "hand_margin"} & bare[0].keys()
+        records = copy.deepcopy(bare)
+        records[0].update(dt=round(DT, 9), v_max=DEFAULT_V_MAX, w_max=DEFAULT_W_MAX)
         assert verify_records(bare) == verify_records(records) == []
         flagged = []
         for trace in (records, bare):
@@ -340,7 +362,7 @@ class TestTraceIO:
         hand_pt = None
         for r in bad:
             if r["type"] == "tick" and r.get("hand_points"):
-                hand_pt = r["hand_points"][0]
+                hand_pt = r["hand_points"][:3]
         assert hand_pt is not None
         for r in bad:
             if r["type"] == "tick":

@@ -10,8 +10,8 @@ import pytest
 
 import reference
 from handover_sim.evaluator import GRIPPER_BOXES, GraspSet, evaluate, evaluate_rows
-from handover_sim.evaluator import points_in_boxes, sample_grasps, stacked_box_hits
-from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul, quat_to_matrix
+from handover_sim.evaluator import box_bounds, points_in_boxes, sample_grasps, stacked_box_hits
+from handover_sim.geometry import Pose, coordinate_rows, quat_from_axis_angle, quat_mul, quat_to_matrix
 from handover_sim.geometry import row_norms, vector_norm
 from handover_sim.motion import (
     DEFAULT_CLEARANCE,
@@ -280,6 +280,11 @@ def same_hits(got, want):
     return got
 
 
+def box_hits(grasps, points, margin=0.0):
+    """stacked_box_hits over the gripper boxes, for (N, 3) points as the reference takes them."""
+    return stacked_box_hits(grasps, coordinate_rows(points), box_bounds(GRIPPER_BOXES, margin))
+
+
 class TestBoxKernel:
     @pytest.mark.parametrize("margin", [0.0, HAND_MARGIN])
     @pytest.mark.parametrize("kind", sorted(OBJECTS))
@@ -289,7 +294,7 @@ class TestBoxKernel:
         assert len(grasps) == 50
         for g in ROW_COUNTS:
             rows = grasps[np.arange(g)]
-            got = same_hits(stacked_box_hits(rows, cloud.points, GRIPPER_BOXES, margin),
+            got = same_hits(box_hits(rows, cloud.points, margin),
                             reference.stacked_box_hits(rows, cloud.points, GRIPPER_BOXES, margin))
         hits = np.concatenate([h for _, _, h in got], axis=1)
         assert hits[:3].any() and hits[-1].any() and not hits.all()
@@ -323,7 +328,7 @@ class TestBoxKernel:
                         world.append(pose.transform_points(pts))
         world = np.vstack(world)
         grasps = reference.grasp_set(poses, np.zeros(len(poses)))
-        same_hits(stacked_box_hits(grasps, world, GRIPPER_BOXES, margin),
+        same_hits(box_hits(grasps, world, margin),
                   reference.stacked_box_hits(grasps, world, GRIPPER_BOXES, margin))
 
     def test_single_pose(self):
@@ -332,10 +337,20 @@ class TestBoxKernel:
         for i in range(len(grasps)):
             pose = grasps.pose(i)
             for margin in (0.0, HAND_MARGIN):
-                same_hits(stacked_box_hits(pose, cloud.points, GRIPPER_BOXES, margin),
+                same_hits(box_hits(pose, cloud.points, margin),
                           reference.stacked_box_hits(pose, cloud.points, GRIPPER_BOXES, margin))
             assert same_bytes(evaluate_rows(pose, cloud), reference.evaluate_rows(pose, cloud))
             assert evaluate(pose, cloud) == reference.evaluate_rows(pose, cloud)[0]
+
+    def test_cloud_coordinate_rows(self):
+        # made once per cloud, the rows the per-call transposed copy was
+        cloud = object_cloud("capsule")
+        assert same_bytes(cloud.coords, np.ascontiguousarray(cloud.points.T))
+        assert cloud.coords.flags.c_contiguous and cloud.coords is cloud.coords
+        assert same_bytes(coordinate_rows(cloud.points), cloud.coords)
+        grasps = grasps_near(cloud)
+        same_hits(stacked_box_hits(grasps, cloud.coords, box_bounds(GRIPPER_BOXES)),
+                  reference.stacked_box_hits(grasps, cloud.points, GRIPPER_BOXES))
 
     def test_empty_cloud_and_empty_set(self):
         cloud = object_cloud("box")
@@ -343,12 +358,12 @@ class TestBoxKernel:
         none = np.zeros((0, 3))
         for g in ROW_COUNTS:
             rows = grasps[np.arange(g)]
-            same_hits(stacked_box_hits(rows, none, GRIPPER_BOXES),
+            same_hits(box_hits(rows, none),
                       reference.stacked_box_hits(rows, none, GRIPPER_BOXES))
             empty = LabeledPointCloud.empty()
             assert same_bytes(evaluate_rows(rows, empty), reference.evaluate_rows(rows, empty))
         for points in (cloud.points, none):
-            assert same_hits(stacked_box_hits(GraspSet.empty(), points, GRIPPER_BOXES),
+            assert same_hits(box_hits(GraspSet.empty(), points),
                              reference.stacked_box_hits(GraspSet.empty(), points, GRIPPER_BOXES)) == []
         assert same_bytes(evaluate_rows(GraspSet.empty(), cloud),
                           reference.evaluate_rows(GraspSet.empty(), cloud))

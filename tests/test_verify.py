@@ -41,7 +41,7 @@ def ticks_of(records):
 
 def hand_grasp(tick_record):
     """A grasp centred on the first hand point the tick record carries."""
-    return list(tick_record["hand_points"][0]) + [0.0, 0.0, 0.0, 1.0]
+    return tick_record["hand_points"][:3] + [0.0, 0.0, 0.0, 1.0]
 
 
 def test_committed_scenarios_verify_as_the_reference(traces):
@@ -81,8 +81,8 @@ def empty_cloud(records):
 
 
 def header_without_limits(records):
-    for key in ("dt", "v_max", "w_max"):
-        del records[0][key]
+    # the header records no limit; the reference falls back to the program's
+    assert not {"dt", "v_max", "w_max", "hand_margin"} & records[0].keys()
     linear_jump(records)
     angular_step_just_over(records)
 
@@ -116,7 +116,7 @@ def step_and_grasp_violations(records):
 def test_header_cannot_loosen_the_checks(nominal, loose):
     step_and_grasp_violations(nominal)
     expected = verify_records(nominal)
-    # the reference reads the header, which still records the program's values
+    # the reference reads limits from the header, which records none
     assert expected == reference.verify_records(nominal)
     for text in ("linear step", "angular step", "selected grasp collides"):
         assert any(text in v for v in expected)
@@ -163,25 +163,64 @@ def test_non_finite_selected_grasp(nominal):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_hand_points(nominal, value):
-    ticks_of(nominal)[50]["hand_points"][3][2] = value
+    ticks_of(nominal)[50]["hand_points"][3 * 3 + 2] = value  # point 3's z
     assert verify_records(nominal) == ["tick 50: non-finite hand_points"]
 
 
 def test_non_finite_hand_points_in_a_cloud_no_grasp_meets(nominal):
     for r in ticks_of(nominal)[50:60]:
         r["selected_grasp"] = None
-    ticks_of(nominal)[50]["hand_points"][0][0] = float("nan")
+    ticks_of(nominal)[50]["hand_points"][0] = float("nan")
     assert verify_records(nominal) == ["tick 50: non-finite hand_points"]
 
 
 @pytest.mark.parametrize("field", ["ee_pose", "selected_grasp", "hand_points"])
 def test_non_finite_value_exits_3(nominal, field, tmp_path, capsys):
     rec = ticks_of(nominal)[50]
-    (rec[field][0] if field == "hand_points" else rec[field])[0] = float("nan")
+    rec[field][0] = float("nan")
     trace = tmp_path / "t.jsonl"
     write_trace(nominal, trace)
     assert main(["verify", "--trace", str(trace)]) == EXIT_INVARIANT
     assert f"tick 50: non-finite {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
+@pytest.mark.parametrize("change", ["drop_one", "drop_two", "string", "null", "row"])
+def test_malformed_hand_points_exit_2(nominal, change, tested, tmp_path, capsys):
+    # hand_points is one flat list of x, y, z triples, every entry a number,
+    # whether or not a selected grasp is tested against the cloud
+    ticks = ticks_of(nominal)
+    if not tested:
+        for r in ticks[50:60]:
+            r["selected_grasp"] = None
+    points = ticks[50]["hand_points"]
+    if change == "drop_one":
+        del points[-1]
+    elif change == "drop_two":
+        del points[-2:]
+    elif change == "string":
+        points[4] = "0.1"
+    elif change == "null":
+        points[4] = None
+    else:  # the earlier [x, y, z] row form
+        points[:3] = [points[:3]]
+        del points[-1]
+    trace = tmp_path / "t.jsonl"
+    write_trace(nominal, trace)
+    assert main(["verify", "--trace", str(trace)]) == EXIT_PARSE
+    assert "malformed record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["selected_grasp", "selected_target"])
+def test_tampering_one_tick_leaves_every_other_tick(nominal, field):
+    # the run rounds a selection once and gives each record its own lists;
+    # deepcopy keeps any list two records share shared
+    ticks = ticks_of(nominal)
+    assert ticks[100][field] == ticks[101][field]
+    before = copy.deepcopy(ticks)
+    ticks[100][field][0] += 0.5
+    changed = [t for t, (a, b) in enumerate(zip(ticks, before)) if a != b]
+    assert changed == [100]
 
 
 @pytest.mark.parametrize("field", ["ee_pose", "selected_grasp"])
