@@ -58,12 +58,12 @@ def main(argv=None) -> int:
             if args.mode is not None:
                 scenario = replace(scenario, mode=args.mode)
             metrics, records = run(scenario, seed=args.seed)
-            if args.trace:
-                write_trace(records, args.trace)
+            # write_trace hashes the lines it writes, so each record is encoded once
+            digest = write_trace(records, args.trace) if args.trace else trace_digest(records)
             print(
                 f"{scenario.name} mode={scenario.mode} seed={args.seed if args.seed is not None else scenario.seed} "
                 f"success={metrics.success} time={metrics.time_to_success} "
-                f"attempts={metrics.attempts} digest={trace_digest(records)[:16]}"
+                f"attempts={metrics.attempts} digest={digest[:16]}"
             )
             return EXIT_OK
         if args.command == "batch":

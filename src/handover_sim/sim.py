@@ -58,6 +58,8 @@ CLOUD_DIV = 10  # 9 Hz
 REFINE_DIV = 18  # 5 Hz
 SELECT_DIV = 9  # 10 Hz
 
+HAND_POINT_SCALE = 1e5  # a trace's hand points count 1e-5 m
+
 # the rest of the desk layout (table, base, HOME) is in motion; the
 # camera and the hand's sphere cluster are in scene
 DROP = Pose((0.25, -0.35, 0.30), TOP_DOWN_Q)
@@ -88,6 +90,18 @@ class Metrics:
 
 def _round_pose(pose: Pose) -> list:
     return [round(v, 7) for v in pose.p.tolist() + pose.q.tolist()]
+
+
+def encode_hand_points(points: np.ndarray) -> list[int]:
+    """A hand cloud as the trace records it: one flat list [x0, y0, z0,
+    x1, ...] of integer counts of 1e-5 m, np.rint(points * 1e5), the step
+    np.round(points, 5) takes before it divides by 1e5. ValueError on a
+    value that is non-finite or whose count a float cannot hold exactly
+    (beyond 2**53)."""
+    counts = np.rint(points * HAND_POINT_SCALE)
+    if not np.abs(counts).max(initial=0.0) <= 2.0**53:
+        raise ValueError("a hand point is non-finite or too far out to count in 1e-5 m")
+    return counts.astype(np.int64).ravel().tolist()
 
 
 class SimState:
@@ -371,7 +385,7 @@ def run(scenario: Scenario, seed: int | None = None):
             "selection_tick": bool(select_tick),
         }
         if cloud_tick:
-            rec["hand_points"] = np.round(state.hand_cloud.points, 5).ravel().tolist()
+            rec["hand_points"] = encode_hand_points(state.hand_cloud.points)
         records.append(rec)
         if state.stage is TaskStage.DONE:
             break

@@ -6,8 +6,11 @@ run, never a limit to judge it by. Tick records follow, one per tick,
 with ``event`` and ``closure`` records between them. Pose arrays are
 [px, py, pz, qx, qy, qz, qw], rounded to 1e-7. Cloud-refresh ticks also
 carry the hand points in force, so safety can be re-checked offline:
-``hand_points`` is one flat list [x0, y0, z0, x1, y1, z1, ...], rounded
-to 1e-5 m.
+``hand_points`` is one flat list [x0, y0, z0, x1, y1, z1, ...] of JSON
+integers that count 1e-5 m (``sim.HAND_POINT_SCALE`` counts to a metre).
+verify reads them back as count / 1e5, the coordinates rounded to
+1e-5 m. Printing the hand points is most of the cost of writing or
+hashing a trace, and an integer prints far faster than a float.
 
 verify_records re-checks, for every tick record:
 
@@ -16,7 +19,7 @@ verify_records re-checks, for every tick record:
   and ``cloud_tick`` hold exactly on their ticks, ``hand_points`` come
   exactly with ``cloud_tick``, ``refined`` and ``selection_tick`` fall
   only on their ticks, and ``resampled`` only with ``refined``;
-- ``ee_pose``, ``selected_grasp`` and ``hand_points`` are finite;
+- ``ee_pose`` and ``selected_grasp`` are finite;
 - the end effector's linear and angular steps stay within the program's
   speed limits;
 - the end effector stays above the table (z >= ``motion.TABLE_Z``);
@@ -28,15 +31,15 @@ header records, so a trace cannot loosen the checks it is judged by.
 
 A trace without a header or a tick record fails verification; one that
 cannot be read or holds a malformed record raises TraceError: among
-them a degenerate quaternion, and hand points that hold a non-number or
-whose length is not a multiple of 3.
+them a degenerate quaternion, and hand points that hold anything but
+JSON integers (a bool, a float, a string or a null) or whose length is
+not a multiple of 3.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .evaluator import GraspSet
 from .geometry import quat_unit_rows, row_dot
 from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX, TABLE_Z
 from .refinement import DEFAULT_HAND_MARGIN, collides_hand
-from .sim import CLOUD_DIV, DT, REFINE_DIV, SELECT_DIV, TRACKING_DIV
+from .sim import CLOUD_DIV, DT, HAND_POINT_SCALE, REFINE_DIV, SELECT_DIV, TRACKING_DIV
 
 IDENTITY = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # stands in for a pose with a non-finite value
 
@@ -53,10 +56,20 @@ class TraceError(Exception):
     """Raised on a trace file that cannot be read or holds a malformed record."""
 
 
-def write_trace(records, path) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+def _lines(records):
+    for rec in records:
+        yield (json.dumps(rec, separators=(",", ":")) + "\n").encode()
+
+
+def write_trace(records, path) -> str:
+    """Write the records one JSON line each; returns the SHA-256 of the
+    bytes written, which is trace_digest(records)."""
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for line in _lines(records):
+            fh.write(line)
+            h.update(line)
+    return h.hexdigest()
 
 
 def read_trace(path) -> list[dict]:
@@ -66,9 +79,8 @@ def read_trace(path) -> list[dict]:
 
 def trace_digest(records) -> str:
     h = hashlib.sha256()
-    for rec in records:
-        h.update(json.dumps(rec, separators=(",", ":")).encode())
-        h.update(b"\n")
+    for line in _lines(records):
+        h.update(line)
     return h.hexdigest()
 
 
@@ -89,17 +101,15 @@ def _pose_rows(poses) -> tuple[np.ndarray, np.ndarray]:
     return rows, finite
 
 
-def _finite_points(points) -> bool:
-    """Whether every coordinate of a flat hand_points list is finite;
-    ValueError unless it holds whole (x, y, z) triples. The plain sum is
-    a TypeError on a non-number (fromiter would parse a string and read
-    null as NaN), and non-finite when a value is, so only then is an array
-    built."""
+def _check_points(points) -> None:
+    """ValueError unless a hand_points list is whole (x, y, z) triples of
+    JSON integers. A bool is not one, though Python counts it an int, and
+    np.fromiter would read it as 1 or 0, parse a string and read null as
+    NaN."""
     if len(points) % 3:
         raise ValueError("hand_points is not a flat list of (x, y, z) triples")
-    if math.isfinite(sum(points)):
-        return True
-    return bool(np.isfinite(np.fromiter(points, dtype=float)).all())
+    if not set(map(type, points)) <= {int}:
+        raise ValueError("hand_points holds a value that is not an integer count")
 
 
 def verify_records(records) -> list[str]:
@@ -150,18 +160,17 @@ def verify_records(records) -> list[str]:
     first[1:] = ~(same_cloud & same_grasp)
     heads = tested[first]
     head_clouds, starts = np.unique(cloud_of[heads], return_index=True)
-    points_finite = np.ones(len(ticks), dtype=bool)
-    points_finite[clouds] = [_finite_points(ticks[k]["hand_points"]) for k in clouds]
-    # only a cloud that some grasp is tested against becomes an array
-    points = {
-        k: np.fromiter(ticks[k]["hand_points"], dtype=float).reshape(-1, 3) for k in head_clouds
-    }
+    for k in clouds:
+        _check_points(ticks[k]["hand_points"])
     hits = np.zeros(len(heads), dtype=bool)
     for k, lo, hi in zip(head_clouds, starts, [*starts[1:], len(heads)]):
         runs = heads[lo:hi]
         grasps = GraspSet(grasp[runs, :3], grasp[runs, 3:], np.zeros(len(runs)))
-        pts = points[k][np.isfinite(points[k]).all(axis=1)]
-        hits[lo:hi] = collides_hand(grasps, pts, DEFAULT_HAND_MARGIN)
+        # only a cloud that some grasp is tested against becomes an array;
+        # dividing, not multiplying by 1e-5, gives np.round(points, 5) bit for
+        # bit, but for the sign of zero, which the box test treats alike
+        pts = np.fromiter(ticks[k]["hand_points"], dtype=float) / HAND_POINT_SCALE
+        hits[lo:hi] = collides_hand(grasps, pts.reshape(-1, 3), DEFAULT_HAND_MARGIN)
     collides = np.zeros(len(ticks), dtype=bool)
     collides[tested] = hits[np.cumsum(first) - 1]
 
@@ -185,7 +194,6 @@ def verify_records(records) -> list[str]:
         (ee_finite & (ee[:, 2] < TABLE_Z), f"ee_pose z {{:.6f}} is below the table at {TABLE_Z}",
          ee[:, 2]),
         (has_grasp & ~grasp_finite, "non-finite selected_grasp", tick),
-        (~points_finite, "non-finite hand_points", tick),
         (collides, "selected grasp collides with hand points", tick),
     )
     for i in np.flatnonzero(np.any([flagged for flagged, _, _ in checks], axis=0)):
@@ -203,5 +211,6 @@ def verify_trace(path) -> list[str]:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
     try:
         return verify_records(records)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    # OverflowError: a count too large for a float
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed record in trace {path}: {exc!r}") from exc

@@ -14,7 +14,10 @@ draw, ``sim._round_pose``, the component-major box test of
 the loop); the tests compare those, byte for byte, with the plain bodies
 kept here. ``legacy_digest`` hashes a trace in its earlier format, so
 that pins recorded before the format changed still hold every run to
-its old bits. ``IDENTITY`` is the identity pose."""
+its old bits, and ``float_hand_points`` is the hand-point encoder of
+the format before the points became integer counts, which the tests
+patch in to reproduce the pins of that format. ``IDENTITY`` is the
+identity pose."""
 
 import math
 
@@ -28,7 +31,7 @@ from handover_sim.refinement import DEFAULT_HAND_MARGIN, DELTA_T_RANGE, acceptan
 from handover_sim.refinement import grasp_collides_hand
 from handover_sim.scene import CAMERA, CLOUD_DENSITY, HAND_SPHERES, LABEL_HAND, LABEL_OBJECT
 from handover_sim.scene import LabeledPointCloud, PrimitiveShape
-from handover_sim.sim import DT
+from handover_sim.sim import DT, HAND_POINT_SCALE
 from handover_sim.trace import trace_digest
 
 
@@ -170,7 +173,7 @@ def verify_records(records) -> list[str]:
                 )
         prev_pose = pose
         if "hand_points" in rec:
-            hand_points = np.asarray(rec["hand_points"], dtype=float).reshape(-1, 3)
+            hand_points = np.asarray(rec["hand_points"], dtype=float).reshape(-1, 3) / HAND_POINT_SCALE
         grasp_arr = rec.get("selected_grasp")
         if grasp_arr is not None and len(hand_points) > 0:
             grasp_pose = Pose(np.asarray(grasp_arr[:3]), np.asarray(grasp_arr[3:]))
@@ -179,6 +182,12 @@ def verify_records(records) -> list[str]:
     if prev_pose is None:
         violations.append("trace has no tick record")
     return violations
+
+
+def float_hand_points(points) -> list:
+    """sim.encode_hand_points as it was while the trace held the hand
+    points as floats: the coordinates rounded to 1e-5 m, -0.0 kept."""
+    return np.round(points, 5).ravel().tolist()
 
 
 def legacy_digest(records) -> str:

@@ -4,11 +4,20 @@ A change that moves any of these digests changes what the simulator
 does; it must name the change and its reason rather than re-record the
 values to make the test pass.
 
-Each run has two pins. The LEGACY_ pins were recorded in the trace
-format the header's speed limits and margin and the [x, y, z] hand-point
-rows were dropped from; reference.legacy_digest rebuilds that format, so
-they still hold every run to the bits it had before the format changed.
-The other pins hash the current format.
+Each run has three pins, one per trace format it was recorded in. The
+LEGACY_ pins were recorded in the format the header's speed limits and
+margin and the [x, y, z] hand-point rows were dropped from; the FLOAT_
+pins in the next, with the hand points as flat lists of floats rounded
+to 1e-5 m. Both wrote a -0.0 hand coordinate with its sign, which an
+integer count cannot carry, so no reformatting of a current trace can
+rebuild them. test_legacy_digest_reproduces_the_legacy_pins instead runs
+each pinned scenario with that float encoder
+(reference.float_hand_points) patched in for sim.encode_hand_points:
+trace_digest of those records gives the FLOAT_ pin, and
+reference.legacy_digest, which puts back the header limits and the rows,
+the LEGACY_ pin. So each run is still held to the bits it had before
+either format change. The other pins hash the current format, with the
+hand points as integer counts of 1e-5 m, from a run without the patch.
 """
 
 from dataclasses import replace
@@ -25,7 +34,7 @@ from handover_sim.scenario import MODES, load_scenario, scenario_from_dict
 from handover_sim.selection import expand_flips
 from handover_sim.sim import run
 from handover_sim.trace import trace_digest
-from reference import legacy_digest
+from reference import float_hand_points, legacy_digest
 
 # recorded in the earlier trace format; see the module docstring
 LEGACY_PINNED = {
@@ -187,10 +196,10 @@ def pushed_scenario(name):
 
 
 # The pins in the trace format since the header dropped its limits and the
-# hand points became flat lists. Every simulated outcome and the random
-# stream are those of the legacy pins above, which legacy_digest still
-# reproduces from the same runs.
-PINNED = {
+# hand points became flat lists, while they were floats. Every simulated
+# outcome and the random stream are those of the legacy pins above, which
+# legacy_digest still reproduces from the same runs.
+FLOAT_PINNED = {
     ("nominal_cylinder", 0): "bf6579e7ae8b20dfd2d8b93823bfef97390ece0177bd1483cad9a2b8be4ad355",
     ("nominal_cylinder", 1): "d46ed04a5279e0725fec1239fa47807dd191c65dfd55949066393313d986955d",
     ("nominal_cylinder", 2): "3b29afd11cbef1efd7cc62c5b81daf95fe89a1b0f5c92c2004f887e137259b07",
@@ -204,7 +213,7 @@ PINNED = {
     ("hand_below_table", 2): "c3da4d04d9ccb4c333e110ac123f548d28e247bca5be211f42323d2e025d24b9",
     ("hand_below_table", 3): "e402d288d6091321f3c0c381dd8e55b2bf4ac60cf119f409bb7a838523455eb0",
 }
-PINNED_STATIC = {
+FLOAT_PINNED_STATIC = {
     ("static_box", 0): "f2e7d00854386a5cd763a50ef530329e15b3b96fbaa04b6880e5ebf2bbd83c01",
     ("static_box", 1): "fefb15b977a8d897c3e7085b6644471bad016f9b8f27ca2049d74a5ec504535a",
     ("static_capsule", 0): "ab3b0ece0e6f77740f69007c111ab9713bab9aac860881c15e7436ee1da955ee",
@@ -212,7 +221,7 @@ PINNED_STATIC = {
     ("static_sphere", 0): "e827527292c608b2027f953ce7802a45ffe3c951c84eb8852bd587a323baed72",
     ("static_sphere", 1): "edb1ebeabf4ead80e23589c074d8203e16c7f8a989236a03926fbfe08d9c7a1c",
 }
-PINNED_MODES = {
+FLOAT_PINNED_MODES = {
     ("naive", 0): "e35aa0fa5c8bb9024a4d33bd1702e54a0a5c89a6acc4769109bd3e2621a3cc51",
     ("naive", 1): "96e62ca286e54d1916f8c64b8a493c4b2540b2a94d450c779ccd5db763b1a971",
     ("object_center", 0): "f8be6978b122857996b633acae32e1d136bb5951c05a8b0c53dff2151b9b60b5",
@@ -220,38 +229,99 @@ PINNED_MODES = {
     ("temporal", 0): "dfc322b32cc610757e971d4599c771897dc786307256e635cbe15fd7d5cabf0c",
     ("temporal", 1): "bb929bbc5c40d24a36cffb4e0e4d88212867e200e46f44cedc0d19ca6b282714",
 }
-PINNED_LOWER_HAND = {
+FLOAT_PINNED_LOWER_HAND = {
     0: "7addb5ddb78eb0ce35661ae3a48cc2e23c9529221884fa37635b96353c3d34bf",
     1: "a5cd2051e998060eb055c4467b5838806e0a3801a9d469c63e5d8ae380d665ff",
 }
-PINNED_LABEL_NOISE = {
+FLOAT_PINNED_LABEL_NOISE = {
     0: "eb65b3c1446c472fa93c80f8d8e27b8b26358f150407fcb2a4137c43f08a9bc7",
     1: "eee3b8178ca9c60a0e412603ac56a727e76ad73921a64a2861eb0af8e190e81f",
 }
-PINNED_PUSHED = {
+FLOAT_PINNED_PUSHED = {
     ("start_blocked", 1): "55eab753101b66e46cf43e1fdb7ee61d18bdb03c9d84432541be73a6c00cfc2f",
     ("goal_blocked", 1): "29e4d4734ff0cd4c49c942c87ae03da3adaf0ed00f6659092686db5d69da7f9a",
     ("both_blocked", 1): "c35c82511b312d293deb0d9c5d51b40e1aec291e10fd5c06d05ad2732375e2a4",
     ("both_free", 1): "871d7e0f6aa2751e86249bb2a7e01e3b2d055b8bc3676f4016d15755f0ff12e0",
 }
-PINNED_TAKE_ABORT = "c07849f065c539955a8bdd6ed17cb9d98908716a96912178170468e5debfe771"
+FLOAT_PINNED_TAKE_ABORT = "c07849f065c539955a8bdd6ed17cb9d98908716a96912178170468e5debfe771"
 
-# (test id, scenario builder, seed, legacy pin) for every pinned run
+# (test id, scenario builder, seed, legacy pin, float pin) for every pinned run
 LEGACY_RUNS = [
-    *[(f"{n}-{s}", partial(committed, n), s, pin) for (n, s), pin in LEGACY_PINNED.items()],
-    *[(f"{n}-{s}", partial(static_shape, n), s, pin) for (n, s), pin in LEGACY_PINNED_STATIC.items()],
-    *[(f"{m}-{s}", partial(baseline_mode, m), s, pin) for (m, s), pin in LEGACY_PINNED_MODES.items()],
-    *[(f"lower_hand-{s}", lower_hand, s, pin) for s, pin in LEGACY_PINNED_LOWER_HAND.items()],
-    *[(f"label_noise-{s}", label_noise, s, pin) for s, pin in LEGACY_PINNED_LABEL_NOISE.items()],
-    *[(f"{n}-{s}", partial(pushed_scenario, n), s, pin) for (n, s), pin in LEGACY_PINNED_PUSHED.items()],
-    ("take_abort", take_abort, TAKE_ABORT_SEED, LEGACY_PINNED_TAKE_ABORT),
+    *[(f"{n}-{s}", partial(committed, n), s, pin, FLOAT_PINNED[n, s])
+      for (n, s), pin in LEGACY_PINNED.items()],
+    *[(f"{n}-{s}", partial(static_shape, n), s, pin, FLOAT_PINNED_STATIC[n, s])
+      for (n, s), pin in LEGACY_PINNED_STATIC.items()],
+    *[(f"{m}-{s}", partial(baseline_mode, m), s, pin, FLOAT_PINNED_MODES[m, s])
+      for (m, s), pin in LEGACY_PINNED_MODES.items()],
+    *[(f"lower_hand-{s}", lower_hand, s, pin, FLOAT_PINNED_LOWER_HAND[s])
+      for s, pin in LEGACY_PINNED_LOWER_HAND.items()],
+    *[(f"label_noise-{s}", label_noise, s, pin, FLOAT_PINNED_LABEL_NOISE[s])
+      for s, pin in LEGACY_PINNED_LABEL_NOISE.items()],
+    *[(f"{n}-{s}", partial(pushed_scenario, n), s, pin, FLOAT_PINNED_PUSHED[n, s])
+      for (n, s), pin in LEGACY_PINNED_PUSHED.items()],
+    ("take_abort", take_abort, TAKE_ABORT_SEED, LEGACY_PINNED_TAKE_ABORT, FLOAT_PINNED_TAKE_ABORT),
 ]
 
 
-@pytest.mark.parametrize("build,seed,pin", [r[1:] for r in LEGACY_RUNS], ids=[r[0] for r in LEGACY_RUNS])
-def test_legacy_digest_reproduces_the_legacy_pins(build, seed, pin):
+@pytest.mark.parametrize("build,seed,legacy_pin,float_pin", [r[1:] for r in LEGACY_RUNS],
+                         ids=[r[0] for r in LEGACY_RUNS])
+def test_legacy_digest_reproduces_the_legacy_pins(build, seed, legacy_pin, float_pin, monkeypatch):
+    # both earlier formats wrote the hand points as floats, and kept the
+    # sign of a -0.0 that no integer count can carry, so the run records
+    # them with the float encoder of those formats
+    monkeypatch.setattr(sim, "encode_hand_points", float_hand_points)
     _, records = run(build(), seed)
-    assert legacy_digest(records) == pin
+    assert legacy_digest(records) == legacy_pin
+    assert trace_digest(records) == float_pin
+
+
+# The pins in the current format, with the hand points as integer counts
+# of 1e-5 m: the same runs, the same outcomes and random stream.
+PINNED = {
+    ("nominal_cylinder", 0): "4a933b0c26f79f6c448cb6e4bf239083c18e8c869e452d15f8bdc776cbb2f07a",
+    ("nominal_cylinder", 1): "380eab0d0ad90960d31bee3b27d4ea7d6580e90720e80ceda045a800f0aecd2f",
+    ("nominal_cylinder", 2): "b8a40ab8056883bd2b72c0ca3c5e596878dc3ca6dcc279271a288ddc75008f46",
+    ("nominal_cylinder", 3): "1abca818d5e73ec05f9a9484c4561d6216a646a948586f144747f4050057f04b",
+    ("rotate90_midmotion", 0): "f94eb78bfe6dcb979d0c1284e7ece457caaf7ea78d5e76f1064e211991e4ff81",
+    ("rotate90_midmotion", 1): "1dc131bb5febb74b9ab347a27ad2ab8723545ea643c24b58310b080556fe28ae",
+    ("rotate90_midmotion", 2): "7024cb77c9cd819101050a3556ed0ee6df937ea36ceae8066834692754716bc7",
+    ("rotate90_midmotion", 3): "cacd9593530ea2ff04780cfc7dd09c0b42f00c78a338857619e0f5a0047e59c1",
+    ("hand_below_table", 0): "bacca7dd3c07a2fb5e4454c8707067651266889429a875b6a650bd6db5913cd4",
+    ("hand_below_table", 1): "a8e4a88bb972b18c7e3436112cd198466559f43de47689b51f9b347481b07985",
+    ("hand_below_table", 2): "796bc1e4b45cd1891f88945ad84dc88f88855c2bdb757a2531a847fa9231c6c7",
+    ("hand_below_table", 3): "96437cb51e9272bdca6d240c28ce28589c49aef9d9aa03fa6655483fd6c04bf3",
+}
+PINNED_STATIC = {
+    ("static_box", 0): "d10b399b7ac5406f5d66bc86b2aa02f14e25b3154ded4a7eeabf6d9b7bf58fd9",
+    ("static_box", 1): "e4e5eb134905386cb10ece0e38c3b2040e903b2ba2cd7cbad9d082ab8623f658",
+    ("static_capsule", 0): "017b281ac5a102239219abbfbe06bea3757289f04d5128c1a9863ad97bc1a388",
+    ("static_capsule", 1): "348837e2dbc475e61e1f9765f911ceba071210700e1b3eb5f78ebb3227f9dae9",
+    ("static_sphere", 0): "550c5e52ad57c199499d8af32f82c363fc61abeeae60e7730f921e48ec4d5b5d",
+    ("static_sphere", 1): "67e66fe69d7b7bcc6c2ad00debfc65b6a89f80a1b32c22514113630c435854b8",
+}
+PINNED_MODES = {
+    ("naive", 0): "ec676aad7c4509ae45578ff31ab483a7f9080fe8282d027362d1a3012a4c7188",
+    ("naive", 1): "2b2457df66e2337894263c58fcf2085806bce7b0fed00900b72da25f87675235",
+    ("object_center", 0): "5faab445ca31fdf8052d832cdc17d43447cfdd81bb9528908d82b28461045481",
+    ("object_center", 1): "8e92d46f4140b71449b5b7dfd9e601ad34f1fee34d8b5e166aac81f52c62deb0",
+    ("temporal", 0): "0606f764f9809c1b014a63d9118406ef2dfecb7ae62cd3de2c975ea91b2af3c9",
+    ("temporal", 1): "489817dd5e6514e9f3f8be9a46c73995c6aad9af0faa33336037b46963dfc8a2",
+}
+PINNED_LOWER_HAND = {
+    0: "f1748e5a00af7e49fa42dcd110b4b938ba34cfc814c51b2d95a7add319adce30",
+    1: "94a41388011ed96a88ef59ce6f396ebcefd2e890ae35ad4322d448e01385d97a",
+}
+PINNED_LABEL_NOISE = {
+    0: "5bf5c6b6793dd86f0dfccca94e664f1f58cb00a54aef5b9356f3a0a31d6402d4",
+    1: "b829de40813ae2d2b9c7a92cafd45d711c0f647a0ac09ef8591cf4c39fafb604",
+}
+PINNED_PUSHED = {
+    ("start_blocked", 1): "ad879af5ff51d042137a065f5e262de7ef8c84a04a6bfc5f22641c5e1f971225",
+    ("goal_blocked", 1): "a33e1f3c65089e83bcef5cd5678066ab60e75be6facddfa02041e81f216d2087",
+    ("both_blocked", 1): "82b97f5113a595f2136b4b0e46af8eed8282f44a351f788488eafaa89b066c77",
+    ("both_free", 1): "d338240a8bf3888947449987e776b61f2ce08f0576e48961e114029445445f0e",
+}
+PINNED_TAKE_ABORT = "b94c055b5a3fdf9df5952095db78154dcef41b500ece92b71fe27abf2d941958"
 
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED))

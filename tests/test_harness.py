@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -23,7 +24,7 @@ from handover_sim.scenario import (
     scenario_from_dict,
 )
 from handover_sim import sim
-from handover_sim.sim import DT, HOME, run
+from handover_sim.sim import DT, HAND_POINT_SCALE, HOME, run
 from handover_sim.trace import read_trace, trace_digest, verify_records, write_trace
 
 NOMINAL = "scenarios/nominal_cylinder.yaml"
@@ -324,6 +325,12 @@ class TestTraceIO:
         assert back == json.loads(json.dumps(records))
         assert trace_digest(back) == trace_digest(json.loads(json.dumps(records)))
 
+    def test_write_trace_returns_the_digest_of_its_bytes(self, tmp_path):
+        _, records = run(short(load_scenario(NOMINAL), 1.0), seed=0)
+        path = tmp_path / "trace.jsonl"
+        digest = write_trace(records, path)
+        assert digest == trace_digest(records) == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_verify_flags_velocity_violation(self):
         s = short(load_scenario(NOMINAL), 1.0)
         _, records = run(s, seed=0)
@@ -362,7 +369,7 @@ class TestTraceIO:
         hand_pt = None
         for r in bad:
             if r["type"] == "tick" and r.get("hand_points"):
-                hand_pt = r["hand_points"][:3]
+                hand_pt = [c / HAND_POINT_SCALE for c in r["hand_points"][:3]]
         assert hand_pt is not None
         for r in bad:
             if r["type"] == "tick":
@@ -523,8 +530,10 @@ class TestCli:
         trace = tmp_path / "t.jsonl"
         code = main(["run", "--scenario", BELOW, "--seed", "0", "--trace", str(trace)])
         assert code == EXIT_OK
-        assert trace.exists()
-        assert "success=False" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "success=False" in out
+        # the digest printed is that of the bytes written
+        assert f"digest={hashlib.sha256(trace.read_bytes()).hexdigest()[:16]}" in out
 
     def test_run_bad_scenario_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

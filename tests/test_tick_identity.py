@@ -24,7 +24,9 @@ from handover_sim.motion import (
 )
 from handover_sim.refinement import HAND_MARGIN, mh_step
 from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape, synthesize_cloud
-from handover_sim.sim import DT, _round_pose
+from handover_sim import sim
+from handover_sim.scenario import load_scenario
+from handover_sim.sim import DT, _round_pose, encode_hand_points
 
 A = np.array([0.30, 0.0, 0.45])
 B = np.array([0.50, 0.05, 0.35])
@@ -433,3 +435,66 @@ class TestMhStep:
         grasps = grasps_near(cloud)
         self.check(grasps[np.arange(1)], cloud, 6)
         assert len(self.check(GraspSet.empty(), cloud, 7)) == 0
+
+
+def committed_hand_clouds():
+    """Every hand cloud the committed scenarios record at seed 0, as run
+    passes them to the encoder."""
+    clouds = []
+
+    def kept(points):
+        clouds.append(points.copy())
+        return encode_hand_points(points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "encode_hand_points", kept)
+        for name in ("nominal_cylinder", "rotate90_midmotion", "hand_below_table"):
+            sim.run(load_scenario(f"scenarios/{name}.yaml"), 0)
+    return clouds
+
+
+class TestHandPointEncoder:
+    """The trace's integer counts against the float rounding they replace:
+    np.rint(points * 1e5) is the step np.round(points, 5) takes before it
+    divides by 1e5, so counts / 1e5 are the rounded floats."""
+
+    def check(self, points):
+        counts = encode_hand_points(points)
+        assert type(counts) is list and set(map(type, counts)) <= {int}
+        assert np.array_equal(np.array(counts, dtype=np.int64), np.rint(points * 1e5).ravel())
+        read = np.fromiter(counts, dtype=float) / 1e5  # as verify reads them
+        rounded = np.array(reference.float_hand_points(points))
+        assert np.array_equal(read, rounded)
+        # byte for byte, but that -0.0 reads back as 0.0 (adding 0.0 makes it so)
+        assert same_bytes(read, rounded + 0.0)
+        return np.count_nonzero(np.signbit(rounded) & (rounded == 0.0))
+
+    @pytest.mark.parametrize("kind", sorted(OBJECTS))
+    def test_clouds_of_every_shape(self, kind):
+        rng = np.random.default_rng(11)
+        for seed in range(4):
+            palm = Pose(rng.uniform([0.4, -0.1, 0.1], [0.7, 0.2, 0.4]), rng.normal(size=4))
+            held = (OBJECTS[kind], palm.compose(Pose([0, -0.11, 0], rng.normal(size=4))))
+            cloud = synthesize_cloud(held, palm, np.random.default_rng([seed, 1, 10 * seed]))
+            self.check(cloud.points)
+            self.check(cloud.hand_cloud().points)
+        self.check(object_cloud(kind).points)
+
+    def test_committed_scenarios(self):
+        clouds = committed_hand_clouds()
+        assert len(clouds) > 100
+        # the sign of zero, the one difference, is met on these runs
+        assert sum(self.check(points) for points in clouds) > 0
+
+    def test_halves_ties_and_zeros(self):
+        k = np.arange(-2000, 2001, dtype=float)
+        for points in ((k + 0.5) / 1e5, k / 1e5, (k + 0.4999) / 1e5, np.array([-1e-7, 1e-7, -0.0, 0.0])):
+            self.check(np.resize(points, (len(points) // 3, 3)))
+        self.check(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e11])
+    def test_value_with_no_exact_count_raises(self, value):
+        points = np.full((4, 3), 0.25)
+        points[2, 1] = value
+        with pytest.raises(ValueError, match="hand point"):
+            encode_hand_points(points)

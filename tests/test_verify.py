@@ -3,13 +3,16 @@ reference, and the checks the reference does not make."""
 
 import copy
 
+import numpy as np
 import pytest
 
 import reference
 from handover_sim.cli import EXIT_INVARIANT, EXIT_PARSE, main
+from handover_sim.evaluator import GRIPPER_BOXES, GraspSet, box_bounds
 from handover_sim.geometry import quat_from_axis_angle, quat_mul
+from handover_sim.refinement import DEFAULT_HAND_MARGIN, collides_hand
 from handover_sim.scenario import load_scenario
-from handover_sim.sim import run
+from handover_sim.sim import HAND_POINT_SCALE, run
 from handover_sim.trace import verify_records, write_trace
 
 SCENARIOS = ("nominal_cylinder", "rotate90_midmotion", "hand_below_table")
@@ -41,7 +44,13 @@ def ticks_of(records):
 
 def hand_grasp(tick_record):
     """A grasp centred on the first hand point the tick record carries."""
-    return tick_record["hand_points"][:3] + [0.0, 0.0, 0.0, 1.0]
+    return [c / HAND_POINT_SCALE for c in tick_record["hand_points"][:3]] + [0.0, 0.0, 0.0, 1.0]
+
+
+def verify_exit(records, tmp_path):
+    trace = tmp_path / "t.jsonl"
+    write_trace(records, trace)
+    return main(["verify", "--trace", str(trace)])
 
 
 def test_committed_scenarios_verify_as_the_reference(traces):
@@ -128,9 +137,7 @@ def test_header_cannot_loosen_the_checks(nominal, loose):
 def test_loosened_header_exits_3(nominal, margin, tmp_path, capsys):
     step_and_grasp_violations(nominal)
     nominal[0].update(dt=1.0, v_max=1e3, w_max=1e3, hand_margin=margin)
-    trace = tmp_path / "t.jsonl"
-    write_trace(nominal, trace)
-    assert main(["verify", "--trace", str(trace)]) == EXIT_INVARIANT
+    assert verify_exit(nominal, tmp_path) == EXIT_INVARIANT
     err = capsys.readouterr().err
     for text in ("tick 55: selected grasp collides", "tick 100: linear step", "tick 100: angular step"):
         assert text in err
@@ -161,34 +168,46 @@ def test_non_finite_selected_grasp(nominal):
     assert verify_records(nominal) == [f"tick {r['tick']}: non-finite selected_grasp" for r in ticks]
 
 
+# hand points are integer counts of 1e-5 m, so a float among them, finite
+# or not, is a malformed record (exit 2), not a violation (exit 3)
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_non_finite_hand_points(nominal, value):
+def test_non_finite_hand_points(nominal, value, tmp_path, capsys):
     ticks_of(nominal)[50]["hand_points"][3 * 3 + 2] = value  # point 3's z
-    assert verify_records(nominal) == ["tick 50: non-finite hand_points"]
+    with pytest.raises(ValueError, match="not an integer count"):
+        verify_records(nominal)
+    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
+    assert "malformed record" in capsys.readouterr().err
 
 
-def test_non_finite_hand_points_in_a_cloud_no_grasp_meets(nominal):
+def test_non_finite_hand_points_in_a_cloud_no_grasp_meets(nominal, tmp_path, capsys):
     for r in ticks_of(nominal)[50:60]:
         r["selected_grasp"] = None
     ticks_of(nominal)[50]["hand_points"][0] = float("nan")
-    assert verify_records(nominal) == ["tick 50: non-finite hand_points"]
+    with pytest.raises(ValueError, match="not an integer count"):
+        verify_records(nominal)
+    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
+    assert "malformed record" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["ee_pose", "selected_grasp", "hand_points"])
+@pytest.mark.parametrize("field", ["ee_pose", "selected_grasp"])
 def test_non_finite_value_exits_3(nominal, field, tmp_path, capsys):
     rec = ticks_of(nominal)[50]
     rec[field][0] = float("nan")
-    trace = tmp_path / "t.jsonl"
-    write_trace(nominal, trace)
-    assert main(["verify", "--trace", str(trace)]) == EXIT_INVARIANT
+    assert verify_exit(nominal, tmp_path) == EXIT_INVARIANT
     assert f"tick 50: non-finite {field}" in capsys.readouterr().err
 
 
+# values that are no JSON integer, as json.dumps writes them
+NOT_COUNTS = {"string": "0.1", "null": None, "true": True, "false": False, "float": 1.5,
+              "whole_float": 55000.0, "nan": float("nan"), "infinity": float("inf"),
+              "minus_infinity": float("-inf")}
+
+
 @pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
-@pytest.mark.parametrize("change", ["drop_one", "drop_two", "string", "null", "row"])
+@pytest.mark.parametrize("change", ["drop_one", "drop_two", *NOT_COUNTS, "row"])
 def test_malformed_hand_points_exit_2(nominal, change, tested, tmp_path, capsys):
-    # hand_points is one flat list of x, y, z triples, every entry a number,
-    # whether or not a selected grasp is tested against the cloud
+    # hand_points is one flat list of x, y, z triples, every entry a JSON
+    # integer, whether or not a selected grasp is tested against the cloud
     ticks = ticks_of(nominal)
     if not tested:
         for r in ticks[50:60]:
@@ -198,16 +217,41 @@ def test_malformed_hand_points_exit_2(nominal, change, tested, tmp_path, capsys)
         del points[-1]
     elif change == "drop_two":
         del points[-2:]
-    elif change == "string":
-        points[4] = "0.1"
-    elif change == "null":
-        points[4] = None
+    elif change in NOT_COUNTS:
+        points[4] = NOT_COUNTS[change]
     else:  # the earlier [x, y, z] row form
         points[:3] = [points[:3]]
         del points[-1]
-    trace = tmp_path / "t.jsonl"
-    write_trace(nominal, trace)
-    assert main(["verify", "--trace", str(trace)]) == EXIT_PARSE
+    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
+    assert "malformed record" in capsys.readouterr().err
+
+
+def test_counts_are_read_by_division(nominal):
+    # c / 1e5 is the float np.round(points, 5) gave; c * 1e-5 is one ulp off
+    # it for some c. A point on the palm box's dilated +x face, at local
+    # (y, z) = (0, -0.04) of a grasp at (px, 0, 0), tells the two apart.
+    face = box_bounds(GRIPPER_BOXES, DEFAULT_HAND_MARGIN)[1][0, 2]  # upper x, box 2 the palm
+    c = next(c for c in range(50000, 60000)
+             if (c / 1e5 - (c / 1e5 - face) <= face) != (c * 1e-5 - (c / 1e5 - face) <= face))
+    px = c / 1e5 - face
+    grasp = GraspSet([[px, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]], [0.0])
+    inside = [collides_hand(grasp, np.array([[x, 0.0, -0.04]]), DEFAULT_HAND_MARGIN)[0]
+              for x in (c / 1e5, c * 1e-5)]
+    assert inside[0] != inside[1]
+    ticks = ticks_of(nominal)
+    ticks[50]["hand_points"] = [c, 0, -4000]
+    for r in ticks[50:60]:
+        r["selected_grasp"] = [px, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    flagged = [f"tick {t}: selected grasp collides with hand points" for t in range(50, 60)]
+    assert verify_records(nominal) == reference.verify_records(nominal) == (flagged if inside[0] else [])
+
+
+def test_count_too_large_for_a_float_exits_2(nominal, tmp_path, capsys):
+    # verify reads a cloud's counts as floats only where a grasp is tested
+    # against it; a count no float can hold is malformed there
+    assert ticks_of(nominal)[50]["selected_grasp"] is not None
+    ticks_of(nominal)[50]["hand_points"][4] = 10**400
+    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
     assert "malformed record" in capsys.readouterr().err
 
 
@@ -226,9 +270,7 @@ def test_tampering_one_tick_leaves_every_other_tick(nominal, field):
 @pytest.mark.parametrize("field", ["ee_pose", "selected_grasp"])
 def test_zero_quaternion_exits_2(nominal, field, tmp_path, capsys):
     ticks_of(nominal)[50][field][3:] = [0.0, 0.0, 0.0, 0.0]
-    trace = tmp_path / "t.jsonl"
-    write_trace(nominal, trace)
-    assert main(["verify", "--trace", str(trace)]) == EXIT_PARSE
+    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
     assert "degenerate quaternion" in capsys.readouterr().err
 
 
