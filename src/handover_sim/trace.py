@@ -19,7 +19,8 @@ verify_records re-checks, for every tick record:
   and ``cloud_tick`` hold exactly on their ticks, ``hand_points`` come
   exactly with ``cloud_tick``, ``refined`` and ``selection_tick`` fall
   only on their ticks, and ``resampled`` only with ``refined``;
-- ``ee_pose`` and ``selected_grasp`` are finite;
+- ``ee_pose`` and ``selected_grasp`` are finite, and so is every hand
+  point: a count a float cannot hold reads as infinite metres;
 - the end effector's linear and angular steps stay within the program's
   speed limits;
 - the end effector stays above the table (z >= ``motion.TABLE_Z``);
@@ -50,6 +51,7 @@ from .refinement import DEFAULT_HAND_MARGIN, collides_hand
 from .sim import CLOUD_DIV, DT, HAND_POINT_SCALE, REFINE_DIV, SELECT_DIV, TRACKING_DIV
 
 IDENTITY = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # stands in for a pose with a non-finite value
+FLOAT_LIMIT = 2**1024 - 2**970  # the least integer that float() cannot hold
 
 
 class TraceError(Exception):
@@ -101,15 +103,17 @@ def _pose_rows(poses) -> tuple[np.ndarray, np.ndarray]:
     return rows, finite
 
 
-def _check_points(points) -> None:
+def _check_points(points) -> bool:
     """ValueError unless a hand_points list is whole (x, y, z) triples of
     JSON integers. A bool is not one, though Python counts it an int, and
     np.fromiter would read it as 1 or 0, parse a string and read null as
-    NaN."""
+    NaN. Returns whether a float can hold every count, that is, whether
+    every point is finite."""
     if len(points) % 3:
         raise ValueError("hand_points is not a flat list of (x, y, z) triples")
     if not set(map(type, points)) <= {int}:
         raise ValueError("hand_points holds a value that is not an integer count")
+    return not points or (-FLOAT_LIMIT < min(points) and max(points) < FLOAT_LIMIT)
 
 
 def verify_records(records) -> list[str]:
@@ -160,8 +164,8 @@ def verify_records(records) -> list[str]:
     first[1:] = ~(same_cloud & same_grasp)
     heads = tested[first]
     head_clouds, starts = np.unique(cloud_of[heads], return_index=True)
-    for k in clouds:
-        _check_points(ticks[k]["hand_points"])
+    points_finite = np.ones(len(ticks), dtype=bool)
+    points_finite[clouds] = [_check_points(ticks[k]["hand_points"]) for k in clouds]
     hits = np.zeros(len(heads), dtype=bool)
     for k, lo, hi in zip(head_clouds, starts, [*starts[1:], len(heads)]):
         runs = heads[lo:hi]
@@ -169,7 +173,10 @@ def verify_records(records) -> list[str]:
         # only a cloud that some grasp is tested against becomes an array;
         # dividing, not multiplying by 1e-5, gives np.round(points, 5) bit for
         # bit, but for the sign of zero, which the box test treats alike
-        pts = np.fromiter(ticks[k]["hand_points"], dtype=float) / HAND_POINT_SCALE
+        counts = ticks[k]["hand_points"]
+        if not points_finite[k]:  # a count no float holds reads as NaN, which meets no box
+            counts = [c if -FLOAT_LIMIT < c < FLOAT_LIMIT else np.nan for c in counts]
+        pts = np.fromiter(counts, dtype=float) / HAND_POINT_SCALE
         hits[lo:hi] = collides_hand(grasps, pts.reshape(-1, 3), DEFAULT_HAND_MARGIN)
     collides = np.zeros(len(ticks), dtype=bool)
     collides[tested] = hits[np.cumsum(first) - 1]
@@ -194,6 +201,7 @@ def verify_records(records) -> list[str]:
         (ee_finite & (ee[:, 2] < TABLE_Z), f"ee_pose z {{:.6f}} is below the table at {TABLE_Z}",
          ee[:, 2]),
         (has_grasp & ~grasp_finite, "non-finite selected_grasp", tick),
+        (~points_finite, "non-finite hand_points", tick),
         (collides, "selected grasp collides with hand points", tick),
     )
     for i in np.flatnonzero(np.any([flagged for flagged, _, _ in checks], axis=0)):
@@ -211,6 +219,6 @@ def verify_trace(path) -> list[str]:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
     try:
         return verify_records(records)
-    # OverflowError: a count too large for a float
+    # OverflowError: a pose integer too large for a float
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed record in trace {path}: {exc!r}") from exc

@@ -13,7 +13,7 @@ from handover_sim.geometry import quat_from_axis_angle, quat_mul
 from handover_sim.refinement import DEFAULT_HAND_MARGIN, collides_hand
 from handover_sim.scenario import load_scenario
 from handover_sim.sim import HAND_POINT_SCALE, run
-from handover_sim.trace import verify_records, write_trace
+from handover_sim.trace import FLOAT_LIMIT, verify_records, write_trace
 
 SCENARIOS = ("nominal_cylinder", "rotate90_midmotion", "hand_below_table")
 
@@ -189,10 +189,14 @@ def test_non_finite_hand_points_in_a_cloud_no_grasp_meets(nominal, tmp_path, cap
     assert "malformed record" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["ee_pose", "selected_grasp"])
+# a hand point is an integer count; one no float can hold is infinite metres
+NON_FINITE = {"ee_pose": float("nan"), "selected_grasp": float("nan"), "hand_points": 10**400}
+
+
+@pytest.mark.parametrize("field", NON_FINITE)
 def test_non_finite_value_exits_3(nominal, field, tmp_path, capsys):
     rec = ticks_of(nominal)[50]
-    rec[field][0] = float("nan")
+    rec[field][0] = NON_FINITE[field]
     assert verify_exit(nominal, tmp_path) == EXIT_INVARIANT
     assert f"tick 50: non-finite {field}" in capsys.readouterr().err
 
@@ -246,13 +250,36 @@ def test_counts_are_read_by_division(nominal):
     assert verify_records(nominal) == reference.verify_records(nominal) == (flagged if inside[0] else [])
 
 
-def test_count_too_large_for_a_float_exits_2(nominal, tmp_path, capsys):
-    # verify reads a cloud's counts as floats only where a grasp is tested
-    # against it; a count no float can hold is malformed there
-    assert ticks_of(nominal)[50]["selected_grasp"] is not None
-    ticks_of(nominal)[50]["hand_points"][4] = 10**400
-    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
-    assert "malformed record" in capsys.readouterr().err
+@pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
+@pytest.mark.parametrize("count", [FLOAT_LIMIT, -FLOAT_LIMIT, 10**400],
+                         ids=["limit", "minus_limit", "ten_to_400"])
+def test_count_too_large_for_a_float_is_non_finite(nominal, count, tested):
+    # flagged whether or not a grasp is tested against the cloud, as a NaN
+    # was while the points were floats
+    ticks = ticks_of(nominal)
+    if not tested:
+        for r in ticks[50:60]:
+            r["selected_grasp"] = None
+    assert (ticks[50]["selected_grasp"] is not None) == tested
+    ticks[50]["hand_points"][4] = count
+    assert verify_records(nominal) == ["tick 50: non-finite hand_points"]
+
+
+def test_largest_count_a_float_holds_is_finite(nominal):
+    ticks = ticks_of(nominal)
+    ticks[50]["hand_points"][4] = FLOAT_LIMIT - 1
+    ticks[60]["hand_points"][4] = 1 - FLOAT_LIMIT
+    assert verify_records(nominal) == []
+
+
+def test_points_a_float_holds_are_still_tested(nominal):
+    # a non-finite point is left out of the grasp test, the others are not
+    ticks = ticks_of(nominal)
+    ticks[50]["hand_points"][3:6] = [10**400, 0, 0]
+    for r in ticks[50:60]:
+        r["selected_grasp"] = hand_grasp(ticks[50])
+    assert verify_records(nominal) == ["tick 50: non-finite hand_points"] + [
+        f"tick {t}: selected grasp collides with hand points" for t in range(50, 60)]
 
 
 @pytest.mark.parametrize("field", ["selected_grasp", "selected_target"])
