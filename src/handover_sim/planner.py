@@ -56,8 +56,8 @@ def hand_above_table(palm_z: float) -> bool:
     return palm_z > TABLE_Z + HAND_ABOVE_TABLE_Z
 
 
-def execute_take(final_pose: Pose, object_points: np.ndarray) -> bool:
-    """Closure test at the final pose after the open-loop move.
+def execute_take(grasp: Pose, object_points: np.ndarray) -> bool:
+    """Closure test at the grasp pose after the open-loop move.
 
     Succeeds iff at least CLOSURE_MIN_POINTS object points lie inside the closing
     region at closure time. A miss is a modeled outcome, not a fault.
@@ -65,5 +65,5 @@ def execute_take(final_pose: Pose, object_points: np.ndarray) -> bool:
     object_points = np.asarray(object_points, dtype=float).reshape(-1, 3)
     if len(object_points) == 0:
         return False
-    local = final_pose.inverse_transform_points(object_points)
+    local = grasp.inverse_transform_points(object_points)
     return int(points_in_boxes(local.T, (CLOSING_REGION,)).sum()) >= CLOSURE_MIN_POINTS

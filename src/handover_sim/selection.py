@@ -1,7 +1,11 @@
-"""Per-tick grasp target choice: flip expansion, standoff/push-in
-geometry, the weighted cost over approach poses (all three for the whole
-set at once), and feasibility filtering against a reachable region and
-straight-segment collision checks.
+"""Per-tick grasp target choice: flip expansion, standoff geometry, the
+weighted cost over approach poses (all three for the whole set at once),
+and feasibility filtering against a reachable region and straight-segment
+collision checks.
+
+The take closes at the grasp pose itself: the pose the evaluator scored,
+the hand prune cleared and verify re-tests, with the grasped surface point
+at the center of the closing region.
 
 Candidates are walked in ascending cost order and the first one passing
 all checks wins; an absent result is the defined no-feasible-grasp
@@ -26,7 +30,6 @@ from .refinement import GraspSet
 W_S = 1.0  # weight of the score shortfall below S_MIN
 S_MIN = 0.5
 STANDOFF = 0.10  # approach pose, meters back along the grasp's approach axis
-PUSH_IN = 0.05  # final pose, meters forward from the grasp origin
 # reachable region: a spherical shell around the robot base (the origin),
 # clipped above the table
 REACH_R_MIN = 0.25
@@ -53,7 +56,6 @@ class SelectedTarget:
     grasp: Pose
     score: float
     approach_pose: Pose
-    final_pose: Pose
     cost: float
 
 
@@ -77,13 +79,12 @@ def grasp_cost(x_appr: Pose, s: float, x_prev: Pose, weights: tuple[float, float
     )
 
 
-def make_targets(grasp_set: GraspSet) -> tuple[GraspSet, np.ndarray]:
-    """Standoff poses of every grasp (rows and scores match grasp_set's) and
-    push-in positions, both offset along the grasp's approach (local +Z) axis."""
+def make_targets(grasp_set: GraspSet) -> GraspSet:
+    """Standoff poses of every grasp, STANDOFF back along its approach
+    (local +Z) axis; rows and scores match grasp_set's."""
     z = quat_to_matrix(grasp_set.q)[:, :, 2]
     q = quat_unit_rows(grasp_set.q)
-    approach = GraspSet(grasp_set.p + z * -STANDOFF, q, grasp_set.scores)
-    return approach, grasp_set.p + z * PUSH_IN
+    return GraspSet(grasp_set.p + z * -STANDOFF, q, grasp_set.scores)
 
 
 def select_target(
@@ -95,24 +96,23 @@ def select_target(
 ) -> SelectedTarget | None:
     """First feasible candidate in ascending cost order, or None.
 
-    Feasibility: approach and final poses inside the reachable region,
+    Feasibility: approach and grasp poses inside the reachable region,
     collision-free straight segment current -> approach, and
-    collision-free straight segment approach -> final. Colliders are the
+    collision-free straight segment approach -> grasp. Colliders are the
     hand points plus the table.
     """
     if len(grasp_set) == 0:
         return None
-    approach, final = make_targets(grasp_set)
+    approach = make_targets(grasp_set)
     costs = grasp_cost(approach, grasp_set.scores, x_prev, weights)
     for i in np.argsort(costs, kind="stable"):
-        appr_p, final_p = approach.p[i], final[i]
-        if not (_reachable(appr_p) and _reachable(final_p)):
+        appr_p, grasp_p = approach.p[i], grasp_set.p[i]
+        if not (_reachable(appr_p) and _reachable(grasp_p)):
             continue
         if not segment_collision_free(current_ee.p, appr_p, collider_points):
             continue
-        if not segment_collision_free(appr_p, final_p, collider_points):
+        if not segment_collision_free(appr_p, grasp_p, collider_points):
             continue
         grasp, score = grasp_set.pose(i), float(grasp_set.scores[i])
-        final_pose = Pose.from_unit(final_p, approach.q[i])
-        return SelectedTarget(grasp, score, approach.pose(i), final_pose, float(costs[i]))
+        return SelectedTarget(grasp, score, approach.pose(i), float(costs[i]))
     return None

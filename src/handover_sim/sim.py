@@ -263,13 +263,13 @@ class SimState:
                 self.robot_started_moving = True
 
     def close(self, tick: int, t: float) -> None:
-        """Servo onto the take's final pose; on arrival, test the closure
-        against the object where it is now."""
-        final = self.selected.final_pose
-        self.ee = servo_step(self.ee, final, DT)
+        """Servo onto the take's grasp pose; on arrival, test the closure
+        there against the object where it is now."""
+        grasp = self.selected.grasp
+        self.ee = servo_step(self.ee, grasp, DT)
         arrived = (
-            vector_norm(self.ee.p - final.p) < ARRIVE_POS_TOL
-            and quat_angle(self.ee.q, final.q) < ARRIVE_ANG_TOL
+            vector_norm(self.ee.p - grasp.p) < ARRIVE_POS_TOL
+            and quat_angle(self.ee.q, grasp.q) < ARRIVE_ANG_TOL
         )
         if not arrived:
             return
@@ -278,7 +278,7 @@ class SimState:
         pts, _ = shape.sample_surface(int(round(shape.surface_area() * CLOSURE_DENSITY)), rng)
         self.metrics.attempts += 1
         _, object_pose = self.poses_at(t)
-        if execute_take(final, object_pose.transform_points(pts)):
+        if execute_take(grasp, object_pose.transform_points(pts)):
             self.stage = TaskStage.DROP
             self.metrics.success = True
             self.metrics.time_to_success = t

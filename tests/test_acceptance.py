@@ -129,7 +129,7 @@ def test_criterion_4_geometry_constants():
     for i in range(len(gset)):
         g, f = doubled.pose(i), doubled.pose(len(gset) + i)
         ok &= np.allclose(f.rotation_matrix()[:, 2], g.rotation_matrix()[:, 2], atol=1e-9)
-    report(4, "standoff -0.10 m / push-in +0.05 m exact; flips double and keep axes", bool(ok))
+    report(4, "grasp-z offsets -0.10 m (standoff) / +0.05 m exact; flips double and keep axes", bool(ok))
 
 
 def test_criterion_5_planner_truth_table():

@@ -7,7 +7,6 @@ from handover_sim.refinement import GraspSet
 from handover_sim.scenario import MODES
 from handover_sim.selection import (
     MODE_WEIGHTS,
-    PUSH_IN,
     STANDOFF,
     SelectedTarget,
     expand_flips,
@@ -89,31 +88,29 @@ class TestMakeTarget:
         g = Pose([0.5, 0.1, 0.3], [0, 0, 0, 1])
         t = select_target(gset([g], [0.7]), HOME, HOME, NO_HAND, W)
         assert np.allclose(t.approach_pose.p, [0.5, 0.1, 0.3 - 0.10], atol=1e-12)
-        assert np.allclose(t.final_pose.p, [0.5, 0.1, 0.3 + 0.05], atol=1e-12)
         assert np.allclose(t.approach_pose.q, g.q)
-        assert np.allclose(t.final_pose.q, g.q)
+        # the take closes at the grasp pose itself, with no push-in past it
+        assert np.array_equal(t.grasp.to_array(), g.to_array())
         assert t.cost == grasp_cost(t.approach_pose, 0.7, HOME, W)
 
     def test_standoff_and_final_separated_by_offsets(self):
         rng = np.random.default_rng(1)
         poses = [Pose(rng.uniform(-1, 1, 3), rng.normal(size=4)) for _ in range(20)]
-        approach, final = make_targets(gset(poses, [0.5] * 20))
-        for a, f in zip(approach.p, final):
-            gap = np.linalg.norm(f - a)
-            assert gap == pytest.approx(STANDOFF + PUSH_IN, abs=1e-9)
+        approach = make_targets(gset(poses, [0.5] * 20))
+        for a, g in zip(approach.p, poses):
+            gap = np.linalg.norm(g.p - a)
+            assert gap == pytest.approx(STANDOFF, abs=1e-9)
 
     def test_matches_per_pose_offsets_and_costs_bit_for_bit(self):
         rng = np.random.default_rng(2)
         poses = [Pose(rng.uniform(-1, 1, 3), rng.normal(size=4)) for _ in range(200)]
         scores = list(rng.uniform(0, 1, 200))
         prev = Pose(rng.uniform(-1, 1, 3), rng.normal(size=4))
-        approach, final = make_targets(gset(poses, scores))
+        approach = make_targets(gset(poses, scores))
         costs = grasp_cost(approach, approach.scores, prev, W)
         for i, (g, s) in enumerate(zip(poses, scores)):
             appr = offset_along_grasp_z(g, -STANDOFF)
             assert np.array_equal(approach.pose(i).to_array(), appr.to_array())
-            final_pose = Pose.from_unit(final[i], approach.q[i])
-            assert np.array_equal(final_pose.to_array(), offset_along_grasp_z(g, PUSH_IN).to_array())
             assert costs[i] == grasp_cost(appr, s, prev, W)
 
 
