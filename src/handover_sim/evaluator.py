@@ -9,21 +9,22 @@ axis. It is rigid-transform equivariant and invariant under the
 flipped grasps: the flip maps each group of gripper boxes onto itself,
 so a flipped grasp also clears the hand exactly when its original does.
 
-evaluate_rows scores every row of a GraspSet (or one Pose) in one array
-pass; evaluate is its one-row case, and refinement scores each MH
-proposal through it. Both test the cloud in the grasp frame through
-stacked_box_hits, which transforms a chunk of rows in component-major
-form, a (rows, 3, N) stack of x, y and z rows, so that points_in_bounds
-compares contiguous rows and joins the three axes in one reduction.
-Per call, the set-up is only the rows' rotation matrices: a cloud
-carries its coordinate rows (LabeledPointCloud.coords, made once per
-cloud), and the gripper's box bounds are made once, at import.
+evaluate scores every row of a GraspSet (or one Pose, as one row) in one
+array pass. It is the one scorer: refinement scores an MH step's set in
+one call and all of its proposals in a second, and the sampler scores
+each block of trials in one. It tests the cloud in the grasp frame
+through stacked_box_hits, which transforms a chunk of rows in
+component-major form, a (rows, 3, N) stack of x, y and z rows, so that
+points_in_bounds compares contiguous rows and joins the three axes in
+one reduction. Per call, the set-up is only the rows' rotation matrices:
+a cloud carries its coordinate rows (LabeledPointCloud.coords, made once
+per cloud), and the gripper's box bounds are made once, at import.
 sample_grasps draws its trials one at a time, in a fixed order, then
 builds each block's trial frames in one stacked pass that matches the
-one-trial arithmetic row for row. Evaluator implementations are pure functions of their inputs;
-anything with the same stacked (grasps, cloud) -> (G,) scores signature
-can be swapped in. GraspSet carries grasps as rows of three arrays from
-sampler to selection.
+one-trial arithmetic row for row. Evaluator implementations are pure
+functions of their inputs; anything with the same stacked
+(grasps, cloud) -> (G,) scores signature can be swapped in. GraspSet
+carries grasps as rows of three arrays from sampler to selection.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def stacked_box_hits(grasps, coords: np.ndarray, bounds):
         yield rows, rot[rows], points_in_bounds(local, bounds)
 
 
-def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
+def evaluate(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
     """Score every row of grasps (a GraspSet, or one Pose) against a cloud: (G,) in [0, 1].
 
     A row scores zero if any object point collides with a finger or palm
@@ -179,11 +180,6 @@ def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
             alignment = float(np.add.reduce(np.abs(local_normals[:, 1]))) / k
             scores[rows.start + j] = min(1.0, k / N_CONTAIN_REF) * alignment
     return scores
-
-
-def evaluate(pose: Pose, object_cloud: LabeledPointCloud) -> float:
-    """Score one grasp pose against an object cloud, in [0, 1] (see evaluate_rows)."""
-    return float(evaluate_rows(pose, object_cloud)[0])
 
 
 def sample_grasps(object_cloud: LabeledPointCloud, n: int, rng: np.random.Generator) -> GraspSet:
@@ -220,6 +216,6 @@ def sample_grasps(object_cloud: LabeledPointCloud, n: int, rng: np.random.Genera
         frames = np.stack([np.cross(y, z), y, z], axis=2)
         q = quat_unit_rows(quat_from_matrix(frames))
         trial = GraspSet(point[keep], q, np.zeros(len(q)))
-        scores = evaluate_rows(trial, object_cloud)
+        scores = evaluate(trial, object_cloud)
         found = found + GraspSet(trial.p, trial.q, scores)[scores > 0.0]
     return found

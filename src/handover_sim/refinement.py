@@ -12,22 +12,18 @@ Pruning tests a whole GraspSet in fixed-size chunks at HAND_MARGIN.
 maintain returns a set whose every row clears the hand cloud, which the
 simulator's selection stage reuses instead of pruning again.
 
-The MH step scores every grasp's current pose in one stacked call. Its
-proposals stay a loop, one evaluate call each, in the order of the
-random stream: each proposal draws its translation, and its accept
-uniform only when the ratio is below 1, so scoring the proposals
-together would need the draws in another order and change every run.
-What is the same for every proposal of a step is done once, before the
-loop: the proposal quaternions of all rows are normalised in one
-quat_unit_rows pass (bit for bit a Pose's normalisation), and each
-proposal is a Pose.from_unit of its moved position and that row.
+The MH step draws its random numbers in two blocks, every grasp's
+translation and then one accept uniform per grasp, whether or not its
+ratio needs one, so that it can score the set in one evaluate call and
+all its proposals in a second. Each proposal keeps its grasp's
+quaternion, normalised as a Pose would normalise it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .evaluator import GRIPPER_BOXES, GraspSet, evaluate, evaluate_rows, sample_grasps
+from .evaluator import GRIPPER_BOXES, GraspSet, evaluate, sample_grasps
 from .evaluator import box_bounds, stacked_box_hits
 from .geometry import Pose, coordinate_rows, quat_unit_rows
 from .scene import LabeledPointCloud
@@ -44,15 +40,20 @@ TARGET_SIZE = 50
 
 
 def perturb(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Translation-only proposal for a grasp at position p; its rotation stays."""
-    return p + rng.uniform(-DELTA_T_RANGE, DELTA_T_RANGE, size=3)
+    """Translation-only proposals for grasps at positions p, a (3,) row or
+    (G, 3) rows, in one draw of p's shape; their rotations stay."""
+    return p + rng.uniform(-DELTA_T_RANGE, DELTA_T_RANGE, size=np.shape(p))
 
 
-def acceptance_ratio(score_old: float, score_new: float) -> float:
-    """min(new/old, 1) with the divergence convention at a zero denominator."""
-    if score_old < EPSILON_DEN:
-        return 1.0 if score_new > 0.0 else 0.0
-    return min(score_new / score_old, 1.0)
+def acceptance_ratio(score_old, score_new) -> np.ndarray:
+    """min(new/old, 1) with the divergence convention at a zero denominator:
+    where score_old < EPSILON_DEN, 1 for a positive new score and 0 otherwise.
+    Elementwise over arrays of scores; 0-d for two scalars."""
+    score_old = np.asarray(score_old, dtype=float)
+    score_new = np.asarray(score_new, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.minimum(score_new / score_old, 1.0)
+    return np.where(score_old < EPSILON_DEN, np.where(score_new > 0.0, 1.0, 0.0), ratio)
 
 
 def mh_step(
@@ -63,22 +64,25 @@ def mh_step(
 ) -> GraspSet:
     """One Metropolis-Hastings pass over the set.
 
-    evaluate_fn(grasps, cloud) returns one score per row of a GraspSet or
-    of one Pose. It scores the whole set against the current cloud in one
-    call, then each proposal in its own. Rejected grasps keep their pose
-    with that refreshed score, so downstream selection sees scores
-    consistent with the present observation.
+    evaluate_fn(grasps, cloud) returns one score per row of a GraspSet. It
+    scores the whole set against the current cloud in one call, then all
+    proposals in a second. The rng draws every grasp's translation, a
+    (G, 3) block, then G accept uniforms. Row i accepts its proposal when
+    its uniform is below its acceptance ratio, which a ratio of 1 always
+    is. Rejected grasps keep their pose with the refreshed score, so
+    downstream selection sees scores consistent with the present
+    observation.
     """
-    p, q = grasp_set.p.copy(), grasp_set.q.copy()
-    q_prop = quat_unit_rows(grasp_set.q)  # each proposal's q, as its Pose would normalise it
-    scores = np.array(evaluate_fn(grasp_set, object_cloud), dtype=float)
-    for i in range(len(grasp_set)):
-        proposal = Pose.from_unit(perturb(grasp_set.p[i], rng), q_prop[i])
-        score_new = evaluate_fn(proposal, object_cloud)[0]
-        r = acceptance_ratio(scores[i], score_new)
-        if r >= 1.0 or rng.uniform() < r:
-            p[i], q[i], scores[i] = proposal.p, proposal.q, score_new
-    return GraspSet(p, q, scores)
+    g = len(grasp_set)
+    scores = evaluate_fn(grasp_set, object_cloud)
+    moved = perturb(grasp_set.p, rng)
+    u = rng.uniform(size=g)
+    proposals = GraspSet(moved, quat_unit_rows(grasp_set.q), np.zeros(g))
+    new_scores = evaluate_fn(proposals, object_cloud)
+    accept = u < acceptance_ratio(scores, new_scores)  # u < 1, so a ratio of 1 accepts
+    p = np.where(accept[:, None], proposals.p, grasp_set.p)
+    q = np.where(accept[:, None], proposals.q, grasp_set.q)
+    return GraspSet(p, q, np.where(accept, new_scores, scores))
 
 
 def collides_hand(grasps, hand_points, margin: float) -> np.ndarray:
@@ -120,14 +124,9 @@ def maintain(
     if len(object_cloud) == 0:
         return GraspSet.empty(), False
 
-    def evaluate_fn(grasps, cloud):
-        # the set in one evaluate_rows pass; a proposal through evaluate, its one-row
-        # case, where handover_bench's layer tracing counts MH proposal scoring
-        if isinstance(grasps, Pose):
-            return np.array([evaluate(grasps, cloud)])
-        return evaluate_rows(grasps, cloud)
-
-    stepped = mh_step(grasp_set, object_cloud, evaluate_fn, rng)
+    # evaluate is looked up here, at call time, so a wrapper set on this
+    # module's attribute sees both of the step's scoring calls
+    stepped = mh_step(grasp_set, object_cloud, evaluate, rng)
     alive = stepped[stepped.scores >= EPSILON_DEN]
     pruned = prune_hand_collisions(alive, hand_cloud)
     resampled = False

@@ -9,10 +9,10 @@ these plain per-pose forms. Others run every tick in a leaner form
 quaternion, ``motion.segment_collision_free`` with its broad phase,
 ``motion.servo_step``, ``scene.synthesize_cloud`` with its single hand
 draw, ``sim._round_pose``, the component-major box test of
-``evaluator.stacked_box_hits`` and ``evaluate_rows``, and
-``refinement.mh_step`` with its proposals' normalisation hoisted out of
-the loop); the tests compare those, byte for byte, with the plain bodies
-kept here. ``legacy_digest`` hashes a trace in its earlier format, so
+``evaluator.stacked_box_hits`` and ``evaluate``, and
+``refinement.mh_step``, which draws its random numbers in two blocks and
+scores all its proposals in one call); the tests compare those, byte for
+byte, with the plain bodies kept here. ``legacy_digest`` hashes a trace in its earlier format, so
 that pins recorded before the format changed still hold every run to
 its old bits, and ``float_hand_points`` is the hand-point encoder of
 the format before the points became integer counts, which the tests
@@ -133,7 +133,7 @@ def sample_grasps(object_cloud, n, rng) -> GraspSet:
         y = tangent / tn
         x = np.cross(y, z)
         pose = Pose(point, quat_from_matrix(np.column_stack([x, y, z])))
-        score = evaluate(pose, object_cloud)
+        score = evaluate(pose, object_cloud)[0]
         if score > 0.0:
             poses.append(pose)
             scores.append(score)
@@ -365,7 +365,7 @@ def stacked_box_hits(grasps, points: np.ndarray, boxes, margin: float = 0.0):
 
 
 def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
-    """evaluator.evaluate_rows over the point-major hits, through np.mean."""
+    """evaluator.evaluate over the point-major hits, through np.mean."""
     scores = np.zeros(len(np.reshape(grasps.p, (-1, 3))))
     if len(object_cloud) == 0:
         return scores
@@ -383,14 +383,24 @@ def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
 
 
 def mh_step(grasp_set: GraspSet, object_cloud, evaluate_fn, rng) -> GraspSet:
-    """refinement.mh_step with each proposal a new Pose, normalised on its own."""
+    """refinement.mh_step one row at a time: the definition of its order.
+
+    The set's rows are scored in one call. Then every row draws its
+    translation, three uniforms each, and after them every row draws one
+    accept uniform, whether or not its ratio needs it. Each proposal is a
+    new Pose, normalised on its own and scored in its own call, and is
+    accepted through the scalar acceptance_ratio.
+    """
+    g = len(grasp_set)
     p, q = grasp_set.p.copy(), grasp_set.q.copy()
     scores = np.array(evaluate_fn(grasp_set, object_cloud), dtype=float)
-    for i in range(len(grasp_set)):
+    moves = [rng.uniform(-DELTA_T_RANGE, DELTA_T_RANGE, size=3) for _ in range(g)]
+    uniforms = [rng.uniform() for _ in range(g)]
+    for i in range(g):
         pose = grasp_set.pose(i)
-        proposal = Pose(pose.p + rng.uniform(-DELTA_T_RANGE, DELTA_T_RANGE, size=3), pose.q)
-        score_new = evaluate_fn(proposal, object_cloud)[0]
-        r = acceptance_ratio(scores[i], score_new)
-        if r >= 1.0 or rng.uniform() < r:
+        proposal = Pose(pose.p + moves[i], pose.q)
+        score_new = float(evaluate_fn(proposal, object_cloud)[0])
+        r = acceptance_ratio(float(scores[i]), score_new)
+        if r >= 1.0 or uniforms[i] < r:
             p[i], q[i], scores[i] = proposal.p, proposal.q, score_new
     return GraspSet(p, q, scores)

@@ -65,9 +65,9 @@ def test_criterion_1_mh_acceptance_statistics():
     calls = {"n": 0}
 
     def stub(grasps, cloud):
-        # stacked: the whole set's old scores first, then one proposal per call
+        # the whole set's old scores in the first call, all its proposals in the second
         calls["n"] += 1
-        return np.full(len(np.reshape(grasps.p, (-1, 3))), 0.8 if calls["n"] == 1 else 0.2)
+        return np.full(len(grasps), 0.8 if calls["n"] == 1 else 0.2)
 
     cloud = point_cloud(np.zeros((1, 3)), LABEL_OBJECT)
     t0 = time.perf_counter()

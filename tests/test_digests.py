@@ -38,18 +38,18 @@ from reference import float_hand_points, legacy_digest
 
 # recorded in the earlier trace format; see the module docstring
 LEGACY_PINNED = {
-    ("nominal_cylinder", 0): "c1c5a5b42b7d7592970a977ddda56a2d1be221d66c883b59e5485c4334b77e2e",
-    ("nominal_cylinder", 1): "8ffde6c1aa87650df2b9b89c3404288f0cb913699ada1ccaa7560e6309e8ba63",
-    ("nominal_cylinder", 2): "e14be3f536c178e21fca74cd4641483a374683f39926c15c0033e08fb4e0fec8",
-    ("nominal_cylinder", 3): "3bb8c61125625a6c5466d0ae472b51c1c890b1c686a6b19dbb813035f8a901ff",
-    ("rotate90_midmotion", 0): "b77e00adfc9c320a34815cf0ed3da8e9df7ad755408bff36a7c1af9bd83b71d4",
-    ("rotate90_midmotion", 1): "070120a922b953b166a33f29ff98bb176360e0d4bcda0f76cb3d0f68260c49db",
-    ("rotate90_midmotion", 2): "111d89d97fff20b7e62082d07eb0925c7d78edf65258fb2ce90befda0c1ced6f",
-    ("rotate90_midmotion", 3): "94059ceabbae194b4e04503f74ebf4ee12053374acbae1c60882177623388bcd",
-    ("hand_below_table", 0): "c5e18d9a41bb94e7d6a639e001364c5eea043ead7be4a70fc7d6a270f8762cf7",
-    ("hand_below_table", 1): "7b5f6726b93f67bd26dab2b6ddc4c6b15b50747c3104e7f00c41510ea1e4db88",
-    ("hand_below_table", 2): "b2cd8250b2d69d509a6a873c65d77f18f64e2d5fc0a852ea5e2477c9907ea1cd",
-    ("hand_below_table", 3): "fb4318514c123c64becc7d0175db91cf98a3ce66dc20f0672e941680e327ce6e",
+    ("nominal_cylinder", 0): "8304dc344d92858ee57ba4bc94ff90190e81956c36022df74783c84ae3bf36d2",
+    ("nominal_cylinder", 1): "e62e8d4c0a8ed980556dc0e7940385c7dba75051979cd49d6d9d9be89ab352ed",
+    ("nominal_cylinder", 2): "2dc54e95973ce4cb3bdb2e751c44a416683fc9a6b8d98b545dfe6900722615a1",
+    ("nominal_cylinder", 3): "56f852fbddd0c8879a7c17c8094e5ca9f3a8d735a5e9b6aef8e3a5f95a98c98d",
+    ("rotate90_midmotion", 0): "c61855debd8efb2b800e89f0f95cbbbe6e1d39904478940545d2fb1f9bf17dfa",
+    ("rotate90_midmotion", 1): "0a3074b1be8cc1dc70f78c5471bc93fc82f8f56f82392da841efa29d58068489",
+    ("rotate90_midmotion", 2): "ec2b1d45d437e108af17bb934e376ccd44d58d8608cef063f52eac56c0e00caa",
+    ("rotate90_midmotion", 3): "10f38d699d1fca71a74b5b0b21ac6d34322d2ee0ece171ed381b8db7f9e90baf",
+    ("hand_below_table", 0): "264409b9f42d73df9ae901985bb18d7fe7f0e64770fa5322da97c57b26ccebb9",
+    ("hand_below_table", 1): "b3fc3ad8d55cec6bbdf95afbe4278163fbbcd3a187d4b9daa0a71f009887f5c2",
+    ("hand_below_table", 2): "d6c1ec271c0c8a7fcc3f5cd7c993bc36a2f269944ae3ad04f7094aab6e4c7289",
+    ("hand_below_table", 3): "90dbd678def62a53a32f69420659ef220889ed86bcb3e496f4bf63ec28195ba2",
 }
 
 
@@ -62,22 +62,22 @@ STATIC_OBJECTS = {
     "static_sphere": {"kind": "sphere", "dims": [0.035], "grip_offset": [0.0, -0.08, 0.0]},
 }
 LEGACY_PINNED_STATIC = {
-    ("static_box", 0): "90f9c3fce5bd83a6af33514d194768a117bc02eb562fab4b2a2270e18a7400d6",
-    ("static_box", 1): "3a73527d9662d119ee56183407cb52b7abd8f468647c5b7c441a7d9842bc0a51",
-    ("static_capsule", 0): "bc8bbeb07c5fb86cdf49598bd2ed75b35f94724eb09b863088a382747ab59268",
-    ("static_capsule", 1): "5350c4ab39d75c4281bc759bc55bf75ca6c0e79c36a8141a21ebfc72254002be",
-    ("static_sphere", 0): "6603671d208723b9055f54eb64ee9dd1607ff4095f3daeb3b662c8bc75f38029",
-    ("static_sphere", 1): "7f74bf72cbfd1b37dc96c49ac462582a60f91f424969ed255529d533176e7f41",
+    ("static_box", 0): "8dd6fa1fa935d9e018fa18edf209e50d6529cbae45f13225764e32553f061060",
+    ("static_box", 1): "12c533254cfdcfeb3c107e34fbc5a9c767f23f0a56aa2bfc2b4c15da444008b5",
+    ("static_capsule", 0): "e574311da6940977ebaa9f6bfc4208e9d1eb6219a5c46d0ef3d0482e3c6af59f",
+    ("static_capsule", 1): "689ceddffb9a459059b7cb0679c3fb5011c672d2f957d326598b9761d95c2046",
+    ("static_sphere", 0): "4845d0361880dd7a0099e89dfc3ae4b678b3d8c5f8865e66fc900c82f3a1c372",
+    ("static_sphere", 1): "eaeffdd8583cda03c466ed4b5cd3951e1cf538bece6f8bef318e9b834579d79c",
 }
 
 # The committed cylinder in the other three modes, cut to 4 s.
 LEGACY_PINNED_MODES = {
-    ("naive", 0): "1cb599f5b465a3c73625c6da4eed205e8ae79f651f76db798ff7bfa83fda887c",
-    ("naive", 1): "cebaf07ff4efffd0a0fab46416ec87e04ff1caa656e6913371107d64f48a8830",
+    ("naive", 0): "9ab15845984a8613656fd43322b7eadc994b8069004339fe9767a70359995f19",
+    ("naive", 1): "598f33c9f39664045ec2ae7dbfd3e4de08b7b30d1aa88195af49931728afbc45",
     ("object_center", 0): "0ab03fdf03a388e068fa302adf5842006a70b793ca070268f0550dadf74a6b67",
     ("object_center", 1): "00c366f45c3e77dc0f281ea6468f3af06e94eed67b53578bd59b98f12356bbef",
-    ("temporal", 0): "35502c4f9a3cf3759ba41640f6ca163d2630c77b6f645c229b84c8ea5bd39984",
-    ("temporal", 1): "4e9f27ab1282d15815da6b68ab1def0377bd5c732e53a4b2b25363ab59c550f0",
+    ("temporal", 0): "1041e7ec50abc89f6276e4f2f9c6580f7b2fbe241580aa3495009df157eb1c26",
+    ("temporal", 1): "941110e253ed89d73b4d56257bdbe2aff678341707d8156cd7f4f994af108e21",
 }
 
 # The static cylinder with a lower_hand event at 1 s, cut to 4 s.
@@ -89,8 +89,8 @@ LOWER_HAND = {
     "events": [{"trigger": {"time": 1.0}, "action": {"lower_hand": {}}}],
 }
 LEGACY_PINNED_LOWER_HAND = {
-    0: "ec3dac0a8a3b1872210abab5dec9db88859e3c7521a7249a15556f179f82fe10",
-    1: "8d4fbaec26a190f0373556b05882b34e2502a2777746fc3e08e0908fc795c202",
+    0: "88cbbef001865e30e48b4ad604573cb3e7811a9e05e858b0d927429377939333",
+    1: "e948c7d1d20264a310507a2743ecaa1409d3c2ec6e911eaec3408a3ad1be1686",
 }
 
 # The committed cylinder with 5% label noise, cut to 2 s: label_noise is
@@ -98,7 +98,7 @@ LEGACY_PINNED_LOWER_HAND = {
 # apply_label_noise.
 LEGACY_PINNED_LABEL_NOISE = {
     0: "37995fbdfb82c8a4b4535478646146f1e284d3b2cd1aae9cc37ba181cac70fd9",
-    1: "92800b0e5e4a2461072cdcebb8b52e2b529e14bb3fbc2f9eff3f266dd16e6259",
+    1: "3b02c52270558d9d13e2845cb8c6c134f9bb587492dbdab1efae40837b320b84",
 }
 
 # The static cylinder or capsule pushed toward the robot, cut to 1.2 s.
@@ -106,7 +106,9 @@ LEGACY_PINNED_LABEL_NOISE = {
 # robot plans with rrt_connect: from a start inside the 3 cm clearance
 # (start_blocked), to a goal inside it (goal_blocked), with both inside
 # (both_blocked), and once with both free, where RRT-Connect finds a path
-# (both_free; its run also makes two calls with a blocked start).
+# (both_free). Each is pinned at the lowest seed whose run makes those
+# calls: at seeds 0-25 the goal_blocked run makes no rrt_connect call, and
+# at seeds 0-336 no both_free call finds a path.
 CAPSULE, CYLINDER = STATIC_OBJECTS["static_capsule"], LOWER_HAND["object"]
 PUSHED = {
     "start_blocked": (CAPSULE, 0.7, [-0.10, -0.12, 0.08]),
@@ -115,10 +117,10 @@ PUSHED = {
     "both_free": (CAPSULE, 0.8, [-0.10, -0.12, 0.08]),
 }
 LEGACY_PINNED_PUSHED = {
-    ("start_blocked", 1): "b43d1f9c5d42a72955330940c3a162eff48d87a0d3b8841eeada8d338e58d406",
-    ("goal_blocked", 1): "946e021e9c158d1965b31af26c51da5c2920682bac616d0bd371a9c33b5afbd8",
-    ("both_blocked", 1): "8f074592a37ab48901b81bb1b224a5083f5bfb3f62b6fe05aea572f090c02d01",
-    ("both_free", 1): "04206572c975f6000cac6e23bce70be05faf7e3fc339a7e2bdec23cd0c399e95",
+    ("start_blocked", 1): "8ff23802ef49f00ad112bc2ed0b53cae38d3d0837c3c50bc11a47e93a5e5d4c1",
+    ("goal_blocked", 26): "615e5ab5d0ab6bf431b0b6134dc12c3d0e2a5d97d717787f84bcc382b774690e",
+    ("both_blocked", 1): "b4e60b8f0d37905e228f565f13d14ed0fe56c52467ea980a9f1d48641928b087",
+    ("both_free", 337): "20b43dd78e2e096fddae153ee0fec29f5b1ef0fdc73aeb540470d9fc65ae10bf",
 }
 
 
@@ -147,7 +149,7 @@ TAKE_ABORT = {
     ],
 }
 TAKE_ABORT_SEED = 1064202822
-LEGACY_PINNED_TAKE_ABORT = "67975afed7d44b9a8e7528ef4f5b2cfddf7934c899c8220896516e64da108f40"
+LEGACY_PINNED_TAKE_ABORT = "add172ea7bc7d71a764812db7bd5565034f90c71010ab18f1005e3a53850954d"
 
 
 def committed(name):
@@ -200,50 +202,50 @@ def pushed_scenario(name):
 # outcome and the random stream are those of the legacy pins above, which
 # legacy_digest still reproduces from the same runs.
 FLOAT_PINNED = {
-    ("nominal_cylinder", 0): "bf6579e7ae8b20dfd2d8b93823bfef97390ece0177bd1483cad9a2b8be4ad355",
-    ("nominal_cylinder", 1): "d46ed04a5279e0725fec1239fa47807dd191c65dfd55949066393313d986955d",
-    ("nominal_cylinder", 2): "3b29afd11cbef1efd7cc62c5b81daf95fe89a1b0f5c92c2004f887e137259b07",
-    ("nominal_cylinder", 3): "40f9b99ceeefe2b82292caff0fd281d4cf7d1dc3a918ef6111b980f54af818af",
-    ("rotate90_midmotion", 0): "dff8e0eb6eae866e9b7c8962633548281c23162a1e5de70ef8ae11a47310f3d2",
-    ("rotate90_midmotion", 1): "9fb298e5cb0e047e17cb700c95c1f15f49ce7f78f0d4197bdb46b0a084d414b3",
-    ("rotate90_midmotion", 2): "fabfaa708de81f8cfe1cf5b9eb015fb8e5820c803bcd7d0813b626fe722b3501",
-    ("rotate90_midmotion", 3): "12735c1dea6c783b6f60291bfbd42c0fa5bb8d8b5063f32b155ba41881184905",
-    ("hand_below_table", 0): "f373f9e52b2c171a7c190ed0973ae0ccbd0586ffe613edca5035896d03f0bb35",
-    ("hand_below_table", 1): "755856d29ff44cb3b15bf73f67a3c8b4878a8c9ac18c672006ff158c90e33543",
-    ("hand_below_table", 2): "c3da4d04d9ccb4c333e110ac123f548d28e247bca5be211f42323d2e025d24b9",
-    ("hand_below_table", 3): "e402d288d6091321f3c0c381dd8e55b2bf4ac60cf119f409bb7a838523455eb0",
+    ("nominal_cylinder", 0): "5e481cd8faec7fdf5fabcdda084e447e63ce600dd9c26e36edf8776e3c67065a",
+    ("nominal_cylinder", 1): "f8af8e2c5fe9f04f30c679c6b6c4c0902b0bd811feb19ab7234927ad20dbf33e",
+    ("nominal_cylinder", 2): "b8674d7bde6fec3258ef9e5c32091c0ebf57de6f1a752437225d7153c5d54ec0",
+    ("nominal_cylinder", 3): "bd72dc01aca667059bfab74120dda61cdc4af4aa3611ae8fc138c1af3491bd9e",
+    ("rotate90_midmotion", 0): "373638e5a27d81650df0bf25320096231e71f03c460de53b6ca9c7b39c8e6a31",
+    ("rotate90_midmotion", 1): "71d9cb23255211de91d7b572d3c680bb12085ca96e9e9ccfd9f1ed704ff2dc98",
+    ("rotate90_midmotion", 2): "9962c1824a9098e5cfa5bfbf3c828c664ec60b8da338652a68b2657801152996",
+    ("rotate90_midmotion", 3): "d11f79ab22dd3d6ee9d4422d144c637f9708685cc35ed8d14be54d0a1471f9a8",
+    ("hand_below_table", 0): "eef9508f74311455aa3af72225ccaad8996c2f76e79b42ebd16c4f7c3fd64f1b",
+    ("hand_below_table", 1): "d9441fb9fbeb6d6eca3b0ca1cfbb2d3d4b6025d8de9e3c7275cc790f2bba372b",
+    ("hand_below_table", 2): "65cbf5c56e8217a4d8f896e0116f98e25026189c7df2f1a7234cf2e3104ac2fb",
+    ("hand_below_table", 3): "056b8c5c7c8bbdcd9a2b84af411edbc1b8da0eb8b4d77f548a0dbe9bd70a4c81",
 }
 FLOAT_PINNED_STATIC = {
-    ("static_box", 0): "f2e7d00854386a5cd763a50ef530329e15b3b96fbaa04b6880e5ebf2bbd83c01",
-    ("static_box", 1): "fefb15b977a8d897c3e7085b6644471bad016f9b8f27ca2049d74a5ec504535a",
-    ("static_capsule", 0): "ab3b0ece0e6f77740f69007c111ab9713bab9aac860881c15e7436ee1da955ee",
-    ("static_capsule", 1): "198005890954606c307c9af4d6f1e22b879617bc2befba04d6df02b6035cb6a5",
-    ("static_sphere", 0): "e827527292c608b2027f953ce7802a45ffe3c951c84eb8852bd587a323baed72",
-    ("static_sphere", 1): "edb1ebeabf4ead80e23589c074d8203e16c7f8a989236a03926fbfe08d9c7a1c",
+    ("static_box", 0): "ff04b42905b7ec7442e085d0fb40c6774dbb1eecef79c7c4bb2f733e7c05be18",
+    ("static_box", 1): "ed4190718ed83bb888bcc095d7f62c6d7544610a1d688771537920bda2ad58ef",
+    ("static_capsule", 0): "0550343fed9d528e108f3a769112c35a113bddbeb11f91b62170643e39406945",
+    ("static_capsule", 1): "19734795ac09a39c19e0d95969f51fe454f8217627eab2bb2721a61f76b5744b",
+    ("static_sphere", 0): "e0a9af75780240a5fb52060e587b43c95794b60b305a3cca628b54e633d50665",
+    ("static_sphere", 1): "5139fb148aafd09dccef240b7634de611c6adf202b6441545288e200067408d9",
 }
 FLOAT_PINNED_MODES = {
-    ("naive", 0): "e35aa0fa5c8bb9024a4d33bd1702e54a0a5c89a6acc4769109bd3e2621a3cc51",
-    ("naive", 1): "96e62ca286e54d1916f8c64b8a493c4b2540b2a94d450c779ccd5db763b1a971",
+    ("naive", 0): "d7d1158d7cb47e87c679dda43941134b07553bc953ea8cb55b395afb3bef643b",
+    ("naive", 1): "d0643d9055f3400262a2ccc04d216fb8ad1f48a083ae47249fc494d3ef903353",
     ("object_center", 0): "f8be6978b122857996b633acae32e1d136bb5951c05a8b0c53dff2151b9b60b5",
     ("object_center", 1): "cedbe055fd5176daf4e22e6f11bc97f133bb575aebc0f249676a1812e1078f66",
-    ("temporal", 0): "dfc322b32cc610757e971d4599c771897dc786307256e635cbe15fd7d5cabf0c",
-    ("temporal", 1): "bb929bbc5c40d24a36cffb4e0e4d88212867e200e46f44cedc0d19ca6b282714",
+    ("temporal", 0): "7067ffcccfa0f95672959aa78a94a44c94381d978c105c3394067d8cfc9049e1",
+    ("temporal", 1): "d29216eb8ffeb5b5879408977a8a4a88ffe18ae4cecefd6e2e38e2144d3cdef8",
 }
 FLOAT_PINNED_LOWER_HAND = {
-    0: "7addb5ddb78eb0ce35661ae3a48cc2e23c9529221884fa37635b96353c3d34bf",
-    1: "a5cd2051e998060eb055c4467b5838806e0a3801a9d469c63e5d8ae380d665ff",
+    0: "cbc74fc0d564e1ed158a8d13f7c0a057db0e46d3fcbff895938d9b253c789d56",
+    1: "1d6235327b4317ef688691d5f58d0708317982f8020b71e15bb690fa8b1ad57a",
 }
 FLOAT_PINNED_LABEL_NOISE = {
     0: "eb65b3c1446c472fa93c80f8d8e27b8b26358f150407fcb2a4137c43f08a9bc7",
-    1: "eee3b8178ca9c60a0e412603ac56a727e76ad73921a64a2861eb0af8e190e81f",
+    1: "48426521d7c4c2620d4653410c19cc99d81b5e843f1b9cc9fa5b8cca944c6181",
 }
 FLOAT_PINNED_PUSHED = {
-    ("start_blocked", 1): "55eab753101b66e46cf43e1fdb7ee61d18bdb03c9d84432541be73a6c00cfc2f",
-    ("goal_blocked", 1): "29e4d4734ff0cd4c49c942c87ae03da3adaf0ed00f6659092686db5d69da7f9a",
-    ("both_blocked", 1): "c35c82511b312d293deb0d9c5d51b40e1aec291e10fd5c06d05ad2732375e2a4",
-    ("both_free", 1): "871d7e0f6aa2751e86249bb2a7e01e3b2d055b8bc3676f4016d15755f0ff12e0",
+    ("start_blocked", 1): "09d47f8c08216a69610b13b8273a9642fbe842caac27b086c22ea54e1e5616d0",
+    ("goal_blocked", 26): "b29eaeb249bbb4114f4cb490b70ca3b8f4248b3075135acfd81a5266dbe119ba",
+    ("both_blocked", 1): "2d6d1c262a43f2daf9604db6835d224109e841520a35966cd52b2edf91507696",
+    ("both_free", 337): "7debcc7befab6c28597fcfba22f8c347ae73e0d3628d17fcf4bc021499afae8d",
 }
-FLOAT_PINNED_TAKE_ABORT = "c07849f065c539955a8bdd6ed17cb9d98908716a96912178170468e5debfe771"
+FLOAT_PINNED_TAKE_ABORT = "6544afcf0581b008b686b4d04941156334dc1fed6bfa347fc7a854c54b0b085a"
 
 # (test id, scenario builder, seed, legacy pin, float pin) for every pinned run
 LEGACY_RUNS = [
@@ -278,50 +280,50 @@ def test_legacy_digest_reproduces_the_legacy_pins(build, seed, legacy_pin, float
 # The pins in the current format, with the hand points as integer counts
 # of 1e-5 m: the same runs, the same outcomes and random stream.
 PINNED = {
-    ("nominal_cylinder", 0): "4a933b0c26f79f6c448cb6e4bf239083c18e8c869e452d15f8bdc776cbb2f07a",
-    ("nominal_cylinder", 1): "380eab0d0ad90960d31bee3b27d4ea7d6580e90720e80ceda045a800f0aecd2f",
-    ("nominal_cylinder", 2): "b8a40ab8056883bd2b72c0ca3c5e596878dc3ca6dcc279271a288ddc75008f46",
-    ("nominal_cylinder", 3): "1abca818d5e73ec05f9a9484c4561d6216a646a948586f144747f4050057f04b",
-    ("rotate90_midmotion", 0): "f94eb78bfe6dcb979d0c1284e7ece457caaf7ea78d5e76f1064e211991e4ff81",
-    ("rotate90_midmotion", 1): "1dc131bb5febb74b9ab347a27ad2ab8723545ea643c24b58310b080556fe28ae",
-    ("rotate90_midmotion", 2): "7024cb77c9cd819101050a3556ed0ee6df937ea36ceae8066834692754716bc7",
-    ("rotate90_midmotion", 3): "cacd9593530ea2ff04780cfc7dd09c0b42f00c78a338857619e0f5a0047e59c1",
-    ("hand_below_table", 0): "bacca7dd3c07a2fb5e4454c8707067651266889429a875b6a650bd6db5913cd4",
-    ("hand_below_table", 1): "a8e4a88bb972b18c7e3436112cd198466559f43de47689b51f9b347481b07985",
-    ("hand_below_table", 2): "796bc1e4b45cd1891f88945ad84dc88f88855c2bdb757a2531a847fa9231c6c7",
-    ("hand_below_table", 3): "96437cb51e9272bdca6d240c28ce28589c49aef9d9aa03fa6655483fd6c04bf3",
+    ("nominal_cylinder", 0): "1fd7c162353a1869f0e236f191a3720cf9be0ee8c2aa3b8544abd8a502591a0d",
+    ("nominal_cylinder", 1): "bfd6e4d6c629aee05b04a397fc6d5e5cd4f8b05ff29da89b0841d46750c8b153",
+    ("nominal_cylinder", 2): "963bde918a71ff3a02c7d38c24970dc1598f94da53676411f989f75241c00e24",
+    ("nominal_cylinder", 3): "dafe2710033968dd367513a192b10106a4e353c220bffd8ae070a6e161f77637",
+    ("rotate90_midmotion", 0): "2ada3dd474bc7df188bcadd1804d4984a2b2357e1902c93f59b96e828c59d9db",
+    ("rotate90_midmotion", 1): "00b14c6084e693fd21f76765f562325f2e28c268788816dcf2e3b7dd4c4dd383",
+    ("rotate90_midmotion", 2): "cb3bd00b9310069142edae49cc3aec8613edc5f53ec4494ea45daeb8a29e7f50",
+    ("rotate90_midmotion", 3): "12e4b882fb9a4324fbfcaf47464d5ce1845fa7f79b5073f24a686de0e3e287c1",
+    ("hand_below_table", 0): "61c9b672cc0891c3bd5ced5430f898f4abd7018678d3bd06dfe6b20c56bdee0d",
+    ("hand_below_table", 1): "b1c91d4accf6b4b4f323d8ad24971da3f488aec53d2340898fe076fe49c8f48b",
+    ("hand_below_table", 2): "2071732b8c98c4ad59122b599cd869ed485d98f117a1467697017744dcb5a76a",
+    ("hand_below_table", 3): "12c42405d46274fab48c864a96c85ef4db7c935fffeb3171b0034d9c1ac44d36",
 }
 PINNED_STATIC = {
-    ("static_box", 0): "d10b399b7ac5406f5d66bc86b2aa02f14e25b3154ded4a7eeabf6d9b7bf58fd9",
-    ("static_box", 1): "e4e5eb134905386cb10ece0e38c3b2040e903b2ba2cd7cbad9d082ab8623f658",
-    ("static_capsule", 0): "017b281ac5a102239219abbfbe06bea3757289f04d5128c1a9863ad97bc1a388",
-    ("static_capsule", 1): "348837e2dbc475e61e1f9765f911ceba071210700e1b3eb5f78ebb3227f9dae9",
-    ("static_sphere", 0): "550c5e52ad57c199499d8af32f82c363fc61abeeae60e7730f921e48ec4d5b5d",
-    ("static_sphere", 1): "67e66fe69d7b7bcc6c2ad00debfc65b6a89f80a1b32c22514113630c435854b8",
+    ("static_box", 0): "9c7a8b4b70e8453bc780eb3e48aa7a96c2e36956e3cfc0f9445c0946294d58ef",
+    ("static_box", 1): "8b5fecc8bbc1a16902e119e5f2a3f690586b899aa955a55d2e6cc04d73e4fe6b",
+    ("static_capsule", 0): "9a8f86773c1987c6237bcd2f1b14727bdd6185484d51ac6d77b8deb0350bcb42",
+    ("static_capsule", 1): "2cf408c3f1ac6a48b7686058fa7489eb59be8a034e1bab81921434eb64fcae01",
+    ("static_sphere", 0): "4d56018b8b3bdcbcf91a9f0968f1db937152d67d885d0444aa3bcb232f119045",
+    ("static_sphere", 1): "01a6082f6a4be04c5d4f708c93e99debe7af8a8e6315006df040f5a8cf41201c",
 }
 PINNED_MODES = {
-    ("naive", 0): "ec676aad7c4509ae45578ff31ab483a7f9080fe8282d027362d1a3012a4c7188",
-    ("naive", 1): "2b2457df66e2337894263c58fcf2085806bce7b0fed00900b72da25f87675235",
+    ("naive", 0): "91479c5f18e25440bb6c8965deb8d57690dd940fc029691bef13cfe2cfbefe5c",
+    ("naive", 1): "82ac7717fb140a19950b6b2a503322ae10135e8aa43b718418d7d89095e2667b",
     ("object_center", 0): "5faab445ca31fdf8052d832cdc17d43447cfdd81bb9528908d82b28461045481",
     ("object_center", 1): "8e92d46f4140b71449b5b7dfd9e601ad34f1fee34d8b5e166aac81f52c62deb0",
-    ("temporal", 0): "0606f764f9809c1b014a63d9118406ef2dfecb7ae62cd3de2c975ea91b2af3c9",
-    ("temporal", 1): "489817dd5e6514e9f3f8be9a46c73995c6aad9af0faa33336037b46963dfc8a2",
+    ("temporal", 0): "953c74dd5cba1e903728bebc68009696b58e0367b6905930eff117e2db26edea",
+    ("temporal", 1): "7c2995e5f234d25889299f1ac1bedd4d75cfd20c9682ea1c9ee0a84d315f44a1",
 }
 PINNED_LOWER_HAND = {
-    0: "f1748e5a00af7e49fa42dcd110b4b938ba34cfc814c51b2d95a7add319adce30",
-    1: "94a41388011ed96a88ef59ce6f396ebcefd2e890ae35ad4322d448e01385d97a",
+    0: "9dee548d927aaf1d77000ac59fc996c6e3b9190d88aef247019f47deb6268ba3",
+    1: "3c4dca4e9525c53e726c637dd65a1c7b842a47b487379e15d0b519cea4a5d507",
 }
 PINNED_LABEL_NOISE = {
     0: "5bf5c6b6793dd86f0dfccca94e664f1f58cb00a54aef5b9356f3a0a31d6402d4",
-    1: "b829de40813ae2d2b9c7a92cafd45d711c0f647a0ac09ef8591cf4c39fafb604",
+    1: "2e28f1991776cc6a0ddce652cdb27fa9a7da6a08acd0b05b5e66628530c14f8a",
 }
 PINNED_PUSHED = {
-    ("start_blocked", 1): "ad879af5ff51d042137a065f5e262de7ef8c84a04a6bfc5f22641c5e1f971225",
-    ("goal_blocked", 1): "a33e1f3c65089e83bcef5cd5678066ab60e75be6facddfa02041e81f216d2087",
-    ("both_blocked", 1): "82b97f5113a595f2136b4b0e46af8eed8282f44a351f788488eafaa89b066c77",
-    ("both_free", 1): "d338240a8bf3888947449987e776b61f2ce08f0576e48961e114029445445f0e",
+    ("start_blocked", 1): "6e18fc6841ba5d9d9330a6802f0e3d558ac27e6281b7f4d9f5166c3a9a3d9120",
+    ("goal_blocked", 26): "5171aa05dba1950316e61f144a7bf5c4d9ad22b605417f14d383d128a01b3e7a",
+    ("both_blocked", 1): "671fc3cdafa147945daab4ad2b7e1a86c1377c7850ea79b685cab7144180c901",
+    ("both_free", 337): "23ca5cb1d1b2c88bab1eab2f00fbf429402424118872afb8ea0a3d286d08d743",
 }
-PINNED_TAKE_ABORT = "b94c055b5a3fdf9df5952095db78154dcef41b500ece92b71fe27abf2d941958"
+PINNED_TAKE_ABORT = "cc8aafc308b10bbccfc4599b674f1568e4f13d779af8688dadf271f3f10edc79"
 
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED))
@@ -426,7 +428,7 @@ def test_select_candidates_equal_whole_set_pruned(mode, monkeypatch):
 
 def test_pushed_hand_select_candidates_equal_whole_set_pruned(monkeypatch):
     counts = check_select_candidates(monkeypatch)
-    _, records = run(pushed_scenario("both_free"), 1)
-    assert trace_digest(records) == PINNED_PUSHED[("both_free", 1)]
+    _, records = run(pushed_scenario("both_free"), 337)
+    assert trace_digest(records) == PINNED_PUSHED[("both_free", 337)]
     assert len(counts) == sum(rec.get("selection_tick", False) for rec in records)
     assert max(counts) > 0

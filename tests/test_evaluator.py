@@ -12,7 +12,6 @@ from handover_sim.evaluator import (
     Box,
     GraspSet,
     evaluate,
-    evaluate_rows,
     points_in_boxes,
     sample_grasps,
 )
@@ -130,17 +129,17 @@ class TestEvaluateRows:
         for g in (0, 1, ROW_CHUNK, ROW_CHUNK + 1, 50):
             rows = grasps[np.arange(g)]
             expected = [scalar_evaluate(rows.pose(i), cloud) for i in range(g)]
-            assert evaluate_rows(rows, cloud).tolist() == expected
-        scores = evaluate_rows(grasps, cloud)
+            assert evaluate(rows, cloud).tolist() == expected
+        scores = evaluate(grasps, cloud)
         assert (scores == 0.0).any() and (scores > 0.0).any()
         for i in range(len(grasps)):
-            assert evaluate(grasps.pose(i), cloud) == scores[i]
-            assert evaluate_rows(grasps.pose(i), cloud).tolist() == [scores[i]]
+            # one Pose is one row
+            assert evaluate(grasps.pose(i), cloud).tolist() == [scores[i]]
 
     def test_empty_cloud_scores_zero_for_every_row(self):
         grasps = mixed_grasps(shape_cloud("box"))
         for g in (0, 1, ROW_CHUNK, ROW_CHUNK + 1, 50):
-            scores = evaluate_rows(grasps[np.arange(g)], LabeledPointCloud.empty())
+            scores = evaluate(grasps[np.arange(g)], LabeledPointCloud.empty())
             assert scores.tolist() == [0.0] * g
 
 
@@ -169,22 +168,22 @@ class TestPointsInBoxes:
 
 class TestEvaluate:
     def test_empty_cloud_scores_zero(self):
-        assert evaluate(IDENTITY, LabeledPointCloud.empty()) == 0.0
+        assert evaluate(IDENTITY, LabeledPointCloud.empty())[0] == 0.0
 
     def test_far_grasp_scores_zero(self):
         cloud = cylinder_cloud(n=500)
         pose = Pose([1.0, 0.0, 0.0], TOP_DOWN)
-        assert evaluate(pose, cloud) == 0.0
+        assert evaluate(pose, cloud)[0] == 0.0
 
     def test_point_in_finger_box_gates_to_zero(self):
         pt = np.array([[0.0, 0.045, 0.0]])  # center of a finger box
         cloud = point_cloud(pt, LABEL_OBJECT)
-        assert evaluate(IDENTITY, cloud) == 0.0
+        assert evaluate(IDENTITY, cloud)[0] == 0.0
 
     def test_cylinder_matches_brute_force_oracle(self):
         cloud = cylinder_cloud()
         pose = Pose([0, 0, 0.03], TOP_DOWN)
-        score = evaluate(pose, cloud)
+        score = evaluate(pose, cloud)[0]
         assert score == pytest.approx(brute_force_score(pose, cloud), abs=1e-12)
         assert score == pytest.approx(CYLINDER_ORACLE_SCORE, abs=1e-12)
         # analytic alignment integral over the contained arc
@@ -195,7 +194,7 @@ class TestEvaluate:
     def test_rigid_transform_equivariance(self):
         cloud = cylinder_cloud(n=3000)
         pose = Pose([0, 0, 0.03], TOP_DOWN)
-        base = evaluate(pose, cloud)
+        base = evaluate(pose, cloud)[0]
         rng = np.random.default_rng(17)
         for _ in range(5):
             world = Pose(rng.uniform(-1, 1, 3), rng.normal(size=4))
@@ -204,7 +203,7 @@ class TestEvaluate:
                 cloud.labels,
                 cloud.normals @ world.rotation_matrix().T,
             )
-            assert evaluate(world.compose(pose), moved) == pytest.approx(base, abs=1e-9)
+            assert evaluate(world.compose(pose), moved)[0] == pytest.approx(base, abs=1e-9)
 
     def test_flip_invariance(self):
         cloud = cylinder_cloud(n=3000)
@@ -214,8 +213,8 @@ class TestEvaluate:
                 [rng.uniform(-0.02, 0.02), rng.uniform(-0.02, 0.02), 0.03],
                 quat_mul(TOP_DOWN, quat_from_axis_angle([0, 0, 1], rng.uniform(0, np.pi))),
             )
-            assert evaluate(flip_about_grasp_z(pose), cloud) == pytest.approx(
-                evaluate(pose, cloud), abs=1e-12
+            assert evaluate(flip_about_grasp_z(pose), cloud)[0] == pytest.approx(
+                evaluate(pose, cloud)[0], abs=1e-12
             )
 
 
@@ -272,7 +271,7 @@ class TestSampleGrasps:
         grasps = sample_grasps(cloud, 20, np.random.default_rng(5))
         for i in range(len(grasps)):
             score = grasps.scores[i]
-            assert score == pytest.approx(evaluate(grasps.pose(i), cloud), abs=1e-12)
+            assert score == pytest.approx(evaluate(grasps.pose(i), cloud)[0], abs=1e-12)
             assert score > 0.0
 
     def test_deterministic_per_seed(self):
@@ -301,9 +300,9 @@ class TestSampleGrasps:
     def test_blocks_leave_generator_where_sequential_loop_did(self, monkeypatch):
         # recorded with the one-trial-at-a-time sampler: 36 trials for 20 grasps
         calls = []
-        scorer = evaluator.evaluate_rows
+        scorer = evaluator.evaluate
         monkeypatch.setattr(
-            evaluator, "evaluate_rows", lambda *a: calls.append(1) or scorer(*a)
+            evaluator, "evaluate", lambda *a: calls.append(1) or scorer(*a)
         )
         rng = np.random.default_rng(21)
         grasps = sample_grasps(cylinder_cloud(n=3000), 20, rng)

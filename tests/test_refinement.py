@@ -38,10 +38,14 @@ class TestPerturb:
         for _ in range(200):
             out = perturb(pose.p, rng)
             assert np.max(np.abs(out - pose.p)) <= 0.02
-        # mh_step builds each proposal from perturb and its grasp's rotation
+        # mh_step moves every row with one perturb draw and keeps its rotation
+        rows = perturb(np.tile(pose.p, (200, 1)), rng)
+        assert rows.shape == (200, 3) and np.max(np.abs(rows - pose.p)) <= 0.02
+        calls = []
 
-        def improving(grasps, cloud):  # a proposal outscores its grasp: all accepted
-            return np.full(len(np.reshape(grasps.p, (-1, 3))), 0.9 if isinstance(grasps, Pose) else 0.5)
+        def improving(grasps, cloud):  # the proposals outscore their grasps: all accepted
+            calls.append(grasps)
+            return np.full(len(grasps), 0.5 if len(calls) == 1 else 0.9)
 
         gset = make_set([pose] * 200)
         out = mh_step(gset, sphere_cloud(n=10), improving, rng)
@@ -72,14 +76,13 @@ class TestAcceptanceRatio:
 
 class TestMhStep:
     def stub_evaluator(self, old_score, new_score):
-        """Stacked: old_score for every row on the first call (the whole set),
-        new_score for the row of each later call (one proposal)."""
+        """old_score for every row of the first call (the whole set),
+        new_score for every row of the second (all its proposals)."""
         calls = {"n": 0}
 
         def fn(grasps, cloud):
             calls["n"] += 1
-            rows = len(np.reshape(grasps.p, (-1, 3)))
-            return np.full(rows, old_score if calls["n"] == 1 else new_score)
+            return np.full(len(grasps), old_score if calls["n"] == 1 else new_score)
 
         return fn
 
@@ -237,24 +240,25 @@ class TestMaintain:
 
     def test_each_proposal_scored_by_one_evaluate_call(self, monkeypatch):
         # layer tracing wraps refinement.evaluate, looked up at call time, to
-        # count and time MH proposal scoring: one call per proposal, no other
+        # count and time MH scoring: one call for the set, then one for all
+        # of its proposals, and no other
         cloud = sphere_cloud()
         gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), np.random.default_rng(8))
         assert len(gset) == TARGET_SIZE
         seen = []
         scorer = refinement.evaluate
 
-        def counted(grasp, object_cloud):
-            seen.append(grasp)
-            return scorer(grasp, object_cloud)
+        def counted(grasps, object_cloud):
+            seen.append(grasps)
+            return scorer(grasps, object_cloud)
 
         monkeypatch.setattr(refinement, "evaluate", counted)
         _, resampled = maintain(gset, cloud, LabeledPointCloud.empty(), np.random.default_rng(9))
         assert not resampled
-        assert len(seen) == len(gset)
-        assert all(isinstance(g, Pose) for g in seen)
-        # the rows keep their order: the i-th call scores a move of the i-th grasp
-        moves = np.array([g.p for g in seen]) - gset.p
+        assert len(seen) == 2 and all(isinstance(g, GraspSet) for g in seen)
+        assert seen[0] is gset and len(seen[1]) == len(gset)
+        # the rows keep their order: row i of the second call moves the i-th grasp
+        moves = seen[1].p - gset.p
         assert np.all(np.abs(moves) <= 0.02) and np.all(np.any(moves != 0.0, axis=1))
 
     def test_empty_object_cloud_empties_the_set(self):

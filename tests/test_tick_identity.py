@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import reference
-from handover_sim.evaluator import GRIPPER_BOXES, GraspSet, evaluate, evaluate_rows
+from handover_sim.evaluator import GRIPPER_BOXES, GraspSet, evaluate
 from handover_sim.evaluator import box_bounds, points_in_boxes, sample_grasps, stacked_box_hits
 from handover_sim.geometry import Pose, coordinate_rows, quat_from_axis_angle, quat_mul, quat_to_matrix
-from handover_sim.geometry import row_norms, vector_norm
+from handover_sim.geometry import quat_unit_rows, row_norms, vector_norm
 from handover_sim.motion import (
     DEFAULT_CLEARANCE,
     HOME,
@@ -22,7 +22,7 @@ from handover_sim.motion import (
     segment_collision_free,
     servo_step,
 )
-from handover_sim.refinement import HAND_MARGIN, mh_step
+from handover_sim.refinement import EPSILON_DEN, HAND_MARGIN, mh_step
 from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape, synthesize_cloud
 from handover_sim import sim
 from handover_sim.scenario import load_scenario
@@ -307,8 +307,8 @@ class TestBoxKernel:
         grasps = grasps_near(cloud)
         for g in ROW_COUNTS:
             rows = grasps[np.arange(g)]
-            assert same_bytes(evaluate_rows(rows, cloud), reference.evaluate_rows(rows, cloud))
-        scores = evaluate_rows(grasps, cloud)
+            assert same_bytes(evaluate(rows, cloud), reference.evaluate_rows(rows, cloud))
+        scores = evaluate(grasps, cloud)
         assert (scores == 0.0).any() and (scores > 0.0).any()
 
     @pytest.mark.parametrize("margin", [0.0, HAND_MARGIN])
@@ -341,8 +341,7 @@ class TestBoxKernel:
             for margin in (0.0, HAND_MARGIN):
                 same_hits(box_hits(pose, cloud.points, margin),
                           reference.stacked_box_hits(pose, cloud.points, GRIPPER_BOXES, margin))
-            assert same_bytes(evaluate_rows(pose, cloud), reference.evaluate_rows(pose, cloud))
-            assert evaluate(pose, cloud) == reference.evaluate_rows(pose, cloud)[0]
+            assert same_bytes(evaluate(pose, cloud), reference.evaluate_rows(pose, cloud))
 
     def test_cloud_coordinate_rows(self):
         # made once per cloud, the rows the per-call transposed copy was
@@ -363,11 +362,11 @@ class TestBoxKernel:
             same_hits(box_hits(rows, none),
                       reference.stacked_box_hits(rows, none, GRIPPER_BOXES))
             empty = LabeledPointCloud.empty()
-            assert same_bytes(evaluate_rows(rows, empty), reference.evaluate_rows(rows, empty))
+            assert same_bytes(evaluate(rows, empty), reference.evaluate_rows(rows, empty))
         for points in (cloud.points, none):
             assert same_hits(box_hits(GraspSet.empty(), points),
                              reference.stacked_box_hits(GraspSet.empty(), points, GRIPPER_BOXES)) == []
-        assert same_bytes(evaluate_rows(GraspSet.empty(), cloud),
+        assert same_bytes(evaluate(GraspSet.empty(), cloud),
                           reference.evaluate_rows(GraspSet.empty(), cloud))
 
     @pytest.mark.parametrize("margin", [0.0, HAND_MARGIN])
@@ -389,21 +388,29 @@ class TestBoxKernel:
         assert same_bytes(quat_to_matrix(qs), reference.quat_to_matrix(qs))
 
 
-def scorer(score_rows):
-    """maintain's evaluate_fn over the given stacked scorer."""
-    def fn(grasps, cloud):
-        if isinstance(grasps, Pose):
-            return np.array([float(score_rows(grasps, cloud)[0])])
-        return score_rows(grasps, cloud)
+MH_ROW_COUNTS = (0, 1, 7, 8, 9, 50)  # the chunk is 8 rows
+
+
+def floored(score_rows, grasps, old):
+    """score_rows, but the rows of grasps itself (the step's first call)
+    score old instead: proposals still score as they are."""
+    def fn(rows, cloud):
+        return np.array(old) if rows is grasps else score_rows(rows, cloud)
 
     return fn
 
 
 class TestMhStep:
-    def check(self, grasps, cloud, seed):
+    """The stacked step against reference.mh_step, its one-row-at-a-time
+    definition: p, q, scores and the generator's state, byte for byte."""
+
+    def check(self, grasps, cloud, seed, old=None):
+        score, score_ref = evaluate, reference.evaluate_rows
+        if old is not None:
+            score, score_ref = floored(score, grasps, old), floored(score_ref, grasps, old)
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = mh_step(grasps, cloud, scorer(evaluate_rows), rngs[0])
-        want = reference.mh_step(grasps, cloud, scorer(reference.evaluate_rows), rngs[1])
+        got = mh_step(grasps, cloud, score, rngs[0])
+        want = reference.mh_step(grasps, cloud, score_ref, rngs[1])
         for name in ("p", "q", "scores"):
             assert same_bytes(getattr(got, name), getattr(want, name))
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
@@ -413,11 +420,12 @@ class TestMhStep:
     def test_matches_per_proposal_poses(self, kind):
         cloud = object_cloud(kind)
         grasps = grasps_near(cloud)
-        scored = GraspSet(grasps.p, grasps.q, evaluate_rows(grasps, cloud))
-        for seed in range(3):
-            out = self.check(scored, cloud, seed)
-            moved = np.any(out.p != scored.p, axis=1)
-            assert moved.any() and not moved.all()  # both accepts and rejects
+        scored = GraspSet(grasps.p, grasps.q, evaluate(grasps, cloud))
+        for g in MH_ROW_COUNTS:
+            for seed in range(3):
+                out = self.check(scored[np.arange(g)], cloud, seed)
+        moved = np.any(out.p != scored.p, axis=1)
+        assert moved.any() and not moved.all()  # both accepts and rejects
 
     def test_unnormalised_rows(self):
         # q rows a few ulps off the unit sphere, some with a negative scalar
@@ -427,14 +435,34 @@ class TestMhStep:
         rng = np.random.default_rng(45)
         sign = rng.choice([-1.0, 1.0], (len(grasps), 1))
         q = grasps.q * sign * (1.0 + rng.normal(scale=1e-13, size=grasps.q.shape))
-        assert np.any(q[:, 3] < 0.0)
-        self.check(GraspSet(grasps.p, q, grasps.scores), cloud, 5)
+        assert np.any(q[:, 3] < 0.0) and np.any(q != quat_unit_rows(q))
+        for g in MH_ROW_COUNTS:
+            self.check(GraspSet(grasps.p, q, grasps.scores)[np.arange(g)], cloud, 5)
 
     def test_single_row_and_empty_set(self):
         cloud = object_cloud("sphere")
         grasps = grasps_near(cloud)
         self.check(grasps[np.arange(1)], cloud, 6)
-        assert len(self.check(GraspSet.empty(), cloud, 7)) == 0
+        empty = GraspSet.empty()
+        assert len(self.check(empty, cloud, 7)) == 0
+        # no row draws: the generator is where it started
+        rng = np.random.default_rng(7)
+        mh_step(empty, cloud, evaluate, rng)
+        assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
+
+    @pytest.mark.parametrize("kind", sorted(OBJECTS))
+    def test_old_scores_below_the_floor(self, kind):
+        # the set's own scores below EPSILON_DEN, 0 or a little above it: a
+        # proposal that scores above 0 is accepted, one that scores 0 is not
+        cloud = object_cloud(kind)
+        grasps = grasps_near(cloud)
+        old = np.where(np.arange(len(grasps)) % 2, 0.5 * EPSILON_DEN, 0.0)
+        out = self.check(grasps, cloud, 8, old)
+        moved = np.any(out.p != grasps.p, axis=1)
+        assert np.all(out.scores[moved] > 0.0)
+        assert same_bytes(out.scores[~moved], old[~moved])
+        for floor in (0.0, 0.5 * EPSILON_DEN):
+            assert moved[old == floor].any() and not moved[old == floor].all()
 
 
 def committed_hand_clouds():
