@@ -53,7 +53,7 @@ def acceptance_ratio(score_old, score_new) -> np.ndarray:
     score_new = np.asarray(score_new, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.minimum(score_new / score_old, 1.0)
-    return np.where(score_old < EPSILON_DEN, np.where(score_new > 0.0, 1.0, 0.0), ratio)
+    return np.where(score_old < EPSILON_DEN, score_new > 0.0, ratio)  # True reads 1.0
 
 
 def mh_step(
