@@ -13,8 +13,9 @@ evaluate scores every row of a GraspSet (or one Pose, as one row) in one
 array pass. It is the one scorer: refinement scores an MH step's set in
 one call and all of its proposals in a second, and the sampler scores
 each block of trials in one. It tests the cloud in the grasp frame
-through stacked_box_hits, which transforms a chunk of rows in
-component-major form, a (rows, 3, N) stack of x, y and z rows, so that
+through stacked_box_hits, the one box test (refinement's hand prune and
+the planner's closure test use it too), which transforms a chunk of rows
+in component-major form, a (rows, 3, N) stack of x, y and z rows, so that
 points_in_bounds compares contiguous rows and joins the three axes in
 one reduction. Per call, the set-up is only the rows' rotation matrices:
 a cloud carries its coordinate rows (LabeledPointCloud.coords, made once
@@ -130,11 +131,6 @@ def points_in_bounds(coords: np.ndarray, bounds) -> np.ndarray:
     return ((coords >= lo.reshape(shape)) & (coords <= hi.reshape(shape))).all(axis=0)
 
 
-def points_in_boxes(coords: np.ndarray, boxes, margin: float = 0.0) -> np.ndarray:
-    """points_in_bounds for boxes dilated by margin: (len(boxes), [rows,] N) bool."""
-    return points_in_bounds(coords, box_bounds(tuple(boxes), margin))
-
-
 def stacked_box_hits(grasps, coords: np.ndarray, bounds):
     """Yield (rows, rotations, hits) per chunk of ROW_CHUNK grasp rows.
 
@@ -144,8 +140,8 @@ def stacked_box_hits(grasps, coords: np.ndarray, bounds):
     point, in the row's grasp frame, lies inside the dilated box. Each
     chunk is transformed in component-major form, R^T (coords - p), a
     (rows, 3, N) stack of coordinate rows: the same three products per
-    coordinate, in the same order, as Pose.inverse_transform_points's
-    (points - p) @ R, and the tests hold the two forms equal byte for byte.
+    coordinate, in the same order, as the point-major (points - p) @ R,
+    and the tests hold the two forms equal byte for byte.
     """
     p = np.reshape(grasps.p, (-1, 3))
     rot = quat_to_matrix(grasps.q).reshape(-1, 3, 3)

@@ -202,10 +202,6 @@ class Pose:
         pts = np.asarray(pts, dtype=float)
         return pts @ self.rotation_matrix().T + self.p
 
-    def inverse_transform_points(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return (pts - self.p) @ self.rotation_matrix()
-
     def compose(self, other: "Pose") -> "Pose":
         """self o other: other expressed in self's frame, result in world."""
         return Pose(self.transform_point(other.p), quat_mul(self.q, other.q))

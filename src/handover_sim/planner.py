@@ -1,18 +1,19 @@
-"""Reactive symbolic layer: four prioritized actions checked in reverse
-order every tick. The plan is a fixed priority function, not a search:
-drop if holding, take if a grasp is selected and the standoff is
-reached, approach if the hand is above the table, otherwise wait home.
+"""Reactive symbolic layer: four prioritized actions. The plan is a fixed
+priority function, not a search. Each selection tick ``decide`` picks
+take if a grasp is selected and the standoff is reached, approach if the
+hand is above the table, otherwise wait home. Drop is not decided: a
+successful closure enters it, and selection does not run while the robot
+takes, drops or is done.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .evaluator import CLOSING_REGION, points_in_boxes
-from .geometry import Pose, pose_distance
+from .evaluator import CLOSING_REGION, box_bounds, stacked_box_hits
+from .geometry import Pose, coordinate_rows, pose_distance
 from .motion import TABLE_Z
 
 AT_STANDOFF_TOL = 5e-4  # pose_distance units
@@ -29,21 +30,11 @@ class TaskStage(Enum):
     DONE = "done"
 
 
-@dataclass(frozen=True)
-class WorldPredicates:
-    hand_above_table: bool
-    has_selected_grasp: bool
-    at_standoff: bool
-    object_in_gripper: bool
-
-
-def decide(preds: WorldPredicates) -> TaskStage:
-    """Highest-priority action whose preconditions hold (reverse order)."""
-    if preds.object_in_gripper:
-        return TaskStage.DROP
-    if preds.has_selected_grasp and preds.at_standoff:
+def decide(hand_above_table: bool, has_selected_grasp: bool, at_standoff: bool) -> TaskStage:
+    """Highest-priority action whose preconditions hold."""
+    if has_selected_grasp and at_standoff:
         return TaskStage.TAKE
-    if preds.hand_above_table:
+    if hand_above_table:
         return TaskStage.APPROACH
     return TaskStage.WAIT_HOME
 
@@ -60,10 +51,9 @@ def execute_take(grasp: Pose, object_points: np.ndarray) -> bool:
     """Closure test at the grasp pose after the open-loop move.
 
     Succeeds iff at least CLOSURE_MIN_POINTS object points lie inside the closing
-    region at closure time. A miss is a modeled outcome, not a fault.
+    region at closure time, tested in the grasp frame by the box kernel every
+    grasp test uses. A miss is a modeled outcome, not a fault.
     """
-    object_points = np.asarray(object_points, dtype=float).reshape(-1, 3)
-    if len(object_points) == 0:
-        return False
-    local = grasp.inverse_transform_points(object_points)
-    return int(points_in_boxes(local.T, (CLOSING_REGION,)).sum()) >= CLOSURE_MIN_POINTS
+    coords, bounds = coordinate_rows(object_points), box_bounds((CLOSING_REGION,))
+    _, _, hits = next(stacked_box_hits(grasp, coords, bounds))
+    return int(hits.sum()) >= CLOSURE_MIN_POINTS

@@ -42,7 +42,7 @@ from .evaluator import GraspSet, sample_grasps
 from .geometry import Pose, pose_distance, quat_angle, vector_norm
 from .motion import HOME, TABLE_Z, TOP_DOWN_Q
 from .motion import rrt_connect, segment_collision_free, servo_step
-from .planner import DROP_DURATION, TaskStage, WorldPredicates, decide, execute_take
+from .planner import DROP_DURATION, TaskStage, decide, execute_take
 from .planner import at_standoff, hand_above_table
 from .refinement import HAND_MARGIN, TARGET_SIZE, grasp_collides_hand
 from .refinement import maintain, prune_hand_collisions
@@ -235,13 +235,11 @@ class SimState:
             self.x_prev = selected.approach_pose
         self.selected = selected
 
-        preds = WorldPredicates(
-            hand_above_table=hand_above_table(palm.p[2]),
-            has_selected_grasp=selected is not None,
-            at_standoff=selected is not None and at_standoff(self.ee, selected.approach_pose),
-            object_in_gripper=self.metrics.success,
+        self.stage = decide(
+            hand_above_table(palm.p[2]),
+            selected is not None,
+            selected is not None and at_standoff(self.ee, selected.approach_pose),
         )
-        self.stage = decide(preds)
 
     def move(self, tick: int, t: float) -> None:
         """Every tick: one velocity-limited end-effector step for the stage."""

@@ -12,12 +12,10 @@ draw, ``sim._round_pose``, the component-major box test of
 ``evaluator.stacked_box_hits`` and ``evaluate``, and
 ``refinement.mh_step``, which draws its random numbers in two blocks and
 scores all its proposals in one call); the tests compare those, byte for
-byte, with the plain bodies kept here. ``legacy_digest`` hashes a trace in its earlier format, so
-that pins recorded before the format changed still hold every run to
-its old bits, and ``float_hand_points`` is the hand-point encoder of
-the format before the points became integer counts, which the tests
-patch in to reproduce the pins of that format. ``IDENTITY`` is the
-identity pose."""
+byte, with the plain bodies kept here. ``float_hand_points`` is the
+hand-point encoder of the format before the points became integer
+counts, which the encoder's tests hold ``sim.encode_hand_points`` to.
+``IDENTITY`` is the identity pose."""
 
 import math
 
@@ -32,7 +30,6 @@ from handover_sim.refinement import grasp_collides_hand
 from handover_sim.scene import CAMERA, CLOUD_DENSITY, HAND_SPHERES, LABEL_HAND, LABEL_OBJECT
 from handover_sim.scene import LabeledPointCloud, PrimitiveShape
 from handover_sim.sim import DT, HAND_POINT_SCALE
-from handover_sim.trace import trace_digest
 
 
 IDENTITY = Pose(np.zeros(3), (0.0, 0.0, 0.0, 1.0))
@@ -188,25 +185,6 @@ def float_hand_points(points) -> list:
     """sim.encode_hand_points as it was while the trace held the hand
     points as floats: the coordinates rounded to 1e-5 m, -0.0 kept."""
     return np.round(points, 5).ravel().tolist()
-
-
-def legacy_digest(records) -> str:
-    """trace_digest of the records in the trace format before the header
-    lost its limits and the hand points were flattened: the header gets
-    dt, v_max, w_max and hand_margin back after mode, with the program's
-    values, and each flat hand_points list is regrouped into [x, y, z]
-    rows. Nothing else changed, so the legacy pins still hold a run to
-    every bit of its old trace."""
-    legacy = []
-    for rec in records:
-        if rec.get("type") == "header":  # mode is its last key
-            rec = {**rec, "dt": round(DT, 9), "v_max": DEFAULT_V_MAX, "w_max": DEFAULT_W_MAX,
-                   "hand_margin": DEFAULT_HAND_MARGIN}
-        elif "hand_points" in rec:
-            flat = rec["hand_points"]
-            rec = {**rec, "hand_points": [flat[i:i + 3] for i in range(0, len(flat), 3)]}
-        legacy.append(rec)
-    return trace_digest(legacy)
 
 
 def unit_quat(q) -> np.ndarray:

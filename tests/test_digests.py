@@ -4,24 +4,19 @@ A change that moves any of these digests changes what the simulator
 does; it must name the change and its reason rather than re-record the
 values to make the test pass.
 
-Each run has three pins, one per trace format it was recorded in. The
-LEGACY_ pins were recorded in the format the header's speed limits and
-margin and the [x, y, z] hand-point rows were dropped from; the FLOAT_
-pins in the next, with the hand points as flat lists of floats rounded
-to 1e-5 m. Both wrote a -0.0 hand coordinate with its sign, which an
-integer count cannot carry, so no reformatting of a current trace can
-rebuild them. test_legacy_digest_reproduces_the_legacy_pins instead runs
-each pinned scenario with that float encoder
-(reference.float_hand_points) patched in for sim.encode_hand_points:
-trace_digest of those records gives the FLOAT_ pin, and
-reference.legacy_digest, which puts back the header limits and the rows,
-the LEGACY_ pin. So each run is still held to the bits it had before
-either format change. The other pins hash the current format, with the
-hand points as integer counts of 1e-5 m, from a run without the patch.
+Each pin hashes the current trace format, with the hand points as
+integer counts of 1e-5 m. A change of format moves every pin; it is
+re-recorded only once every simulated outcome and the random stream are
+shown unchanged.
+
+Every pinned run also has its stage paths checked (check_stage_paths):
+decide picks wait_home, approach or take on a selection tick, and only
+the take's closure, a fresh cloud and the drop's timer move the stage
+otherwise.
 """
 
+import itertools
 from dataclasses import replace
-from functools import partial
 
 import pytest
 import yaml
@@ -29,29 +24,12 @@ import yaml
 from handover_sim import sim
 from handover_sim.evaluator import GraspSet
 from handover_sim.motion import rrt_connect
+from handover_sim.planner import DROP_DURATION
 from handover_sim.refinement import TARGET_SIZE, prune_hand_collisions
 from handover_sim.scenario import MODES, load_scenario, scenario_from_dict
 from handover_sim.selection import expand_flips
-from handover_sim.sim import run
+from handover_sim.sim import DT, run
 from handover_sim.trace import trace_digest
-from reference import float_hand_points, legacy_digest
-
-# recorded in the earlier trace format; see the module docstring
-LEGACY_PINNED = {
-    ("nominal_cylinder", 0): "8304dc344d92858ee57ba4bc94ff90190e81956c36022df74783c84ae3bf36d2",
-    ("nominal_cylinder", 1): "e62e8d4c0a8ed980556dc0e7940385c7dba75051979cd49d6d9d9be89ab352ed",
-    ("nominal_cylinder", 2): "2dc54e95973ce4cb3bdb2e751c44a416683fc9a6b8d98b545dfe6900722615a1",
-    ("nominal_cylinder", 3): "56f852fbddd0c8879a7c17c8094e5ca9f3a8d735a5e9b6aef8e3a5f95a98c98d",
-    ("rotate90_midmotion", 0): "c61855debd8efb2b800e89f0f95cbbbe6e1d39904478940545d2fb1f9bf17dfa",
-    ("rotate90_midmotion", 1): "0a3074b1be8cc1dc70f78c5471bc93fc82f8f56f82392da841efa29d58068489",
-    ("rotate90_midmotion", 2): "ec2b1d45d437e108af17bb934e376ccd44d58d8608cef063f52eac56c0e00caa",
-    ("rotate90_midmotion", 3): "10f38d699d1fca71a74b5b0b21ac6d34322d2ee0ece171ed381b8db7f9e90baf",
-    ("hand_below_table", 0): "264409b9f42d73df9ae901985bb18d7fe7f0e64770fa5322da97c57b26ccebb9",
-    ("hand_below_table", 1): "b3fc3ad8d55cec6bbdf95afbe4278163fbbcd3a187d4b9daa0a71f009887f5c2",
-    ("hand_below_table", 2): "d6c1ec271c0c8a7fcc3f5cd7c993bc36a2f269944ae3ad04f7094aab6e4c7289",
-    ("hand_below_table", 3): "90dbd678def62a53a32f69420659ef220889ed86bcb3e496f4bf63ec28195ba2",
-}
-
 
 # Static holds of the other three shapes. Box faces are where the two MH
 # scores of a grasp can tie, so a last-bit change in scoring shows here.
@@ -61,24 +39,6 @@ STATIC_OBJECTS = {
     "static_capsule": {"kind": "capsule", "dims": [0.02, 0.14], "grip_offset": [0.0, -0.11, 0.0, *SIDEWAYS]},
     "static_sphere": {"kind": "sphere", "dims": [0.035], "grip_offset": [0.0, -0.08, 0.0]},
 }
-LEGACY_PINNED_STATIC = {
-    ("static_box", 0): "8dd6fa1fa935d9e018fa18edf209e50d6529cbae45f13225764e32553f061060",
-    ("static_box", 1): "12c533254cfdcfeb3c107e34fbc5a9c767f23f0a56aa2bfc2b4c15da444008b5",
-    ("static_capsule", 0): "e574311da6940977ebaa9f6bfc4208e9d1eb6219a5c46d0ef3d0482e3c6af59f",
-    ("static_capsule", 1): "689ceddffb9a459059b7cb0679c3fb5011c672d2f957d326598b9761d95c2046",
-    ("static_sphere", 0): "4845d0361880dd7a0099e89dfc3ae4b678b3d8c5f8865e66fc900c82f3a1c372",
-    ("static_sphere", 1): "eaeffdd8583cda03c466ed4b5cd3951e1cf538bece6f8bef318e9b834579d79c",
-}
-
-# The committed cylinder in the other three modes, cut to 4 s.
-LEGACY_PINNED_MODES = {
-    ("naive", 0): "9ab15845984a8613656fd43322b7eadc994b8069004339fe9767a70359995f19",
-    ("naive", 1): "598f33c9f39664045ec2ae7dbfd3e4de08b7b30d1aa88195af49931728afbc45",
-    ("object_center", 0): "0ab03fdf03a388e068fa302adf5842006a70b793ca070268f0550dadf74a6b67",
-    ("object_center", 1): "00c366f45c3e77dc0f281ea6468f3af06e94eed67b53578bd59b98f12356bbef",
-    ("temporal", 0): "1041e7ec50abc89f6276e4f2f9c6580f7b2fbe241580aa3495009df157eb1c26",
-    ("temporal", 1): "941110e253ed89d73b4d56257bdbe2aff678341707d8156cd7f4f994af108e21",
-}
 
 # The static cylinder with a lower_hand event at 1 s, cut to 4 s.
 LOWER_HAND = {
@@ -87,18 +47,6 @@ LOWER_HAND = {
     "object": {"kind": "cylinder", "dims": [0.02, 0.16], "grip_offset": [0.0, -0.11, 0.0, *SIDEWAYS]},
     "hand_trajectory": [{"t": 0.0, "pose": [0.55, 0.05, 0.28]}],
     "events": [{"trigger": {"time": 1.0}, "action": {"lower_hand": {}}}],
-}
-LEGACY_PINNED_LOWER_HAND = {
-    0: "88cbbef001865e30e48b4ad604573cb3e7811a9e05e858b0d927429377939333",
-    1: "e948c7d1d20264a310507a2743ecaa1409d3c2ec6e911eaec3408a3ad1be1686",
-}
-
-# The committed cylinder with 5% label noise, cut to 2 s: label_noise is
-# the one override a scenario sets, and only these runs pass through
-# apply_label_noise.
-LEGACY_PINNED_LABEL_NOISE = {
-    0: "37995fbdfb82c8a4b4535478646146f1e284d3b2cd1aae9cc37ba181cac70fd9",
-    1: "3b02c52270558d9d13e2845cb8c6c134f9bb587492dbdab1efae40837b320b84",
 }
 
 # The static cylinder or capsule pushed toward the robot, cut to 1.2 s.
@@ -115,12 +63,6 @@ PUSHED = {
     "goal_blocked": (CAPSULE, 0.6, [-0.15, -0.12, 0.0]),
     "both_blocked": (CYLINDER, 0.8, [-0.10, -0.12, 0.08]),
     "both_free": (CAPSULE, 0.8, [-0.10, -0.12, 0.08]),
-}
-LEGACY_PINNED_PUSHED = {
-    ("start_blocked", 1): "8ff23802ef49f00ad112bc2ed0b53cae38d3d0837c3c50bc11a47e93a5e5d4c1",
-    ("goal_blocked", 26): "615e5ab5d0ab6bf431b0b6134dc12c3d0e2a5d97d717787f84bcc382b774690e",
-    ("both_blocked", 1): "b4e60b8f0d37905e228f565f13d14ed0fe56c52467ea980a9f1d48641928b087",
-    ("both_free", 337): "20b43dd78e2e096fddae153ee0fec29f5b1ef0fdc73aeb540470d9fc65ae10bf",
 }
 
 
@@ -149,7 +91,6 @@ TAKE_ABORT = {
     ],
 }
 TAKE_ABORT_SEED = 1064202822
-LEGACY_PINNED_TAKE_ABORT = "add172ea7bc7d71a764812db7bd5565034f90c71010ab18f1005e3a53850954d"
 
 
 def committed(name):
@@ -167,6 +108,7 @@ def static_shape(name):
 
 
 def baseline_mode(mode):
+    """The committed cylinder in another mode, cut to 4 s."""
     return replace(committed("nominal_cylinder"), mode=mode, time_limit=4.0)
 
 
@@ -175,6 +117,9 @@ def lower_hand():
 
 
 def label_noise():
+    """The committed cylinder with 5% label noise, cut to 2 s: label_noise is
+    the one override a scenario sets, and only these runs pass through
+    apply_label_noise."""
     with open("scenarios/nominal_cylinder.yaml") as fh:
         data = yaml.safe_load(fh)
     data.update(time_limit=2.0, overrides={"label_noise": 0.05})
@@ -197,88 +142,42 @@ def pushed_scenario(name):
     return scenario_from_dict(data, name)
 
 
-# The pins in the trace format since the header dropped its limits and the
-# hand points became flat lists, while they were floats. Every simulated
-# outcome and the random stream are those of the legacy pins above, which
-# legacy_digest still reproduces from the same runs.
-FLOAT_PINNED = {
-    ("nominal_cylinder", 0): "5e481cd8faec7fdf5fabcdda084e447e63ce600dd9c26e36edf8776e3c67065a",
-    ("nominal_cylinder", 1): "f8af8e2c5fe9f04f30c679c6b6c4c0902b0bd811feb19ab7234927ad20dbf33e",
-    ("nominal_cylinder", 2): "b8674d7bde6fec3258ef9e5c32091c0ebf57de6f1a752437225d7153c5d54ec0",
-    ("nominal_cylinder", 3): "bd72dc01aca667059bfab74120dda61cdc4af4aa3611ae8fc138c1af3491bd9e",
-    ("rotate90_midmotion", 0): "373638e5a27d81650df0bf25320096231e71f03c460de53b6ca9c7b39c8e6a31",
-    ("rotate90_midmotion", 1): "71d9cb23255211de91d7b572d3c680bb12085ca96e9e9ccfd9f1ed704ff2dc98",
-    ("rotate90_midmotion", 2): "9962c1824a9098e5cfa5bfbf3c828c664ec60b8da338652a68b2657801152996",
-    ("rotate90_midmotion", 3): "d11f79ab22dd3d6ee9d4422d144c637f9708685cc35ed8d14be54d0a1471f9a8",
-    ("hand_below_table", 0): "eef9508f74311455aa3af72225ccaad8996c2f76e79b42ebd16c4f7c3fd64f1b",
-    ("hand_below_table", 1): "d9441fb9fbeb6d6eca3b0ca1cfbb2d3d4b6025d8de9e3c7275cc790f2bba372b",
-    ("hand_below_table", 2): "65cbf5c56e8217a4d8f896e0116f98e25026189c7df2f1a7234cf2e3104ac2fb",
-    ("hand_below_table", 3): "056b8c5c7c8bbdcd9a2b84af411edbc1b8da0eb8b4d77f548a0dbe9bd70a4c81",
-}
-FLOAT_PINNED_STATIC = {
-    ("static_box", 0): "ff04b42905b7ec7442e085d0fb40c6774dbb1eecef79c7c4bb2f733e7c05be18",
-    ("static_box", 1): "ed4190718ed83bb888bcc095d7f62c6d7544610a1d688771537920bda2ad58ef",
-    ("static_capsule", 0): "0550343fed9d528e108f3a769112c35a113bddbeb11f91b62170643e39406945",
-    ("static_capsule", 1): "19734795ac09a39c19e0d95969f51fe454f8217627eab2bb2721a61f76b5744b",
-    ("static_sphere", 0): "e0a9af75780240a5fb52060e587b43c95794b60b305a3cca628b54e633d50665",
-    ("static_sphere", 1): "5139fb148aafd09dccef240b7634de611c6adf202b6441545288e200067408d9",
-}
-FLOAT_PINNED_MODES = {
-    ("naive", 0): "d7d1158d7cb47e87c679dda43941134b07553bc953ea8cb55b395afb3bef643b",
-    ("naive", 1): "d0643d9055f3400262a2ccc04d216fb8ad1f48a083ae47249fc494d3ef903353",
-    ("object_center", 0): "f8be6978b122857996b633acae32e1d136bb5951c05a8b0c53dff2151b9b60b5",
-    ("object_center", 1): "cedbe055fd5176daf4e22e6f11bc97f133bb575aebc0f249676a1812e1078f66",
-    ("temporal", 0): "7067ffcccfa0f95672959aa78a94a44c94381d978c105c3394067d8cfc9049e1",
-    ("temporal", 1): "d29216eb8ffeb5b5879408977a8a4a88ffe18ae4cecefd6e2e38e2144d3cdef8",
-}
-FLOAT_PINNED_LOWER_HAND = {
-    0: "cbc74fc0d564e1ed158a8d13f7c0a057db0e46d3fcbff895938d9b253c789d56",
-    1: "1d6235327b4317ef688691d5f58d0708317982f8020b71e15bb690fa8b1ad57a",
-}
-FLOAT_PINNED_LABEL_NOISE = {
-    0: "eb65b3c1446c472fa93c80f8d8e27b8b26358f150407fcb2a4137c43f08a9bc7",
-    1: "48426521d7c4c2620d4653410c19cc99d81b5e843f1b9cc9fa5b8cca944c6181",
-}
-FLOAT_PINNED_PUSHED = {
-    ("start_blocked", 1): "09d47f8c08216a69610b13b8273a9642fbe842caac27b086c22ea54e1e5616d0",
-    ("goal_blocked", 26): "b29eaeb249bbb4114f4cb490b70ca3b8f4248b3075135acfd81a5266dbe119ba",
-    ("both_blocked", 1): "2d6d1c262a43f2daf9604db6835d224109e841520a35966cd52b2edf91507696",
-    ("both_free", 337): "7debcc7befab6c28597fcfba22f8c347ae73e0d3628d17fcf4bc021499afae8d",
-}
-FLOAT_PINNED_TAKE_ABORT = "6544afcf0581b008b686b4d04941156334dc1fed6bfa347fc7a854c54b0b085a"
-
-# (test id, scenario builder, seed, legacy pin, float pin) for every pinned run
-LEGACY_RUNS = [
-    *[(f"{n}-{s}", partial(committed, n), s, pin, FLOAT_PINNED[n, s])
-      for (n, s), pin in LEGACY_PINNED.items()],
-    *[(f"{n}-{s}", partial(static_shape, n), s, pin, FLOAT_PINNED_STATIC[n, s])
-      for (n, s), pin in LEGACY_PINNED_STATIC.items()],
-    *[(f"{m}-{s}", partial(baseline_mode, m), s, pin, FLOAT_PINNED_MODES[m, s])
-      for (m, s), pin in LEGACY_PINNED_MODES.items()],
-    *[(f"lower_hand-{s}", lower_hand, s, pin, FLOAT_PINNED_LOWER_HAND[s])
-      for s, pin in LEGACY_PINNED_LOWER_HAND.items()],
-    *[(f"label_noise-{s}", label_noise, s, pin, FLOAT_PINNED_LABEL_NOISE[s])
-      for s, pin in LEGACY_PINNED_LABEL_NOISE.items()],
-    *[(f"{n}-{s}", partial(pushed_scenario, n), s, pin, FLOAT_PINNED_PUSHED[n, s])
-      for (n, s), pin in LEGACY_PINNED_PUSHED.items()],
-    ("take_abort", take_abort, TAKE_ABORT_SEED, LEGACY_PINNED_TAKE_ABORT, FLOAT_PINNED_TAKE_ABORT),
-]
+def stage_change_allowed(old, new, rec, closure, done_tick) -> bool:
+    """The paths a tick's stage may take: the plan's choice on a selection
+    tick, an abandoned or missed take, a successful closure, and the end of
+    the drop once DROP_DURATION has passed since the success."""
+    if old in ("wait_home", "approach") and new in ("wait_home", "approach", "take"):
+        return rec["selection_tick"]
+    if (old, new) == ("take", "approach"):
+        return rec["cloud_tick"] or closure is False
+    if (old, new) == ("take", "drop"):
+        return closure is True
+    return (old, new) == ("drop", "done") and rec["tick"] == done_tick
 
 
-@pytest.mark.parametrize("build,seed,legacy_pin,float_pin", [r[1:] for r in LEGACY_RUNS],
-                         ids=[r[0] for r in LEGACY_RUNS])
-def test_legacy_digest_reproduces_the_legacy_pins(build, seed, legacy_pin, float_pin, monkeypatch):
-    # both earlier formats wrote the hand points as floats, and kept the
-    # sign of a -0.0 that no integer count can carry, so the run records
-    # them with the float encoder of those formats
-    monkeypatch.setattr(sim, "encode_hand_points", float_hand_points)
-    _, records = run(build(), seed)
-    assert legacy_digest(records) == legacy_pin
-    assert trace_digest(records) == float_pin
+def check_stage_paths(records) -> None:
+    """Assert that every stage change of a run takes an allowed path, and
+    that the drop lasts until, and only until, its done tick."""
+    closures = {rec["tick"]: rec["success"] for rec in records if rec["type"] == "closure"}
+    stage, done_tick = "wait_home", None
+    for rec in (rec for rec in records if rec["type"] == "tick"):
+        tick, new = rec["tick"], rec["stage"]
+        if new != stage:
+            assert stage_change_allowed(stage, new, rec, closures.get(tick), done_tick), (tick, stage, new)
+        if (stage, new) == ("take", "drop"):
+            ends = tick * DT + DROP_DURATION
+            done_tick = next(t for t in itertools.count(tick) if t * DT >= ends)
+        assert new != "drop" or tick < done_tick, tick
+        stage = new
 
 
-# The pins in the current format, with the hand points as integer counts
-# of 1e-5 m: the same runs, the same outcomes and random stream.
+def pinned_run(scenario, seed):
+    """A pinned run's records, its stage paths checked."""
+    _, records = run(scenario, seed)
+    check_stage_paths(records)
+    return records
+
+
 PINNED = {
     ("nominal_cylinder", 0): "1fd7c162353a1869f0e236f191a3720cf9be0ee8c2aa3b8544abd8a502591a0d",
     ("nominal_cylinder", 1): "bfd6e4d6c629aee05b04a397fc6d5e5cd4f8b05ff29da89b0841d46750c8b153",
@@ -328,36 +227,36 @@ PINNED_TAKE_ABORT = "cc8aafc308b10bbccfc4599b674f1568e4f13d779af8688dadf271f3f10
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED))
 def test_committed_scenario_digest_is_pinned(name, seed):
-    _, records = run(committed(name), seed)
+    records = pinned_run(committed(name), seed)
     assert trace_digest(records) == PINNED[(name, seed)]
 
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED_STATIC))
 def test_static_shape_digest_is_pinned(name, seed):
-    _, records = run(static_shape(name), seed)
+    records = pinned_run(static_shape(name), seed)
     assert trace_digest(records) == PINNED_STATIC[(name, seed)]
 
 
 @pytest.mark.parametrize("mode,seed", sorted(PINNED_MODES))
 def test_baseline_mode_digest_is_pinned(mode, seed):
-    _, records = run(baseline_mode(mode), seed)
+    records = pinned_run(baseline_mode(mode), seed)
     assert trace_digest(records) == PINNED_MODES[(mode, seed)]
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_LOWER_HAND))
 def test_lower_hand_digest_is_pinned(seed):
-    _, records = run(lower_hand(), seed)
+    records = pinned_run(lower_hand(), seed)
     assert trace_digest(records) == PINNED_LOWER_HAND[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_LABEL_NOISE))
 def test_label_noise_digest_is_pinned(seed):
-    _, records = run(label_noise(), seed)
+    records = pinned_run(label_noise(), seed)
     assert trace_digest(records) == PINNED_LABEL_NOISE[seed]
 
 
 def test_take_abort_digest_is_pinned():
-    _, records = run(take_abort(), TAKE_ABORT_SEED)
+    records = pinned_run(take_abort(), TAKE_ABORT_SEED)
     assert trace_digest(records) == PINNED_TAKE_ABORT
     # the pin covers the abort only while the run still takes it
     ticks = [rec for rec in records if rec["type"] == "tick"]
@@ -375,11 +274,39 @@ def test_pushed_hand_rrt_digest_is_pinned(name, seed, monkeypatch):
         return paths[-1]
 
     monkeypatch.setattr(sim, "rrt_connect", counted)
-    _, records = run(pushed_scenario(name), seed)
+    records = pinned_run(pushed_scenario(name), seed)
     assert trace_digest(records) == PINNED_PUSHED[(name, seed)]
     # the pin covers the planner only while the run still calls it
     assert paths
     assert any(p is not None for p in paths) == (name == "both_free")
+
+
+def test_stage_path_check_rejects_paths_the_plan_cannot_take():
+    records = pinned_run(static_shape("static_box"), 0)
+    ticks = [rec for rec in records if rec["type"] == "tick"]
+    stages = [rec["stage"] for rec in ticks]
+    took, dropped, done = (stages.index(stage) for stage in ("take", "drop", "done"))
+    closure = next(rec for rec in records if rec["type"] == "closure")
+    assert closure["success"] and closure["tick"] == ticks[dropped]["tick"]
+
+    def edited(changes, upto=records[-1]):
+        """The records up to upto, each changed by changes[id(record)]."""
+        kept = records[: records.index(upto) + 1]
+        return [{**rec, **changes.get(id(rec), {})} for rec in kept]
+
+    for rec, change in [
+        (ticks[took], {"selection_tick": False}),  # a take the plan did not choose
+        (closure, {"success": False}),  # a drop after a missed closure
+        (closure, {"tick": -1}),  # a drop with no closure on its tick
+        (ticks[done - 1], {"stage": "done"}),  # a drop cut short
+        (ticks[done], {"stage": "drop"}),  # a drop that overruns
+    ]:
+        with pytest.raises(AssertionError):
+            check_stage_paths(edited({id(rec): change}))
+    # a missed closure returns the take to approach, on a cloud tick or not
+    end = ticks[dropped]
+    missed = {id(closure): {"success": False}, id(end): {"stage": "approach", "cloud_tick": False}}
+    check_stage_paths(edited(missed, upto=end))
 
 
 def check_select_candidates(monkeypatch):

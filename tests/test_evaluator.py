@@ -11,8 +11,9 @@ from handover_sim.evaluator import (
     ROW_CHUNK,
     Box,
     GraspSet,
+    box_bounds,
     evaluate,
-    points_in_boxes,
+    points_in_bounds,
     sample_grasps,
 )
 from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul
@@ -81,7 +82,7 @@ def scalar_evaluate(pose, object_cloud):
     """Reference scorer: one pose on its own, with the np.all box test."""
     if len(object_cloud) == 0:
         return 0.0
-    local = pose.inverse_transform_points(object_cloud.points)
+    local = (object_cloud.points - pose.p) @ pose.rotation_matrix()
     hits = np_all_points_in_boxes(local, GRIPPER_BOXES)
     if hits[: len(BODY_BOXES)].any():
         return 0.0
@@ -161,7 +162,7 @@ class TestPointsInBoxes:
                         on[:, axis] = value
                         pts.append(on)
         pts = np.vstack(pts)
-        got = points_in_boxes(pts.T, boxes, margin)  # coordinate rows
+        got = points_in_bounds(pts.T, box_bounds(boxes, margin))  # coordinate rows
         assert np.array_equal(got, np_all_points_in_boxes(pts, boxes, margin))
         assert got.any() and not got.all()
 

@@ -121,7 +121,7 @@ class TestGraspFrameOps:
         f = flip_about_grasp_z(g)
         assert np.allclose(z_axis(f), [1, 0, 0], atol=1e-9)
 
-    def test_offset_standoff_and_push_in(self):
+    def test_offset_back_and_forward(self):
         g = IDENTITY
         back = offset_along_grasp_z(g, -0.10)
         assert np.allclose(back.p, [0, 0, -0.10], atol=1e-15)

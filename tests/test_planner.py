@@ -8,7 +8,6 @@ from handover_sim.planner import (
     CLOSURE_MIN_POINTS,
     HAND_ABOVE_TABLE_Z,
     TaskStage,
-    WorldPredicates,
     at_standoff,
     decide,
     execute_take,
@@ -17,9 +16,7 @@ from handover_sim.planner import (
 from reference import IDENTITY
 
 
-def expected_stage(hand, grasp, standoff, holding):
-    if holding:
-        return TaskStage.DROP
+def expected_stage(hand, grasp, standoff):
     if grasp and standoff:
         return TaskStage.TAKE
     if hand:
@@ -29,19 +26,15 @@ def expected_stage(hand, grasp, standoff, holding):
 
 class TestDecide:
     def test_exhaustive_truth_table(self):
-        for hand, grasp, standoff, holding in itertools.product([False, True], repeat=4):
-            preds = WorldPredicates(hand, grasp, standoff, holding)
-            assert decide(preds) == expected_stage(hand, grasp, standoff, holding), preds
-
-    def test_drop_beats_everything(self):
-        assert decide(WorldPredicates(True, True, True, True)) == TaskStage.DROP
+        for hand, grasp, standoff in itertools.product([False, True], repeat=3):
+            assert decide(hand, grasp, standoff) == expected_stage(hand, grasp, standoff)
 
     def test_take_needs_both_grasp_and_standoff(self):
-        assert decide(WorldPredicates(True, True, False, False)) == TaskStage.APPROACH
-        assert decide(WorldPredicates(True, False, True, False)) == TaskStage.APPROACH
+        assert decide(True, True, False) == TaskStage.APPROACH
+        assert decide(True, False, True) == TaskStage.APPROACH
 
     def test_nothing_true_waits_home(self):
-        assert decide(WorldPredicates(False, False, False, False)) == TaskStage.WAIT_HOME
+        assert decide(False, False, False) == TaskStage.WAIT_HOME
 
 
 class TestAtStandoff:

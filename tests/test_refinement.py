@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from handover_sim import refinement
-from handover_sim.evaluator import GRIPPER_BOXES, points_in_boxes
+from handover_sim.evaluator import GRIPPER_BOXES, box_bounds, points_in_bounds
 from handover_sim.geometry import Pose
 from handover_sim.refinement import (
     HAND_MARGIN,
@@ -170,10 +170,10 @@ class TestPrune:
         hand_pts = rng.uniform(-0.2, 0.2, size=(300, 3))
         hand = point_cloud(hand_pts, LABEL_HAND)
         out = prune_hand_collisions(make_set(poses), hand)
-        boxes = GRIPPER_BOXES
+        bounds = box_bounds(GRIPPER_BOXES, HAND_MARGIN)
         keep = [
             g for g in poses
-            if not points_in_boxes(g.inverse_transform_points(hand_pts).T, boxes, HAND_MARGIN).any()
+            if not points_in_bounds(((hand_pts - g.p) @ g.rotation_matrix()).T, bounds).any()
         ]
         assert 0 < len(keep) < len(poses)
         assert np.array_equal(out.p, [g.p for g in keep])

@@ -10,7 +10,7 @@ import pytest
 
 import reference
 from handover_sim.evaluator import GRIPPER_BOXES, GraspSet, evaluate
-from handover_sim.evaluator import box_bounds, points_in_boxes, sample_grasps, stacked_box_hits
+from handover_sim.evaluator import box_bounds, points_in_bounds, sample_grasps, stacked_box_hits
 from handover_sim.geometry import Pose, coordinate_rows, quat_from_axis_angle, quat_mul, quat_to_matrix
 from handover_sim.geometry import quat_unit_rows, row_norms, vector_norm
 from handover_sim.motion import (
@@ -373,10 +373,11 @@ class TestBoxKernel:
     def test_points_in_boxes(self, margin):
         rng = np.random.default_rng(43)
         pts = rng.uniform(-0.08, 0.08, (3000, 3))
-        got = points_in_boxes(pts.T, GRIPPER_BOXES, margin)
+        bounds = box_bounds(GRIPPER_BOXES, margin)
+        got = points_in_bounds(pts.T, bounds)
         assert same_bytes(got, reference.points_in_boxes(pts, GRIPPER_BOXES, margin))
         stack = pts.reshape(6, 500, 3)
-        got = points_in_boxes(stack.transpose(0, 2, 1), GRIPPER_BOXES, margin)
+        got = points_in_bounds(stack.transpose(0, 2, 1), bounds)
         want = reference.points_in_boxes(pts, GRIPPER_BOXES, margin).reshape(4, 6, 500)
         assert same_bytes(got, want) and got.any() and not got.all()
 
