@@ -43,9 +43,11 @@ def coordinate_rows(points) -> np.ndarray:
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(v, axis=-1) of a float array, bit for bit: the same
-    sqrt(add.reduce(v * v)), without the wrapper's dispatch."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1))
+    """np.linalg.norm(v, axis=-1) of (..., 3) float rows, bit for bit: the
+    same sqrt((x * x + y * y) + z * z), in the order add.reduce sums a row
+    of three, as three column sums without the reduction's per-row loop."""
+    sq = v * v
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:

@@ -95,7 +95,8 @@ def segment_collision_free(start, goal, points) -> bool:
     near = ~(out[0] | out[1] | out[2])  # NaN compares False, so it stays in
     if not near.any():
         return True
-    return bool(point_segment_distances(points[near], a, b).min() >= DEFAULT_CLEARANCE)
+    near_points = points.take(np.flatnonzero(near), axis=0)
+    return bool(point_segment_distances(near_points, a, b).min() >= DEFAULT_CLEARANCE)
 
 
 def rrt_connect(start, goal, points, rng: np.random.Generator):

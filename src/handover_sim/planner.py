@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .evaluator import CLOSING_REGION, box_bounds, stacked_box_hits
+from .evaluator import CLOSING_REGION, box_bounds, box_hits
 from .geometry import Pose, coordinate_rows, pose_distance
 from .motion import TABLE_Z
 
@@ -55,5 +55,5 @@ def execute_take(grasp: Pose, object_points: np.ndarray) -> bool:
     grasp test uses. A miss is a modeled outcome, not a fault.
     """
     coords, bounds = coordinate_rows(object_points), box_bounds((CLOSING_REGION,))
-    _, _, hits = next(stacked_box_hits(grasp, coords, bounds))
+    _, _, _, hits = next(box_hits(grasp, coords, bounds))
     return int(hits.sum()) >= CLOSURE_MIN_POINTS

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluator import GRIPPER_BOXES, GraspSet, evaluate, sample_grasps
-from .evaluator import box_bounds, stacked_box_hits
+from .evaluator import box_bounds, box_hits
 from .geometry import Pose, coordinate_rows, quat_unit_rows
 from .scene import LabeledPointCloud
 
@@ -93,8 +93,8 @@ def collides_hand(grasps, hand_points, margin: float) -> np.ndarray:
     """
     coords, bounds = coordinate_rows(hand_points), box_bounds(GRIPPER_BOXES, margin)
     collides = np.zeros(len(np.reshape(grasps.p, (-1, 3))), dtype=bool)
-    for rows, _, hits in stacked_box_hits(grasps, coords, bounds):
-        collides[rows] = hits.any(axis=(0, 2))
+    for rows, _, flat, hits in box_hits(grasps, coords, bounds):
+        collides[rows.start + flat[hits.any(axis=0)] // coords.shape[1]] = True
     return collides
 
 

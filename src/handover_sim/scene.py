@@ -1,19 +1,27 @@
 """Synthetic desk scene: primitive shapes, the fixed camera and hand, and
-labeled point clouds.
+perceived point clouds.
 
 The camera (CAMERA), the cloud density (CLOUD_DENSITY), the crop radius
 (CROP_RADIUS) and the hand, a palm-relative sphere cluster
-(HAND_SPHERES), are fixed program facts. synthesize_cloud samples the
-held object and the hand at a palm pose. It draws the hand's spheres in
-one call: Generator.normal fills rows in order, so one draw of all the
+(HAND_SPHERES), are fixed program facts. perceive makes one cloud
+tick's hand and object clouds in one pass. It samples the held object
+and then the hand at a palm pose, drawing the hand's spheres in one
+call: Generator.normal fills rows in order, so one draw of all the
 spheres' points is their per-sphere draws one after the other, and the
-per-sphere counts and radii are constants. Object dimensions are at
-most MAX_DIM, which also bounds the points per cloud. Visibility is a
-normal-facing test (outward normal must face the camera), which is an
-adequate occlusion proxy for convex primitives at desk scale and keeps
-cloud synthesis deterministic and cheap. Every cloud carries the
-outward unit normal of each point, and its points' coordinate rows once
-a grasp layer first asks for them.
+per-sphere counts and radii are constants. Each part then gets one mask,
+visible and inside the crop ball, and is gathered once; with label
+noise, one uniform per perceived point moves points between the two
+clouds. No full-scene cloud is built and none is split by label. Object
+dimensions are at most MAX_DIM, which also bounds the points per cloud.
+Visibility is a normal-facing test (outward normal must face the
+camera), which is an adequate occlusion proxy for convex primitives at
+desk scale and keeps cloud synthesis deterministic and cheap. Every
+cloud carries the outward unit normal of each point, and, once a layer
+first asks for them, its points' coordinate rows and their centroid.
+
+synthesize_cloud, crop_around_palm and apply_label_noise are the
+unfused steps perceive replaces, kept because the benchmark's tracer
+looks them up; the tests hold perceive to the same steps' plain bodies.
 """
 
 from __future__ import annotations
@@ -191,28 +199,23 @@ class LabeledPointCloud:
         coords.setflags(write=False)  # every caller shares it
         return coords
 
+    @cached_property
+    def centroid(self) -> np.ndarray:
+        """The mean point, made on first use: the robot's hold pose reads it
+        on every tick without a target until the next cloud arrives."""
+        centroid = self.points.mean(axis=0)
+        centroid.setflags(write=False)
+        return centroid
+
     @classmethod
     def empty(cls) -> "LabeledPointCloud":
         return cls(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros((0, 3)))
 
-    def subset(self, mask: np.ndarray) -> "LabeledPointCloud":
-        return LabeledPointCloud(self.points[mask], self.labels[mask], self.normals[mask])
 
-    def hand_cloud(self) -> "LabeledPointCloud":
-        return self.subset(self.labels == LABEL_HAND)
-
-    def object_cloud(self) -> "LabeledPointCloud":
-        return self.subset(self.labels == LABEL_OBJECT)
-
-
-def synthesize_cloud(held, palm: Pose, rng: np.random.Generator) -> LabeledPointCloud:
-    """Sample the camera-facing surface points of the scene with ground-truth labels.
-
-    held is the (shape, pose) of the object in the hand, or None once the
-    robot has it; the hand is HAND_SPHERES at the palm pose. Each shape
-    gets round(area * CLOUD_DENSITY) points before the visibility cut.
-    The object is drawn first, then the hand's spheres in one draw.
-    """
+def _sample_parts(held, palm: Pose, rng: np.random.Generator):
+    """(object points, object normals, hand points, hand normals) in the
+    world frame, every sample before any cut. The object is drawn first,
+    then the hand's spheres in one draw."""
     if held is None:
         obj_pts = obj_nrm = np.zeros((0, 3))
     else:
@@ -228,20 +231,87 @@ def synthesize_cloud(held, palm: Pose, rng: np.random.Generator) -> LabeledPoint
     centers = [rot @ offset + palm.p for offset in _HAND_OFFSETS]
     dirs = _unit_dirs(len(_HAND_RADII), rng)
     hand_pts = dirs * _HAND_RADII + np.repeat(centers, _HAND_COUNTS, axis=0)
+    return obj_pts, obj_nrm, hand_pts, dirs
 
+
+def _visible(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """(N,) bool: the outward normal faces the camera. Row by row, so a
+    part's rows test as they do inside any stack of parts."""
+    return np.einsum("ij,ij->i", normals, points - CAMERA.p) < 0.0
+
+
+def perceive(held, palm: Pose, crop_center, label_noise: float, rng: np.random.Generator):
+    """One cloud tick's perceived (hand cloud, object cloud).
+
+    held is the (shape, pose) of the object in the hand, or None once the
+    robot has it; the hand is HAND_SPHERES at the palm pose. Each shape
+    gets round(area * CLOUD_DENSITY) samples. A point is perceived when
+    its normal faces the camera and it lies in the closed ball of
+    CROP_RADIUS around crop_center; each part (object, hand) is tested
+    with one mask and gathered once. With label_noise > 0, one uniform
+    per perceived point, object points first, flips hand and object
+    labels with that probability. Each cloud keeps the sample order,
+    object points first: the hand cloud is the flipped object points and
+    then the hand's unflipped ones, the object cloud the object's
+    unflipped points and then the flipped hand points.
+    """
+    if not 0.0 <= label_noise <= 1.0:
+        raise ValueError("label_noise must be in [0, 1]")
+    center = np.asarray(crop_center, dtype=float).reshape(3)
+    obj_pts, obj_nrm, hand_pts, hand_nrm = _sample_parts(held, palm, rng)
+    obj, hand = (
+        np.flatnonzero(_visible(pts, nrm) & (row_norms(pts - center) <= CROP_RADIUS))
+        for pts, nrm in ((obj_pts, obj_nrm), (hand_pts, hand_nrm))
+    )
+    if label_noise > 0:
+        flip = rng.uniform(size=len(obj) + len(hand)) < label_noise
+        flip_obj, flip_hand = flip[: len(obj)], flip[len(obj) :]
+        obj, hand, obj_as_hand, hand_as_obj = (
+            obj[~flip_obj], hand[~flip_hand], obj[flip_obj], hand[flip_hand]
+        )
+        return (
+            _cloud(LABEL_HAND, (obj_pts, obj_nrm, obj_as_hand), (hand_pts, hand_nrm, hand)),
+            _cloud(LABEL_OBJECT, (obj_pts, obj_nrm, obj), (hand_pts, hand_nrm, hand_as_obj)),
+        )
+    return (
+        _cloud(LABEL_HAND, (hand_pts, hand_nrm, hand)),
+        _cloud(LABEL_OBJECT, (obj_pts, obj_nrm, obj)),
+    )
+
+
+def _cloud(label: int, *parts) -> LabeledPointCloud:
+    """The given rows of each (points, normals, rows) part, one part after
+    the other, all labeled label."""
+    if len(parts) == 1:
+        ((points, normals, rows),) = parts
+        points, normals = points.take(rows, axis=0), normals.take(rows, axis=0)
+    else:
+        points = np.concatenate([pts.take(rows, axis=0) for pts, _, rows in parts])
+        normals = np.concatenate([nrm.take(rows, axis=0) for _, nrm, rows in parts])
+    return LabeledPointCloud(points, np.full(len(points), label), normals)
+
+
+# The unfused steps that perceive replaces: sample and cut for visibility,
+# crop, flip labels. The simulator no longer calls them; the benchmark's
+# tracer (handover_bench/layers.py) still wraps them on the sim module.
+
+
+def synthesize_cloud(held, palm: Pose, rng: np.random.Generator) -> LabeledPointCloud:
+    """The camera-facing samples of the object and the hand, object first,
+    with their ground-truth labels (see perceive)."""
+    obj_pts, obj_nrm, hand_pts, hand_nrm = _sample_parts(held, palm, rng)
     points = np.vstack([obj_pts, hand_pts])
-    normals = np.vstack([obj_nrm, dirs])
+    normals = np.vstack([obj_nrm, hand_nrm])
     labels = np.repeat([LABEL_OBJECT, LABEL_HAND], [len(obj_pts), len(hand_pts)])
-    view = points - CAMERA.p
-    visible = np.einsum("ij,ij->i", normals, view) < 0.0
+    visible = _visible(points, normals)
     return LabeledPointCloud(points[visible], labels[visible], normals[visible])
 
 
 def crop_around_palm(cloud: LabeledPointCloud, palm_center) -> LabeledPointCloud:
     """Keep points within the closed ball of CROP_RADIUS around the palm center."""
     palm_center = np.asarray(palm_center, dtype=float).reshape(3)
-    d = row_norms(cloud.points - palm_center)
-    return cloud.subset(d <= CROP_RADIUS)
+    keep = row_norms(cloud.points - palm_center) <= CROP_RADIUS
+    return LabeledPointCloud(cloud.points[keep], cloud.labels[keep], cloud.normals[keep])
 
 
 def apply_label_noise(

@@ -13,6 +13,12 @@ every 90, and the tick a take arrives and tests its closure. It rounds
 the selected target and grasp once each time the selection changes, and
 gives every tick record its own copy of the rounded lists.
 
+``observe`` gets the hand and object clouds from one ``scene.perceive``
+call, cropped around the tracked palm: each part is masked and gathered
+once, with no full-scene cloud to split. A cloud also carries its
+centroid, made once, which the hold pose (``tracking_pose``) reads on
+every tick without a target until the next cloud.
+
 Selection reuses refinement's hand prune. Refinement leaves a set whose
 every row clears the hand cloud at ``HAND_MARGIN``, so ``select`` prunes
 the set again only when a cloud has arrived since (by the rate divisors,
@@ -46,7 +52,10 @@ from .planner import DROP_DURATION, TaskStage, decide, execute_take
 from .planner import at_standoff, hand_above_table
 from .refinement import HAND_MARGIN, TARGET_SIZE, grasp_collides_hand
 from .refinement import maintain, prune_hand_collisions
-from .scene import LabeledPointCloud, apply_label_noise, crop_around_palm, synthesize_cloud
+from .scene import LabeledPointCloud, perceive
+# the benchmark's tracer (handover_bench/layers.py) wraps these names on this
+# module; observe calls perceive, their one-pass form, instead
+from .scene import apply_label_noise, crop_around_palm, synthesize_cloud  # noqa: F401
 from .scenario import Scenario, ScenarioError
 from .selection import MODE_WEIGHTS, expand_flips, select_target
 
@@ -174,12 +183,9 @@ class SimState:
         scenario = self.scenario
         rng = np.random.default_rng([self.seed, _SALT_CLOUD, tick])
         held = None if self.metrics.success else (scenario.object_shape, object_pose)
-        full = synthesize_cloud(held, palm, rng)
-        cloud = crop_around_palm(full, self.tracked_palm.p)
-        if scenario.label_noise > 0:
-            cloud = apply_label_noise(cloud, scenario.label_noise, rng)
-        self.hand_cloud = cloud.hand_cloud()
-        self.object_cloud = cloud.object_cloud()
+        self.hand_cloud, self.object_cloud = perceive(
+            held, palm, self.tracked_palm.p, scenario.label_noise, rng
+        )
         self.gset_clear = None
         # a fresh hand sample can reveal points the last one missed;
         # abandon any committed target that now touches the hand,
@@ -318,7 +324,7 @@ class SimState:
     def tracking_pose(self) -> Pose:
         """Collision-free hold pose near the object while no grasp is feasible."""
         cloud = self.object_cloud
-        anchor = cloud.points.mean(axis=0) if len(cloud) > 0 else self.tracked_palm.p
+        anchor = cloud.centroid if len(cloud) > 0 else self.tracked_palm.p
         away = HOME.p - anchor
         n = vector_norm(away)
         if n < 1e-9:

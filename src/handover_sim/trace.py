@@ -25,7 +25,10 @@ verify_records re-checks, for every tick record:
   speed limits;
 - the end effector stays above the table (z >= ``motion.TABLE_Z``);
 - the selected grasp clears the hand cloud in force (the last
-  ``hand_points``) at the program's margin.
+  ``hand_points``) at the program's margin;
+- every stage change takes a path the plan allows, and a drop ends on
+  its done tick (``_stage_paths``), each illegal change reported as
+  ``tick N: illegal stage change A -> B``.
 
 The limits and the margin are the program's constants, never values the
 header records, so a trace cannot loosen the checks it is judged by.
@@ -40,6 +43,7 @@ not a multiple of 3.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -47,6 +51,7 @@ import numpy as np
 from .evaluator import GraspSet
 from .geometry import quat_unit_rows, row_dot
 from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX, TABLE_Z
+from .planner import DROP_DURATION
 from .refinement import DEFAULT_HAND_MARGIN, collides_hand
 from .sim import CLOUD_DIV, DT, HAND_POINT_SCALE, REFINE_DIV, SELECT_DIV, TRACKING_DIV
 
@@ -180,6 +185,7 @@ def verify_records(records) -> list[str]:
         hits[lo:hi] = collides_hand(grasps, pts.reshape(-1, 3), DEFAULT_HAND_MARGIN)
     collides = np.zeros(len(ticks), dtype=bool)
     collides[tested] = hits[np.cumsum(first) - 1]
+    illegal, overrun = _stage_paths(records, ticks)
 
     lin_max, ang_max = DEFAULT_V_MAX * DT, DEFAULT_W_MAX * DT
     # (flagged ticks, message after "tick N: ", per-tick value for its {} field)
@@ -203,12 +209,54 @@ def verify_records(records) -> list[str]:
         (has_grasp & ~grasp_finite, "non-finite selected_grasp", tick),
         (~points_finite, "non-finite hand_points", tick),
         (collides, "selected grasp collides with hand points", tick),
+        (illegal != "", "illegal stage change {}", illegal),
+        (overrun, f"drop lasts past {DROP_DURATION} s after its closure", tick),
     )
     for i in np.flatnonzero(np.any([flagged for flagged, _, _ in checks], axis=0)):
         for flagged, text, value in checks:
             if flagged[i]:
                 violations.append(f"tick {ticks[i]['tick']}: " + text.format(value[i]))
     return violations
+
+
+def _stage_paths(records, ticks) -> tuple[np.ndarray, np.ndarray]:
+    """Per tick record, "A -> B" where its stage changes along a path the
+    plan cannot take ("" elsewhere), and whether it is a drop tick at or
+    after the drop's end. The stage before the first tick is wait_home.
+
+    A stage may change only: from wait_home or approach to wait_home,
+    approach or take on a selection tick; take -> approach on a cloud tick
+    (the hand re-check drops the target) or on a failed closure's tick;
+    take -> drop on a successful closure's tick; drop -> done on the first
+    tick whose time is DROP_DURATION or more after that closure. One pass
+    over the stages finds the changes; only those are looked at.
+    """
+    closures = {rec["tick"]: rec["success"] for rec in records if rec.get("type") == "closure"}
+    stages = [rec["stage"] for rec in ticks]
+    illegal = np.full(len(ticks), "", dtype=object)
+    overrun = np.zeros(len(ticks), dtype=bool)
+    changes = [i for i, (a, b) in enumerate(zip(["wait_home", *stages], stages)) if a != b]
+    done_tick = None
+    for i, end in zip(changes, [*changes[1:], len(ticks)]):
+        old, new, rec = stages[i - 1] if i else "wait_home", stages[i], ticks[i]
+        closure = closures.get(rec["tick"])
+        if old in ("wait_home", "approach") and new in ("wait_home", "approach", "take"):
+            allowed = rec["selection_tick"]
+        elif (old, new) == ("take", "approach"):
+            allowed = rec["cloud_tick"] or closure is False
+        elif (old, new) == ("take", "drop"):
+            allowed = closure is True
+        else:
+            allowed = (old, new) == ("drop", "done") and rec["tick"] == done_tick
+        if not allowed:
+            illegal[i] = f"{old} -> {new}"
+        if new == "drop":  # int(): a NaN tick would never reach its end
+            start = int(rec["tick"])
+            ends = start * DT + DROP_DURATION
+            done_tick = next(t for t in itertools.count(start) if t * DT >= ends)
+            # the drop's ticks, from its first on, that reach its end
+            overrun[i:end] = [r["tick"] >= done_tick for r in ticks[i:end]]
+    return illegal, overrun
 
 
 def verify_trace(path) -> list[str]:

@@ -8,8 +8,10 @@ these plain per-pose forms. Others run every tick in a leaner form
 (``geometry.Pose``'s normalisation, ``geometry.quat_to_matrix`` on one
 quaternion, ``motion.segment_collision_free`` with its broad phase,
 ``motion.servo_step``, ``scene.synthesize_cloud`` with its single hand
-draw, ``sim._round_pose``, the component-major box test of
-``evaluator.stacked_box_hits`` and ``evaluate``, and
+draw, ``scene.perceive``, which fuses synthesis, crop, label noise and
+the split by label, ``sim._round_pose``, the hull-culled component-major
+box test of ``evaluator.box_hits`` (held to the dense ``stacked_box_hits``
+here) and ``evaluate``, and
 ``refinement.mh_step``, which draws its random numbers in two blocks and
 scores all its proposals in one call); the tests compare those, byte for
 byte, with the plain bodies kept here. ``float_hand_points`` is the
@@ -27,7 +29,7 @@ from handover_sim.geometry import FLIP_Z, Pose, quat_angle, quat_mul, quat_norma
 from handover_sim.motion import DEFAULT_CLEARANCE, DEFAULT_V_MAX, DEFAULT_W_MAX, TABLE_Z
 from handover_sim.refinement import DEFAULT_HAND_MARGIN, DELTA_T_RANGE, acceptance_ratio
 from handover_sim.refinement import grasp_collides_hand
-from handover_sim.scene import CAMERA, CLOUD_DENSITY, HAND_SPHERES, LABEL_HAND, LABEL_OBJECT
+from handover_sim.scene import CAMERA, CLOUD_DENSITY, CROP_RADIUS, HAND_SPHERES, LABEL_HAND, LABEL_OBJECT
 from handover_sim.scene import LabeledPointCloud, PrimitiveShape
 from handover_sim.sim import DT, HAND_POINT_SCALE
 
@@ -292,6 +294,40 @@ def synthesize_cloud(held, palm: Pose, rng: np.random.Generator) -> LabeledPoint
     return LabeledPointCloud(points[visible], labels[visible], normals[visible])
 
 
+def crop_around_palm(cloud: LabeledPointCloud, palm_center) -> LabeledPointCloud:
+    """The points within the closed ball of CROP_RADIUS around the palm center."""
+    d = np.linalg.norm(cloud.points - np.asarray(palm_center, dtype=float), axis=1)
+    keep = d <= CROP_RADIUS
+    return LabeledPointCloud(cloud.points[keep], cloud.labels[keep], cloud.normals[keep])
+
+
+def apply_label_noise(cloud: LabeledPointCloud, flip_prob: float, rng) -> LabeledPointCloud:
+    """Each hand or object label flipped to the other with flip_prob, one
+    uniform per point in cloud order."""
+    labels = cloud.labels.copy()
+    flip = rng.uniform(size=len(labels)) < flip_prob
+    labels[flip & (cloud.labels == LABEL_HAND)] = LABEL_OBJECT
+    labels[flip & (cloud.labels == LABEL_OBJECT)] = LABEL_HAND
+    return LabeledPointCloud(cloud.points, labels, cloud.normals)
+
+
+def split(cloud: LabeledPointCloud):
+    """(hand cloud, object cloud): the points of each label, in cloud order."""
+    return tuple(
+        LabeledPointCloud(cloud.points[mask], cloud.labels[mask], cloud.normals[mask])
+        for mask in (cloud.labels == LABEL_HAND, cloud.labels == LABEL_OBJECT)
+    )
+
+
+def perceive(held, palm: Pose, crop_center, label_noise: float, rng):
+    """scene.perceive as its steps: the whole visible scene as one cloud,
+    then the crop, the label noise if any, and the split by label."""
+    cloud = crop_around_palm(synthesize_cloud(held, palm, rng), crop_center)
+    if label_noise > 0:
+        cloud = apply_label_noise(cloud, label_noise, rng)
+    return split(cloud)
+
+
 def round_pose(pose: Pose) -> list:
     """sim._round_pose through to_array and float()."""
     return [round(float(v), 7) for v in pose.to_array()]
@@ -332,7 +368,8 @@ def points_in_boxes(pts: np.ndarray, boxes, margin: float = 0.0) -> np.ndarray:
 
 
 def stacked_box_hits(grasps, points: np.ndarray, boxes, margin: float = 0.0):
-    """evaluator.stacked_box_hits through (points - p) @ R, point-major."""
+    """evaluator.box_hits as dense hits of every (row, point) pair, each
+    chunk's (boxes, rows, N), through (points - p) @ R, point-major."""
     p = np.reshape(grasps.p, (-1, 3))
     rot = quat_to_matrix(grasps.q).reshape(-1, 3, 3)
     for start in range(0, len(p), ROW_CHUNK):

@@ -9,13 +9,12 @@ integer counts of 1e-5 m. A change of format moves every pin; it is
 re-recorded only once every simulated outcome and the random stream are
 shown unchanged.
 
-Every pinned run also has its stage paths checked (check_stage_paths):
-decide picks wait_home, approach or take on a selection tick, and only
-the take's closure, a fresh cloud and the drop's timer move the stage
-otherwise.
+Every pinned run also passes verify_records, whose checks include the
+stage paths: decide picks wait_home, approach or take on a selection
+tick, and only the take's closure, a fresh cloud and the drop's timer
+move the stage otherwise.
 """
 
-import itertools
 from dataclasses import replace
 
 import pytest
@@ -28,8 +27,8 @@ from handover_sim.planner import DROP_DURATION
 from handover_sim.refinement import TARGET_SIZE, prune_hand_collisions
 from handover_sim.scenario import MODES, load_scenario, scenario_from_dict
 from handover_sim.selection import expand_flips
-from handover_sim.sim import DT, run
-from handover_sim.trace import trace_digest
+from handover_sim.sim import run
+from handover_sim.trace import trace_digest, verify_records
 
 # Static holds of the other three shapes. Box faces are where the two MH
 # scores of a grasp can tie, so a last-bit change in scoring shows here.
@@ -142,39 +141,11 @@ def pushed_scenario(name):
     return scenario_from_dict(data, name)
 
 
-def stage_change_allowed(old, new, rec, closure, done_tick) -> bool:
-    """The paths a tick's stage may take: the plan's choice on a selection
-    tick, an abandoned or missed take, a successful closure, and the end of
-    the drop once DROP_DURATION has passed since the success."""
-    if old in ("wait_home", "approach") and new in ("wait_home", "approach", "take"):
-        return rec["selection_tick"]
-    if (old, new) == ("take", "approach"):
-        return rec["cloud_tick"] or closure is False
-    if (old, new) == ("take", "drop"):
-        return closure is True
-    return (old, new) == ("drop", "done") and rec["tick"] == done_tick
-
-
-def check_stage_paths(records) -> None:
-    """Assert that every stage change of a run takes an allowed path, and
-    that the drop lasts until, and only until, its done tick."""
-    closures = {rec["tick"]: rec["success"] for rec in records if rec["type"] == "closure"}
-    stage, done_tick = "wait_home", None
-    for rec in (rec for rec in records if rec["type"] == "tick"):
-        tick, new = rec["tick"], rec["stage"]
-        if new != stage:
-            assert stage_change_allowed(stage, new, rec, closures.get(tick), done_tick), (tick, stage, new)
-        if (stage, new) == ("take", "drop"):
-            ends = tick * DT + DROP_DURATION
-            done_tick = next(t for t in itertools.count(tick) if t * DT >= ends)
-        assert new != "drop" or tick < done_tick, tick
-        stage = new
-
-
 def pinned_run(scenario, seed):
-    """A pinned run's records, its stage paths checked."""
+    """A pinned run's records, verified: among the checks, every stage
+    change takes a path the plan allows."""
     _, records = run(scenario, seed)
-    check_stage_paths(records)
+    assert verify_records(records) == []
     return records
 
 
@@ -288,25 +259,39 @@ def test_stage_path_check_rejects_paths_the_plan_cannot_take():
     took, dropped, done = (stages.index(stage) for stage in ("take", "drop", "done"))
     closure = next(rec for rec in records if rec["type"] == "closure")
     assert closure["success"] and closure["tick"] == ticks[dropped]["tick"]
+    assert done == len(ticks) - 1
 
     def edited(changes, upto=records[-1]):
         """The records up to upto, each changed by changes[id(record)]."""
         kept = records[: records.index(upto) + 1]
         return [{**rec, **changes.get(id(rec), {})} for rec in kept]
 
-    for rec, change in [
-        (ticks[took], {"selection_tick": False}),  # a take the plan did not choose
-        (closure, {"success": False}),  # a drop after a missed closure
-        (closure, {"tick": -1}),  # a drop with no closure on its tick
-        (ticks[done - 1], {"stage": "done"}),  # a drop cut short
-        (ticks[done], {"stage": "drop"}),  # a drop that overruns
+    def at(i, text):
+        return f"tick {ticks[i]['tick']}: {text}"
+
+    for rec, change, expected in [
+        # a take the plan did not choose
+        (ticks[took], {"selection_tick": False}, [at(took, "illegal stage change approach -> take")]),
+        # a drop after a missed closure, or with no closure on its tick
+        (closure, {"success": False}, [at(dropped, "illegal stage change take -> drop")]),
+        (closure, {"tick": -1}, [at(dropped, "illegal stage change take -> drop")]),
+        # a drop cut short
+        (ticks[done - 1], {"stage": "done"}, [at(done - 1, "illegal stage change drop -> done")]),
+        # a drop that overruns (the run ends on its done tick)
+        (ticks[done], {"stage": "drop"}, [at(done, f"drop lasts past {DROP_DURATION} s after its closure")]),
     ]:
-        with pytest.raises(AssertionError):
-            check_stage_paths(edited({id(rec): change}))
-    # a missed closure returns the take to approach, on a cloud tick or not
+        assert verify_records(edited({id(rec): change})) == expected
+    # a missed closure returns the take to approach, on a cloud tick or not:
+    # only the cleared flag itself is flagged
     end = ticks[dropped]
+    assert end["cloud_tick"]
     missed = {id(closure): {"success": False}, id(end): {"stage": "approach", "cloud_tick": False}}
-    check_stage_paths(edited(missed, upto=end))
+    assert verify_records(edited(missed, upto=end)) == [
+        at(dropped, f"cloud_tick is not tick % {sim.CLOUD_DIV} == 0"),
+        at(dropped, "hand_points do not match cloud_tick"),
+    ]
+    missed[id(end)] = {"stage": "approach"}
+    assert verify_records(edited(missed, upto=end)) == []
 
 
 def check_select_candidates(monkeypatch):

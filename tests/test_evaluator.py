@@ -162,9 +162,14 @@ class TestPointsInBoxes:
                         on[:, axis] = value
                         pts.append(on)
         pts = np.vstack(pts)
-        got = points_in_bounds(pts.T, box_bounds(boxes, margin))  # coordinate rows
+        lo, hi, hull_lo, hull_hi = box_bounds(boxes, margin)
+        got = points_in_bounds(pts.T, lo, hi)  # coordinate rows
         assert np.array_equal(got, np_all_points_in_boxes(pts, boxes, margin))
         assert got.any() and not got.all()
+        # the joint hull holds every point of every box, and is no larger
+        in_hull = points_in_bounds(pts.T, hull_lo[:, :, None], hull_hi[:, :, None])[0]
+        assert np.array_equal(hull_lo, lo.min(axis=1)) and np.array_equal(hull_hi, hi.max(axis=1))
+        assert in_hull[got.any(axis=0)].all() and not in_hull.all()
 
 
 class TestEvaluate:

@@ -170,10 +170,10 @@ class TestPrune:
         hand_pts = rng.uniform(-0.2, 0.2, size=(300, 3))
         hand = point_cloud(hand_pts, LABEL_HAND)
         out = prune_hand_collisions(make_set(poses), hand)
-        bounds = box_bounds(GRIPPER_BOXES, HAND_MARGIN)
+        lo, hi, _, _ = box_bounds(GRIPPER_BOXES, HAND_MARGIN)
         keep = [
             g for g in poses
-            if not points_in_bounds(((hand_pts - g.p) @ g.rotation_matrix()).T, bounds).any()
+            if not points_in_bounds(((hand_pts - g.p) @ g.rotation_matrix()).T, lo, hi).any()
         ]
         assert 0 < len(keep) < len(poses)
         assert np.array_equal(out.p, [g.p for g in keep])

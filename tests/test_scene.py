@@ -14,6 +14,7 @@ from handover_sim.scene import (
     PrimitiveShape,
     apply_label_noise,
     crop_around_palm,
+    perceive,
     synthesize_cloud,
 )
 from reference import point_cloud
@@ -94,7 +95,7 @@ class TestSynthesize:
         near = np.linalg.norm(cloud.points - SPHERE_AT.p, axis=1) < 0.1
         assert near.sum() > 0
         assert np.array_equal(near, cloud.labels == LABEL_OBJECT)
-        radii = np.linalg.norm(cloud.object_cloud().points - SPHERE_AT.p, axis=1)
+        radii = np.linalg.norm(cloud.points[cloud.labels == LABEL_OBJECT] - SPHERE_AT.p, axis=1)
         assert np.allclose(radii, 0.05, atol=1e-9)
 
     def test_hand_only_all_hand(self):
@@ -116,7 +117,7 @@ class TestSynthesize:
         cloud = synthesize_cloud(held_sphere(r), FAR_PALM, rng)
         d = np.linalg.norm(CAMERA.p - SPHERE_AT.p)
         expected = 4 * np.pi * r * r * CLOUD_DENSITY * (1 - r / d) / 2
-        assert abs(len(cloud.object_cloud()) - expected) < 0.1 * expected
+        assert abs(np.sum(cloud.labels == LABEL_OBJECT) - expected) < 0.1 * expected
 
     def test_points_face_camera(self):
         rng = np.random.default_rng(4)
@@ -199,8 +200,13 @@ class TestLabelNoise:
         assert 0.08 <= frac <= 0.12
 
     def test_partition_invariant(self):
-        rng = np.random.default_rng(12)
+        # perceive's two clouds split the cropped view, whatever the noise flips
         palm = Pose(SPHERE_AT.p + [0.0, 0.1, 0.0], [0, 0, 0, 1])
-        cloud = synthesize_cloud(held_sphere(), palm, rng)
-        hand, obj = cloud.hand_cloud(), cloud.object_cloud()
-        assert len(hand) + len(obj) == len(cloud)
+        seen = crop_around_palm(synthesize_cloud(held_sphere(), palm, np.random.default_rng(12)), palm.p)
+        for noise in (0.0, 0.3, 1.0):
+            hand, obj = perceive(held_sphere(), palm, palm.p, noise, np.random.default_rng(12))
+            assert len(hand) + len(obj) == len(seen)
+            assert np.all(hand.labels == LABEL_HAND) and np.all(obj.labels == LABEL_OBJECT)
+            assert (noise == 1.0) == (len(obj) == np.sum(seen.labels == LABEL_HAND))
+        with pytest.raises(ValueError):
+            perceive(held_sphere(), palm, palm.p, 1.5, np.random.default_rng(12))

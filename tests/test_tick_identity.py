@@ -10,7 +10,7 @@ import pytest
 
 import reference
 from handover_sim.evaluator import GRIPPER_BOXES, GraspSet, evaluate
-from handover_sim.evaluator import box_bounds, points_in_bounds, sample_grasps, stacked_box_hits
+from handover_sim.evaluator import ROW_CHUNK, box_bounds, box_hits, points_in_bounds, sample_grasps
 from handover_sim.geometry import Pose, coordinate_rows, quat_from_axis_angle, quat_mul, quat_to_matrix
 from handover_sim.geometry import quat_unit_rows, row_norms, vector_norm
 from handover_sim.motion import (
@@ -23,7 +23,7 @@ from handover_sim.motion import (
     servo_step,
 )
 from handover_sim.refinement import EPSILON_DEN, HAND_MARGIN, mh_step
-from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape, synthesize_cloud
+from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape, perceive, synthesize_cloud
 from handover_sim import sim
 from handover_sim.scenario import load_scenario
 from handover_sim.sim import DT, _round_pose, encode_hand_points
@@ -214,6 +214,19 @@ class TestNorms:
             assert same_bytes(row_norms(v), np.linalg.norm(v, axis=1))
             for row in v[:50]:
                 assert vector_norm(row) == np.linalg.norm(row)
+        # the column sums keep add.reduce's order, (x^2 + y^2) + z^2; another
+        # order gives a different norm on some of the rows
+        v = rng.normal(size=(200_000, 3)) * np.exp(rng.uniform(-5, 5, (200_000, 1)))
+        sq = v * v
+        other_order = np.sqrt(sq[:, 0] + (sq[:, 1] + sq[:, 2]))
+        assert np.mean(other_order != np.linalg.norm(v, axis=1)) > 0.05
+        assert same_bytes(row_norms(v), np.linalg.norm(v, axis=1))
+        special = np.array([[0.0, -0.0, 0.0], [np.inf, 1.0, 0.0], [np.nan, 0.0, 1.0], [1e200, 1e200, 1.0]])
+        with np.errstate(over="ignore"):
+            assert same_bytes(row_norms(special), np.linalg.norm(special, axis=1))
+        for shape in ((0, 3), (7, 3), (2, 5, 3)):
+            v = rng.normal(size=shape)
+            assert same_bytes(row_norms(v), np.linalg.norm(v, axis=-1))
 
 
 SHAPES = [
@@ -247,13 +260,37 @@ class TestHandCloud:
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
+class TestPerceive:
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.kind if s else "no_object")
+    def test_matches_the_unfused_steps(self, shape, noise):
+        # the crop center is the tracked palm, which can lag the palm; the
+        # farther centers cut the hand, the object or both
+        rng = np.random.default_rng(9)
+        cut = 0
+        for seed in range(6):
+            palm = Pose(rng.uniform([0.4, -0.1, 0.1], [0.7, 0.2, 0.4]), rng.normal(size=4))
+            held = None if shape is None else (shape, palm.compose(Pose([0, -0.11, 0], rng.normal(size=4))))
+            center = palm.p + rng.normal(size=3) * (0.04 * seed)
+            rngs = np.random.default_rng([seed, 1, 10 * seed]), np.random.default_rng([seed, 1, 10 * seed])
+            got = perceive(held, palm, center, noise, rngs[0])
+            want = reference.perceive(held, palm, center, noise, rngs[1])
+            for cloud, ref in zip(got, want):
+                for name in ("points", "labels", "normals"):
+                    assert same_bytes(getattr(cloud, name), getattr(ref, name))
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            seen = reference.synthesize_cloud(held, palm, np.random.default_rng([seed, 1, 10 * seed]))
+            cut += len(got[0]) + len(got[1]) < len(seen)
+        assert cut > 0
+
+
 OBJECTS = {
     "box": PrimitiveShape("box", (0.05, 0.16, 0.05)),
     "cylinder": PrimitiveShape("cylinder", (0.02, 0.16)),
     "capsule": PrimitiveShape("capsule", (0.02, 0.14)),
     "sphere": PrimitiveShape("sphere", (0.035,)),
 }
-ROW_COUNTS = (1, 7, 8, 9, 50)
+ROW_COUNTS = (0, 1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 50)
 
 
 def object_cloud(kind, seed=41):
@@ -282,9 +319,23 @@ def same_hits(got, want):
     return got
 
 
-def box_hits(grasps, points, margin=0.0):
-    """stacked_box_hits over the gripper boxes, for (N, 3) points as the reference takes them."""
-    return stacked_box_hits(grasps, coordinate_rows(points), box_bounds(GRIPPER_BOXES, margin))
+def densify(chunks, n):
+    """box_hits' chunks as the reference's (rows, rotations, hits): each
+    chunk's hits spread over all its (row, point) pairs, (boxes, rows, N),
+    False at the pairs outside the joint hull, which it does not list."""
+    out = []
+    for rows, rot, flat, hits in chunks:
+        assert np.all(np.diff(flat) > 0) and hits.shape == (hits.shape[0], len(flat))
+        dense = np.zeros((len(hits), len(rot) * n), dtype=bool)
+        dense[:, flat] = hits
+        out.append((rows, rot, dense.reshape(len(hits), len(rot), n)))
+    return out
+
+
+def dense_hits(grasps, points, margin=0.0):
+    """box_hits over the gripper boxes, densified, for (N, 3) points as the reference takes them."""
+    coords = coordinate_rows(points)
+    return densify(box_hits(grasps, coords, box_bounds(GRIPPER_BOXES, margin)), coords.shape[1])
 
 
 class TestBoxKernel:
@@ -296,10 +347,13 @@ class TestBoxKernel:
         assert len(grasps) == 50
         for g in ROW_COUNTS:
             rows = grasps[np.arange(g)]
-            got = same_hits(box_hits(rows, cloud.points, margin),
+            got = same_hits(dense_hits(rows, cloud.points, margin),
                             reference.stacked_box_hits(rows, cloud.points, GRIPPER_BOXES, margin))
         hits = np.concatenate([h for _, _, h in got], axis=1)
         assert hits[:3].any() and hits[-1].any() and not hits.all()
+        # the hull passes on only some of the pairs
+        listed = sum(len(flat) for _, _, flat, _ in box_hits(grasps, cloud.coords, box_bounds(GRIPPER_BOXES, margin)))
+        assert hits.any(axis=0).sum() <= listed < hits[0].size
 
     @pytest.mark.parametrize("kind", sorted(OBJECTS))
     def test_evaluate_rows(self, kind):
@@ -313,16 +367,20 @@ class TestBoxKernel:
 
     @pytest.mark.parametrize("margin", [0.0, HAND_MARGIN])
     def test_points_on_box_faces(self, margin):
-        # points put on the dilated faces in each grasp's frame come back
-        # within an ulp of them, so a transform that rounds differently
-        # moves some across a face
+        # points put on the dilated faces of each box and of the boxes' joint
+        # hull, in each grasp's frame, come back within an ulp of them, so a
+        # transform that rounds differently moves some across a face
         rng = np.random.default_rng(46)
         poses = [Pose(rng.uniform(-0.2, 0.2, 3), rng.normal(size=4)) for _ in range(9)]
+        _, _, hull_lo, hull_hi = box_bounds(GRIPPER_BOXES, margin)
+        hull = [(hull_lo[:, 0], hull_hi[:, 0])]
+        faces = [
+            (np.subtract(box.center, box.half) - margin, np.add(box.center, box.half) + margin)
+            for box in GRIPPER_BOXES
+        ]
         world = []
         for pose in poses:
-            for box in GRIPPER_BOXES:
-                lo = np.subtract(box.center, box.half) - margin
-                hi = np.add(box.center, box.half) + margin
+            for lo, hi in faces + hull:
                 for axis in range(3):
                     for face in (lo, hi):
                         pts = rng.uniform(lo, hi, (40, 3))
@@ -330,8 +388,26 @@ class TestBoxKernel:
                         world.append(pose.transform_points(pts))
         world = np.vstack(world)
         grasps = reference.grasp_set(poses, np.zeros(len(poses)))
-        same_hits(box_hits(grasps, world, margin),
+        same_hits(dense_hits(grasps, world, margin),
                   reference.stacked_box_hits(grasps, world, GRIPPER_BOXES, margin))
+
+    @pytest.mark.parametrize("margin", [0.0, HAND_MARGIN])
+    def test_non_finite_points(self, margin):
+        # a NaN or infinite coordinate meets no box, in the hull or after it
+        cloud = object_cloud("box")
+        pts = cloud.points.copy()
+        rng = np.random.default_rng(47)
+        for value in (np.nan, np.inf, -np.inf):
+            rows = rng.choice(len(pts), 40, replace=False)
+            pts[rows, rng.integers(0, 3, 40)] = value
+        pts[:5] = np.nan
+        pts[5:10] = np.inf
+        grasps = grasps_near(cloud)
+        for g in ROW_COUNTS:
+            rows = grasps[np.arange(g)]
+            with np.errstate(invalid="ignore"):  # inf * 0 in either transform
+                same_hits(dense_hits(rows, pts, margin),
+                          reference.stacked_box_hits(rows, pts, GRIPPER_BOXES, margin))
 
     def test_single_pose(self):
         cloud = object_cloud("cylinder")
@@ -339,7 +415,7 @@ class TestBoxKernel:
         for i in range(len(grasps)):
             pose = grasps.pose(i)
             for margin in (0.0, HAND_MARGIN):
-                same_hits(box_hits(pose, cloud.points, margin),
+                same_hits(dense_hits(pose, cloud.points, margin),
                           reference.stacked_box_hits(pose, cloud.points, GRIPPER_BOXES, margin))
             assert same_bytes(evaluate(pose, cloud), reference.evaluate_rows(pose, cloud))
 
@@ -350,7 +426,7 @@ class TestBoxKernel:
         assert cloud.coords.flags.c_contiguous and cloud.coords is cloud.coords
         assert same_bytes(coordinate_rows(cloud.points), cloud.coords)
         grasps = grasps_near(cloud)
-        same_hits(stacked_box_hits(grasps, cloud.coords, box_bounds(GRIPPER_BOXES)),
+        same_hits(densify(box_hits(grasps, cloud.coords, box_bounds(GRIPPER_BOXES)), len(cloud)),
                   reference.stacked_box_hits(grasps, cloud.points, GRIPPER_BOXES))
 
     def test_empty_cloud_and_empty_set(self):
@@ -359,12 +435,13 @@ class TestBoxKernel:
         none = np.zeros((0, 3))
         for g in ROW_COUNTS:
             rows = grasps[np.arange(g)]
-            same_hits(box_hits(rows, none),
-                      reference.stacked_box_hits(rows, none, GRIPPER_BOXES))
+            for margin in (0.0, HAND_MARGIN):
+                same_hits(dense_hits(rows, none, margin),
+                          reference.stacked_box_hits(rows, none, GRIPPER_BOXES, margin))
             empty = LabeledPointCloud.empty()
             assert same_bytes(evaluate(rows, empty), reference.evaluate_rows(rows, empty))
         for points in (cloud.points, none):
-            assert same_hits(box_hits(GraspSet.empty(), points),
+            assert same_hits(dense_hits(GraspSet.empty(), points),
                              reference.stacked_box_hits(GraspSet.empty(), points, GRIPPER_BOXES)) == []
         assert same_bytes(evaluate(GraspSet.empty(), cloud),
                           reference.evaluate_rows(GraspSet.empty(), cloud))
@@ -373,13 +450,10 @@ class TestBoxKernel:
     def test_points_in_boxes(self, margin):
         rng = np.random.default_rng(43)
         pts = rng.uniform(-0.08, 0.08, (3000, 3))
-        bounds = box_bounds(GRIPPER_BOXES, margin)
-        got = points_in_bounds(pts.T, bounds)
+        lo, hi, _, _ = box_bounds(GRIPPER_BOXES, margin)
+        got = points_in_bounds(pts.T, lo, hi)
         assert same_bytes(got, reference.points_in_boxes(pts, GRIPPER_BOXES, margin))
-        stack = pts.reshape(6, 500, 3)
-        got = points_in_bounds(stack.transpose(0, 2, 1), bounds)
-        want = reference.points_in_boxes(pts, GRIPPER_BOXES, margin).reshape(4, 6, 500)
-        assert same_bytes(got, want) and got.any() and not got.all()
+        assert got.any() and not got.all()
 
     def test_quat_to_matrix(self):
         rng = np.random.default_rng(44)
@@ -506,7 +580,8 @@ class TestHandPointEncoder:
             held = (OBJECTS[kind], palm.compose(Pose([0, -0.11, 0], rng.normal(size=4))))
             cloud = synthesize_cloud(held, palm, np.random.default_rng([seed, 1, 10 * seed]))
             self.check(cloud.points)
-            self.check(cloud.hand_cloud().points)
+            hand, _ = perceive(held, palm, palm.p, 0.0, np.random.default_rng([seed, 1, 10 * seed]))
+            self.check(hand.points)
         self.check(object_cloud(kind).points)
 
     def test_committed_scenarios(self):

@@ -234,7 +234,7 @@ def test_counts_are_read_by_division(nominal):
     # c / 1e5 is the float np.round(points, 5) gave; c * 1e-5 is one ulp off
     # it for some c. A point on the palm box's dilated +x face, at local
     # (y, z) = (0, -0.04) of a grasp at (px, 0, 0), tells the two apart.
-    face = box_bounds(GRIPPER_BOXES, DEFAULT_HAND_MARGIN)[1][0, 2]  # upper x, box 2 the palm
+    face = box_bounds(GRIPPER_BOXES, DEFAULT_HAND_MARGIN)[1][0, 2, 0]  # upper x, box 2 the palm
     c = next(c for c in range(50000, 60000)
              if (c / 1e5 - (c / 1e5 - face) <= face) != (c * 1e-5 - (c / 1e5 - face) <= face))
     px = c / 1e5 - face
@@ -338,3 +338,16 @@ def test_end_effector_below_the_table(nominal):
     ticks_of(nominal)[100]["ee_pose"][2] = -0.01
     assert "tick 100: ee_pose z -0.010000 is below the table at 0.0" in verify_records(nominal)
 
+
+
+def test_illegal_stage_change_exits_3(nominal, tmp_path, capsys):
+    # the nominal run's first take, moved off its selection tick
+    ticks = ticks_of(nominal)
+    took = next(r for r in ticks if r["stage"] == "take")
+    took["selection_tick"] = False
+    assert verify_records(nominal) == [f"tick {took['tick']}: illegal stage change approach -> take"]
+    assert verify_exit(nominal, tmp_path) == EXIT_INVARIANT
+    assert f"tick {took['tick']}: illegal stage change approach -> take" in capsys.readouterr().err
+    # a stage the plan does not have
+    took["selection_tick"], ticks[-1]["stage"] = True, "hover"
+    assert verify_records(nominal) == [f"tick {ticks[-1]['tick']}: illegal stage change {ticks[-2]['stage']} -> hover"]
