@@ -282,7 +282,7 @@ def perceive(held, palm: Pose, crop_center, label_noise: float, rng: np.random.G
 def _cloud(label: int, *parts) -> LabeledPointCloud:
     """The given rows of each (points, normals, rows) part, one part after
     the other, all labeled label."""
-    if len(parts) == 1:
+    if len(parts) == 1:  # concatenating one part would copy it a second time
         ((points, normals, rows),) = parts
         points, normals = points.take(rows, axis=0), normals.take(rows, axis=0)
     else:

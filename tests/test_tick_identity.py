@@ -325,7 +325,7 @@ def densify(chunks, n):
     False at the pairs outside the joint hull, which it does not list."""
     out = []
     for rows, rot, flat, hits in chunks:
-        assert np.all(np.diff(flat) > 0) and hits.shape == (hits.shape[0], len(flat))
+        assert np.all(np.diff(flat) > 0) and hits.shape[1] == len(flat)
         dense = np.zeros((len(hits), len(rot) * n), dtype=bool)
         dense[:, flat] = hits
         out.append((rows, rot, dense.reshape(len(hits), len(rot), n)))

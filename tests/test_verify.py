@@ -351,3 +351,13 @@ def test_illegal_stage_change_exits_3(nominal, tmp_path, capsys):
     # a stage the plan does not have
     took["selection_tick"], ticks[-1]["stage"] = True, "hover"
     assert verify_records(nominal) == [f"tick {ticks[-1]['tick']}: illegal stage change {ticks[-2]['stage']} -> hover"]
+
+
+def test_drop_entered_on_a_non_finite_tick_exits_2(nominal, tmp_path, capsys):
+    # a NaN tick would never reach the drop's end; it is a malformed record
+    drop = next(r for r in ticks_of(nominal) if r["stage"] == "drop")
+    drop["tick"] = float("nan")
+    with pytest.raises(ValueError):
+        verify_records(nominal)
+    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
+    assert "malformed record" in capsys.readouterr().err
