@@ -28,7 +28,12 @@ coordinate rows (LabeledPointCloud.coords, made once per cloud), and the
 gripper's box bounds are made once, at import.
 sample_grasps draws its trials one at a time, in a fixed order, then
 builds each block's trial frames in one stacked pass that matches the
-one-trial arithmetic row for row. Evaluator implementations are pure
+one-trial arithmetic row for row, and scores the block in one call. The
+first block is n trials; each later one is sized from the yield so far to
+the trials the missing grasps need, or the whole budget left while no
+trial has scored. A block keeps only its first positive rows that the
+set still needs, so the rows are those of a one-trial loop; the
+generator may end past the last of them. Evaluator implementations are pure
 functions of their inputs; anything with the same stacked
 (grasps, cloud) -> (G,) scores signature can be swapped in. GraspSet
 carries grasps as rows of three arrays from sampler to selection.
@@ -56,6 +61,25 @@ class Box:
     half: tuple
 
 
+def _own_rows(rows, shape) -> np.ndarray:
+    """rows as a float64, C-contiguous array of the given shape. An array
+    that already is one and owns its data, such as a take, a where or a
+    product made for the set, is kept as it is: the set takes it over and
+    makes it read-only in place, so a caller passes only arrays it is done
+    with. Anything else, a view included, is copied, so writing through the
+    caller's view or its base cannot change the set."""
+    if (
+        isinstance(rows, np.ndarray)
+        and rows.dtype == np.float64
+        and rows.flags.c_contiguous
+        and rows.flags.owndata
+        and rows.ndim == len(shape)
+        and rows.shape[1:] == shape[1:]
+    ):
+        return rows
+    return np.array(rows, dtype=float, order="C").reshape(shape)
+
+
 @dataclass(frozen=True, eq=False)
 class GraspSet:
     """G grasps as rows: positions p (G, 3), quaternions q (G, 4) in the
@@ -68,9 +92,9 @@ class GraspSet:
     scores: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float, order="C").reshape(-1, 3)
-        q = np.array(self.q, dtype=float, order="C").reshape(-1, 4)
-        scores = np.array(self.scores, dtype=float).reshape(-1)
+        p = _own_rows(self.p, (-1, 3))
+        q = _own_rows(self.q, (-1, 4))
+        scores = _own_rows(self.scores, (-1,))
         if not len(p) == len(q) == len(scores):
             raise ValueError("p, q and scores need one row per grasp")
         if not np.all((scores >= 0.0) & (scores <= 1.0)):
@@ -212,20 +236,22 @@ def sample_grasps(object_cloud: LabeledPointCloud, n: int, rng: np.random.Genera
 
     Approach axis is the negated surface normal, the closing axis a
     random tangent, and the anchor point lands at the grasp origin
-    (center of the closing region). Returns an empty set when no
-    candidate scores > 0 within 10 * n trials (ungraspable view).
+    (center of the closing region). Returns the first n trials, in draw
+    order, that score > 0 among the first 10 * n; an empty set when none
+    does (ungraspable view). The generator may be left past the last
+    trial kept: trials are drawn and scored in blocks.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(object_cloud) == 0:
         return GraspSet.empty()
     points, normals = object_cloud.points, object_cloud.normals
-    found, trials = GraspSet.empty(), 10 * n
-    while len(found) < n and trials > 0:
-        # trials are drawn one at a time and scored as a block; a block of n - found
-        # trials ends no later than where a one-at-a-time loop stops, so the draws match
-        block = min(n - len(found), trials)
-        trials -= block
+    budget, drawn, found, block, kept = 10 * n, 0, 0, n, []
+    while found < n and drawn < budget:
+        # trials are drawn one at a time, in the one-trial loop's order, and
+        # scored as a block; a block keeps its first n - found positive rows,
+        # so the rows are that loop's, and only the generator runs on past them
+        block = min(block, budget - drawn)
         idx, tangent = np.empty(block, dtype=np.int64), np.empty((block, 3))
         for k in range(block):
             idx[k] = rng.integers(len(object_cloud))
@@ -242,5 +268,10 @@ def sample_grasps(object_cloud: LabeledPointCloud, n: int, rng: np.random.Genera
         q = quat_unit_rows(quat_from_matrix(frames))
         trial = GraspSet(point.take(keep, axis=0), q, np.zeros(len(q)))
         scores = evaluate(trial, object_cloud)
-        found = found + GraspSet(trial.p, trial.q, scores)[scores > 0.0]
-    return found
+        hit = np.flatnonzero(scores > 0.0)[: n - found]
+        kept.append((trial.p.take(hit, axis=0), trial.q.take(hit, axis=0), scores.take(hit)))
+        drawn, found = drawn + block, found + len(hit)
+        # the next block is the trials that the yield so far needs for the
+        # rest, rounded up; with no positive trial yet, the whole budget left
+        block = -(-(n - found) * drawn // found) if found else budget - drawn
+    return GraspSet(*(np.concatenate(rows) for rows in zip(*kept)))

@@ -20,8 +20,8 @@ from dataclasses import replace
 import pytest
 import yaml
 
-from handover_sim import sim
-from handover_sim.evaluator import GraspSet
+from handover_sim import refinement, sim
+from handover_sim.evaluator import GraspSet, sample_grasps
 from handover_sim.motion import rrt_connect
 from handover_sim.planner import DROP_DURATION
 from handover_sim.refinement import TARGET_SIZE, prune_hand_collisions
@@ -250,6 +250,33 @@ def test_pushed_hand_rrt_digest_is_pinned(name, seed, monkeypatch):
     # the pin covers the planner only while the run still calls it
     assert paths
     assert any(p is not None for p in paths) == (name == "both_free")
+
+
+def test_draws_after_sampling_never_reach_a_trace(monkeypatch):
+    """The sampler may leave its generator past the last trial it keeps.
+    Its callers, naive's refine and maintain's top-up, draw nothing more
+    from that tick's generator, so extra draws after each call leave the
+    pinned traces as they are."""
+    calls = []
+
+    def sample_then_draw(object_cloud, n, rng):
+        grasps = sample_grasps(object_cloud, n, rng)
+        calls.append(n)
+        rng.random(97)
+        rng.integers(len(object_cloud), size=5)
+        rng.normal(size=(5, 3))
+        return grasps
+
+    monkeypatch.setattr(sim, "sample_grasps", sample_then_draw)
+    monkeypatch.setattr(refinement, "sample_grasps", sample_then_draw)
+    naive = pinned_run(baseline_mode("naive"), 0)
+    assert trace_digest(naive) == PINNED_MODES[("naive", 0)]
+    assert calls
+    calls.clear()
+    resampling = pinned_run(committed("rotate90_midmotion"), 0)
+    assert trace_digest(resampling) == PINNED[("rotate90_midmotion", 0)]
+    # besides the first refine tick's fill, the turn in hand empties the set once more
+    assert len(calls) == sum(rec["resampled"] for rec in resampling if rec["type"] == "tick") > 1
 
 
 def test_stage_path_check_rejects_paths_the_plan_cannot_take():

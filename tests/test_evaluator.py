@@ -253,6 +253,18 @@ class ScriptedGenerator:
         return self.rng.random()
 
 
+def trials_past(got_rng, ref_rng, n_points, budget):
+    """How many whole trials (an index, then a tangent) ref_rng draws
+    before its state is got_rng's, or None if budget trials never reach it:
+    got_rng stands that many trials further along the same stream."""
+    for k in range(budget + 1):
+        if got_rng.bit_generator.state == ref_rng.bit_generator.state:
+            return k
+        ref_rng.integers(n_points)
+        ref_rng.normal(size=3)
+    return None
+
+
 class TestSampleGrasps:
     def sphere_cloud(self, r=0.03, n=2000, seed=3):
         shape = PrimitiveShape("sphere", (r,))
@@ -303,7 +315,7 @@ class TestSampleGrasps:
         )
         assert len(sample_grasps(blocker, 5, np.random.default_rng(7))) == 0
 
-    def test_blocks_leave_generator_where_sequential_loop_did(self, monkeypatch):
+    def test_blocks_keep_the_rows_of_the_sequential_loop(self, monkeypatch):
         # recorded with the one-trial-at-a-time sampler: 36 trials for 20 grasps
         calls = []
         scorer = evaluator.evaluate
@@ -318,7 +330,8 @@ class TestSampleGrasps:
         assert hashlib.sha256(rows.tobytes()).hexdigest() == (
             "d7249c1d21b3885ba4c1c8bfd624e43d13f261090b6274a5d7062c2143561456"
         )
-        assert rng.random() == 0.6852613914185123
+        # two whole blocks: 20 trials, then 25 sized from the first's yield
+        assert trials_past(rng, np.random.default_rng(21), 3000, 200) == 45
 
     @staticmethod
     def assert_same_rows(a, b):
@@ -333,7 +346,8 @@ class TestSampleGrasps:
             got = sample_grasps(cloud, 20, got_rng)
             self.assert_same_rows(got, reference.sample_grasps(cloud, 20, ref_rng))
             assert len(got) == 20
-            assert got_rng.random() == ref_rng.random()
+            # the sampler ends whole trials past the reference's last, never short of it
+            assert trials_past(got_rng, ref_rng, len(cloud), 200) is not None
 
     def test_tangent_along_approach_axis_is_skipped_as_in_reference(self):
         cloud = self.sphere_cloud()
@@ -343,11 +357,71 @@ class TestSampleGrasps:
         self.assert_same_rows(got, reference.sample_grasps(cloud, 30, ref_rng))
         # every third trial is skipped, so the sampler needs more than 30 trials
         assert len(got) == 30 and len(got_rng.drawn) > 30
-        assert got_rng.random() == ref_rng.random()
+        assert trials_past(got_rng.rng, ref_rng.rng, len(cloud), 300) is not None
+
+    @staticmethod
+    def block_ends(monkeypatch, rng):
+        """Record the trials drawn so far at each evaluate call."""
+        ends = []
+        scorer = evaluator.evaluate
+        monkeypatch.setattr(
+            evaluator, "evaluate", lambda *a: ends.append(len(rng.drawn)) or scorer(*a)
+        )
+        return ends
+
+    def test_block_sizes_follow_the_yield(self, monkeypatch):
+        # the one-trial loop took 36 trials here; the parent's blocks of
+        # n - found trials made four evaluate calls
+        rng = ScriptedGenerator(21)
+        ends = self.block_ends(monkeypatch, rng)
+        assert len(sample_grasps(cylinder_cloud(n=3000), 20, rng)) == 20
+        assert ends == [20, 45]
+
+    def test_zero_yield_spends_the_budget_in_two_blocks(self, monkeypatch):
+        blocker = LabeledPointCloud(
+            [[0.0, 0.0, 0.0], [0.0, 0.0, -0.04]],
+            [LABEL_OBJECT, LABEL_OBJECT],
+            [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+        )
+        rng = ScriptedGenerator(7)
+        ends = self.block_ends(monkeypatch, rng)
+        got = sample_grasps(blocker, 5, rng)
+        assert ends == [5, 50]  # n, then the 9 n left of the budget
+        self.assert_same_rows(got, reference.sample_grasps(blocker, 5, np.random.default_rng(7)))
+        assert len(got) == 0
 
     def test_grasp_score_bounds_enforced(self):
         with pytest.raises(ValueError):
             GraspSet([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]], [1.5])
+
+
+class TestGraspSetArrays:
+    def test_arrays_are_read_only(self):
+        grasps = GraspSet([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]], [0.5])
+        for arr in (grasps.p, grasps.q, grasps.scores):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.25
+
+    def test_fresh_arrays_are_kept_without_a_copy(self):
+        p, q, scores = np.zeros((2, 3)), np.zeros((2, 4)), np.full(2, 0.5)
+        q[:, 3] = 1.0
+        grasps = GraspSet(p, q, scores)
+        assert grasps.p is p and grasps.q is q and grasps.scores is scores
+        assert not p.flags.writeable
+
+    def test_writing_to_a_callers_view_cannot_change_the_set(self):
+        base = np.zeros((4, 8))
+        p, q, scores = base[:2, :3], base[:2, 3:7], base[:2, 7]
+        q[:, 3] = 1.0
+        scores[:] = 0.5
+        grasps = GraspSet(p, q, scores)
+        before = [arr.copy() for arr in (grasps.p, grasps.q, grasps.scores)]
+        p[:] = 1.0
+        base[:, 3:] = 0.75
+        assert base.flags.writeable
+        for arr, old in zip((grasps.p, grasps.q, grasps.scores), before):
+            assert np.array_equal(arr, old)
 
 
 def mirrored_under_flip(boxes):
