@@ -370,8 +370,7 @@ class TestSampleGrasps:
         return ends
 
     def test_block_sizes_follow_the_yield(self, monkeypatch):
-        # the one-trial loop took 36 trials here; the parent's blocks of
-        # n - found trials made four evaluate calls
+        # the one-trial loop takes 36 trials here; two blocks cover them
         rng = ScriptedGenerator(21)
         ends = self.block_ends(monkeypatch, rng)
         assert len(sample_grasps(cylinder_cloud(n=3000), 20, rng)) == 20
@@ -411,15 +410,16 @@ class TestGraspSetArrays:
         assert not p.flags.writeable
 
     def test_writing_to_a_callers_view_cannot_change_the_set(self):
-        base = np.zeros((4, 8))
-        p, q, scores = base[:2, :3], base[:2, 3:7], base[:2, 7]
-        q[:, 3] = 1.0
-        scores[:] = 0.5
-        grasps = GraspSet(p, q, scores)
+        # contiguous float64 views: only their base tells them from fresh arrays
+        bases = np.zeros((4, 3)), np.zeros((4, 4)), np.full(4, 0.5)
+        bases[1][:, 3] = 1.0
+        views = [base[:2] for base in bases]
+        assert all(view.flags.c_contiguous for view in views)
+        grasps = GraspSet(*views)
         before = [arr.copy() for arr in (grasps.p, grasps.q, grasps.scores)]
-        p[:] = 1.0
-        base[:, 3:] = 0.75
-        assert base.flags.writeable
+        for view, base in zip(views, bases):
+            view[0] = 0.25
+            base[1] = 0.75
         for arr, old in zip((grasps.p, grasps.q, grasps.scores), before):
             assert np.array_equal(arr, old)
 
