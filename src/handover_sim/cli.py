@@ -2,13 +2,15 @@
 
 Subcommands: run a single scenario, batch a scenario directory into a
 summary CSV, or verify a trace file's safety/velocity invariants.
-Exit codes: 0 ok, 2 scenario parse error or unreadable trace, 3 invariant
+Exit codes: 0 ok, 2 scenario parse error, unreadable trace or an output
+path that cannot be written (checked before any run starts), 3 invariant
 violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -50,6 +52,20 @@ def _parse_seeds(text: str) -> list[int]:
         raise ScenarioError(f"--seeds must be comma-separated integers: {text!r}") from exc
 
 
+def _check_writable(path) -> None:
+    """TraceError unless a file can be written at path. It is opened to
+    append, which leaves a file already there as it is, and a file it
+    made is removed again, so a run that fails later leaves none behind."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "ab"):
+            pass
+    except OSError as exc:
+        raise TraceError(f"cannot write {path}: {exc.strerror}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -57,6 +73,8 @@ def main(argv=None) -> int:
             scenario = load_scenario(args.scenario)
             if args.mode is not None:
                 scenario = replace(scenario, mode=args.mode)
+            if args.trace:
+                _check_writable(args.trace)
             metrics, records = run(scenario, seed=args.seed)
             # write_trace hashes the lines it writes, so each record is encoded once
             digest = write_trace(records, args.trace) if args.trace else trace_digest(records)
@@ -68,6 +86,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "batch":
             seeds = _parse_seeds(args.seeds)
+            _check_writable(args.out)
             rows = batch(args.dir, seeds, out_csv=args.out, mode=args.mode)
             for row in rows:
                 print(

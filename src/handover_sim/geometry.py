@@ -89,19 +89,36 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     return q
 
 
+# quat_to_matrix's nine entries, row-major, as 2 (q[A] q[B] + SIGN q[C] q[D]),
+# with x, y, z, w at 0-3; the diagonal's entries (0, 4 and 8) are taken from 1
+_QA = np.array([1, 0, 0, 0, 0, 1, 0, 1, 0])
+_QB = np.array([1, 1, 2, 1, 0, 2, 2, 2, 0])
+_QC = np.array([2, 2, 1, 2, 2, 0, 1, 0, 1])
+_QD = np.array([2, 3, 3, 3, 2, 3, 3, 3, 1])
+_QSIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+
+
 def quat_to_matrix(q) -> np.ndarray:
-    """(3, 3) rotation matrix, or a C-contiguous (G, 3, 3) stack for (G, 4)."""
+    """(3, 3) rotation matrix, or a C-contiguous (G, 3, 3) stack for (G, 4).
+
+    A stack builds its nine entries in one gathered pass; a + (-b) is
+    exactly a - b, so each row keeps the bits of its one-q call."""
     q = np.asarray(q, dtype=float)
+    if q.ndim == 2:
+        m = q.take(_QA, axis=1) * q.take(_QB, axis=1)
+        m += _QSIGN * (q.take(_QC, axis=1) * q.take(_QD, axis=1))
+        m *= 2.0
+        m[:, ::4] = 1.0 - m[:, ::4]
+        return m.reshape(-1, 3, 3)
     # one q as Python floats: the same IEEE arithmetic without numpy scalar dispatch
-    x, y, z, w = q.tolist() if q.ndim == 1 else q.T
-    m = np.array(
+    x, y, z, w = q.tolist()
+    return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
             [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
-    return m if m.ndim == 2 else np.ascontiguousarray(m.transpose(2, 0, 1))
 
 
 def quat_from_matrix(m) -> np.ndarray:

@@ -8,9 +8,13 @@ with ``event`` and ``closure`` records between them. Pose arrays are
 carry the hand points in force, so safety can be re-checked offline:
 ``hand_points`` is one flat list [x0, y0, z0, x1, y1, z1, ...] of JSON
 integers that count 1e-5 m (``sim.HAND_POINT_SCALE`` counts to a metre).
-verify reads them back as count / 1e5, the coordinates rounded to
-1e-5 m. Printing the hand points is most of the cost of writing or
-hashing a trace, and an integer prints far faster than a float.
+verify reads each cloud once, as one int64 array of its counts: that
+array is the range check, because every int64 count is finite metres,
+and divided by 1e5 it is the points, the coordinates rounded to 1e-5 m,
+since int64 -> float64 rounds as Python's int -> float does. Only a cloud
+holding a count beyond int64 is read as Python floats. Printing the hand
+points is most of the cost of writing or hashing a trace, and an integer
+prints far faster than a float.
 
 verify_records re-checks, for every tick record:
 
@@ -108,17 +112,28 @@ def _pose_rows(poses) -> tuple[np.ndarray, np.ndarray]:
     return rows, finite
 
 
-def _check_points(points) -> bool:
-    """ValueError unless a hand_points list is whole (x, y, z) triples of
-    JSON integers. A bool is not one, though Python counts it an int, and
-    np.fromiter would read it as 1 or 0, parse a string and read null as
-    NaN. Returns whether a float can hold every count, that is, whether
-    every point is finite."""
+def _read_counts(points) -> tuple[np.ndarray, bool]:
+    """A hand_points list as one array of its counts, and whether every
+    point is finite; ValueError unless the list is whole (x, y, z) triples
+    of JSON integers. A bool is not one, though Python counts it an int,
+    and np.fromiter would read it as 1 or 0, parse a string and read null
+    as NaN.
+
+    The counts are read once, as int64: every int64 lies far inside
+    FLOAT_LIMIT, so the cloud is finite, and int64 -> float64 rounds to
+    nearest as int -> float does, so the points keep their bits. Only a
+    count beyond int64 takes the min/max test and a float read, in which
+    a count no float holds reads as NaN, which meets no box."""
     if len(points) % 3:
         raise ValueError("hand_points is not a flat list of (x, y, z) triples")
     if not set(map(type, points)) <= {int}:
         raise ValueError("hand_points holds a value that is not an integer count")
-    return not points or (-FLOAT_LIMIT < min(points) and max(points) < FLOAT_LIMIT)
+    try:
+        return np.fromiter(points, dtype=np.int64, count=len(points)), True
+    except OverflowError:
+        finite = -FLOAT_LIMIT < min(points) and max(points) < FLOAT_LIMIT
+        counts = (c if -FLOAT_LIMIT < c < FLOAT_LIMIT else np.nan for c in points)
+        return np.fromiter(counts, dtype=float, count=len(points)), finite
 
 
 def verify_records(records) -> list[str]:
@@ -169,20 +184,22 @@ def verify_records(records) -> list[str]:
     first[1:] = ~(same_cloud & same_grasp)
     heads = tested[first]
     head_clouds, starts = np.unique(cloud_of[heads], return_index=True)
+    ends = [*starts[1:].tolist(), len(heads)]
+    spans = dict(zip(head_clouds.tolist(), zip(starts.tolist(), ends)))
     points_finite = np.ones(len(ticks), dtype=bool)
-    points_finite[clouds] = [_check_points(ticks[k]["hand_points"]) for k in clouds]
     hits = np.zeros(len(heads), dtype=bool)
-    for k, lo, hi in zip(head_clouds, starts, [*starts[1:], len(heads)]):
-        runs = heads[lo:hi]
-        grasps = GraspSet(grasp[runs, :3], grasp[runs, 3:], np.zeros(len(runs)))
-        # only a cloud that some grasp is tested against becomes an array;
-        # dividing, not multiplying by 1e-5, gives np.round(points, 5) bit for
-        # bit, but for the sign of zero, which the box test treats alike
-        counts = ticks[k]["hand_points"]
-        if not points_finite[k]:  # a count no float holds reads as NaN, which meets no box
-            counts = [c if -FLOAT_LIMIT < c < FLOAT_LIMIT else np.nan for c in counts]
-        pts = np.fromiter(counts, dtype=float) / HAND_POINT_SCALE
-        hits[lo:hi] = collides_hand(grasps, pts.reshape(-1, 3), DEFAULT_HAND_MARGIN)
+    # one cloud at a time, each read once; only a cloud that some grasp is
+    # tested against is made points, and none is kept past its test
+    for k in clouds.tolist():
+        counts, points_finite[k] = _read_counts(ticks[k]["hand_points"])
+        if k in spans:
+            lo, hi = spans[k]
+            runs = heads[lo:hi]
+            grasps = GraspSet(grasp[runs, :3], grasp[runs, 3:], np.zeros(len(runs)))
+            # dividing, not multiplying by 1e-5, gives np.round(points, 5) bit
+            # for bit, but for the sign of zero, which the box test treats alike
+            pts = (counts / HAND_POINT_SCALE).reshape(-1, 3)
+            hits[lo:hi] = collides_hand(grasps, pts, DEFAULT_HAND_MARGIN)
     collides = np.zeros(len(ticks), dtype=bool)
     collides[tested] = hits[np.cumsum(first) - 1]
     illegal, overrun = _stage_paths(records, ticks)

@@ -16,8 +16,9 @@ from handover_sim.evaluator import (
     points_in_bounds,
     sample_grasps,
 )
-from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul
+from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul, quat_unit_rows
 from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape
+from handover_sim.selection import expand_flips, make_targets
 import reference
 from reference import IDENTITY, flip_about_grasp_z, point_cloud, z_axis
 
@@ -422,6 +423,28 @@ class TestGraspSetArrays:
             base[1] = 0.75
         for arr, old in zip((grasps.p, grasps.q, grasps.scores), before):
             assert np.array_equal(arr, old)
+
+
+    @pytest.mark.parametrize("score", [1.5, -0.1])
+    def test_constructor_rejects_a_score_out_of_range(self, score):
+        with pytest.raises(ValueError, match="score must be in"):
+            GraspSet([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]], [score])
+
+    def test_derived_sets_keep_their_scores_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        scores = np.concatenate([[0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324], rng.uniform(size=8)])
+        grasps = GraspSet(rng.normal(size=(12, 3)), quat_unit_rows(rng.normal(size=(12, 4))), scores)
+        mask, index = scores > 0.5, np.array([3, 0, 3, 11])
+        derived = (
+            (grasps[mask], scores[mask]),
+            (grasps[index], scores[index]),
+            (grasps + grasps[index], np.concatenate([scores, scores[index]])),
+            (expand_flips(grasps), np.concatenate([scores, scores])),
+            (make_targets(grasps), scores),
+        )
+        for got, expected in derived:
+            assert got.scores.dtype == expected.dtype and got.scores.tobytes() == expected.tobytes()
+            assert not got.scores.flags.writeable
 
 
 def mirrored_under_flip(boxes):

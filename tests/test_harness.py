@@ -540,6 +540,34 @@ class TestCli:
         bad.write_text("mode: nope\n")
         assert main(["run", "--scenario", str(bad)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", NOMINAL, "--trace", "{missing}/t.jsonl"],
+        ["run", "--scenario", NOMINAL, "--trace", "{directory}"],
+        ["batch", "--dir", "scenarios", "--seeds", "0", "--out", "{missing}/s.csv"],
+    ], ids=["run_missing_directory", "run_directory", "batch_missing_directory"])
+    def test_unwritable_output_exits_2_before_any_run(self, argv, tmp_path, capsys, monkeypatch):
+        started = []
+
+        def no_run(*args, **kwargs):
+            started.append(args)
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("handover_sim.cli.run", no_run)
+        monkeypatch.setattr("handover_sim.batch.run", no_run)
+        argv = [arg.format(missing=tmp_path / "missing", directory=tmp_path) for arg in argv]
+        assert main(argv) == EXIT_PARSE
+        assert started == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"trace error: cannot write {argv[-1]}") and err.count("\n") == 1
+
+    def test_writable_trace_path_is_left_to_the_run(self, tmp_path, capsys):
+        # the check makes no file: a run that fails after it leaves none
+        trace = tmp_path / "t.jsonl"
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("mode: nope\n")
+        assert main(["run", "--scenario", str(bad), "--trace", str(trace)]) == EXIT_PARSE
+        assert not trace.exists()
+
     def test_verify_clean_and_tampered(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         assert main(["run", "--scenario", BELOW, "--seed", "0", "--trace", str(trace)]) == EXIT_OK

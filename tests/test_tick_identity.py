@@ -462,6 +462,19 @@ class TestBoxKernel:
             assert same_bytes(quat_to_matrix(q), reference.quat_to_matrix(q))
         assert same_bytes(quat_to_matrix(qs), reference.quat_to_matrix(qs))
 
+    def test_stacked_quat_to_matrix_is_the_one_q_form(self):
+        # unit rows, rows of other norms and negative scalar parts; the
+        # stacked pass adds a negated product where the one-q form subtracts
+        rng = np.random.default_rng(45)
+        qs = rng.normal(size=(120_000, 4)) * rng.uniform(0.1, 10.0, (120_000, 1))
+        qs[:40_000] /= np.linalg.norm(qs[:40_000], axis=1)[:, None]
+        qs[::3, 3] = -np.abs(qs[::3, 3])
+        # every sign of zero in each entry's two products
+        qs[:16] = [[(-1.0) ** (i >> b) * 0.0 for b in range(4)] for i in range(16)]
+        got = quat_to_matrix(qs)
+        assert got.flags.c_contiguous
+        assert same_bytes(got, np.array([quat_to_matrix(q) for q in qs]))
+
 
 MH_ROW_COUNTS = (0, 1, 7, 8, 9, 50)  # the chunk is 8 rows
 
@@ -565,7 +578,9 @@ class TestHandPointEncoder:
         counts = encode_hand_points(points)
         assert type(counts) is list and set(map(type, counts)) <= {int}
         assert np.array_equal(np.array(counts, dtype=np.int64), np.rint(points * 1e5).ravel())
-        read = np.fromiter(counts, dtype=float) / 1e5  # as verify reads them
+        read = np.fromiter(counts, dtype=float) / 1e5  # each count as a float, divided
+        # as verify reads them: int64 -> float64 rounds as int -> float does
+        assert same_bytes(np.fromiter(counts, dtype=np.int64) / 1e5, read)
         rounded = np.array(reference.float_hand_points(points))
         assert np.array_equal(read, rounded)
         # byte for byte, but that -0.0 reads back as 0.0 (adding 0.0 makes it so)

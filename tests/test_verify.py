@@ -282,6 +282,26 @@ def test_points_a_float_holds_are_still_tested(nominal):
         f"tick {t}: selected grasp collides with hand points" for t in range(50, 60)]
 
 
+# counts a float holds, at and past the ends of int64: 2**53 + 1 is the
+# least a float rounds, and 2**63 and -2**63 - 1 overflow an int64
+INT64_ENDS = {"two_to_53_plus_1": 2**53 + 1, "int64_max": 2**63 - 1, "two_to_63": 2**63,
+              "int64_min": -(2**63), "int64_min_minus_1": -(2**63) - 1}
+
+
+@pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
+@pytest.mark.parametrize("count", INT64_ENDS.values(), ids=INT64_ENDS)
+def test_counts_at_the_ends_of_int64_are_read_as_python_floats(nominal, count, tested):
+    # a grasp at the point (c, c, c) / 1e5 meets it only where verify reads c
+    # as float(c) does: near 2**63 / 1e5 m one ulp is 1/64 m, more than the
+    # closing region's dilated half width in x
+    ticks = ticks_of(nominal)
+    ticks[50]["hand_points"][3:6] = [count] * 3
+    for r in ticks[50:60]:
+        r["selected_grasp"] = [count / HAND_POINT_SCALE] * 3 + [0.0, 0.0, 0.0, 1.0] if tested else None
+    flagged = [f"tick {t}: selected grasp collides with hand points" for t in range(50, 60)]
+    assert verify_records(nominal) == reference.verify_records(nominal) == (flagged if tested else [])
+
+
 @pytest.mark.parametrize("field", ["selected_grasp", "selected_target"])
 def test_tampering_one_tick_leaves_every_other_tick(nominal, field):
     # the run rounds a selection once and gives each record its own lists;
