@@ -141,9 +141,10 @@ def verify_records(records) -> list[str]:
     and margin; returns the violations found, in tick order (empty means
     clean). See the module docstring for the checks.
 
-    Every check is an array pass over all ticks. The grasp test runs once
-    per hand cloud, over the distinct grasps selected while it is in
-    force, and only then are that cloud's points made an array.
+    Every check is an array pass over all ticks. Each hand cloud's counts
+    are read once, as one array (_read_counts); the grasp test then runs
+    once per cloud, over the distinct grasps selected while it is in
+    force, and only a cloud it tests is divided into points.
     """
     has_header = records and records[0].get("type") == "header"
     violations = [] if has_header else ["trace has no header record"]
@@ -188,8 +189,7 @@ def verify_records(records) -> list[str]:
     spans = dict(zip(head_clouds.tolist(), zip(starts.tolist(), ends)))
     points_finite = np.ones(len(ticks), dtype=bool)
     hits = np.zeros(len(heads), dtype=bool)
-    # one cloud at a time, each read once; only a cloud that some grasp is
-    # tested against is made points, and none is kept past its test
+    # one cloud at a time: none is held past its own test
     for k in clouds.tolist():
         counts, points_finite[k] = _read_counts(ticks[k]["hand_points"])
         if k in spans:
