@@ -198,7 +198,7 @@ def load_scenario(path) -> Scenario:
     import yaml
 
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # PyYAML decodes: a bad byte is a YAMLError
             data = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc

@@ -10,8 +10,8 @@ from tick to tick and has one method per stage: ``fire_events``,
 ``run`` builds the palm and object poses (``SimState.poses_at``) only on
 the ticks that read them: tracking, cloud and selection ticks, 26 of
 every 90, and the tick a take arrives and tests its closure. It rounds
-the selected target and grasp once each time the selection changes, and
-gives every tick record its own copy of the rounded lists.
+the selected grasp once each time the selection changes, and gives
+every tick record its own copy of the rounded list.
 
 ``observe`` gets the hand and object clouds from one ``scene.perceive``
 call, cropped around the tracked palm: each part is masked and gathered
@@ -341,7 +341,7 @@ def run(scenario: Scenario, seed: int | None = None):
         raise ScenarioError("seed must be >= 0")
     state = SimState(scenario, seed)
     records = state.records
-    rounded_for, target, grasp = None, None, None
+    rounded_for, grasp = None, None
     for tick in range(int(math.ceil(scenario.time_limit * BASE_HZ))):
         t = tick * DT
         state.fire_events(tick, t)
@@ -369,22 +369,16 @@ def run(scenario: Scenario, seed: int | None = None):
         selected = state.selected
         if selected is not rounded_for:  # rounded once per selection
             rounded_for = selected
-            target = _round_pose(selected.approach_pose) if selected else None
             grasp = _round_pose(selected.grasp) if selected else None
         rec = {
             "type": "tick",
             "tick": tick,
-            "sim_time": round(t, 7),
             "stage": state.stage.value,
             "ee_pose": _round_pose(state.ee),
-            # each record its own lists, so that editing one edits no other
-            "selected_target": [*target] if selected else None,
+            # each record its own list, so that editing one edits no other
             "selected_grasp": [*grasp] if selected else None,
             "candidate_count": state.candidate_count,
             "resampled": bool(resampled),
-            "attempt_count": state.metrics.attempts,
-            "tracking_tick": tracking_tick,
-            "cloud_tick": cloud_tick,
             "refined": bool(refine_tick),
             "selection_tick": bool(select_tick),
         }

@@ -7,22 +7,18 @@ with ``event`` and ``closure`` records between them. Pose arrays are
 [px, py, pz, qx, qy, qz, qw], rounded to 1e-7. Cloud-refresh ticks also
 carry the hand points in force, so safety can be re-checked offline:
 ``hand_points`` is one flat list [x0, y0, z0, x1, y1, z1, ...] of JSON
-integers that count 1e-5 m (``sim.HAND_POINT_SCALE`` counts to a metre).
-verify reads each cloud once, as one int64 array of its counts: that
-array is the range check, because every int64 count is finite metres,
-and divided by 1e5 it is the points, the coordinates rounded to 1e-5 m,
-since int64 -> float64 rounds as Python's int -> float does. Only a cloud
-holding a count beyond int64 is read as Python floats. Printing the hand
+integers that count 1e-5 m (``sim.HAND_POINT_SCALE`` counts to a metre),
+which verify reads once per cloud (``_read_counts``). Printing the hand
 points is most of the cost of writing or hashing a trace, and an integer
 prints far faster than a float.
 
 verify_records re-checks, for every tick record:
 
 - the tick indices count 0, 1, 2, ... with no gap;
-- the rate flags match the rate divisors in ``sim``: ``tracking_tick``
-  and ``cloud_tick`` hold exactly on their ticks, ``hand_points`` come
-  exactly with ``cloud_tick``, ``refined`` and ``selection_tick`` fall
-  only on their ticks, and ``resampled`` only with ``refined``;
+- the record follows the rate divisors in ``sim``: ``hand_points``
+  come exactly on ``tick % CLOUD_DIV == 0``, ``refined`` and
+  ``selection_tick`` fall only on their ticks, and ``resampled`` only
+  with ``refined``;
 - ``ee_pose`` and ``selected_grasp`` are finite, and so is every hand
   point: a count a float cannot hold reads as infinite metres;
 - the end effector's linear and angular steps stay within the program's
@@ -34,8 +30,8 @@ verify_records re-checks, for every tick record:
   its done tick (``_stage_paths``), each illegal change reported as
   ``tick N: illegal stage change A -> B``.
 
-The limits and the margin are the program's constants, never values the
-header records, so a trace cannot loosen the checks it is judged by.
+The limits, the margin and the tick rates are the program's constants,
+never values the trace records, so a trace cannot loosen its checks.
 
 A trace without a header or a tick record fails verification; one that
 cannot be read or holds a malformed record raises TraceError: among
@@ -57,7 +53,7 @@ from .geometry import quat_unit_rows, row_dot
 from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX, TABLE_Z
 from .planner import DROP_DURATION
 from .refinement import DEFAULT_HAND_MARGIN, collides_hand
-from .sim import CLOUD_DIV, DT, HAND_POINT_SCALE, REFINE_DIV, SELECT_DIV, TRACKING_DIV
+from .sim import CLOUD_DIV, DT, HAND_POINT_SCALE, REFINE_DIV, SELECT_DIV
 
 IDENTITY = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # stands in for a pose with a non-finite value
 FLOAT_LIMIT = 2**1024 - 2**970  # the least integer that float() cannot hold
@@ -153,11 +149,10 @@ def verify_records(records) -> list[str]:
         return violations + ["trace has no tick record"]
 
     flags = np.array([
-        (rec["tick"], rec["tracking_tick"], rec["cloud_tick"], rec["refined"],
-         rec["selection_tick"], rec["resampled"], "hand_points" in rec)
+        (rec["tick"], rec["refined"], rec["selection_tick"], rec["resampled"], "hand_points" in rec)
         for rec in ticks
     ])
-    tick, tracking, cloud, refined, selection, resampled, has_points = flags.T
+    tick, refined, selection, resampled, has_points = flags.T
     expected = np.concatenate([[0], tick[:-1] + 1])
 
     ee, ee_finite = _pose_rows([rec["ee_pose"] for rec in ticks])
@@ -208,10 +203,8 @@ def verify_records(records) -> list[str]:
     # (flagged ticks, message after "tick N: ", per-tick value for its {} field)
     checks = (
         (tick != expected, "tick index breaks the count 0, 1, 2, ...: expected {}", expected),
-        (tracking != (tick % TRACKING_DIV == 0), f"tracking_tick is not tick % {TRACKING_DIV} == 0",
+        (has_points != (tick % CLOUD_DIV == 0), f"hand_points do not match tick % {CLOUD_DIV} == 0",
          tick),
-        (cloud != (tick % CLOUD_DIV == 0), f"cloud_tick is not tick % {CLOUD_DIV} == 0", tick),
-        (has_points != cloud, "hand_points do not match cloud_tick", tick),
         ((refined != 0) & (tick % REFINE_DIV != 0), f"refined off tick % {REFINE_DIV} == 0", tick),
         ((selection != 0) & (tick % SELECT_DIV != 0),
          f"selection_tick off tick % {SELECT_DIV} == 0", tick),
@@ -260,7 +253,7 @@ def _stage_paths(records, ticks) -> tuple[np.ndarray, np.ndarray]:
         if old in ("wait_home", "approach") and new in ("wait_home", "approach", "take"):
             allowed = rec["selection_tick"]
         elif (old, new) == ("take", "approach"):
-            allowed = rec["cloud_tick"] or closure is False
+            allowed = rec["tick"] % CLOUD_DIV == 0 or closure is False
         elif (old, new) == ("take", "drop"):
             allowed = closure is True
         else:

@@ -19,6 +19,7 @@ from handover_sim.refinement import acceptance_ratio, mh_step
 from handover_sim.scenario import load_scenario
 from handover_sim.scene import LABEL_OBJECT, PrimitiveShape
 from handover_sim.selection import MODE_WEIGHTS, STANDOFF, expand_flips, grasp_cost, make_targets
+from handover_sim import sim
 from handover_sim.sim import run
 from handover_sim.trace import trace_digest, verify_records
 from reference import grasp_set, point_cloud
@@ -246,12 +247,23 @@ def test_criterion_10_determinism():
     report(10, f"trace digest {d[:16]} identical across reruns and thread pools", ok)
 
 
-def test_criterion_11_schedule_fidelity():
+def test_criterion_11_schedule_fidelity(monkeypatch):
+    # tracking as the program does it: each update of the tracked palm
+    # after the run state is built, not a flag the trace carries
+    tracked = []
+
+    class TrackedState(sim.SimState):
+        def __setattr__(self, name, value):
+            if name == "tracked_palm" and name in self.__dict__:
+                tracked.append(value)
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(sim, "SimState", TrackedState)
     scenario = replace(load_scenario("scenarios/hand_below_table.yaml"), time_limit=1.0)
     _, records = run(scenario, seed=0)
     ticks = [r for r in records if r["type"] == "tick"]
     counts = {
-        "tracking": sum(r["tracking_tick"] for r in ticks),
+        "tracking": len(tracked),
         "cloud": sum("hand_points" in r for r in ticks),
         "refine": sum(r["refined"] for r in ticks),
         "select": sum(r["selection_tick"] for r in ticks),

@@ -141,59 +141,70 @@ def pushed_scenario(name):
     return scenario_from_dict(data, name)
 
 
+# what a tick record holds, plus hand_points on tick % 10 == 0: the time,
+# the tracking and cloud ticks, the attempts and the standoff are held by
+# the tick index, the closure records and the grasp
+TICK_KEYS = {"type", "tick", "stage", "ee_pose", "selected_grasp", "candidate_count", "resampled",
+             "refined", "selection_tick"}
+
+
 def pinned_run(scenario, seed):
-    """A pinned run's records, verified: among the checks, every stage
-    change takes a path the plan allows."""
+    """A pinned run's records, verified, each tick record with exactly
+    its keys: among the checks, every stage change takes a path the plan
+    allows."""
     _, records = run(scenario, seed)
     assert verify_records(records) == []
+    for rec in records:
+        if rec["type"] == "tick":
+            assert rec.keys() == TICK_KEYS | ({"hand_points"} if rec["tick"] % 10 == 0 else set())
     return records
 
 
 PINNED = {
-    ("nominal_cylinder", 0): "1fd7c162353a1869f0e236f191a3720cf9be0ee8c2aa3b8544abd8a502591a0d",
-    ("nominal_cylinder", 1): "bfd6e4d6c629aee05b04a397fc6d5e5cd4f8b05ff29da89b0841d46750c8b153",
-    ("nominal_cylinder", 2): "963bde918a71ff3a02c7d38c24970dc1598f94da53676411f989f75241c00e24",
-    ("nominal_cylinder", 3): "dafe2710033968dd367513a192b10106a4e353c220bffd8ae070a6e161f77637",
-    ("rotate90_midmotion", 0): "2ada3dd474bc7df188bcadd1804d4984a2b2357e1902c93f59b96e828c59d9db",
-    ("rotate90_midmotion", 1): "00b14c6084e693fd21f76765f562325f2e28c268788816dcf2e3b7dd4c4dd383",
-    ("rotate90_midmotion", 2): "cb3bd00b9310069142edae49cc3aec8613edc5f53ec4494ea45daeb8a29e7f50",
-    ("rotate90_midmotion", 3): "12e4b882fb9a4324fbfcaf47464d5ce1845fa7f79b5073f24a686de0e3e287c1",
-    ("hand_below_table", 0): "61c9b672cc0891c3bd5ced5430f898f4abd7018678d3bd06dfe6b20c56bdee0d",
-    ("hand_below_table", 1): "b1c91d4accf6b4b4f323d8ad24971da3f488aec53d2340898fe076fe49c8f48b",
-    ("hand_below_table", 2): "2071732b8c98c4ad59122b599cd869ed485d98f117a1467697017744dcb5a76a",
-    ("hand_below_table", 3): "12c42405d46274fab48c864a96c85ef4db7c935fffeb3171b0034d9c1ac44d36",
+    ("nominal_cylinder", 0): "c58b147d8778c98ba26da24e776150603254f5296432ad5d6d760c3e08605b07",
+    ("nominal_cylinder", 1): "35d715ef85a1b73c226199cad12f9777b82491902ebb8796b9b14e5062e11668",
+    ("nominal_cylinder", 2): "d84a30ed7526c7650e3b35ed50a837de3789e5e196b5d981b977ba9e0c38be3e",
+    ("nominal_cylinder", 3): "623f1f489ee337788c56728129e9a5e5b148a3f16443ad6e255797a6d173e9f6",
+    ("rotate90_midmotion", 0): "d5192453549d7330544168a749f87643eb019c915c011223b337c3efb580ef17",
+    ("rotate90_midmotion", 1): "acc06da54f2d194bbe169f26c65908771d8c778194827d39b96c4f33d30363db",
+    ("rotate90_midmotion", 2): "77f18b78614182410a986ccc428a5f94f4323cb6b62c68d83e6be408e8070954",
+    ("rotate90_midmotion", 3): "4b7c210f7470288e5c4f68e1059a9fc6c2312a3a5256b55571a2e51270bcede6",
+    ("hand_below_table", 0): "3d66052cf37079ec8dcd0a223226dc0f9f4e3dc970fadece24063f1a1d44635d",
+    ("hand_below_table", 1): "d85bcab59d55ccc2fda3e8baab5a6842f910c1607744af8dbbcb2d54b1e7b9fb",
+    ("hand_below_table", 2): "30e2e47cdb54c179a90a33c715757f906ccd617fc9134a60425efbe10d074502",
+    ("hand_below_table", 3): "9e55b5a1fc8bbdfea26e4205c12d83aa112f8d6f9b591aec8bdcfb3c609ce2ed",
 }
 PINNED_STATIC = {
-    ("static_box", 0): "9c7a8b4b70e8453bc780eb3e48aa7a96c2e36956e3cfc0f9445c0946294d58ef",
-    ("static_box", 1): "8b5fecc8bbc1a16902e119e5f2a3f690586b899aa955a55d2e6cc04d73e4fe6b",
-    ("static_capsule", 0): "9a8f86773c1987c6237bcd2f1b14727bdd6185484d51ac6d77b8deb0350bcb42",
-    ("static_capsule", 1): "2cf408c3f1ac6a48b7686058fa7489eb59be8a034e1bab81921434eb64fcae01",
-    ("static_sphere", 0): "4d56018b8b3bdcbcf91a9f0968f1db937152d67d885d0444aa3bcb232f119045",
-    ("static_sphere", 1): "01a6082f6a4be04c5d4f708c93e99debe7af8a8e6315006df040f5a8cf41201c",
+    ("static_box", 0): "74b5868ba101eb4a478236ef8a6bcc2f733701d9af0fa9b0d5063fd24defee53",
+    ("static_box", 1): "a4823c76fb70d8787b03162b8b7e68d4af6374c07c17aa1a60a378fd1a25644c",
+    ("static_capsule", 0): "514ac2ffa14a2745928121efe738d89b93290a927fcca2af695459df01e72aff",
+    ("static_capsule", 1): "4796d4fa8d11a6c9afe98bb1252ef14fb863965b93d5c0d5a167e0cc28396ed1",
+    ("static_sphere", 0): "3fa08ccb11ac3f2c4eb4aaa3d1150ab9c06408ef69867c127d398abbd517b720",
+    ("static_sphere", 1): "a6d320f111482449dc2aea041d9b6a81ebe74e99c88030196d6f41b0e7573a76",
 }
 PINNED_MODES = {
-    ("naive", 0): "91479c5f18e25440bb6c8965deb8d57690dd940fc029691bef13cfe2cfbefe5c",
-    ("naive", 1): "82ac7717fb140a19950b6b2a503322ae10135e8aa43b718418d7d89095e2667b",
-    ("object_center", 0): "5faab445ca31fdf8052d832cdc17d43447cfdd81bb9528908d82b28461045481",
-    ("object_center", 1): "8e92d46f4140b71449b5b7dfd9e601ad34f1fee34d8b5e166aac81f52c62deb0",
-    ("temporal", 0): "953c74dd5cba1e903728bebc68009696b58e0367b6905930eff117e2db26edea",
-    ("temporal", 1): "7c2995e5f234d25889299f1ac1bedd4d75cfd20c9682ea1c9ee0a84d315f44a1",
+    ("naive", 0): "8f037dde1f9a07331c64c224676f0fa36afb50f0e4ce3cc473ada96a071deae0",
+    ("naive", 1): "5e71dbe93d9e4ae214b4c1eb2d6dd57737e17b0f245960f8999abec05fc4d021",
+    ("object_center", 0): "e579fead53375c6fec34105d3399164c056461151e18007975e0a94359f7f332",
+    ("object_center", 1): "70706c2b9b1ee9b35fb171e7684ea3cf9a0d7c17868e20af71e555feeba3a0bd",
+    ("temporal", 0): "84b1e8ff35aba212f4a1eac54b715275bbbac0e9b755c5f5138ff8284d7e6b24",
+    ("temporal", 1): "466097641ac5bf6ac701c779bfa9456e422b7e88fe2397e87224938d66829daa",
 }
 PINNED_LOWER_HAND = {
-    0: "9dee548d927aaf1d77000ac59fc996c6e3b9190d88aef247019f47deb6268ba3",
-    1: "3c4dca4e9525c53e726c637dd65a1c7b842a47b487379e15d0b519cea4a5d507",
+    0: "82cf1246baae671cdabae165f1de8faeb6830b2b038db392404a3b7d2f898b1a",
+    1: "145bd1627ea5d03fdc19e19f103af6c6fa55dff5ba00e80ce8b7db441d9ecf45",
 }
 PINNED_LABEL_NOISE = {
-    0: "5bf5c6b6793dd86f0dfccca94e664f1f58cb00a54aef5b9356f3a0a31d6402d4",
-    1: "2e28f1991776cc6a0ddce652cdb27fa9a7da6a08acd0b05b5e66628530c14f8a",
+    0: "99f8bd3d8549b5e49bdd8196f1621d894c6f8eb56f8a507e9773b849249256fe",
+    1: "f6954edefe6326a12281abf4b94cfd73890e8aee03bc195b9b7f57fad9d4957d",
 }
 PINNED_PUSHED = {
-    ("start_blocked", 1): "6e18fc6841ba5d9d9330a6802f0e3d558ac27e6281b7f4d9f5166c3a9a3d9120",
-    ("goal_blocked", 26): "5171aa05dba1950316e61f144a7bf5c4d9ad22b605417f14d383d128a01b3e7a",
-    ("both_blocked", 1): "671fc3cdafa147945daab4ad2b7e1a86c1377c7850ea79b685cab7144180c901",
-    ("both_free", 337): "23ca5cb1d1b2c88bab1eab2f00fbf429402424118872afb8ea0a3d286d08d743",
+    ("start_blocked", 1): "3e453cc738eb2f736fe30af872618bb57eabc84a83a0db99066b373156d3d0a7",
+    ("goal_blocked", 26): "0204e1fd848e1ce2572afd7ebe190a381d815d5933b3fb5d31dd66723fecbd20",
+    ("both_blocked", 1): "38f0872a55725f9b6f434cf62f203fa0331fbd05231736209e7c3d4678207b2d",
+    ("both_free", 337): "9b03af10c70b5367e76f2a3207e9a3cb770e4eb37ea6bc3dc4e8b7dfcfe6f527",
 }
-PINNED_TAKE_ABORT = "cc8aafc308b10bbccfc4599b674f1568e4f13d779af8688dadf271f3f10edc79"
+PINNED_TAKE_ABORT = "8bc54454a73901810d3f17eeb99564783348cd41967340acc8568019ec0e34dc"
 
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED))
@@ -232,7 +243,7 @@ def test_take_abort_digest_is_pinned():
     # the pin covers the abort only while the run still takes it
     ticks = [rec for rec in records if rec["type"] == "tick"]
     aborts = [b for a, b in zip(ticks, ticks[1:]) if (a["stage"], b["stage"]) == ("take", "approach")]
-    assert aborts and all(b["cloud_tick"] and b["selected_grasp"] is None for b in aborts)
+    assert aborts and all(b["tick"] % 10 == 0 and b["selected_grasp"] is None for b in aborts)
     assert not any(rec["type"] == "closure" for rec in records)
 
 
@@ -308,17 +319,17 @@ def test_stage_path_check_rejects_paths_the_plan_cannot_take():
         (ticks[done], {"stage": "drop"}, [at(done, f"drop lasts past {DROP_DURATION} s after its closure")]),
     ]:
         assert verify_records(edited({id(rec): change})) == expected
-    # a missed closure returns the take to approach, on a cloud tick or not:
-    # only the cleared flag itself is flagged
+    # take -> approach off the cloud ticks (tick % 10 == 0): legal on a
+    # failed closure's tick, flagged on any other
+    i = next(i for i in range(took + 1, dropped) if ticks[i]["tick"] % 10)
+    back = edited({id(ticks[i]): {"stage": "approach"}}, upto=ticks[i])
+    assert verify_records(back) == [at(i, "illegal stage change take -> approach")]
+    assert verify_records([*back, {**closure, "tick": ticks[i]["tick"], "success": False}]) == []
+    # and legal on a cloud tick, with no closure there
     end = ticks[dropped]
-    assert end["cloud_tick"]
-    missed = {id(closure): {"success": False}, id(end): {"stage": "approach", "cloud_tick": False}}
-    assert verify_records(edited(missed, upto=end)) == [
-        at(dropped, f"cloud_tick is not tick % {sim.CLOUD_DIV} == 0"),
-        at(dropped, "hand_points do not match cloud_tick"),
-    ]
-    missed[id(end)] = {"stage": "approach"}
-    assert verify_records(edited(missed, upto=end)) == []
+    assert end["tick"] % 10 == 0
+    moved = {id(closure): {"tick": -1}, id(end): {"stage": "approach"}}
+    assert verify_records(edited(moved, upto=end)) == []
 
 
 def check_select_candidates(monkeypatch):

@@ -137,6 +137,12 @@ class TestScenarioParsing:
     def test_committed_scenario_parses(self, path):
         assert load_scenario(path).name == Path(path).stem
 
+    def test_scenario_encoding_is_read_from_the_file(self, tmp_path):
+        # PyYAML decodes the bytes, UTF-16 by its BOM, whatever the locale's encoding
+        utf16 = tmp_path / Path(NOMINAL).name
+        utf16.write_bytes(Path(NOMINAL).read_text(encoding="utf-8").encode("utf-16"))
+        assert repr(load_scenario(utf16)) == repr(load_scenario(NOMINAL))
+
     @pytest.mark.parametrize("seed", [0, 1009])
     def test_every_benchmark_case_parses(self, seed, monkeypatch):
         # the benchmark's generator, so a parser check that would reject
@@ -162,13 +168,14 @@ class TestScenarioParsing:
 
 class TestSchedule:
     def test_tick_flags_follow_divisors(self):
+        # the tracking and cloud ticks are the index's; criterion 11 counts
+        # the tracker's updates
         s = short(load_scenario(BELOW), 1.0)
         _, records = run(s, seed=0)
         ticks = [r for r in records if r["type"] == "tick"]
         assert len(ticks) == 90
         for r in ticks:
             k = r["tick"]
-            assert r["tracking_tick"] == (k % 6 == 0)
             assert ("hand_points" in r) == (k % 10 == 0)
             assert r["refined"] == (k % 18 == 0)
             assert r["selection_tick"] == (k % 9 == 0)
@@ -186,7 +193,7 @@ class TestSchedule:
         _, records = run(load_scenario(NOMINAL), seed=0)
         reading = [
             r["tick"] for r in records
-            if r["type"] == "tick" and (r["tracking_tick"] or r["cloud_tick"] or r["selection_tick"])
+            if r["type"] == "tick" and (r["tick"] % 6 == 0 or r["tick"] % 10 == 0 or r["selection_tick"])
         ]
         closures = [r["tick"] for r in records if r["type"] == "closure"]
         assert closures and len(reading) < len(records) / 2
@@ -539,6 +546,16 @@ class TestCli:
         bad = tmp_path / "bad.yaml"
         bad.write_text("mode: nope\n")
         assert main(["run", "--scenario", str(bad)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "{dir}/bad.yaml"],
+        ["batch", "--dir", "{dir}", "--seeds", "0", "--out", "{dir}/s.csv"],
+    ], ids=["run", "batch"])
+    def test_scenario_that_is_not_utf8_exits_2(self, argv, tmp_path, capsys):
+        (tmp_path / "bad.yaml").write_bytes(b"seed: 0\nname: \xff\xfe\xfd\n")
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: cannot read scenario {tmp_path}/bad.yaml")
 
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario", NOMINAL, "--trace", "{missing}/t.jsonl"],
