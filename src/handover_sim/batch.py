@@ -46,11 +46,11 @@ def batch(scenario_dir, seeds, out_csv=None, mode=None) -> list[dict]:
     seeds = list(seeds)  # every scenario runs the same seeds, even from a generator
     if not seeds:
         raise ScenarioError("no seeds to run")
-    paths = sorted(
-        os.path.join(scenario_dir, f)
-        for f in os.listdir(scenario_dir)
-        if f.endswith((".yaml", ".yml"))
-    )
+    try:
+        names = os.listdir(scenario_dir)
+    except OSError as exc:  # missing, not a directory, unreadable
+        raise ScenarioError(f"cannot list {scenario_dir}: {exc.strerror}") from exc
+    paths = sorted(os.path.join(scenario_dir, f) for f in names if f.endswith((".yaml", ".yml")))
     if not paths:
         raise ScenarioError(f"no scenario files in {scenario_dir}")
     rows = []

@@ -47,9 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError as exc:
         raise ScenarioError(f"--seeds must be comma-separated integers: {text!r}") from exc
+    if any(s < 0 for s in seeds):  # before any run, not when the run reaches it
+        raise ScenarioError(f"--seeds must be >= 0: {text!r}")
+    return seeds
 
 
 def _check_writable(path) -> None:

@@ -24,7 +24,7 @@ are gathered and tested box by box (points_in_bounds). evaluate reads
 each row's closing-region points from these sparse hits in cloud order,
 so each row's alignment sum keeps the bits of a one-row call. Per call,
 the set-up is only the rows' rotation matrices: a cloud carries its
-coordinate rows (LabeledPointCloud.coords, made once per cloud), and the
+coordinate rows (PointCloud.coords, made once per cloud), and the
 gripper's box bounds are made once, at import.
 sample_grasps draws its trials one at a time, in a fixed order, then
 builds each block's trial frames in one stacked pass that matches the
@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Pose, quat_from_matrix, quat_to_matrix, quat_unit_rows, row_dot
-from .scene import LabeledPointCloud
+from .scene import PointCloud
 
 N_CONTAIN_REF = 20  # containment saturates at this many points
 ROW_CHUNK = 8  # grasps per stacked box test; bounds its temporaries and peak memory
@@ -219,7 +219,7 @@ def box_hits(grasps, coords: np.ndarray, bounds):
         yield rows, rot[rows], flat, points_in_bounds(local.take(flat, axis=1), lo, hi)
 
 
-def evaluate(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
+def evaluate(grasps, object_cloud: PointCloud) -> np.ndarray:
     """Score every row of grasps (a GraspSet, or one Pose) against a cloud: (G,) in [0, 1].
 
     A row scores zero if any object point collides with a finger or palm
@@ -251,7 +251,7 @@ def evaluate(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
     return scores
 
 
-def sample_grasps(object_cloud: LabeledPointCloud, n: int, rng: np.random.Generator) -> GraspSet:
+def sample_grasps(object_cloud: PointCloud, n: int, rng: np.random.Generator) -> GraspSet:
     """Sample up to n positively-scored grasps anchored on surface points.
 
     Approach axis is the negated surface normal, the closing axis a

@@ -26,7 +26,7 @@ import numpy as np
 from .evaluator import GRIPPER_BOXES, GraspSet, evaluate, sample_grasps
 from .evaluator import box_bounds, box_hits
 from .geometry import Pose, coordinate_rows, quat_unit_rows
-from .scene import LabeledPointCloud
+from .scene import PointCloud
 
 DEFAULT_HAND_MARGIN = 0.005  # gripper box dilation verify re-tests every trace at
 # slack for trace rounding (hand points 1e-5 m, poses 1e-7: at most 8.7e-6 m
@@ -58,7 +58,7 @@ def acceptance_ratio(score_old, score_new) -> np.ndarray:
 
 def mh_step(
     grasp_set: GraspSet,
-    object_cloud: LabeledPointCloud,
+    object_cloud: PointCloud,
     evaluate_fn,
     rng: np.random.Generator,
 ) -> GraspSet:
@@ -103,15 +103,15 @@ def grasp_collides_hand(pose: Pose, hand_points: np.ndarray, margin: float) -> b
     return bool(collides_hand(pose, hand_points, margin)[0])
 
 
-def prune_hand_collisions(grasp_set: GraspSet, hand_cloud: LabeledPointCloud) -> GraspSet:
+def prune_hand_collisions(grasp_set: GraspSet, hand_cloud: PointCloud) -> GraspSet:
     """The rows of grasp_set that clear every hand point at HAND_MARGIN."""
     return grasp_set[~collides_hand(grasp_set, hand_cloud.points, HAND_MARGIN)]
 
 
 def maintain(
     grasp_set: GraspSet,
-    object_cloud: LabeledPointCloud,
-    hand_cloud: LabeledPointCloud,
+    object_cloud: PointCloud,
+    hand_cloud: PointCloud,
     rng: np.random.Generator,
 ):
     """Full per-frame pipeline; returns (new set, resampled flag).

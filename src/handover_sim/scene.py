@@ -3,25 +3,23 @@ perceived point clouds.
 
 The camera (CAMERA), the cloud density (CLOUD_DENSITY), the crop radius
 (CROP_RADIUS) and the hand, a palm-relative sphere cluster
-(HAND_SPHERES), are fixed program facts. perceive makes one cloud
-tick's hand and object clouds in one pass. It samples the held object
-and then the hand at a palm pose, drawing the hand's spheres in one
+(HAND_SPHERES), are fixed program facts. A cloud tick perceives the
+scene in three steps, each on the hand and object clouds apart:
+synthesize_cloud samples the held object and then the hand at a palm
+pose and keeps each part's camera-facing samples; crop_around_palm
+keeps a cloud's points in the crop ball; apply_label_noise moves points
+between the two clouds, one uniform per point. The split into a hand
+and an object cloud is the segmentation's label: no full-scene cloud is
+built and none is split by label. The hand's spheres are drawn in one
 call: Generator.normal fills rows in order, so one draw of all the
 spheres' points is their per-sphere draws one after the other, and the
-per-sphere counts and radii are constants. Each part then gets one mask,
-visible and inside the crop ball, and is gathered once; with label
-noise, one uniform per perceived point moves points between the two
-clouds. No full-scene cloud is built and none is split by label. Object
-dimensions are at most MAX_DIM, which also bounds the points per cloud.
-Visibility is a normal-facing test (outward normal must face the
-camera), which is an adequate occlusion proxy for convex primitives at
-desk scale and keeps cloud synthesis deterministic and cheap. Every
-cloud carries the outward unit normal of each point, and, once a layer
-first asks for them, its points' coordinate rows and their centroid.
-
-synthesize_cloud, crop_around_palm and apply_label_noise are the
-unfused steps perceive replaces, kept because the benchmark's tracer
-looks them up; the tests hold perceive to the same steps' plain bodies.
+per-sphere counts and radii are constants. Object dimensions are at
+most MAX_DIM, which also bounds the points per cloud. Visibility is a
+normal-facing test (outward normal must face the camera), which is an
+adequate occlusion proxy for convex primitives at desk scale and keeps
+cloud synthesis deterministic and cheap. Every cloud carries the
+outward unit normal of each point, and, once a layer first asks for
+them, its points' coordinate rows and their centroid.
 """
 
 from __future__ import annotations
@@ -32,9 +30,6 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Pose, coordinate_rows, row_norms
-
-LABEL_HAND = 0
-LABEL_OBJECT = 1
 
 CAMERA = Pose((0.30, 0.0, 1.10), (0, 0, 0, 1))
 CLOUD_DENSITY = 6.0e4  # perceived cloud points per square meter
@@ -171,21 +166,16 @@ _HAND_RADII = np.repeat([r for _, r in HAND_SPHERES], _HAND_COUNTS)[:, None]
 
 
 @dataclass(frozen=True)
-class LabeledPointCloud:
+class PointCloud:
     points: np.ndarray  # (N, 3)
-    labels: np.ndarray  # (N,) int
     normals: np.ndarray  # (N, 3) unit outward surface normals
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        labels = np.asarray(self.labels, dtype=int).reshape(-1)
         normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
-        if len(points) != len(labels):
-            raise ValueError("labels length must match points length")
         if len(normals) != len(points):
             raise ValueError("normals length must match points length")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "normals", normals)
 
     def __len__(self) -> int:
@@ -208,8 +198,8 @@ class LabeledPointCloud:
         return centroid
 
     @classmethod
-    def empty(cls) -> "LabeledPointCloud":
-        return cls(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros((0, 3)))
+    def empty(cls) -> "PointCloud":
+        return cls(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def _sample_parts(held, palm: Pose, rng: np.random.Generator):
@@ -240,88 +230,51 @@ def _visible(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", normals, points - CAMERA.p) < 0.0
 
 
-def perceive(held, palm: Pose, crop_center, label_noise: float, rng: np.random.Generator):
-    """One cloud tick's perceived (hand cloud, object cloud).
+def synthesize_cloud(held, palm: Pose, rng: np.random.Generator):
+    """The (hand cloud, object cloud) a camera sees: each part's samples
+    whose outward normal faces the camera, in sample order.
 
     held is the (shape, pose) of the object in the hand, or None once the
     robot has it; the hand is HAND_SPHERES at the palm pose. Each shape
-    gets round(area * CLOUD_DENSITY) samples. A point is perceived when
-    its normal faces the camera and it lies in the closed ball of
-    CROP_RADIUS around crop_center; each part (object, hand) is tested
-    with one mask and gathered once. With label_noise > 0, one uniform
-    per perceived point, object points first, flips hand and object
-    labels with that probability. Each cloud keeps the sample order,
-    object points first: the hand cloud is the flipped object points and
-    then the hand's unflipped ones, the object cloud the object's
-    unflipped points and then the flipped hand points.
-    """
-    if not 0.0 <= label_noise <= 1.0:
-        raise ValueError("label_noise must be in [0, 1]")
-    center = np.asarray(crop_center, dtype=float).reshape(3)
+    gets round(area * CLOUD_DENSITY) samples, the object's drawn first."""
     obj_pts, obj_nrm, hand_pts, hand_nrm = _sample_parts(held, palm, rng)
-    obj, hand = (
-        np.flatnonzero(_visible(pts, nrm) & (row_norms(pts - center) <= CROP_RADIUS))
-        for pts, nrm in ((obj_pts, obj_nrm), (hand_pts, hand_nrm))
-    )
-    if label_noise > 0:
-        flip = rng.uniform(size=len(obj) + len(hand)) < label_noise
-        flip_obj, flip_hand = flip[: len(obj)], flip[len(obj) :]
-        obj, hand, obj_as_hand, hand_as_obj = (
-            obj[~flip_obj], hand[~flip_hand], obj[flip_obj], hand[flip_hand]
-        )
-        return (
-            _cloud(LABEL_HAND, (obj_pts, obj_nrm, obj_as_hand), (hand_pts, hand_nrm, hand)),
-            _cloud(LABEL_OBJECT, (obj_pts, obj_nrm, obj), (hand_pts, hand_nrm, hand_as_obj)),
-        )
     return (
-        _cloud(LABEL_HAND, (hand_pts, hand_nrm, hand)),
-        _cloud(LABEL_OBJECT, (obj_pts, obj_nrm, obj)),
+        _gather(hand_pts, hand_nrm, _visible(hand_pts, hand_nrm)),
+        _gather(obj_pts, obj_nrm, _visible(obj_pts, obj_nrm)),
     )
 
 
-def _cloud(label: int, *parts) -> LabeledPointCloud:
-    """The given rows of each (points, normals, rows) part, one part after
-    the other, all labeled label."""
-    if len(parts) == 1:  # concatenating one part would copy it a second time
-        ((points, normals, rows),) = parts
-        points, normals = points.take(rows, axis=0), normals.take(rows, axis=0)
-    else:
-        points = np.concatenate([pts.take(rows, axis=0) for pts, _, rows in parts])
-        normals = np.concatenate([nrm.take(rows, axis=0) for _, nrm, rows in parts])
-    return LabeledPointCloud(points, np.full(len(points), label), normals)
-
-
-# The unfused steps that perceive replaces: sample and cut for visibility,
-# crop, flip labels. The simulator no longer calls them; the benchmark's
-# tracer (handover_bench/layers.py) still wraps them on the sim module.
-
-
-def synthesize_cloud(held, palm: Pose, rng: np.random.Generator) -> LabeledPointCloud:
-    """The camera-facing samples of the object and the hand, object first,
-    with their ground-truth labels (see perceive)."""
-    obj_pts, obj_nrm, hand_pts, hand_nrm = _sample_parts(held, palm, rng)
-    points = np.vstack([obj_pts, hand_pts])
-    normals = np.vstack([obj_nrm, hand_nrm])
-    labels = np.repeat([LABEL_OBJECT, LABEL_HAND], [len(obj_pts), len(hand_pts)])
-    visible = _visible(points, normals)
-    return LabeledPointCloud(points[visible], labels[visible], normals[visible])
-
-
-def crop_around_palm(cloud: LabeledPointCloud, palm_center) -> LabeledPointCloud:
+def crop_around_palm(cloud: PointCloud, palm_center) -> PointCloud:
     """Keep points within the closed ball of CROP_RADIUS around the palm center."""
     palm_center = np.asarray(palm_center, dtype=float).reshape(3)
     keep = row_norms(cloud.points - palm_center) <= CROP_RADIUS
-    return LabeledPointCloud(cloud.points[keep], cloud.labels[keep], cloud.normals[keep])
+    return _gather(cloud.points, cloud.normals, keep)
 
 
-def apply_label_noise(
-    cloud: LabeledPointCloud, flip_prob: float, rng: np.random.Generator
-) -> LabeledPointCloud:
-    """Flip hand<->object labels independently with flip_prob; any other label passes through."""
+def apply_label_noise(hand: PointCloud, obj: PointCloud, flip_prob: float, rng: np.random.Generator):
+    """(hand cloud, object cloud) with each point moved to the other cloud
+    with flip_prob: one uniform per point, object points first. Each cloud
+    keeps the sample order, object points first: the hand cloud is the
+    moved object points and then the hand's kept ones, the object cloud
+    the object's kept points and then the moved hand points."""
     if not 0.0 <= flip_prob <= 1.0:
         raise ValueError("flip_prob must be in [0, 1]")
-    labels = cloud.labels.copy()
-    flip = rng.uniform(size=len(labels)) < flip_prob
-    labels[flip & (cloud.labels == LABEL_HAND)] = LABEL_OBJECT
-    labels[flip & (cloud.labels == LABEL_OBJECT)] = LABEL_HAND
-    return LabeledPointCloud(cloud.points, labels, cloud.normals)
+    flip = rng.uniform(size=len(obj) + len(hand)) < flip_prob
+    flip_obj, flip_hand = flip[: len(obj)], flip[len(obj) :]
+    return _joined(obj, flip_obj, hand, ~flip_hand), _joined(obj, ~flip_obj, hand, flip_hand)
+
+
+def _gather(points: np.ndarray, normals: np.ndarray, mask: np.ndarray) -> PointCloud:
+    """The cloud of the rows where mask is set, in order. One index array
+    and a take per array: a boolean index of (N, 3) rows is about three
+    times slower."""
+    rows = np.flatnonzero(mask)
+    return PointCloud(points.take(rows, axis=0), normals.take(rows, axis=0))
+
+
+def _joined(first: PointCloud, first_rows, second: PointCloud, second_rows) -> PointCloud:
+    """The masked rows of first and then those of second."""
+    return PointCloud(
+        np.concatenate([first.points[first_rows], second.points[second_rows]]),
+        np.concatenate([first.normals[first_rows], second.normals[second_rows]]),
+    )

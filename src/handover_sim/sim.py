@@ -13,11 +13,12 @@ every 90, and the tick a take arrives and tests its closure. It rounds
 the selected grasp once each time the selection changes, and gives
 every tick record its own copy of the rounded list.
 
-``observe`` gets the hand and object clouds from one ``scene.perceive``
-call, cropped around the tracked palm: each part is masked and gathered
-once, with no full-scene cloud to split. A cloud also carries its
-centroid, made once, which the hold pose (``tracking_pose``) reads on
-every tick without a target until the next cloud.
+``observe`` perceives the hand and object clouds in scene's three
+steps: the camera-facing samples of each part, each cropped around the
+tracked palm, and, with label noise, points moved between the two. A
+cloud also carries its centroid, made once, which the hold pose
+(``tracking_pose``) reads on every tick without a target until the next
+cloud.
 
 Selection reuses refinement's hand prune. Refinement leaves a set whose
 every row clears the hand cloud at ``HAND_MARGIN``, so ``select`` prunes
@@ -52,10 +53,7 @@ from .planner import DROP_DURATION, TaskStage, decide, execute_take
 from .planner import at_standoff, hand_above_table
 from .refinement import HAND_MARGIN, TARGET_SIZE, grasp_collides_hand
 from .refinement import maintain, prune_hand_collisions
-from .scene import LabeledPointCloud, perceive
-# the benchmark's tracer (handover_bench/layers.py) wraps these names on this
-# module; observe calls perceive, their one-pass form, instead
-from .scene import apply_label_noise, crop_around_palm, synthesize_cloud  # noqa: F401
+from .scene import PointCloud, apply_label_noise, crop_around_palm, synthesize_cloud
 from .scenario import Scenario, ScenarioError
 from .selection import MODE_WEIGHTS, expand_flips, select_target
 
@@ -144,8 +142,8 @@ class SimState:
         self.gset_clear = None
         self.selected = None
         self.x_prev = HOME
-        self.hand_cloud = LabeledPointCloud.empty()
-        self.object_cloud = LabeledPointCloud.empty()
+        self.hand_cloud = PointCloud.empty()
+        self.object_cloud = PointCloud.empty()
         self.tracked_palm = scenario.hand_pose_at(0.0)
         self.grip_offset = scenario.grip_offset
         self.hand_offset = np.zeros(3)
@@ -179,13 +177,16 @@ class SimState:
         self.pending = waiting
 
     def observe(self, tick: int, palm: Pose, object_pose: Pose) -> None:
-        """Cloud tick: a fresh labeled cloud, cropped around the tracked palm."""
+        """Cloud tick: fresh hand and object clouds, cropped around the tracked palm."""
         scenario = self.scenario
         rng = np.random.default_rng([self.seed, _SALT_CLOUD, tick])
         held = None if self.metrics.success else (scenario.object_shape, object_pose)
-        self.hand_cloud, self.object_cloud = perceive(
-            held, palm, self.tracked_palm.p, scenario.label_noise, rng
-        )
+        hand, obj = synthesize_cloud(held, palm, rng)
+        hand = crop_around_palm(hand, self.tracked_palm.p)
+        obj = crop_around_palm(obj, self.tracked_palm.p)
+        if scenario.label_noise > 0:  # no draw at zero noise
+            hand, obj = apply_label_noise(hand, obj, scenario.label_noise, rng)
+        self.hand_cloud, self.object_cloud = hand, obj
         self.gset_clear = None
         # a fresh hand sample can reveal points the last one missed;
         # abandon any committed target that now touches the hand,

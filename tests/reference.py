@@ -8,8 +8,9 @@ these plain per-pose forms. Others run every tick in a leaner form
 (``geometry.Pose``'s normalisation, ``geometry.quat_to_matrix`` on one
 quaternion, ``motion.segment_collision_free`` with its broad phase,
 ``motion.servo_step``, ``scene.synthesize_cloud`` with its single hand
-draw, ``scene.perceive``, which fuses synthesis, crop, label noise and
-the split by label, ``sim._round_pose``, the hull-culled component-major
+draw, ``sim.SimState.observe``'s perception steps, which work on the
+hand and the object clouds apart (held here to the labeled full-scene
+chain), ``sim._round_pose``, the hull-culled component-major
 box test of ``evaluator.box_hits`` (held to the dense ``stacked_box_hits``
 here) and ``evaluate``, and
 ``refinement.mh_step``, which draws its random numbers in two blocks and
@@ -29,8 +30,8 @@ from handover_sim.geometry import FLIP_Z, Pose, quat_angle, quat_mul, quat_norma
 from handover_sim.motion import DEFAULT_CLEARANCE, DEFAULT_V_MAX, DEFAULT_W_MAX, TABLE_Z
 from handover_sim.refinement import DEFAULT_HAND_MARGIN, DELTA_T_RANGE, acceptance_ratio
 from handover_sim.refinement import grasp_collides_hand
-from handover_sim.scene import CAMERA, CLOUD_DENSITY, CROP_RADIUS, HAND_SPHERES, LABEL_HAND, LABEL_OBJECT
-from handover_sim.scene import LabeledPointCloud, PrimitiveShape
+from handover_sim.scene import CAMERA, CLOUD_DENSITY, CROP_RADIUS, HAND_SPHERES
+from handover_sim.scene import PointCloud, PrimitiveShape
 from handover_sim.sim import DT, HAND_POINT_SCALE
 
 
@@ -64,12 +65,11 @@ def pose_inverse(pose: Pose) -> Pose:
     return Pose(-(quat_to_matrix(qc) @ pose.p), qc)
 
 
-def point_cloud(points, labels) -> LabeledPointCloud:
-    """A cloud of the points with the given labels (one label for all, or one
-    per point), every normal +Z: for tests where the normals play no part."""
+def point_cloud(points) -> PointCloud:
+    """A cloud of the points, every normal +Z: for tests where the normals
+    play no part."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    labels = np.broadcast_to(labels, len(points))
-    return LabeledPointCloud(points, labels, np.tile([0.0, 0.0, 1.0], (len(points), 1)))
+    return PointCloud(points, np.tile([0.0, 0.0, 1.0], (len(points), 1)))
 
 
 def grasp_set(poses, scores) -> GraspSet:
@@ -265,9 +265,14 @@ def segment_collision_free(start, goal, points) -> bool:
     return bool(point_segment_distances(points, a, b).min() >= DEFAULT_CLEARANCE)
 
 
-def synthesize_cloud(held, palm: Pose, rng: np.random.Generator) -> LabeledPointCloud:
-    """scene.synthesize_cloud with each hand sphere a shape of its own: its
-    own draw, a Pose at its center and a multiply by the identity rotation."""
+# the labels of the full-scene chain
+HAND, OBJECT = 0, 1
+
+
+def visible_scene(held, palm: Pose, rng: np.random.Generator):
+    """(points, normals, labels) of the whole scene's camera-facing samples,
+    object first, each hand sphere a shape of its own: its own draw, a Pose
+    at its center and a multiply by the identity rotation."""
     pts_all, nrm_all, lbl_all = [], [], []
 
     def add_shape(shape: PrimitiveShape, pose: Pose, label: int):
@@ -281,51 +286,42 @@ def synthesize_cloud(held, palm: Pose, rng: np.random.Generator) -> LabeledPoint
         lbl_all.append(np.full(len(pts), label, dtype=int))
 
     if held is not None:
-        add_shape(*held, LABEL_OBJECT)
+        add_shape(*held, OBJECT)
     for offset, r in HAND_SPHERES:
         center = palm.transform_point(offset)
-        add_shape(PrimitiveShape("sphere", (r,)), Pose(center, [0, 0, 0, 1]), LABEL_HAND)
+        add_shape(PrimitiveShape("sphere", (r,)), Pose(center, [0, 0, 0, 1]), HAND)
 
     points = np.vstack(pts_all)
     normals = np.vstack(nrm_all)
     labels = np.concatenate(lbl_all)
     view = points - CAMERA.p
     visible = np.einsum("ij,ij->i", normals, view) < 0.0
-    return LabeledPointCloud(points[visible], labels[visible], normals[visible])
+    return points[visible], normals[visible], labels[visible]
 
 
-def crop_around_palm(cloud: LabeledPointCloud, palm_center) -> LabeledPointCloud:
-    """The points within the closed ball of CROP_RADIUS around the palm center."""
-    d = np.linalg.norm(cloud.points - np.asarray(palm_center, dtype=float), axis=1)
-    keep = d <= CROP_RADIUS
-    return LabeledPointCloud(cloud.points[keep], cloud.labels[keep], cloud.normals[keep])
-
-
-def apply_label_noise(cloud: LabeledPointCloud, flip_prob: float, rng) -> LabeledPointCloud:
-    """Each hand or object label flipped to the other with flip_prob, one
-    uniform per point in cloud order."""
-    labels = cloud.labels.copy()
-    flip = rng.uniform(size=len(labels)) < flip_prob
-    labels[flip & (cloud.labels == LABEL_HAND)] = LABEL_OBJECT
-    labels[flip & (cloud.labels == LABEL_OBJECT)] = LABEL_HAND
-    return LabeledPointCloud(cloud.points, labels, cloud.normals)
-
-
-def split(cloud: LabeledPointCloud):
+def split(points, normals, labels):
     """(hand cloud, object cloud): the points of each label, in cloud order."""
-    return tuple(
-        LabeledPointCloud(cloud.points[mask], cloud.labels[mask], cloud.normals[mask])
-        for mask in (cloud.labels == LABEL_HAND, cloud.labels == LABEL_OBJECT)
-    )
+    masks = labels == HAND, labels == OBJECT
+    return tuple(PointCloud(points[mask], normals[mask]) for mask in masks)
+
+
+def synthesize_cloud(held, palm: Pose, rng: np.random.Generator):
+    """scene.synthesize_cloud as the visible scene split by label."""
+    return split(*visible_scene(held, palm, rng))
 
 
 def perceive(held, palm: Pose, crop_center, label_noise: float, rng):
-    """scene.perceive as its steps: the whole visible scene as one cloud,
-    then the crop, the label noise if any, and the split by label."""
-    cloud = crop_around_palm(synthesize_cloud(held, palm, rng), crop_center)
+    """A cloud tick's (hand cloud, object cloud) by the full-scene chain:
+    the visible scene, the crop around crop_center, with label_noise > 0
+    each hand or object label flipped to the other with that probability
+    (one uniform per point in cloud order), and the split by label."""
+    points, normals, labels = visible_scene(held, palm, rng)
+    keep = np.linalg.norm(points - np.asarray(crop_center, dtype=float), axis=1) <= CROP_RADIUS
+    points, normals, labels = points[keep], normals[keep], labels[keep]
     if label_noise > 0:
-        cloud = apply_label_noise(cloud, label_noise, rng)
-    return split(cloud)
+        flip = rng.uniform(size=len(labels)) < label_noise
+        labels = np.where(flip, np.where(labels == HAND, OBJECT, HAND), labels)
+    return split(points, normals, labels)
 
 
 def round_pose(pose: Pose) -> list:
@@ -379,7 +375,7 @@ def stacked_box_hits(grasps, points: np.ndarray, boxes, margin: float = 0.0):
         yield rows, rot[rows], hits.reshape(len(boxes), len(local), len(points))
 
 
-def evaluate_rows(grasps, object_cloud: LabeledPointCloud) -> np.ndarray:
+def evaluate_rows(grasps, object_cloud: PointCloud) -> np.ndarray:
     """evaluator.evaluate over the point-major hits, through np.mean."""
     scores = np.zeros(len(np.reshape(grasps.p, (-1, 3))))
     if len(object_cloud) == 0:

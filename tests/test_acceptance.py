@@ -17,7 +17,7 @@ from handover_sim.motion import HOME, rrt_connect, segment_collision_free
 from handover_sim.planner import TaskStage, decide
 from handover_sim.refinement import acceptance_ratio, mh_step
 from handover_sim.scenario import load_scenario
-from handover_sim.scene import LABEL_OBJECT, PrimitiveShape
+from handover_sim.scene import PrimitiveShape
 from handover_sim.selection import MODE_WEIGHTS, STANDOFF, expand_flips, grasp_cost, make_targets
 from handover_sim import sim
 from handover_sim.sim import run
@@ -70,7 +70,7 @@ def test_criterion_1_mh_acceptance_statistics():
         calls["n"] += 1
         return np.full(len(grasps), 0.8 if calls["n"] == 1 else 0.2)
 
-    cloud = point_cloud(np.zeros((1, 3)), LABEL_OBJECT)
+    cloud = point_cloud(np.zeros((1, 3)))
     t0 = time.perf_counter()
     out = mh_step(gset, cloud, stub, np.random.default_rng(0))
     elapsed = time.perf_counter() - t0

@@ -17,7 +17,7 @@ from handover_sim.evaluator import (
     sample_grasps,
 )
 from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul, quat_unit_rows
-from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape
+from handover_sim.scene import PointCloud, PrimitiveShape
 from handover_sim.selection import expand_flips, make_targets
 import reference
 from reference import IDENTITY, flip_about_grasp_z, point_cloud, z_axis
@@ -34,7 +34,7 @@ def cylinder_cloud(seed=12345, n=20000):
     obj_pose = Pose([0, 0, 0], quat_from_axis_angle([0, 1, 0], np.pi / 2))
     pts = obj_pose.transform_points(pts_local)
     nrm = nrm_local @ obj_pose.rotation_matrix().T
-    return LabeledPointCloud(pts, np.full(len(pts), LABEL_OBJECT), nrm)
+    return PointCloud(pts, nrm)
 
 
 TOP_DOWN = np.array([1.0, 0.0, 0.0, 0.0])  # local +Z points at -Z world
@@ -111,7 +111,7 @@ def shape_cloud(kind, n=1500, seed=31):
     pts, nrm = PrimitiveShape(kind, SHAPES[kind]).sample_surface(n, rng)
     world = Pose(rng.uniform(-0.2, 0.2, 3), rng.normal(size=4))
     nrm = nrm @ world.rotation_matrix().T
-    return LabeledPointCloud(world.transform_points(pts), np.full(n, LABEL_OBJECT), nrm)
+    return PointCloud(world.transform_points(pts), nrm)
 
 
 def mixed_grasps(cloud, seed=32):
@@ -141,7 +141,7 @@ class TestEvaluateRows:
     def test_empty_cloud_scores_zero_for_every_row(self):
         grasps = mixed_grasps(shape_cloud("box"))
         for g in (0, 1, ROW_CHUNK, ROW_CHUNK + 1, 50):
-            scores = evaluate(grasps[np.arange(g)], LabeledPointCloud.empty())
+            scores = evaluate(grasps[np.arange(g)], PointCloud.empty())
             assert scores.tolist() == [0.0] * g
 
 
@@ -175,7 +175,7 @@ class TestPointsInBoxes:
 
 class TestEvaluate:
     def test_empty_cloud_scores_zero(self):
-        assert evaluate(IDENTITY, LabeledPointCloud.empty())[0] == 0.0
+        assert evaluate(IDENTITY, PointCloud.empty())[0] == 0.0
 
     def test_far_grasp_scores_zero(self):
         cloud = cylinder_cloud(n=500)
@@ -184,7 +184,7 @@ class TestEvaluate:
 
     def test_point_in_finger_box_gates_to_zero(self):
         pt = np.array([[0.0, 0.045, 0.0]])  # center of a finger box
-        cloud = point_cloud(pt, LABEL_OBJECT)
+        cloud = point_cloud(pt)
         assert evaluate(IDENTITY, cloud)[0] == 0.0
 
     def test_cylinder_matches_brute_force_oracle(self):
@@ -205,9 +205,8 @@ class TestEvaluate:
         rng = np.random.default_rng(17)
         for _ in range(5):
             world = Pose(rng.uniform(-1, 1, 3), rng.normal(size=4))
-            moved = LabeledPointCloud(
+            moved = PointCloud(
                 world.transform_points(cloud.points),
-                cloud.labels,
                 cloud.normals @ world.rotation_matrix().T,
             )
             assert evaluate(world.compose(pose), moved)[0] == pytest.approx(base, abs=1e-9)
@@ -271,10 +270,10 @@ class TestSampleGrasps:
         shape = PrimitiveShape("sphere", (r,))
         rng = np.random.default_rng(seed)
         pts, nrm = shape.sample_surface(n, rng)
-        return LabeledPointCloud(pts, np.full(n, LABEL_OBJECT), nrm)
+        return PointCloud(pts, nrm)
 
     def test_empty_cloud_returns_empty(self):
-        assert len(sample_grasps(LabeledPointCloud.empty(), 10, np.random.default_rng(0))) == 0
+        assert len(sample_grasps(PointCloud.empty(), 10, np.random.default_rng(0))) == 0
 
     def test_sphere_approach_axes_are_negated_normals(self):
         cloud = self.sphere_cloud()
@@ -304,14 +303,11 @@ class TestSampleGrasps:
 
     def test_ungraspable_view_returns_empty(self):
         # a lone point with no graspable structure far from everything
-        cloud = LabeledPointCloud(
-            [[0.0, 0.0, 0.0]], [LABEL_OBJECT], [[0.0, 0.0, 1.0]]
-        )
+        cloud = PointCloud([[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]])
         # single point sits at the grasp origin -> always inside closing region,
         # so force failure with a point colliding with the palm instead
-        blocker = LabeledPointCloud(
+        blocker = PointCloud(
             [[0.0, 0.0, 0.0], [0.0, 0.0, -0.04]],
-            [LABEL_OBJECT, LABEL_OBJECT],
             [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
         )
         assert len(sample_grasps(blocker, 5, np.random.default_rng(7))) == 0
@@ -378,9 +374,8 @@ class TestSampleGrasps:
         assert ends == [20, 45]
 
     def test_zero_yield_spends_the_budget_in_two_blocks(self, monkeypatch):
-        blocker = LabeledPointCloud(
+        blocker = PointCloud(
             [[0.0, 0.0, 0.0], [0.0, 0.0, -0.04]],
-            [LABEL_OBJECT, LABEL_OBJECT],
             [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
         )
         rng = ScriptedGenerator(7)

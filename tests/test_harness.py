@@ -1,3 +1,4 @@
+import collections
 import copy
 import csv
 import hashlib
@@ -7,6 +8,7 @@ import inspect
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +62,6 @@ def load_bench_module(name: str, monkeypatch):
 
 
 def short(scenario: Scenario, seconds: float) -> Scenario:
-    from dataclasses import replace
-
     return replace(scenario, time_limit=seconds)
 
 
@@ -278,8 +278,6 @@ class TestBehaviors:
 
     def test_naive_resamples_every_refine_tick(self):
         s = short(load_scenario(NOMINAL), 2.0)
-        from dataclasses import replace
-
         _, records = run(replace(s, mode="naive"), seed=0)
         refine = [r for r in records if r["type"] == "tick" and r["refined"]]
         assert refine and all(r["resampled"] for r in refine)
@@ -404,6 +402,23 @@ class TestBenchmarkTracer:
             assert params(module_name, "sample_grasps")[1] == "n"
         assert params("handover_sim.sim", "select_target")[0] == "grasp_set"
 
+    def test_scene_wrappers_see_every_cloud_tick(self, monkeypatch):
+        # the tracer wraps the perception steps on the sim module; observe
+        # must look them up there for the traced pass to time them
+        layers = load_bench_module("layers", monkeypatch)
+        scenario = replace(load_scenario(NOMINAL), time_limit=0.5, label_noise=0.05)
+        tracer = layers.Tracer()
+        tracer.install()
+        try:
+            _, records = run(scenario, seed=0)
+        finally:
+            tracer.restore()
+        calls = collections.Counter(span[0] for span in tracer.spans)
+        cloud_ticks = sum("hand_points" in rec for rec in records)
+        assert cloud_ticks > 0
+        assert calls["scene.synthesize"] == calls["scene.noise"] == cloud_ticks
+        assert calls["scene.crop"] == 2 * cloud_ticks
+
 
 class TestBatch:
     def test_summarize_fields(self):
@@ -518,6 +533,22 @@ class TestCli:
     def test_negative_seed_flag_exits_2(self, argv, tmp_path, capsys):
         flag = ["--seed", "-1"] if argv[0] == "run" else ["--seeds", "-1", "--out", str(tmp_path / "o.csv")]
         assert main(argv + flag) == EXIT_PARSE
+
+    @pytest.mark.parametrize("argv", [
+        ["--dir", "{missing}", "--seeds", "0"],
+        ["--dir", "{file}", "--seeds", "0"],
+        ["--dir", "scenarios", "--seeds", "0,-1"],
+    ], ids=["missing_dir", "file_as_dir", "negative_second_seed"])
+    def test_bad_batch_input_exits_2_before_any_run(self, argv, tmp_path, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr("handover_sim.batch.run", lambda *args, **kwargs: started.append(args))
+        (tmp_path / "file.yaml").write_text("seed: 0\n")
+        argv = [arg.format(missing=tmp_path / "missing", file=tmp_path / "file.yaml") for arg in argv]
+        out = tmp_path / "o.csv"
+        assert main(["batch", *argv, "--out", str(out)]) == EXIT_PARSE
+        assert started == []
+        assert capsys.readouterr().err.startswith("scenario error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["0,x", ","])
     def test_bad_seeds_list_exits_2(self, seeds, tmp_path, capsys):

@@ -16,14 +16,14 @@ from handover_sim.refinement import (
     perturb,
     prune_hand_collisions,
 )
-from handover_sim.scene import LABEL_HAND, LABEL_OBJECT, LabeledPointCloud, PrimitiveShape
+from handover_sim.scene import PointCloud, PrimitiveShape
 from reference import IDENTITY, grasp_set, point_cloud
 
 def sphere_cloud(r=0.03, n=2000, seed=0, center=(0.0, 0.0, 0.0)):
     shape = PrimitiveShape("sphere", (r,))
     rng = np.random.default_rng(seed)
     pts, nrm = shape.sample_surface(n, rng)
-    return LabeledPointCloud(pts + np.asarray(center), np.full(n, LABEL_OBJECT), nrm)
+    return PointCloud(pts + np.asarray(center), nrm)
 
 
 def make_set(poses, scores=None):
@@ -119,17 +119,17 @@ class TestMhStep:
 class TestPrune:
     def test_empty_hand_is_identity(self):
         gset = make_set([IDENTITY, Pose([0.1, 0, 0], [0, 0, 0, 1])])
-        out = prune_hand_collisions(gset, LabeledPointCloud.empty())
+        out = prune_hand_collisions(gset, PointCloud.empty())
         assert len(out) == len(gset)
 
     def test_hand_point_at_grasp_origin_removes_grasp(self):
         gset = make_set([IDENTITY])
-        hand = point_cloud([[0.0, 0.0, 0.0]], LABEL_HAND)
+        hand = point_cloud([[0.0, 0.0, 0.0]])
         assert len(prune_hand_collisions(gset, hand)) == 0
 
     def test_point_in_finger_box_removes_grasp(self):
         gset = make_set([IDENTITY])
-        hand = point_cloud([[0.0, -0.045, 0.0]], LABEL_HAND)
+        hand = point_cloud([[0.0, -0.045, 0.0]])
         assert len(prune_hand_collisions(gset, hand)) == 0
 
     def test_matches_brute_force_dilated_filter(self):
@@ -139,7 +139,7 @@ class TestPrune:
         ]
         gset = make_set(poses)
         hand_pts = rng.uniform(-0.1, 0.1, size=(200, 3))
-        hand = point_cloud(hand_pts, LABEL_HAND)
+        hand = point_cloud(hand_pts)
         out = prune_hand_collisions(gset, hand)
         boxes = [
             ((0, 0.045, 0), (0.01, 0.005, 0.02)),
@@ -168,7 +168,7 @@ class TestPrune:
         rng = np.random.default_rng(14)
         poses = [Pose(rng.uniform(-0.05, 0.05, 3), rng.normal(size=4)) for _ in range(100)]
         hand_pts = rng.uniform(-0.2, 0.2, size=(300, 3))
-        hand = point_cloud(hand_pts, LABEL_HAND)
+        hand = point_cloud(hand_pts)
         out = prune_hand_collisions(make_set(poses), hand)
         lo, hi, _, _ = box_bounds(GRIPPER_BOXES, HAND_MARGIN)
         keep = [
@@ -185,7 +185,7 @@ class TestMaintain:
     def test_bootstrap_from_empty(self):
         cloud = sphere_cloud()
         out, resampled = maintain(
-            GraspSet.empty(), cloud, LabeledPointCloud.empty(),
+            GraspSet.empty(), cloud, PointCloud.empty(),
             np.random.default_rng(8),
         )
         assert resampled
@@ -194,30 +194,30 @@ class TestMaintain:
     def test_static_scene_no_resample_over_100_steps(self):
         cloud = sphere_cloud()
         rng = np.random.default_rng(9)
-        gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), rng)
+        gset, _ = maintain(GraspSet.empty(), cloud, PointCloud.empty(), rng)
         for _ in range(100):
-            gset, resampled = maintain(gset, cloud, LabeledPointCloud.empty(), rng)
+            gset, resampled = maintain(gset, cloud, PointCloud.empty(), rng)
             assert not resampled
             assert len(gset) >= RESAMPLE_THRESHOLD
 
     def test_teleport_triggers_resample(self):
         cloud = sphere_cloud()
         rng = np.random.default_rng(10)
-        gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), rng)
+        gset, _ = maintain(GraspSet.empty(), cloud, PointCloud.empty(), rng)
         far = sphere_cloud(center=(0.5, 0.0, 0.0))
-        gset, resampled = maintain(gset, far, LabeledPointCloud.empty(), rng)
+        gset, resampled = maintain(gset, far, PointCloud.empty(), rng)
         assert resampled
         assert len(gset) > 0
 
     def test_resample_after_partial_prune_stays_within_target_size(self, monkeypatch):
         cloud = sphere_cloud()
-        no_hand = LabeledPointCloud.empty()
+        no_hand = PointCloud.empty()
         gset, _ = maintain(GraspSet.empty(), cloud, no_hand, np.random.default_rng(8))
         assert len(gset) == TARGET_SIZE
         # a hand shell over the +x half of the object prunes most of the set, not all
         shell, _ = PrimitiveShape("sphere", (0.07,)).sample_surface(3000, np.random.default_rng(1))
         shell = shell[shell[:, 0] > 0.0]
-        hand = point_cloud(shell, LABEL_HAND)
+        hand = point_cloud(shell)
         pruned, requested = [], []
         prune, sample = refinement.prune_hand_collisions, refinement.sample_grasps
 
@@ -243,7 +243,7 @@ class TestMaintain:
         # count and time MH scoring: one call for the set, then one for all
         # of its proposals, and no other
         cloud = sphere_cloud()
-        gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), np.random.default_rng(8))
+        gset, _ = maintain(GraspSet.empty(), cloud, PointCloud.empty(), np.random.default_rng(8))
         assert len(gset) == TARGET_SIZE
         seen = []
         scorer = refinement.evaluate
@@ -253,7 +253,7 @@ class TestMaintain:
             return scorer(grasps, object_cloud)
 
         monkeypatch.setattr(refinement, "evaluate", counted)
-        _, resampled = maintain(gset, cloud, LabeledPointCloud.empty(), np.random.default_rng(9))
+        _, resampled = maintain(gset, cloud, PointCloud.empty(), np.random.default_rng(9))
         assert not resampled
         assert len(seen) == 2 and all(isinstance(g, GraspSet) for g in seen)
         assert seen[0] is gset and len(seen[1]) == len(gset)
@@ -264,7 +264,7 @@ class TestMaintain:
     def test_empty_object_cloud_empties_the_set(self):
         gset = make_set([IDENTITY])
         out, resampled = maintain(
-            gset, LabeledPointCloud.empty(), LabeledPointCloud.empty(),
+            gset, PointCloud.empty(), PointCloud.empty(),
             np.random.default_rng(11),
         )
         assert len(out) == 0
@@ -275,10 +275,10 @@ class TestMaintain:
         # the chain equilibrates near the seeded quality rather than decaying
         cloud = sphere_cloud()
         rng = np.random.default_rng(12)
-        gset, _ = maintain(GraspSet.empty(), cloud, LabeledPointCloud.empty(), rng)
+        gset, _ = maintain(GraspSet.empty(), cloud, PointCloud.empty(), rng)
         mean_scores = []
         for _ in range(50):
-            new_set, _ = maintain(gset, cloud, LabeledPointCloud.empty(), rng)
+            new_set, _ = maintain(gset, cloud, PointCloud.empty(), rng)
             steps = [
                 np.linalg.norm(a - b)
                 for a, b in zip(gset.p, new_set.p)
@@ -297,7 +297,7 @@ class TestConfigValidation:
     def test_scores_stay_in_bounds(self):
         cloud = sphere_cloud()
         gset, _ = maintain(
-            GraspSet.empty(), cloud, LabeledPointCloud.empty(),
+            GraspSet.empty(), cloud, PointCloud.empty(),
             np.random.default_rng(13),
         )
         assert all(0.0 <= score <= 1.0 for score in gset.scores)

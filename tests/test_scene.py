@@ -7,14 +7,11 @@ from handover_sim.scene import (
     CLOUD_DENSITY,
     CROP_RADIUS,
     HAND_SPHERES,
-    LABEL_HAND,
-    LABEL_OBJECT,
     MAX_DIM,
-    LabeledPointCloud,
+    PointCloud,
     PrimitiveShape,
     apply_label_noise,
     crop_around_palm,
-    perceive,
     synthesize_cloud,
 )
 from reference import point_cloud
@@ -78,35 +75,32 @@ class TestPrimitiveShape:
         )
 
 
-class TestLabeledPointCloud:
-    def test_needs_one_label_and_one_normal_per_point(self):
+class TestPointCloud:
+    def test_needs_one_normal_per_point(self):
         with pytest.raises(ValueError):
-            LabeledPointCloud(np.zeros((3, 3)), [LABEL_HAND] * 2, np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            LabeledPointCloud(np.zeros((3, 3)), [LABEL_HAND] * 3, np.zeros((2, 3)))
+            PointCloud(np.zeros((3, 3)), np.zeros((2, 3)))
         with pytest.raises(TypeError):  # normals are not optional
-            LabeledPointCloud(np.zeros((3, 3)), [LABEL_HAND] * 3)
+            PointCloud(np.zeros((3, 3)))
 
 
 class TestSynthesize:
     def test_single_sphere_all_object_on_surface(self):
         rng = np.random.default_rng(1)
-        cloud = synthesize_cloud(held_sphere(), FAR_PALM, rng)
-        near = np.linalg.norm(cloud.points - SPHERE_AT.p, axis=1) < 0.1
-        assert near.sum() > 0
-        assert np.array_equal(near, cloud.labels == LABEL_OBJECT)
-        radii = np.linalg.norm(cloud.points[cloud.labels == LABEL_OBJECT] - SPHERE_AT.p, axis=1)
+        hand, obj = synthesize_cloud(held_sphere(), FAR_PALM, rng)
+        assert len(hand) > 0 and len(obj) > 0
+        radii = np.linalg.norm(obj.points - SPHERE_AT.p, axis=1)
         assert np.allclose(radii, 0.05, atol=1e-9)
+        # the hand, half a meter off, has no point near the object
+        assert np.all(np.linalg.norm(hand.points - SPHERE_AT.p, axis=1) > 0.1)
 
     def test_hand_only_all_hand(self):
-        # once the robot holds the object the cloud is the hand's spheres alone
+        # once the robot holds the object the hand cloud is the hand's spheres alone
         palm = Pose([0.5, 0.05, 0.3], [0.1, 0.2, 0.3, 0.9])
-        cloud = synthesize_cloud(None, palm, np.random.default_rng(2))
-        assert len(cloud) > 0
-        assert np.all(cloud.labels == LABEL_HAND)
+        hand, obj = synthesize_cloud(None, palm, np.random.default_rng(2))
+        assert len(hand) > 0 and len(obj) == 0
         centers = np.array([palm.transform_point(off) for off, _ in HAND_SPHERES])
         radii = np.array([r for _, r in HAND_SPHERES])
-        gap = np.linalg.norm(cloud.points[:, None, :] - centers[None], axis=2) - radii
+        gap = np.linalg.norm(hand.points[:, None, :] - centers[None], axis=2) - radii
         assert np.all(np.abs(gap).min(axis=1) < 1e-9)
 
     def test_visible_hemisphere_count_oracle(self):
@@ -114,29 +108,28 @@ class TestSynthesize:
         # camera stays: a fraction (1 - r/d) / 2 at distance d
         r = 0.05
         rng = np.random.default_rng(3)
-        cloud = synthesize_cloud(held_sphere(r), FAR_PALM, rng)
+        _, obj = synthesize_cloud(held_sphere(r), FAR_PALM, rng)
         d = np.linalg.norm(CAMERA.p - SPHERE_AT.p)
         expected = 4 * np.pi * r * r * CLOUD_DENSITY * (1 - r / d) / 2
-        assert abs(np.sum(cloud.labels == LABEL_OBJECT) - expected) < 0.1 * expected
+        assert abs(len(obj) - expected) < 0.1 * expected
 
     def test_points_face_camera(self):
         rng = np.random.default_rng(4)
-        cloud = synthesize_cloud(held_sphere(), FAR_PALM, rng)
-        view = cloud.points - CAMERA.p
-        assert np.all(np.einsum("ij,ij->i", cloud.normals, view) < 0)
+        for cloud in synthesize_cloud(held_sphere(), FAR_PALM, rng):
+            view = cloud.points - CAMERA.p
+            assert np.all(np.einsum("ij,ij->i", cloud.normals, view) < 0)
 
     def test_deterministic_per_seed(self):
         a = synthesize_cloud(held_sphere(), FAR_PALM, np.random.default_rng(9))
         b = synthesize_cloud(held_sphere(), FAR_PALM, np.random.default_rng(9))
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.normals, b.normals)
+        for x, y in zip(a, b):
+            assert np.array_equal(x.points, y.points)
+            assert np.array_equal(x.normals, y.normals)
 
 
 class TestCrop:
     def make_cloud(self, rng, n=500, half=0.5):
-        pts = rng.uniform(-half, half, size=(n, 3))
-        return point_cloud(pts, rng.integers(0, 3, size=n))
+        return PointCloud(rng.uniform(-half, half, size=(n, 3)), rng.normal(size=(n, 3)))
 
     def test_identity_when_all_inside(self):
         rng = np.random.default_rng(5)
@@ -144,10 +137,10 @@ class TestCrop:
         cloud = self.make_cloud(rng, half=CROP_RADIUS / 2)
         out = crop_around_palm(cloud, [0, 0, 0])
         assert np.array_equal(out.points, cloud.points)
-        assert np.array_equal(out.labels, cloud.labels)
+        assert np.array_equal(out.normals, cloud.normals)
 
     def test_boundary_point_included(self):
-        cloud = point_cloud([[CROP_RADIUS, 0.0, 0.0]], LABEL_OBJECT)
+        cloud = point_cloud([[CROP_RADIUS, 0.0, 0.0]])
         out = crop_around_palm(cloud, [0, 0, 0])
         assert len(out) == 1
 
@@ -164,8 +157,7 @@ class TestCrop:
         assert 0 < len(expected) < len(cloud)
         assert len(out) == len(expected)
         assert np.allclose(out.points, cloud.points[expected])
-        # order preserved, labels and normals carried through
-        assert np.array_equal(out.labels, cloud.labels[expected])
+        # order preserved, normals carried through
         assert np.array_equal(out.normals, cloud.normals[expected])
 
     def test_idempotent(self):
@@ -176,37 +168,53 @@ class TestCrop:
         assert np.array_equal(once.points, twice.points)
 
 
+def numbered(first, n):
+    """A cloud of n points whose x is first, first + 1, ...: each point's
+    number, so a test can tell where every point went."""
+    return point_cloud(np.arange(first, first + n)[:, None] * [1.0, 0.0, 0.0])
+
+
+def numbers(cloud):
+    return cloud.points[:, 0].astype(int).tolist()
+
+
 class TestLabelNoise:
     def test_zero_prob_identity(self):
-        rng = np.random.default_rng(8)
-        cloud = point_cloud(rng.uniform(size=(100, 3)), rng.integers(0, 3, size=100))
-        out = apply_label_noise(cloud, 0.0, np.random.default_rng(0))
-        assert np.array_equal(out.labels, cloud.labels)
+        hand, obj = numbered(0, 40), numbered(40, 60)
+        out = apply_label_noise(hand, obj, 0.0, np.random.default_rng(0))
+        assert [numbers(c) for c in out] == [numbers(hand), numbers(obj)]
 
     def test_full_prob_swaps_all(self):
-        other = 2  # neither hand nor object: passes through
-        labels = np.array([LABEL_HAND, LABEL_OBJECT, other])
-        cloud = point_cloud(np.zeros((3, 3)), labels)
-        out = apply_label_noise(cloud, 1.0, np.random.default_rng(0))
-        assert np.array_equal(out.labels, [LABEL_OBJECT, LABEL_HAND, other])
+        hand, obj = numbered(0, 3), numbered(3, 2)
+        out = apply_label_noise(hand, obj, 1.0, np.random.default_rng(0))
+        assert [numbers(c) for c in out] == [[3, 4], [0, 1, 2]]
+
+    def test_one_uniform_per_point_object_first_order_kept(self):
+        # the object's points draw first; each cloud keeps the object's
+        # points and then the hand's, each in its own order
+        hand, obj = numbered(0, 30), numbered(100, 20)
+        flip = np.random.default_rng(3).uniform(size=50) < 0.4
+        out_hand, out_obj = apply_label_noise(hand, obj, 0.4, np.random.default_rng(3))
+        obj_nums, hand_nums = np.array(numbers(obj)), np.array(numbers(hand))
+        assert numbers(out_hand) == [*obj_nums[flip[:20]], *hand_nums[~flip[20:]]]
+        assert numbers(out_obj) == [*obj_nums[~flip[:20]], *hand_nums[flip[20:]]]
+        assert 0 < flip.sum() < 50
 
     def test_flip_fraction_binomial_oracle(self):
         n = 10_000
-        labels = np.full(n, LABEL_HAND)
-        labels[: n // 2] = LABEL_OBJECT
-        cloud = point_cloud(np.zeros((n, 3)), labels)
-        out = apply_label_noise(cloud, 0.1, np.random.default_rng(11))
-        frac = np.mean(out.labels != cloud.labels)
-        assert 0.08 <= frac <= 0.12
+        hand, obj = numbered(0, n // 2), numbered(n // 2, n // 2)
+        out_hand, out_obj = apply_label_noise(hand, obj, 0.1, np.random.default_rng(11))
+        moved = sum(k >= n // 2 for k in numbers(out_hand)) + sum(k < n // 2 for k in numbers(out_obj))
+        assert 0.08 <= moved / n <= 0.12
 
     def test_partition_invariant(self):
-        # perceive's two clouds split the cropped view, whatever the noise flips
+        # the two clouds split the cropped view, whatever the noise moves
         palm = Pose(SPHERE_AT.p + [0.0, 0.1, 0.0], [0, 0, 0, 1])
-        seen = crop_around_palm(synthesize_cloud(held_sphere(), palm, np.random.default_rng(12)), palm.p)
+        clouds = synthesize_cloud(held_sphere(), palm, np.random.default_rng(12))
+        seen = [crop_around_palm(c, palm.p) for c in clouds]
         for noise in (0.0, 0.3, 1.0):
-            hand, obj = perceive(held_sphere(), palm, palm.p, noise, np.random.default_rng(12))
-            assert len(hand) + len(obj) == len(seen)
-            assert np.all(hand.labels == LABEL_HAND) and np.all(obj.labels == LABEL_OBJECT)
-            assert (noise == 1.0) == (len(obj) == np.sum(seen.labels == LABEL_HAND))
+            hand, obj = apply_label_noise(*seen, noise, np.random.default_rng(12))
+            assert len(hand) + len(obj) == len(seen[0]) + len(seen[1])
+            assert (noise == 1.0) == (len(obj) == len(seen[0]))
         with pytest.raises(ValueError):
-            perceive(held_sphere(), palm, palm.p, 1.5, np.random.default_rng(12))
+            apply_label_noise(*seen, 1.5, np.random.default_rng(12))

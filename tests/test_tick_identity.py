@@ -5,6 +5,8 @@ comparison is on bytes (arrays) or on the boolean itself, never within a
 tolerance.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from handover_sim.motion import (
     servo_step,
 )
 from handover_sim.refinement import EPSILON_DEN, HAND_MARGIN, mh_step
-from handover_sim.scene import LABEL_OBJECT, LabeledPointCloud, PrimitiveShape, perceive, synthesize_cloud
+from handover_sim.scene import PointCloud, PrimitiveShape, crop_around_palm, synthesize_cloud
 from handover_sim import sim
 from handover_sim.scenario import load_scenario
 from handover_sim.sim import DT, _round_pose, encode_hand_points
@@ -248,9 +250,10 @@ class TestHandCloud:
             held = None if shape is None else (shape, palm.compose(Pose([0, -0.11, 0], rng.normal(size=4))))
             got = synthesize_cloud(held, palm, np.random.default_rng([seed, 1, 10 * seed]))
             want = reference.synthesize_cloud(held, palm, np.random.default_rng([seed, 1, 10 * seed]))
-            assert len(got) > 0
-            for name in ("points", "labels", "normals"):
-                assert same_bytes(getattr(got, name), getattr(want, name))
+            assert len(got[0]) > 0
+            for cloud, ref in zip(got, want, strict=True):
+                for name in ("points", "normals"):
+                    assert same_bytes(getattr(cloud, name), getattr(ref, name))
 
     def test_leaves_the_stream_where_the_per_sphere_draws_did(self):
         palm = Pose([0.55, 0.05, 0.28], [0, 0, 0, 1])
@@ -261,26 +264,40 @@ class TestHandCloud:
 
 
 class TestPerceive:
-    @pytest.mark.parametrize("noise", [0.0, 0.05, 1.0])
+    """SimState.observe's two clouds against reference.perceive, the
+    unfused full-scene chain: sample, visibility, crop, label flips, split
+    by label."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01, 0.05, 0.3, 1.0])
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.kind if s else "no_object")
     def test_matches_the_unfused_steps(self, shape, noise):
-        # the crop center is the tracked palm, which can lag the palm; the
-        # farther centers cut the hand, the object or both
+        # the palm moves from one cloud tick to the next, and the crop
+        # center is the tracked palm, which can lag it; the farther
+        # centers cut the hand, the object or both
+        scenario = replace(
+            load_scenario("scenarios/nominal_cylinder.yaml"),
+            object_shape=shape or SHAPES[1],
+            label_noise=noise,
+        )
         rng = np.random.default_rng(9)
         cut = 0
         for seed in range(6):
+            state = sim.SimState(scenario, seed)
+            state.metrics.success = shape is None  # the robot has the object: no object points
             palm = Pose(rng.uniform([0.4, -0.1, 0.1], [0.7, 0.2, 0.4]), rng.normal(size=4))
-            held = None if shape is None else (shape, palm.compose(Pose([0, -0.11, 0], rng.normal(size=4))))
-            center = palm.p + rng.normal(size=3) * (0.04 * seed)
-            rngs = np.random.default_rng([seed, 1, 10 * seed]), np.random.default_rng([seed, 1, 10 * seed])
-            got = perceive(held, palm, center, noise, rngs[0])
-            want = reference.perceive(held, palm, center, noise, rngs[1])
-            for cloud, ref in zip(got, want):
-                for name in ("points", "labels", "normals"):
+            object_pose = palm.compose(Pose([0, -0.11, 0], rng.normal(size=4)))
+            state.tracked_palm = Pose(palm.p + rng.normal(size=3) * (0.04 * seed), palm.q)
+            tick = sim.CLOUD_DIV * seed
+            state.observe(tick, palm, object_pose)
+            held = None if shape is None else (shape, object_pose)
+            want = reference.perceive(
+                held, palm, state.tracked_palm.p, noise, np.random.default_rng([seed, 1, tick])
+            )
+            for cloud, ref in zip((state.hand_cloud, state.object_cloud), want, strict=True):
+                for name in ("points", "normals"):
                     assert same_bytes(getattr(cloud, name), getattr(ref, name))
-            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-            seen = reference.synthesize_cloud(held, palm, np.random.default_rng([seed, 1, 10 * seed]))
-            cut += len(got[0]) + len(got[1]) < len(seen)
+            seen = reference.synthesize_cloud(held, palm, np.random.default_rng([seed, 1, tick]))
+            cut += len(state.hand_cloud) + len(state.object_cloud) < len(seen[0]) + len(seen[1])
         assert cut > 0
 
 
@@ -298,8 +315,7 @@ def object_cloud(kind, seed=41):
     rng = np.random.default_rng(seed)
     pts, nrm = OBJECTS[kind].sample_surface(1200, rng)
     world = Pose(rng.uniform(-0.2, 0.2, 3), rng.normal(size=4))
-    return LabeledPointCloud(world.transform_points(pts), np.full(len(pts), LABEL_OBJECT),
-                             nrm @ world.rotation_matrix().T)
+    return PointCloud(world.transform_points(pts), nrm @ world.rotation_matrix().T)
 
 
 def grasps_near(cloud, seed=42):
@@ -438,7 +454,7 @@ class TestBoxKernel:
             for margin in (0.0, HAND_MARGIN):
                 same_hits(dense_hits(rows, none, margin),
                           reference.stacked_box_hits(rows, none, GRIPPER_BOXES, margin))
-            empty = LabeledPointCloud.empty()
+            empty = PointCloud.empty()
             assert same_bytes(evaluate(rows, empty), reference.evaluate_rows(rows, empty))
         for points in (cloud.points, none):
             assert same_hits(dense_hits(GraspSet.empty(), points),
@@ -593,10 +609,10 @@ class TestHandPointEncoder:
         for seed in range(4):
             palm = Pose(rng.uniform([0.4, -0.1, 0.1], [0.7, 0.2, 0.4]), rng.normal(size=4))
             held = (OBJECTS[kind], palm.compose(Pose([0, -0.11, 0], rng.normal(size=4))))
-            cloud = synthesize_cloud(held, palm, np.random.default_rng([seed, 1, 10 * seed]))
-            self.check(cloud.points)
-            hand, _ = perceive(held, palm, palm.p, 0.0, np.random.default_rng([seed, 1, 10 * seed]))
+            hand, obj = synthesize_cloud(held, palm, np.random.default_rng([seed, 1, 10 * seed]))
             self.check(hand.points)
+            self.check(obj.points)
+            self.check(crop_around_palm(hand, palm.p).points)
         self.check(object_cloud(kind).points)
 
     def test_committed_scenarios(self):
