@@ -42,7 +42,8 @@ def summarize(scenario: Scenario, seeds, results) -> dict:
 
 
 def batch(scenario_dir, seeds, out_csv=None, mode=None) -> list[dict]:
-    """Run every scenario file in a directory across the given seeds."""
+    """Run every scenario file in a directory across the given seeds. Every
+    file is parsed, and mode applied, before the first run."""
     seeds = list(seeds)  # every scenario runs the same seeds, even from a generator
     if not seeds:
         raise ScenarioError("no seeds to run")
@@ -53,13 +54,10 @@ def batch(scenario_dir, seeds, out_csv=None, mode=None) -> list[dict]:
     paths = sorted(os.path.join(scenario_dir, f) for f in names if f.endswith((".yaml", ".yml")))
     if not paths:
         raise ScenarioError(f"no scenario files in {scenario_dir}")
-    rows = []
-    for path in paths:
-        scenario = load_scenario(path)
-        if mode is not None:
-            scenario = replace(scenario, mode=mode)
-        results = run_seeds(scenario, seeds)
-        rows.append(summarize(scenario, seeds, results))
+    scenarios = [load_scenario(path) for path in paths]
+    if mode is not None:
+        scenarios = [replace(scenario, mode=mode) for scenario in scenarios]
+    rows = [summarize(scenario, seeds, run_seeds(scenario, seeds)) for scenario in scenarios]
     if out_csv is not None:
         write_summary(rows, out_csv)
     return rows

@@ -61,39 +61,13 @@ class Box:
     half: tuple
 
 
-def _own_rows(rows, shape) -> np.ndarray:
-    """rows as a float64, C-contiguous array of the given shape. An array
-    that already is one and owns its data, such as a take, a where or a
-    product made for the set, is kept as it is: the set takes it over and
-    makes it read-only in place, so a caller passes only arrays it is done
-    with. Anything else, a view included, is copied, so writing through the
-    caller's view or its base cannot change the set."""
-    if (
-        isinstance(rows, np.ndarray)
-        and rows.dtype == np.float64
-        and rows.flags.c_contiguous
-        and rows.flags.owndata
-        and rows.ndim == len(shape)
-        and rows.shape[1:] == shape[1:]
-    ):
-        return rows
-    return np.array(rows, dtype=float, order="C").reshape(shape)
-
-
-def _set_rows(p, q, scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A set's p, q and scores as rows it owns (_own_rows); ValueError
-    unless they hold one row per grasp."""
-    p, q, scores = _own_rows(p, (-1, 3)), _own_rows(q, (-1, 4)), _own_rows(scores, (-1,))
-    if not len(p) == len(q) == len(scores):
-        raise ValueError("p, q and scores need one row per grasp")
-    return p, q, scores
-
-
 @dataclass(frozen=True, eq=False)
 class GraspSet:
     """G grasps as rows: positions p (G, 3), quaternions q (G, 4) in the
     canonical unit form a Pose holds, and scores (G,) in [0, 1]. With p and
     q the set is also a stack of poses for the stacked geometry helpers.
+    The set holds its own read-only float64 copies of the three, so writing
+    to a caller's array cannot change it, and no two sets share memory.
     """
 
     p: np.ndarray
@@ -101,25 +75,16 @@ class GraspSet:
     scores: np.ndarray
 
     def __post_init__(self):
-        p, q, scores = _set_rows(self.p, self.q, self.scores)
-        if not np.all((scores >= 0.0) & (scores <= 1.0)):
+        p = np.array(self.p, dtype=float, order="C").reshape(-1, 3)
+        q = np.array(self.q, dtype=float, order="C").reshape(-1, 4)
+        scores = np.array(self.scores, dtype=float, order="C").reshape(-1)
+        if not len(p) == len(q) == len(scores):
+            raise ValueError("p, q and scores need one row per grasp")
+        if not ((scores >= 0.0) & (scores <= 1.0)).all():
             raise ValueError("grasp score must be in [0, 1]")
-        self._freeze(p, q, scores)
-
-    def _freeze(self, p, q, scores):
-        """Keep the three row arrays, which this set owns, read-only."""
         for name, arr in (("p", p), ("q", q), ("scores", scores)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_checked(cls, p, q, scores) -> "GraspSet":
-        """A set of scores that a set already checked, such as its rows or
-        two sets joined, built without the range check, which is most of a
-        small set's build. The rows are taken as the constructor takes them."""
-        grasps = object.__new__(cls)
-        grasps._freeze(*_set_rows(p, q, scores))
-        return grasps
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -129,14 +94,12 @@ class GraspSet:
         rows = np.asarray(rows)
         if rows.dtype == bool:
             rows = np.flatnonzero(rows)
-        return GraspSet.from_checked(
-            self.p.take(rows, axis=0), self.q.take(rows, axis=0), self.scores.take(rows)
-        )
+        return GraspSet(self.p.take(rows, axis=0), self.q.take(rows, axis=0), self.scores.take(rows))
 
     def __add__(self, other: "GraspSet") -> "GraspSet":
         """These grasps followed by the other set's."""
         p, q = np.vstack([self.p, other.p]), np.vstack([self.q, other.q])
-        return GraspSet.from_checked(p, q, np.concatenate([self.scores, other.scores]))
+        return GraspSet(p, q, np.concatenate([self.scores, other.scores]))
 
     @classmethod
     def empty(cls) -> "GraspSet":

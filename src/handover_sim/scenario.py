@@ -23,6 +23,7 @@ from .scene import PrimitiveShape
 MODES = ("object_center", "naive", "temporal", "temporal_plus")
 
 DEFAULT_TIME_LIMIT = 60.0
+MAX_TIME_LIMIT = 3600.0  # s: an hour, far past any handover; the run counts it in ticks
 LOWER_HAND_OFFSET = (0.0, 0.0, -0.35)  # lower_hand moves the palm 0.35 m down
 
 # the keys each level of a scenario accepts
@@ -67,8 +68,8 @@ class Scenario:
             raise ScenarioError("hand_trajectory needs at least one keyframe")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ScenarioError("keyframe times must be strictly increasing")
-        if not 0 < self.time_limit < np.inf:
-            raise ScenarioError("time_limit must be finite and > 0")
+        if not 0 < self.time_limit <= MAX_TIME_LIMIT:  # NaN fails both tests
+            raise ScenarioError(f"time_limit must be > 0 and <= MAX_TIME_LIMIT ({MAX_TIME_LIMIT} s)")
         if self.seed < 0:
             raise ScenarioError("seed must be >= 0")
         if not 0.0 <= self.label_noise <= 1.0:

@@ -62,7 +62,7 @@ class SelectedTarget:
 def expand_flips(grasp_set: GraspSet) -> GraspSet:
     """Double the set with 180-degree-Z-flipped copies carrying the same score."""
     flipped = quat_unit_rows(quat_mul(grasp_set.q, FLIP_Z))
-    return grasp_set + GraspSet.from_checked(grasp_set.p, flipped, grasp_set.scores)
+    return grasp_set + GraspSet(grasp_set.p, flipped, grasp_set.scores)
 
 
 def grasp_cost(x_appr: Pose, s: float, x_prev: Pose, weights: tuple[float, float]) -> float:
@@ -84,7 +84,7 @@ def make_targets(grasp_set: GraspSet) -> GraspSet:
     (local +Z) axis; rows and scores match grasp_set's."""
     z = quat_to_matrix(grasp_set.q)[:, :, 2]
     q = quat_unit_rows(grasp_set.q)
-    return GraspSet.from_checked(grasp_set.p + z * -STANDOFF, q, grasp_set.scores)
+    return GraspSet(grasp_set.p + z * -STANDOFF, q, grasp_set.scores)
 
 
 def select_target(

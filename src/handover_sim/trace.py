@@ -35,9 +35,11 @@ never values the trace records, so a trace cannot loosen its checks.
 
 A trace without a header or a tick record fails verification; one that
 cannot be read or holds a malformed record raises TraceError: among
-them a degenerate quaternion, and hand points that hold anything but
-JSON integers (a bool, a float, a string or a null) or whose length is
-not a multiple of 3.
+them a degenerate quaternion, an ``ee_pose`` or ``selected_grasp`` value
+that is not a number (a string, a bool or a null; a whole
+``selected_grasp`` of null means no grasp), and hand points that hold
+anything but JSON integers (a bool, a float, a string or a null) or
+whose length is not a multiple of 3.
 """
 
 from __future__ import annotations
@@ -95,7 +97,11 @@ def _pose_rows(poses) -> tuple[np.ndarray, np.ndarray]:
     """Pose lists as (N, 7) rows with q made canonical unit as a Pose makes
     it, and (N,) whether each pose is finite; a non-finite pose reads as
     the identity. ValueError unless each pose is 7 numbers with q non-zero.
+    A string, a bool or a null is not a number, though np.array would parse
+    the string, read true as 1.0 and null as NaN.
     """
+    if not set(map(type, itertools.chain.from_iterable(poses))).isdisjoint({str, bool, type(None)}):
+        raise ValueError("a pose value is not a number")
     rows = np.array(poses, dtype=float) if poses else np.zeros((0, 7))
     if rows.shape[1:] != (7,):
         raise ValueError("a pose is 7 numbers")

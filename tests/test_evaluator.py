@@ -398,15 +398,19 @@ class TestGraspSetArrays:
             with pytest.raises(ValueError):
                 arr[0] = 0.25
 
-    def test_fresh_arrays_are_kept_without_a_copy(self):
+    def test_callers_arrays_stay_writable_and_apart_from_the_set(self):
+        # fresh float64 arrays are copied too, and stay the caller's to write
         p, q, scores = np.zeros((2, 3)), np.zeros((2, 4)), np.full(2, 0.5)
         q[:, 3] = 1.0
         grasps = GraspSet(p, q, scores)
-        assert grasps.p is p and grasps.q is q and grasps.scores is scores
-        assert not p.flags.writeable
+        for arr, got in zip((p, q, scores), (grasps.p, grasps.q, grasps.scores)):
+            old = got.copy()
+            assert arr.flags.writeable and not np.shares_memory(arr, got)
+            arr[0] = 0.25
+            assert np.array_equal(got, old)
 
     def test_writing_to_a_callers_view_cannot_change_the_set(self):
-        # contiguous float64 views: only their base tells them from fresh arrays
+        # writing through a caller's view or through its base
         bases = np.zeros((4, 3)), np.zeros((4, 4)), np.full(4, 0.5)
         bases[1][:, 3] = 1.0
         views = [base[:2] for base in bases]
@@ -440,6 +444,9 @@ class TestGraspSetArrays:
         for got, expected in derived:
             assert got.scores.dtype == expected.dtype and got.scores.tobytes() == expected.tobytes()
             assert not got.scores.flags.writeable
+            # a derived set holds its own rows, never its source's
+            for mine, source in zip((got.p, got.q, got.scores), (grasps.p, grasps.q, grasps.scores)):
+                assert not np.shares_memory(mine, source)
 
 
 def mirrored_under_flip(boxes):

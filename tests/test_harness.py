@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -20,6 +21,7 @@ from handover_sim.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main
 from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul
 from handover_sim.motion import DEFAULT_V_MAX, DEFAULT_W_MAX
 from handover_sim.scenario import (
+    MAX_TIME_LIMIT,
     Scenario,
     ScenarioError,
     load_scenario,
@@ -112,6 +114,11 @@ class TestScenarioParsing:
     def test_nonpositive_time_limit_rejected(self):
         with pytest.raises(ScenarioError):
             scenario_from_dict(base_dict(time_limit=0))
+
+    def test_time_limit_is_bounded_by_max_time_limit(self):
+        assert scenario_from_dict(base_dict(time_limit=MAX_TIME_LIMIT)).time_limit == MAX_TIME_LIMIT
+        with pytest.raises(ScenarioError, match="MAX_TIME_LIMIT"):
+            scenario_from_dict(base_dict(time_limit=np.nextafter(MAX_TIME_LIMIT, np.inf)))
 
     def test_lower_hand_takes_empty_or_null_parameters(self):
         for params in ({}, None):
@@ -433,8 +440,6 @@ class TestBatch:
     def test_batch_writes_csv(self, tmp_path):
         sdir = tmp_path / "scenarios"
         sdir.mkdir()
-        import shutil
-
         shutil.copy(BELOW, sdir / "a_below.yaml")
         out = tmp_path / "summary.csv"
         rows = batch(sdir, [0], out_csv=out)
@@ -449,8 +454,6 @@ class TestBatch:
             batch(tmp_path, [0])
 
     def test_batch_runs_generator_seeds_for_every_scenario(self, tmp_path):
-        import shutil
-
         shutil.copy(BELOW, tmp_path / "a.yaml")
         shutil.copy(BELOW, tmp_path / "b.yaml")
         rows = batch(tmp_path, (s for s in [0, 1]))
@@ -498,6 +501,8 @@ BAD_SCENARIOS = {
     "two_vector_push": base_dict(events=_push_event([0.1, 0.0])),
     "zero_rotation_axis": base_dict(events=_rotate_event([0, 0, 0])),
     "infinite_time_limit": base_dict(time_limit=float("inf")),
+    # finite, but too many ticks to count: the run died computing the tick count
+    "huge_time_limit": base_dict(time_limit=1.0e308),
     "nan_hand_pose": base_dict(hand_trajectory=[{"t": 0.0, "pose": [float("nan"), 0.05, 0.28]}]),
     "nan_trigger_time": base_dict(events=_push_event([0.1, 0.0, 0.0], time=float("nan"))),
     "infinite_trigger_time": base_dict(events=_push_event([0.1, 0.0, 0.0], time=float("inf"))),
@@ -538,12 +543,24 @@ class TestCli:
         ["--dir", "{missing}", "--seeds", "0"],
         ["--dir", "{file}", "--seeds", "0"],
         ["--dir", "scenarios", "--seeds", "0,-1"],
-    ], ids=["missing_dir", "file_as_dir", "negative_second_seed"])
+        ["--dir", "{later}", "--seeds", "0,1"],
+    ], ids=["missing_dir", "file_as_dir", "negative_second_seed", "bad_later_file"])
     def test_bad_batch_input_exits_2_before_any_run(self, argv, tmp_path, capsys, monkeypatch):
         started = []
-        monkeypatch.setattr("handover_sim.batch.run", lambda *args, **kwargs: started.append(args))
+
+        def no_run(*args, **kwargs):
+            started.append(args)
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("handover_sim.batch.run", no_run)
         (tmp_path / "file.yaml").write_text("seed: 0\n")
-        argv = [arg.format(missing=tmp_path / "missing", file=tmp_path / "file.yaml") for arg in argv]
+        # a good file, then a bad one: the bad one fails before the good one runs
+        later = tmp_path / "later"
+        later.mkdir()
+        shutil.copy(BELOW, later / "a.yaml")
+        (later / "b.yaml").write_text("mode: nope\n")
+        argv = [arg.format(missing=tmp_path / "missing", file=tmp_path / "file.yaml", later=later)
+                for arg in argv]
         out = tmp_path / "o.csv"
         assert main(["batch", *argv, "--out", str(out)]) == EXIT_PARSE
         assert started == []
@@ -664,8 +681,6 @@ class TestCli:
     def test_batch_cli(self, tmp_path, capsys):
         sdir = tmp_path / "s"
         sdir.mkdir()
-        import shutil
-
         shutil.copy(BELOW, sdir / "below.yaml")
         out = tmp_path / "o.csv"
         code = main(["batch", "--dir", str(sdir), "--seeds", "0", "--out", str(out)])

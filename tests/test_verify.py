@@ -201,6 +201,21 @@ def test_non_finite_value_exits_3(nominal, field, tmp_path, capsys):
     assert f"tick 50: non-finite {field}" in capsys.readouterr().err
 
 
+# pose values that are no JSON number, though np.array would read each as one
+NOT_NUMBERS = {"numeric_string": "0.3", "true": True, "false": False, "null": None}
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["one_value", "every_value"])
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+@pytest.mark.parametrize("field", ["ee_pose", "selected_grasp"])
+def test_pose_value_that_is_not_a_number_exits_2(nominal, field, value, whole, tmp_path, capsys):
+    pose = ticks_of(nominal)[50][field]
+    for i in range(len(pose) if whole else 1):
+        pose[i] = str(pose[i]) if value == "numeric_string" else NOT_NUMBERS[value]
+    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
+    assert "malformed record" in capsys.readouterr().err
+
+
 # values that are no JSON integer, as json.dumps writes them
 NOT_COUNTS = {"string": "0.1", "null": None, "true": True, "false": False, "float": 1.5,
               "whole_float": 55000.0, "nan": float("nan"), "infinity": float("inf"),
