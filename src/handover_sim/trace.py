@@ -19,8 +19,7 @@ verify_records re-checks, for every tick record:
   come exactly on ``tick % CLOUD_DIV == 0``, ``refined`` and
   ``selection_tick`` fall only on their ticks, and ``resampled`` only
   with ``refined``;
-- ``ee_pose`` and ``selected_grasp`` are finite, and so is every hand
-  point: a count a float cannot hold reads as infinite metres;
+- ``ee_pose`` and ``selected_grasp`` are finite;
 - the end effector's linear and angular steps stay within the program's
   speed limits;
 - the end effector stays above the table (z >= ``motion.TABLE_Z``);
@@ -34,12 +33,13 @@ The limits, the margin and the tick rates are the program's constants,
 never values the trace records, so a trace cannot loosen its checks.
 
 A trace without a header or a tick record fails verification; one that
-cannot be read or holds a malformed record raises TraceError: among
-them a degenerate quaternion, an ``ee_pose`` or ``selected_grasp`` value
-that is not a number (a string, a bool or a null; a whole
-``selected_grasp`` of null means no grasp), and hand points that hold
-anything but JSON integers (a bool, a float, a string or a null) or
-whose length is not a multiple of 3.
+cannot be read or holds a malformed record raises TraceError. A record
+is malformed where it lacks a key ``TICK_FIELDS`` or ``CLOSURE_FIELDS``
+names (but ``hand_points``, which only cloud ticks carry) or holds a
+value of a type the table does not allow, and where it holds a negative
+``candidate_count``, a pose that is not 7 numbers, a degenerate
+quaternion, hand points whose length is not a multiple of 3, or a tick
+or hand-point count beyond int64.
 """
 
 from __future__ import annotations
@@ -58,7 +58,20 @@ from .refinement import DEFAULT_HAND_MARGIN, collides_hand
 from .sim import CLOUD_DIV, DT, HAND_POINT_SCALE, REFINE_DIV, SELECT_DIV
 
 IDENTITY = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # stands in for a pose with a non-finite value
-FLOAT_LIMIT = 2**1024 - 2**970  # the least integer that float() cannot hold
+
+# Each key verify reads -> (the types its value, or each value in its list,
+# may hold, and what such a value is). A bool is no integer count, though
+# Python counts it an int; a number is no string, bool or null, though
+# np.array would parse a string, read true as 1.0 and null as NaN.
+COUNT, FLAG = ({int}, "an integer count"), ({bool}, "a bool")
+NUMBER = ({int, float, np.float64}, "a number")  # np.float64: records built in memory
+TICK_FIELDS = {
+    "tick": COUNT, "stage": ({str}, "a string"), "candidate_count": COUNT,
+    "resampled": FLAG, "refined": FLAG, "selection_tick": FLAG,
+    "ee_pose": NUMBER, "selected_grasp": NUMBER,  # a whole null selected_grasp: no grasp
+    "hand_points": COUNT,  # on cloud ticks only
+}
+CLOSURE_FIELDS = {"tick": COUNT, "success": FLAG}
 
 
 class TraceError(Exception):
@@ -93,15 +106,21 @@ def trace_digest(records) -> str:
     return h.hexdigest()
 
 
-def _pose_rows(poses) -> tuple[np.ndarray, np.ndarray]:
+def _checked(values, key, fields=TICK_FIELDS):
+    """values, a column of key or the values in its lists; ValueError
+    unless each is of a type fields[key] allows."""
+    types, what = fields[key]
+    if not set(map(type, values)) <= types:
+        raise ValueError(f"{key} holds a value that is not {what}")
+    return values
+
+
+def _pose_rows(poses, key) -> tuple[np.ndarray, np.ndarray]:
     """Pose lists as (N, 7) rows with q made canonical unit as a Pose makes
     it, and (N,) whether each pose is finite; a non-finite pose reads as
     the identity. ValueError unless each pose is 7 numbers with q non-zero.
-    A string, a bool or a null is not a number, though np.array would parse
-    the string, read true as 1.0 and null as NaN.
     """
-    if not set(map(type, itertools.chain.from_iterable(poses))).isdisjoint({str, bool, type(None)}):
-        raise ValueError("a pose value is not a number")
+    _checked(itertools.chain.from_iterable(poses), key)
     rows = np.array(poses, dtype=float) if poses else np.zeros((0, 7))
     if rows.shape[1:] != (7,):
         raise ValueError("a pose is 7 numbers")
@@ -114,28 +133,14 @@ def _pose_rows(poses) -> tuple[np.ndarray, np.ndarray]:
     return rows, finite
 
 
-def _read_counts(points) -> tuple[np.ndarray, bool]:
-    """A hand_points list as one array of its counts, and whether every
-    point is finite; ValueError unless the list is whole (x, y, z) triples
-    of JSON integers. A bool is not one, though Python counts it an int,
-    and np.fromiter would read it as 1 or 0, parse a string and read null
-    as NaN.
-
-    The counts are read once, as int64: every int64 lies far inside
-    FLOAT_LIMIT, so the cloud is finite, and int64 -> float64 rounds to
-    nearest as int -> float does, so the points keep their bits. Only a
-    count beyond int64 takes the min/max test and a float read, in which
-    a count no float holds reads as NaN, which meets no box."""
+def _read_counts(points) -> np.ndarray:
+    """A hand_points list as one int64 array of its counts; ValueError
+    unless the list is whole (x, y, z) triples of JSON integers, and
+    OverflowError on a count beyond int64. int64 -> float64 rounds to
+    nearest as int -> float does, so the points keep their bits."""
     if len(points) % 3:
         raise ValueError("hand_points is not a flat list of (x, y, z) triples")
-    if not set(map(type, points)) <= {int}:
-        raise ValueError("hand_points holds a value that is not an integer count")
-    try:
-        return np.fromiter(points, dtype=np.int64, count=len(points)), True
-    except OverflowError:
-        finite = -FLOAT_LIMIT < min(points) and max(points) < FLOAT_LIMIT
-        counts = (c if -FLOAT_LIMIT < c < FLOAT_LIMIT else np.nan for c in points)
-        return np.fromiter(counts, dtype=float, count=len(points)), finite
+    return np.fromiter(_checked(points, "hand_points"), dtype=np.int64, count=len(points))
 
 
 def verify_records(records) -> list[str]:
@@ -143,10 +148,11 @@ def verify_records(records) -> list[str]:
     and margin; returns the violations found, in tick order (empty means
     clean). See the module docstring for the checks.
 
-    Every check is an array pass over all ticks. Each hand cloud's counts
-    are read once, as one array (_read_counts); the grasp test then runs
-    once per cloud, over the distinct grasps selected while it is in
-    force, and only a cloud it tests is divided into points.
+    Every check is an array pass over all ticks, each column read and its
+    types checked once (_checked). Each hand cloud's counts are read once,
+    as one array (_read_counts); the grasp test then runs once per cloud,
+    over the distinct grasps selected while it is in force, and only a
+    cloud it tests is divided into points.
     """
     has_header = records and records[0].get("type") == "header"
     violations = [] if has_header else ["trace has no header record"]
@@ -154,14 +160,17 @@ def verify_records(records) -> list[str]:
     if not ticks:
         return violations + ["trace has no tick record"]
 
-    flags = np.array([
-        (rec["tick"], rec["refined"], rec["selection_tick"], rec["resampled"], "hand_points" in rec)
-        for rec in ticks
-    ])
-    tick, refined, selection, resampled, has_points = flags.T
+    tick, stage, count, resampled, refined, selection = (
+        _checked([rec[key] for rec in ticks], key)
+        for key in ("tick", "stage", "candidate_count", "resampled", "refined", "selection_tick"))
+    if min(count) < 0:
+        raise ValueError("candidate_count holds a negative count")
+    tick = np.array(tick, dtype=np.int64)
+    resampled, refined, selection = (np.array(f, dtype=bool) for f in (resampled, refined, selection))
+    has_points = np.array(["hand_points" in rec for rec in ticks])
     expected = np.concatenate([[0], tick[:-1] + 1])
 
-    ee, ee_finite = _pose_rows([rec["ee_pose"] for rec in ticks])
+    ee, ee_finite = _pose_rows([rec["ee_pose"] for rec in ticks], "ee_pose")
     prev = np.concatenate([ee[:1], ee[:-1]])  # the first tick stands in for its own
     step_finite = np.concatenate([[False], ee_finite[1:] & ee_finite[:-1]])
     d = ee[:, :3] - prev[:, :3]
@@ -169,41 +178,33 @@ def verify_records(records) -> list[str]:
     # quat_angle, row by row
     angle = 2.0 * np.arccos(np.clip(np.abs(row_dot(ee[:, 3:], prev[:, 3:])), -1.0, 1.0))
 
-    picked = [rec.get("selected_grasp") for rec in ticks]
+    picked = [rec["selected_grasp"] for rec in ticks]
     has_grasp = np.array([g is not None for g in picked])
     grasp = np.tile(IDENTITY, (len(ticks), 1))
     grasp_finite = np.zeros(len(ticks), dtype=bool)
-    grasp[has_grasp], grasp_finite[has_grasp] = _pose_rows([g for g in picked if g is not None])
+    poses = [g for g in picked if g is not None]
+    grasp[has_grasp], grasp_finite[has_grasp] = _pose_rows(poses, "selected_grasp")
 
-    # the cloud in force at each tick: the last tick at or before it with hand points
-    clouds = np.flatnonzero(has_points)
-    cloud_of = np.maximum.accumulate(np.where(has_points, np.arange(len(ticks)), -1))
-    tested = np.flatnonzero(grasp_finite & (cloud_of >= 0))
-    # one test per run of ticks with the same cloud and grasp; heads are runs' first ticks
-    same_cloud = cloud_of[tested][1:] == cloud_of[tested][:-1]
-    same_grasp = np.all(grasp[tested][1:] == grasp[tested][:-1], axis=1)
-    first = np.ones(len(tested), dtype=bool)
-    first[1:] = ~(same_cloud & same_grasp)
-    heads = tested[first]
-    head_clouds, starts = np.unique(cloud_of[heads], return_index=True)
-    ends = [*starts[1:].tolist(), len(heads)]
-    spans = dict(zip(head_clouds.tolist(), zip(starts.tolist(), ends)))
-    points_finite = np.ones(len(ticks), dtype=bool)
-    hits = np.zeros(len(heads), dtype=bool)
-    # one cloud at a time: none is held past its own test
-    for k in clouds.tolist():
-        counts, points_finite[k] = _read_counts(ticks[k]["hand_points"])
-        if k in spans:
-            lo, hi = spans[k]
-            runs = heads[lo:hi]
-            grasps = GraspSet(grasp[runs, :3], grasp[runs, 3:], np.zeros(len(runs)))
+    collides = np.zeros(len(ticks), dtype=bool)
+    clouds = np.flatnonzero(has_points).tolist()
+    # one cloud at a time, in force from its tick up to the next cloud's: none
+    # is held past its own test
+    for k, end in zip(clouds, [*clouds[1:], len(ticks)]):
+        counts = _read_counts(ticks[k]["hand_points"])
+        tested = k + np.flatnonzero(grasp_finite[k:end])
+        if len(tested):
+            # one test per run of ticks with the same grasp; heads are runs' first ticks
+            first = np.concatenate([[True], np.any(grasp[tested][1:] != grasp[tested][:-1], axis=1)])
+            heads = tested[first]
+            grasps = GraspSet(grasp[heads, :3], grasp[heads, 3:], np.zeros(len(heads)))
             # dividing, not multiplying by 1e-5, gives np.round(points, 5) bit
             # for bit, but for the sign of zero, which the box test treats alike
             pts = (counts / HAND_POINT_SCALE).reshape(-1, 3)
-            hits[lo:hi] = collides_hand(grasps, pts, DEFAULT_HAND_MARGIN)
-    collides = np.zeros(len(ticks), dtype=bool)
-    collides[tested] = hits[np.cumsum(first) - 1]
-    illegal, overrun = _stage_paths(records, ticks)
+            collides[tested] = collides_hand(grasps, pts, DEFAULT_HAND_MARGIN)[np.cumsum(first) - 1]
+    closing = [rec for rec in records if rec.get("type") == "closure"]
+    closed, success = (_checked([rec[key] for rec in closing], key, CLOSURE_FIELDS)
+                       for key in ("tick", "success"))
+    illegal, overrun = _stage_paths(stage, tick, selection, dict(zip(closed, success)))
 
     lin_max, ang_max = DEFAULT_V_MAX * DT, DEFAULT_W_MAX * DT
     # (flagged ticks, message after "tick N: ", per-tick value for its {} field)
@@ -211,10 +212,9 @@ def verify_records(records) -> list[str]:
         (tick != expected, "tick index breaks the count 0, 1, 2, ...: expected {}", expected),
         (has_points != (tick % CLOUD_DIV == 0), f"hand_points do not match tick % {CLOUD_DIV} == 0",
          tick),
-        ((refined != 0) & (tick % REFINE_DIV != 0), f"refined off tick % {REFINE_DIV} == 0", tick),
-        ((selection != 0) & (tick % SELECT_DIV != 0),
-         f"selection_tick off tick % {SELECT_DIV} == 0", tick),
-        ((resampled != 0) & (refined == 0), "resampled without refined", tick),
+        (refined & (tick % REFINE_DIV != 0), f"refined off tick % {REFINE_DIV} == 0", tick),
+        (selection & (tick % SELECT_DIV != 0), f"selection_tick off tick % {SELECT_DIV} == 0", tick),
+        (resampled & ~refined, "resampled without refined", tick),
         (~ee_finite, "non-finite ee_pose", tick),
         (step_finite & (step > lin_max + 1e-6), f"linear step {{:.6f}} exceeds {lin_max:.6f}",
          step),
@@ -223,7 +223,6 @@ def verify_records(records) -> list[str]:
         (ee_finite & (ee[:, 2] < TABLE_Z), f"ee_pose z {{:.6f}} is below the table at {TABLE_Z}",
          ee[:, 2]),
         (has_grasp & ~grasp_finite, "non-finite selected_grasp", tick),
-        (~points_finite, "non-finite hand_points", tick),
         (collides, "selected grasp collides with hand points", tick),
         (illegal != "", "illegal stage change {}", illegal),
         (overrun, f"drop lasts past {DROP_DURATION} s after its closure", tick),
@@ -231,14 +230,16 @@ def verify_records(records) -> list[str]:
     for i in np.flatnonzero(np.any([flagged for flagged, _, _ in checks], axis=0)):
         for flagged, text, value in checks:
             if flagged[i]:
-                violations.append(f"tick {ticks[i]['tick']}: " + text.format(value[i]))
+                violations.append(f"tick {tick[i]}: " + text.format(value[i]))
     return violations
 
 
-def _stage_paths(records, ticks) -> tuple[np.ndarray, np.ndarray]:
-    """Per tick record, "A -> B" where its stage changes along a path the
-    plan cannot take ("" elsewhere), and whether it is a drop tick at or
-    after the drop's end. The stage before the first tick is wait_home.
+def _stage_paths(stages, tick, selection, closures) -> tuple[np.ndarray, np.ndarray]:
+    """Per tick record, from its stage, tick and selection_tick, "A -> B"
+    where its stage changes along a path the plan cannot take ("" elsewhere),
+    and whether it is a drop tick at or after the drop's end; closures maps
+    each closure's tick to its success. The stage before the first tick is
+    wait_home.
 
     A stage may change only: from wait_home or approach to wait_home,
     approach or take on a selection tick; take -> approach on a cloud tick
@@ -247,31 +248,28 @@ def _stage_paths(records, ticks) -> tuple[np.ndarray, np.ndarray]:
     tick whose time is DROP_DURATION or more after that closure. One pass
     over the stages finds the changes; only those are looked at.
     """
-    closures = {rec["tick"]: rec["success"] for rec in records if rec.get("type") == "closure"}
-    stages = [rec["stage"] for rec in ticks]
-    illegal = np.full(len(ticks), "", dtype=object)
-    overrun = np.zeros(len(ticks), dtype=bool)
+    illegal = np.full(len(stages), "", dtype=object)
+    overrun = np.zeros(len(stages), dtype=bool)
     changes = [i for i, (a, b) in enumerate(zip(["wait_home", *stages], stages)) if a != b]
     done_tick = None
-    for i, end in zip(changes, [*changes[1:], len(ticks)]):
-        old, new, rec = stages[i - 1] if i else "wait_home", stages[i], ticks[i]
-        closure = closures.get(rec["tick"])
+    for i, end in zip(changes, [*changes[1:], len(stages)]):
+        old, new, t = stages[i - 1] if i else "wait_home", stages[i], tick[i]
+        closure = closures.get(t)
         if old in ("wait_home", "approach") and new in ("wait_home", "approach", "take"):
-            allowed = rec["selection_tick"]
+            allowed = selection[i]
         elif (old, new) == ("take", "approach"):
-            allowed = rec["tick"] % CLOUD_DIV == 0 or closure is False
+            allowed = t % CLOUD_DIV == 0 or closure is False
         elif (old, new) == ("take", "drop"):
             allowed = closure is True
         else:
-            allowed = (old, new) == ("drop", "done") and rec["tick"] == done_tick
+            allowed = (old, new) == ("drop", "done") and t == done_tick
         if not allowed:
             illegal[i] = f"{old} -> {new}"
-        if new == "drop":  # int(): a NaN tick would never reach its end
-            start = int(rec["tick"])
-            ends = start * DT + DROP_DURATION
-            done_tick = next(t for t in itertools.count(start) if t * DT >= ends)
+        if new == "drop":
+            ends = t * DT + DROP_DURATION
+            done_tick = next(d for d in itertools.count(t) if d * DT >= ends)
             # the drop's ticks, from its first on, that reach its end
-            overrun[i:end] = [r["tick"] >= done_tick for r in ticks[i:end]]
+            overrun[i:end] = tick[i:end] >= done_tick
     return illegal, overrun
 
 
@@ -283,6 +281,7 @@ def verify_trace(path) -> list[str]:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
     try:
         return verify_records(records)
-    # OverflowError: a pose integer too large for a float
+    # OverflowError: a pose integer too large for a float, or a tick or a
+    # hand-point count beyond int64
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed record in trace {path}: {exc!r}") from exc

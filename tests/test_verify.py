@@ -2,6 +2,7 @@
 reference, and the checks the reference does not make."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from handover_sim.cli import EXIT_INVARIANT, EXIT_PARSE, main
 from handover_sim.evaluator import GRIPPER_BOXES, GraspSet, box_bounds
 from handover_sim.geometry import quat_from_axis_angle, quat_mul
 from handover_sim.refinement import DEFAULT_HAND_MARGIN, collides_hand
-from handover_sim.scenario import load_scenario
-from handover_sim.sim import HAND_POINT_SCALE, run
-from handover_sim.trace import FLOAT_LIMIT, verify_records, write_trace
+from handover_sim.scenario import MODES, load_scenario
+from handover_sim.sim import CLOUD_DIV, HAND_POINT_SCALE, run
+from handover_sim.trace import CLOSURE_FIELDS, TICK_FIELDS, verify_records, write_trace
 
 SCENARIOS = ("nominal_cylinder", "rotate90_midmotion", "hand_below_table")
 
@@ -189,8 +190,8 @@ def test_non_finite_hand_points_in_a_cloud_no_grasp_meets(nominal, tmp_path, cap
     assert "malformed record" in capsys.readouterr().err
 
 
-# a hand point is an integer count; one no float can hold is infinite metres
-NON_FINITE = {"ee_pose": float("nan"), "selected_grasp": float("nan"), "hand_points": 10**400}
+# a hand point is an integer count, never non-finite: see test_count_beyond_int64_exits_2
+NON_FINITE = {"ee_pose": float("nan"), "selected_grasp": float("nan")}
 
 
 @pytest.mark.parametrize("field", NON_FINITE)
@@ -265,42 +266,32 @@ def test_counts_are_read_by_division(nominal):
     assert verify_records(nominal) == reference.verify_records(nominal) == (flagged if inside[0] else [])
 
 
+# counts past the ends of int64, up to and past the least integer float()
+# cannot hold, 2**1024 - 2**970
+BEYOND_INT64 = {"two_to_63": 2**63, "int64_min_minus_1": -(2**63) - 1,
+                "limit": 2**1024 - 2**970, "minus_limit": 2**970 - 2**1024,
+                "limit_minus_1": 2**1024 - 2**970 - 1, "ten_to_400": 10**400}
+
+
 @pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
-@pytest.mark.parametrize("count", [FLOAT_LIMIT, -FLOAT_LIMIT, 10**400],
-                         ids=["limit", "minus_limit", "ten_to_400"])
-def test_count_too_large_for_a_float_is_non_finite(nominal, count, tested):
-    # flagged whether or not a grasp is tested against the cloud, as a NaN
-    # was while the points were floats
+@pytest.mark.parametrize("count", BEYOND_INT64.values(), ids=BEYOND_INT64)
+def test_count_beyond_int64_exits_2(nominal, count, tested, tmp_path, capsys):
+    # a hand cloud is one int64 column: a count beyond it is a malformed
+    # record, whether or not a grasp is tested against the cloud
     ticks = ticks_of(nominal)
     if not tested:
         for r in ticks[50:60]:
             r["selected_grasp"] = None
     assert (ticks[50]["selected_grasp"] is not None) == tested
     ticks[50]["hand_points"][4] = count
-    assert verify_records(nominal) == ["tick 50: non-finite hand_points"]
+    with pytest.raises(OverflowError):
+        verify_records(nominal)
+    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
+    assert "malformed record" in capsys.readouterr().err
 
 
-def test_largest_count_a_float_holds_is_finite(nominal):
-    ticks = ticks_of(nominal)
-    ticks[50]["hand_points"][4] = FLOAT_LIMIT - 1
-    ticks[60]["hand_points"][4] = 1 - FLOAT_LIMIT
-    assert verify_records(nominal) == []
-
-
-def test_points_a_float_holds_are_still_tested(nominal):
-    # a non-finite point is left out of the grasp test, the others are not
-    ticks = ticks_of(nominal)
-    ticks[50]["hand_points"][3:6] = [10**400, 0, 0]
-    for r in ticks[50:60]:
-        r["selected_grasp"] = hand_grasp(ticks[50])
-    assert verify_records(nominal) == ["tick 50: non-finite hand_points"] + [
-        f"tick {t}: selected grasp collides with hand points" for t in range(50, 60)]
-
-
-# counts a float holds, at and past the ends of int64: 2**53 + 1 is the
-# least a float rounds, and 2**63 and -2**63 - 1 overflow an int64
-INT64_ENDS = {"two_to_53_plus_1": 2**53 + 1, "int64_max": 2**63 - 1, "two_to_63": 2**63,
-              "int64_min": -(2**63), "int64_min_minus_1": -(2**63) - 1}
+# counts a float holds, at the ends of int64: 2**53 + 1 is the least a float rounds
+INT64_ENDS = {"two_to_53_plus_1": 2**53 + 1, "int64_max": 2**63 - 1, "int64_min": -(2**63)}
 
 
 @pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
@@ -384,6 +375,58 @@ def test_illegal_stage_change_exits_3(nominal, tmp_path, capsys):
     # a stage the plan does not have
     took["selection_tick"], ticks[-1]["stage"] = True, "hover"
     assert verify_records(nominal) == [f"tick {ticks[-1]['tick']}: illegal stage change {ticks[-2]['stage']} -> hover"]
+
+
+# hand edits to keys verify once left unchecked, each verified clean (exit
+# 0) or as an illegal stage change (exit 3): (key, tick, value), tick None
+# for the first closure record, MISSING for a deleted key
+MISSING = object()
+UNCHECKED = {
+    "count_string": ("candidate_count", 5, "3"), "count_true": ("candidate_count", 5, True),
+    "count_negative": ("candidate_count", 5, -4), "count_null": ("candidate_count", 5, None),
+    "count_missing": ("candidate_count", 5, MISSING),
+    "tick_true": ("tick", 1, True), "tick_false": ("tick", 0, False), "tick_float": ("tick", 5, 5.0),
+    "tick_beyond_int64": ("tick", 5, 2**63),
+    "refined_one": ("refined", 18, 1), "refined_yes": ("refined", 18, "yes"),
+    "grasp_missing": ("selected_grasp", 5, MISSING), "stage_number": ("stage", 5, 5),
+    "success_one": ("success", None, 1), "success_string": ("success", None, "true"),
+    "success_null": ("success", None, None),
+}
+
+
+@pytest.mark.parametrize("key, tick, value", UNCHECKED.values(), ids=UNCHECKED)
+def test_value_of_another_type_exits_2(nominal, key, tick, value, tmp_path, capsys):
+    closure = next(r for r in nominal if r["type"] == "closure")
+    rec = closure if tick is None else ticks_of(nominal)[tick]
+    if value is MISSING:
+        del rec[key]
+    else:
+        rec[key] = value
+    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
+    assert "malformed record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_the_writer_meets_the_record_schema(name, mode):
+    # a key the writer adds, and the table lacks, fails here
+    _, records = run(replace(load_scenario(f"scenarios/{name}.yaml"), mode=mode), 0)
+    for rec in records:
+        if rec["type"] == "tick":
+            fields = TICK_FIELDS
+            cloud = {"hand_points"} if rec["tick"] % CLOUD_DIV == 0 else set()
+            assert rec.keys() == {"type", *fields.keys() - {"hand_points"}, *cloud}
+        elif rec["type"] == "closure":
+            fields = CLOSURE_FIELDS
+        else:
+            continue
+        for key in fields.keys() & rec.keys():
+            value = rec[key]
+            if key == "selected_grasp" and value is None:  # no grasp
+                continue
+            values = value if key in ("ee_pose", "selected_grasp", "hand_points") else [value]
+            assert set(map(type, values)) <= fields[key][0], (rec["tick"], key)
+        assert rec.get("candidate_count", 0) >= 0
 
 
 def test_drop_entered_on_a_non_finite_tick_exits_2(nominal, tmp_path, capsys):
