@@ -418,6 +418,7 @@ def test_the_writer_meets_the_record_schema(name, mode):
             assert rec.keys() == {"type", *fields.keys() - {"hand_points"}, *cloud}
         elif rec["type"] == "closure":
             fields = CLOSURE_FIELDS
+            assert fields.keys() <= rec.keys()
         else:
             continue
         for key in fields.keys() & rec.keys():
