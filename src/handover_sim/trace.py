@@ -35,11 +35,10 @@ never values the trace records, so a trace cannot loosen its checks.
 A trace without a header or a tick record fails verification; one that
 cannot be read or holds a malformed record raises TraceError. A record
 is malformed where it lacks a key ``TICK_FIELDS`` or ``CLOSURE_FIELDS``
-names (but ``hand_points``, which only cloud ticks carry) or holds a
-value of a type the table does not allow, and where it holds a negative
-``candidate_count``, a pose that is not 7 numbers, a degenerate
-quaternion, hand points whose length is not a multiple of 3, or a tick
-or hand-point count beyond int64.
+names (but ``hand_points``, which only cloud ticks carry), or holds a
+value of a type the table does not allow, a negative ``candidate_count``,
+a pose that is not 7 numbers or has a zero quaternion, hand points whose
+length is not a multiple of 3, or a tick or hand-point count beyond int64.
 """
 
 from __future__ import annotations
@@ -160,13 +159,13 @@ def verify_records(records) -> list[str]:
     if not ticks:
         return violations + ["trace has no tick record"]
 
+    columns = ("tick", "stage", "candidate_count", "resampled", "refined", "selection_tick")
     tick, stage, count, resampled, refined, selection = (
-        _checked([rec[key] for rec in ticks], key)
-        for key in ("tick", "stage", "candidate_count", "resampled", "refined", "selection_tick"))
+        _checked([rec[key] for rec in ticks], key) for key in columns)
     if min(count) < 0:
         raise ValueError("candidate_count holds a negative count")
     tick = np.array(tick, dtype=np.int64)
-    resampled, refined, selection = (np.array(f, dtype=bool) for f in (resampled, refined, selection))
+    resampled, refined, selection = np.array([resampled, refined, selection], dtype=bool)
     has_points = np.array(["hand_points" in rec for rec in ticks])
     expected = np.concatenate([[0], tick[:-1] + 1])
 
@@ -185,6 +184,8 @@ def verify_records(records) -> list[str]:
     poses = [g for g in picked if g is not None]
     grasp[has_grasp], grasp_finite[has_grasp] = _pose_rows(poses, "selected_grasp")
 
+    # a run of one grasp starts where it differs from the tick before's, or that had none to test
+    starts = np.concatenate([[True], ~grasp_finite[:-1] | np.any(grasp[1:] != grasp[:-1], axis=1)])
     collides = np.zeros(len(ticks), dtype=bool)
     clouds = np.flatnonzero(has_points).tolist()
     # one cloud at a time, in force from its tick up to the next cloud's: none
@@ -193,8 +194,8 @@ def verify_records(records) -> list[str]:
         counts = _read_counts(ticks[k]["hand_points"])
         tested = k + np.flatnonzero(grasp_finite[k:end])
         if len(tested):
-            # one test per run of ticks with the same grasp; heads are runs' first ticks
-            first = np.concatenate([[True], np.any(grasp[tested][1:] != grasp[tested][:-1], axis=1)])
+            # one test per run, at its head, its first tick; a cloud's first tested tick is one
+            first = np.concatenate([[True], starts[tested[1:]]])
             heads = tested[first]
             grasps = GraspSet(grasp[heads, :3], grasp[heads, 3:], np.zeros(len(heads)))
             # dividing, not multiplying by 1e-5, gives np.round(points, 5) bit
@@ -204,7 +205,7 @@ def verify_records(records) -> list[str]:
     closing = [rec for rec in records if rec.get("type") == "closure"]
     closed, success = (_checked([rec[key] for rec in closing], key, CLOSURE_FIELDS)
                        for key in ("tick", "success"))
-    illegal, overrun = _stage_paths(stage, tick, selection, dict(zip(closed, success)))
+    illegal, overrun = _stage_paths(stage, tick.tolist(), selection, dict(zip(closed, success)))
 
     lin_max, ang_max = DEFAULT_V_MAX * DT, DEFAULT_W_MAX * DT
     # (flagged ticks, message after "tick N: ", per-tick value for its {} field)
@@ -213,7 +214,8 @@ def verify_records(records) -> list[str]:
         (has_points != (tick % CLOUD_DIV == 0), f"hand_points do not match tick % {CLOUD_DIV} == 0",
          tick),
         (refined & (tick % REFINE_DIV != 0), f"refined off tick % {REFINE_DIV} == 0", tick),
-        (selection & (tick % SELECT_DIV != 0), f"selection_tick off tick % {SELECT_DIV} == 0", tick),
+        (selection & (tick % SELECT_DIV != 0),
+         f"selection_tick off tick % {SELECT_DIV} == 0", tick),
         (resampled & ~refined, "resampled without refined", tick),
         (~ee_finite, "non-finite ee_pose", tick),
         (step_finite & (step > lin_max + 1e-6), f"linear step {{:.6f}} exceeds {lin_max:.6f}",
@@ -235,11 +237,10 @@ def verify_records(records) -> list[str]:
 
 
 def _stage_paths(stages, tick, selection, closures) -> tuple[np.ndarray, np.ndarray]:
-    """Per tick record, from its stage, tick and selection_tick, "A -> B"
-    where its stage changes along a path the plan cannot take ("" elsewhere),
-    and whether it is a drop tick at or after the drop's end; closures maps
-    each closure's tick to its success. The stage before the first tick is
-    wait_home.
+    """Per tick, from its stage, tick and selection_tick, "A -> B" where its
+    stage changes along a path the plan cannot take ("" elsewhere), and
+    whether it is a drop tick at or after the drop's end; closures maps each
+    closure's tick to its success. The stage before the first tick is wait_home.
 
     A stage may change only: from wait_home or approach to wait_home,
     approach or take on a selection tick; take -> approach on a cloud tick
@@ -269,7 +270,7 @@ def _stage_paths(stages, tick, selection, closures) -> tuple[np.ndarray, np.ndar
             ends = t * DT + DROP_DURATION
             done_tick = next(d for d in itertools.count(t) if d * DT >= ends)
             # the drop's ticks, from its first on, that reach its end
-            overrun[i:end] = tick[i:end] >= done_tick
+            overrun[i:end] = [d >= done_tick for d in tick[i:end]]
     return illegal, overrun
 
 

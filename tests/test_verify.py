@@ -90,6 +90,15 @@ def empty_cloud(records):
         ticks[t]["selected_grasp"] = hand_grasp(ticks[40])
 
 
+def identity_grasp_after_no_grasp(records):
+    # a colliding grasp, no grasp, then a grasp at the pose that stands in
+    # for no grasp: the last starts a run of its own, and clears the hand
+    ticks = ticks_of(records)
+    ticks[51]["selected_grasp"] = hand_grasp(ticks[50])
+    ticks[52]["selected_grasp"] = None
+    ticks[53]["selected_grasp"] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+
+
 def header_without_limits(records):
     # the header records no limit; the reference falls back to the program's
     assert not {"dt", "v_max", "w_max", "hand_margin"} & records[0].keys()
@@ -99,7 +108,7 @@ def header_without_limits(records):
 
 @pytest.mark.parametrize("tamper", [
     linear_jump, angular_step_just_over, colliding_grasp_mid_span, grasp_changes_within_span,
-    empty_cloud, header_without_limits,
+    empty_cloud, identity_grasp_after_no_grasp, header_without_limits,
 ])
 def test_tampered_trace_verifies_as_the_reference(nominal, tamper):
     tamper(nominal)
