@@ -404,7 +404,7 @@ UNCHECKED = {
 
 
 @pytest.mark.parametrize("key, tick, value", UNCHECKED.values(), ids=UNCHECKED)
-def test_value_of_another_type_exits_2(nominal, key, tick, value, tmp_path, capsys):
+def test_value_outside_the_schema_exits_2(nominal, key, tick, value, tmp_path, capsys):
     closure = next(r for r in nominal if r["type"] == "closure")
     rec = closure if tick is None else ticks_of(nominal)[tick]
     if value is MISSING:
