@@ -199,7 +199,8 @@ def test_non_finite_hand_points_in_a_cloud_no_grasp_meets(nominal, tmp_path, cap
     assert "malformed record" in capsys.readouterr().err
 
 
-# a hand point is an integer count, never non-finite: see test_count_beyond_int64_exits_2
+# a hand point is an integer count, never non-finite: see
+# test_count_too_large_for_a_float_is_non_finite
 NON_FINITE = {"ee_pose": float("nan"), "selected_grasp": float("nan")}
 
 
@@ -275,28 +276,53 @@ def test_counts_are_read_by_division(nominal):
     assert verify_records(nominal) == reference.verify_records(nominal) == (flagged if inside[0] else [])
 
 
-# counts past the ends of int64, up to and past the least integer float()
-# cannot hold, 2**1024 - 2**970
+# counts past the ends of int64 that float() holds, up to the least
+# integer it cannot hold, 2**1024 - 2**970
+FLOAT_LIMIT = 2**1024 - 2**970
 BEYOND_INT64 = {"two_to_63": 2**63, "int64_min_minus_1": -(2**63) - 1,
-                "limit": 2**1024 - 2**970, "minus_limit": 2**970 - 2**1024,
-                "limit_minus_1": 2**1024 - 2**970 - 1, "ten_to_400": 10**400}
+                "limit_minus_1": FLOAT_LIMIT - 1}
+TOO_LARGE_FOR_A_FLOAT = {"limit": FLOAT_LIMIT, "minus_limit": -FLOAT_LIMIT, "ten_to_400": 10**400}
 
 
-@pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
-@pytest.mark.parametrize("count", BEYOND_INT64.values(), ids=BEYOND_INT64)
-def test_count_beyond_int64_exits_2(nominal, count, tested, tmp_path, capsys):
+def count_exit(records, count, tested, tmp_path):
     # a hand cloud is one int64 column: a count beyond it is a malformed
     # record, whether or not a grasp is tested against the cloud
-    ticks = ticks_of(nominal)
+    ticks = ticks_of(records)
     if not tested:
         for r in ticks[50:60]:
             r["selected_grasp"] = None
     assert (ticks[50]["selected_grasp"] is not None) == tested
     ticks[50]["hand_points"][4] = count
     with pytest.raises(OverflowError):
-        verify_records(nominal)
-    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
+        verify_records(records)
+    return verify_exit(records, tmp_path)
+
+
+@pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
+@pytest.mark.parametrize("count", BEYOND_INT64.values(), ids=BEYOND_INT64)
+def test_count_beyond_int64_exits_2(nominal, count, tested, tmp_path, capsys):
+    assert count_exit(nominal, count, tested, tmp_path) == EXIT_PARSE
     assert "malformed record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
+@pytest.mark.parametrize("count", TOO_LARGE_FOR_A_FLOAT.values(), ids=TOO_LARGE_FOR_A_FLOAT)
+def test_count_too_large_for_a_float_is_non_finite(nominal, count, tested, tmp_path, capsys):
+    # read as a float, such a count was a non-finite point (exit 3); it lies
+    # beyond int64 as well, so it is a malformed record before any float read
+    assert count_exit(nominal, count, tested, tmp_path) == EXIT_PARSE
+    assert "malformed record" in capsys.readouterr().err
+
+
+def test_points_a_float_holds_are_still_tested(nominal):
+    # a count at the end of int64, far from the grasp, leaves the cloud's
+    # other points in the grasp test
+    ticks = ticks_of(nominal)
+    ticks[50]["hand_points"][3:6] = [2**63 - 1, 0, 0]
+    for r in ticks[50:60]:
+        r["selected_grasp"] = hand_grasp(ticks[50])
+    flagged = [f"tick {t}: selected grasp collides with hand points" for t in range(50, 60)]
+    assert verify_records(nominal) == reference.verify_records(nominal) == flagged
 
 
 # counts a float holds, at the ends of int64: 2**53 + 1 is the least a float rounds
