@@ -25,6 +25,9 @@ MODES = ("object_center", "naive", "temporal", "temporal_plus")
 DEFAULT_TIME_LIMIT = 60.0
 MAX_TIME_LIMIT = 3600.0  # s: an hour, far past any handover; the run counts it in ticks
 LOWER_HAND_OFFSET = (0.0, 0.0, -0.35)  # lower_hand moves the palm 0.35 m down
+# m: the farthest any palm coordinate may reach, far past a desk; it keeps
+# every hand point well inside the trace's int32 counts of 1e-5 m (21 km)
+MAX_HAND_REACH = 1000.0
 
 # the keys each level of a scenario accepts
 SCENARIO_KEYS = ("seed", "object", "hand_trajectory", "events", "mode", "overrides", "time_limit")
@@ -77,6 +80,12 @@ class Scenario:
         poses = [self.grip_offset] + [pose for _, pose in self.hand_keyframes]
         if not (np.isfinite(times).all() and all(np.isfinite(p.to_array()).all() for p in poses)):
             raise ScenarioError("keyframe times and poses must be finite")
+        # the palm moves within its keyframes' box, shifted by each event's offset
+        reach = max(np.abs(pose.p).max() for _, pose in self.hand_keyframes)
+        reach += sum(np.abs(ev.offset).sum() for ev in self.events)
+        if not reach <= MAX_HAND_REACH:
+            raise ScenarioError(f"the palm may reach {reach:g} m from the origin, past "
+                                f"MAX_HAND_REACH ({MAX_HAND_REACH:g} m)")
 
     def hand_pose_at(self, t: float) -> Pose:
         """Linear position interpolation, slerp orientation, clamped ends."""

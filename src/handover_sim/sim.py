@@ -40,6 +40,7 @@ runs share a process across threads.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass, field
 
@@ -66,6 +67,7 @@ REFINE_DIV = 18  # 5 Hz
 SELECT_DIV = 9  # 10 Hz
 
 HAND_POINT_SCALE = 1e5  # a trace's hand points count 1e-5 m
+HAND_POINT_MAX = 2**31 - 1  # the largest count an int32 holds, either sign
 
 # the rest of the desk layout (table, base, HOME) is in motion; the
 # camera and the hand's sphere cluster are in scene
@@ -99,16 +101,18 @@ def _round_pose(pose: Pose) -> list:
     return [round(v, 7) for v in pose.p.tolist() + pose.q.tolist()]
 
 
-def encode_hand_points(points: np.ndarray) -> list[int]:
-    """A hand cloud as the trace records it: one flat list [x0, y0, z0,
-    x1, ...] of integer counts of 1e-5 m, np.rint(points * 1e5), the step
-    np.round(points, 5) takes before it divides by 1e5. ValueError on a
-    value that is non-finite or whose count a float cannot hold exactly
-    (beyond 2**53)."""
+def encode_hand_points(points: np.ndarray) -> str:
+    """A hand cloud as the trace records it: the integer counts of 1e-5 m,
+    np.rint(points * 1e5) (the step np.round(points, 5) takes before it
+    divides by 1e5), flat [x0, y0, z0, x1, ...] as little-endian int32
+    bytes, base64-encoded. Whole 12-byte points need no "=" padding, so a
+    cloud has exactly one encoding. ValueError on a value that is
+    non-finite or whose count lies beyond +-(2**31 - 1); no parsed
+    scenario's palm reaches that far (scenario.MAX_HAND_REACH)."""
     counts = np.rint(points * HAND_POINT_SCALE)
-    if not np.abs(counts).max(initial=0.0) <= 2.0**53:
+    if not np.abs(counts).max(initial=0.0) <= HAND_POINT_MAX:
         raise ValueError("a hand point is non-finite or too far out to count in 1e-5 m")
-    return counts.astype(np.int64).ravel().tolist()
+    return base64.b64encode(counts.astype("<i4").tobytes()).decode("ascii")
 
 
 class SimState:

@@ -6,11 +6,15 @@ run, never a limit to judge it by. Tick records follow, one per tick,
 with ``event`` and ``closure`` records between them. Pose arrays are
 [px, py, pz, qx, qy, qz, qw], rounded to 1e-7. Cloud-refresh ticks also
 carry the hand points in force, so safety can be re-checked offline:
-``hand_points`` is one flat list [x0, y0, z0, x1, y1, z1, ...] of JSON
-integers that count 1e-5 m (``sim.HAND_POINT_SCALE`` counts to a metre),
-which verify reads once per cloud (``_read_counts``). Printing the hand
-points is most of the cost of writing or hashing a trace, and an integer
-prints far faster than a float.
+``hand_points`` is one ASCII string, the base64 encoding of the flat
+counts [x0, y0, z0, x1, y1, z1, ...] as little-endian int32 bytes. Each
+count is the coordinate in units of 1e-5 m (``sim.HAND_POINT_SCALE``
+counts to a metre), and verify reads a cloud once, as one array
+(``_read_counts``). The hand points are most of a trace's bytes; one
+string of packed counts is written, hashed and read in a few C calls,
+where a list of numbers costs JSON a call per number. A cloud has
+exactly one encoding: whole 12-byte points need no "=" padding, and an
+empty cloud is "".
 
 verify_records re-checks, for every tick record:
 
@@ -37,12 +41,16 @@ cannot be read or holds a malformed record raises TraceError. A record
 is malformed where it lacks a key ``TICK_FIELDS`` or ``CLOSURE_FIELDS``
 names (but ``hand_points``, which only cloud ticks carry), or holds a
 value of a type the table does not allow, a negative ``candidate_count``,
-a pose that is not 7 numbers or has a zero quaternion, hand points whose
-length is not a multiple of 3, or a tick or hand-point count beyond int64.
+a pose that is not 7 numbers or has a zero quaternion, or hand points
+that are not the one encoding of whole (x, y, z) int32 triples: a value
+that is not a string (the earlier list of JSON integers among them), a
+character outside the base64 alphabet, "=" padding, or decoded bytes that
+are not a multiple of 12.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import json
@@ -68,7 +76,7 @@ TICK_FIELDS = {
     "tick": COUNT, "stage": ({str}, "a string"), "candidate_count": COUNT,
     "resampled": FLAG, "refined": FLAG, "selection_tick": FLAG,
     "ee_pose": NUMBER, "selected_grasp": NUMBER,  # a whole null selected_grasp: no grasp
-    "hand_points": COUNT,  # on cloud ticks only
+    "hand_points": ({str}, "a base64 string"),  # on cloud ticks only
 }
 CLOSURE_FIELDS = {"tick": COUNT, "success": FLAG}
 
@@ -133,13 +141,15 @@ def _pose_rows(poses, key) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_counts(points) -> np.ndarray:
-    """A hand_points list as one int64 array of its counts; ValueError
-    unless the list is whole (x, y, z) triples of JSON integers, and
-    OverflowError on a count beyond int64. int64 -> float64 rounds to
-    nearest as int -> float does, so the points keep their bits."""
-    if len(points) % 3:
-        raise ValueError("hand_points is not a flat list of (x, y, z) triples")
-    return np.fromiter(_checked(points, "hand_points"), dtype=np.int64, count=len(points))
+    """A hand_points string as one int32 array of its counts; ValueError
+    unless the string is the one base64 encoding (no padding) of whole
+    (x, y, z) triples of little-endian int32 counts. int32 -> float64 is
+    exact, so the points divided from it keep their bits."""
+    _checked([points], "hand_points")
+    raw = base64.b64decode(points, validate=True)
+    if len(raw) % 12 or 4 * len(raw) != 3 * len(points):
+        raise ValueError("hand_points is not whole (x, y, z) triples of int32 counts, unpadded")
+    return np.frombuffer(raw, "<i4")
 
 
 def verify_records(records) -> list[str]:
@@ -167,7 +177,10 @@ def verify_records(records) -> list[str]:
     tick = np.array(tick, dtype=np.int64)
     resampled, refined, selection = np.array([resampled, refined, selection], dtype=bool)
     has_points = np.array(["hand_points" in rec for rec in ticks])
-    expected = np.concatenate([[0], tick[:-1] + 1])
+    ticks_py = tick.tolist()
+    # the count each tick continues, added in Python ints: int64 would wrap at its top
+    expected = [0, *(t + 1 for t in ticks_py[:-1])]
+    breaks = np.array([t != e for t, e in zip(ticks_py, expected)])
 
     ee, ee_finite = _pose_rows([rec["ee_pose"] for rec in ticks], "ee_pose")
     prev = np.concatenate([ee[:1], ee[:-1]])  # the first tick stands in for its own
@@ -205,12 +218,12 @@ def verify_records(records) -> list[str]:
     closing = [rec for rec in records if rec.get("type") == "closure"]
     closed, success = (_checked([rec[key] for rec in closing], key, CLOSURE_FIELDS)
                        for key in ("tick", "success"))
-    illegal, overrun = _stage_paths(stage, tick.tolist(), selection, dict(zip(closed, success)))
+    illegal, overrun = _stage_paths(stage, ticks_py, selection, dict(zip(closed, success)))
 
     lin_max, ang_max = DEFAULT_V_MAX * DT, DEFAULT_W_MAX * DT
     # (flagged ticks, message after "tick N: ", per-tick value for its {} field)
     checks = (
-        (tick != expected, "tick index breaks the count 0, 1, 2, ...: expected {}", expected),
+        (breaks, "tick index breaks the count 0, 1, 2, ...: expected {}", expected),
         (has_points != (tick % CLOUD_DIV == 0), f"hand_points do not match tick % {CLOUD_DIV} == 0",
          tick),
         (refined & (tick % REFINE_DIV != 0), f"refined off tick % {REFINE_DIV} == 0", tick),
@@ -282,7 +295,7 @@ def verify_trace(path) -> list[str]:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
     try:
         return verify_records(records)
-    # OverflowError: a pose integer too large for a float, or a tick or a
-    # hand-point count beyond int64
+    # OverflowError: a pose integer too large for a float, or a tick beyond
+    # int64; binascii.Error, a ValueError: hand points that are not base64
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed record in trace {path}: {exc!r}") from exc

@@ -17,10 +17,14 @@ here) and ``evaluate``, and
 scores all its proposals in one call); the tests compare those, byte for
 byte, with the plain bodies kept here. ``float_hand_points`` is the
 hand-point encoder of the format before the points became integer
-counts, which the encoder's tests hold ``sim.encode_hand_points`` to.
+counts, which the encoder's tests hold ``sim.encode_hand_points`` to;
+``hand_counts`` and ``hand_points_text`` read and write the recorded
+string with ``struct``, apart from ``trace._read_counts``.
 ``IDENTITY`` is the identity pose."""
 
+import base64
 import math
+import struct
 
 import numpy as np
 
@@ -172,7 +176,7 @@ def verify_records(records) -> list[str]:
                 )
         prev_pose = pose
         if "hand_points" in rec:
-            hand_points = np.asarray(rec["hand_points"], dtype=float).reshape(-1, 3) / HAND_POINT_SCALE
+            hand_points = np.array(hand_counts(rec["hand_points"]), dtype=float).reshape(-1, 3) / HAND_POINT_SCALE
         grasp_arr = rec.get("selected_grasp")
         if grasp_arr is not None and len(hand_points) > 0:
             grasp_pose = Pose(np.asarray(grasp_arr[:3]), np.asarray(grasp_arr[3:]))
@@ -181,6 +185,19 @@ def verify_records(records) -> list[str]:
     if prev_pose is None:
         violations.append("trace has no tick record")
     return violations
+
+
+def hand_counts(text: str) -> list:
+    """A recorded hand_points string as its flat list of counts: base64,
+    then little-endian int32, one count at a time."""
+    raw = base64.b64decode(text, validate=True)
+    return list(struct.unpack(f"<{len(raw) // 4}i", raw))
+
+
+def hand_points_text(counts) -> str:
+    """Flat counts as a recorded hand_points string: little-endian int32,
+    then base64."""
+    return base64.b64encode(struct.pack(f"<{len(counts)}i", *counts)).decode("ascii")
 
 
 def float_hand_points(points) -> list:

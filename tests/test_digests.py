@@ -4,10 +4,14 @@ A change that moves any of these digests changes what the simulator
 does; it must name the change and its reason rather than re-record the
 values to make the test pass.
 
-Each pin hashes the current trace format, with the hand points as
-integer counts of 1e-5 m. A change of format moves every pin; it is
-re-recorded only once every simulated outcome and the random stream are
-shown unchanged.
+Each pin hashes the current trace format, with each hand cloud as one
+base64 string of its little-endian int32 counts of 1e-5 m, unpadded, so
+that a cloud has one encoding. verify_records takes no other form: a
+value that is not a string (the earlier list of integer counts among
+them), a character outside the base64 alphabet or "=" padding, or bytes
+that are not whole (x, y, z) triples is a malformed record. A change of
+format moves every pin; it is re-recorded only once every simulated
+outcome and the random stream are shown unchanged.
 
 Every pinned run also passes verify_records, whose checks include the
 stage paths: decide picks wait_home, approach or take on a selection
@@ -28,7 +32,7 @@ from handover_sim.refinement import TARGET_SIZE, prune_hand_collisions
 from handover_sim.scenario import MODES, load_scenario, scenario_from_dict
 from handover_sim.selection import expand_flips
 from handover_sim.sim import run
-from handover_sim.trace import trace_digest, verify_records
+from handover_sim.trace import TICK_FIELDS, trace_digest, verify_records
 
 # Static holds of the other three shapes. Box faces are where the two MH
 # scores of a grasp can tie, so a last-bit change in scoring shows here.
@@ -141,11 +145,9 @@ def pushed_scenario(name):
     return scenario_from_dict(data, name)
 
 
-# what a tick record holds, plus hand_points on tick % 10 == 0: the time,
-# the tracking and cloud ticks, the attempts and the standoff are held by
-# the tick index, the closure records and the grasp
-TICK_KEYS = {"type", "tick", "stage", "ee_pose", "selected_grasp", "candidate_count", "resampled",
-             "refined", "selection_tick"}
+# what a tick record holds, plus hand_points on tick % 10 == 0: the keys
+# verify reads, and the record's type
+TICK_KEYS = {"type", *TICK_FIELDS} - {"hand_points"}
 
 
 def pinned_run(scenario, seed):
@@ -161,50 +163,50 @@ def pinned_run(scenario, seed):
 
 
 PINNED = {
-    ("nominal_cylinder", 0): "c58b147d8778c98ba26da24e776150603254f5296432ad5d6d760c3e08605b07",
-    ("nominal_cylinder", 1): "35d715ef85a1b73c226199cad12f9777b82491902ebb8796b9b14e5062e11668",
-    ("nominal_cylinder", 2): "d84a30ed7526c7650e3b35ed50a837de3789e5e196b5d981b977ba9e0c38be3e",
-    ("nominal_cylinder", 3): "623f1f489ee337788c56728129e9a5e5b148a3f16443ad6e255797a6d173e9f6",
-    ("rotate90_midmotion", 0): "d5192453549d7330544168a749f87643eb019c915c011223b337c3efb580ef17",
-    ("rotate90_midmotion", 1): "acc06da54f2d194bbe169f26c65908771d8c778194827d39b96c4f33d30363db",
-    ("rotate90_midmotion", 2): "77f18b78614182410a986ccc428a5f94f4323cb6b62c68d83e6be408e8070954",
-    ("rotate90_midmotion", 3): "4b7c210f7470288e5c4f68e1059a9fc6c2312a3a5256b55571a2e51270bcede6",
-    ("hand_below_table", 0): "3d66052cf37079ec8dcd0a223226dc0f9f4e3dc970fadece24063f1a1d44635d",
-    ("hand_below_table", 1): "d85bcab59d55ccc2fda3e8baab5a6842f910c1607744af8dbbcb2d54b1e7b9fb",
-    ("hand_below_table", 2): "30e2e47cdb54c179a90a33c715757f906ccd617fc9134a60425efbe10d074502",
-    ("hand_below_table", 3): "9e55b5a1fc8bbdfea26e4205c12d83aa112f8d6f9b591aec8bdcfb3c609ce2ed",
+    ("nominal_cylinder", 0): "d34ebee7446b1afc00584c2ba4ee67a0178255167e42197316cf952b73315952",
+    ("nominal_cylinder", 1): "30274c744673bf1981282ade5d43d39d81cf178f02c81c050325d56afc627c8b",
+    ("nominal_cylinder", 2): "30d397a6be406a1d1513af4d77f9dec0c43fb0ba8767b3f61b1e0abccd0a39c0",
+    ("nominal_cylinder", 3): "88b620330ccc46c7b59fdfc6b1cc036ceecd7cb0c0f2536cad04f3800ab94260",
+    ("rotate90_midmotion", 0): "493fa94ae9105e68912fe074e5cc196fb2e2a8b05330923785c26a120e6f06e3",
+    ("rotate90_midmotion", 1): "052d48171f298f106e5a5f026b678802f7c99eb7ac843ce1ffcade73196ff39e",
+    ("rotate90_midmotion", 2): "d0e04b94989901904d048215bbda72fa386a33f9bc1a8efa27d0feff188294dc",
+    ("rotate90_midmotion", 3): "bc5ad0996d7c38c13d1e643274b55797a910195738ca8f6e4f9f97fa80719760",
+    ("hand_below_table", 0): "ade30f7f6b18f4d80231c047e7302e1faa69869d110e2522fe19d56cf246fb5a",
+    ("hand_below_table", 1): "0f97485741895f99a93f6ead4fb8f972a73ade53f5b3c6b1b63015e2fd3e714b",
+    ("hand_below_table", 2): "556b03e5093d6cf10e316442505a5edfd5ec54eaa3ad11d8c471055e4d86b8ed",
+    ("hand_below_table", 3): "fe589cbef9df952cbca8715044b7311cb2d5d9c9fbeae6ca125ccb86ef6810e3",
 }
 PINNED_STATIC = {
-    ("static_box", 0): "74b5868ba101eb4a478236ef8a6bcc2f733701d9af0fa9b0d5063fd24defee53",
-    ("static_box", 1): "a4823c76fb70d8787b03162b8b7e68d4af6374c07c17aa1a60a378fd1a25644c",
-    ("static_capsule", 0): "514ac2ffa14a2745928121efe738d89b93290a927fcca2af695459df01e72aff",
-    ("static_capsule", 1): "4796d4fa8d11a6c9afe98bb1252ef14fb863965b93d5c0d5a167e0cc28396ed1",
-    ("static_sphere", 0): "3fa08ccb11ac3f2c4eb4aaa3d1150ab9c06408ef69867c127d398abbd517b720",
-    ("static_sphere", 1): "a6d320f111482449dc2aea041d9b6a81ebe74e99c88030196d6f41b0e7573a76",
+    ("static_box", 0): "9e14ad361b1070f7344b581594be9912a558666db8ab1cd763d52486c35bfdac",
+    ("static_box", 1): "ab5a38924ea8301af6970caf98a254484317ab0e1e48528c46db85e01b4dd90a",
+    ("static_capsule", 0): "d1d1f657eb93b00e8d444fe0ff8c02fa4930e237cefa62948cc1e41eae777d55",
+    ("static_capsule", 1): "b78685747ec793ea5733f5fa8828f5d717539aad1b876b69804496a648f1c8db",
+    ("static_sphere", 0): "b164e750d8bc7ed1cf0eafc9e306a0697a61449e6c8bd159b8ae3d498d8a60fc",
+    ("static_sphere", 1): "9929cea89b49089876b2837ac4ecee732f2509daddb497a84619fe58a85ce7dd",
 }
 PINNED_MODES = {
-    ("naive", 0): "8f037dde1f9a07331c64c224676f0fa36afb50f0e4ce3cc473ada96a071deae0",
-    ("naive", 1): "5e71dbe93d9e4ae214b4c1eb2d6dd57737e17b0f245960f8999abec05fc4d021",
-    ("object_center", 0): "e579fead53375c6fec34105d3399164c056461151e18007975e0a94359f7f332",
-    ("object_center", 1): "70706c2b9b1ee9b35fb171e7684ea3cf9a0d7c17868e20af71e555feeba3a0bd",
-    ("temporal", 0): "84b1e8ff35aba212f4a1eac54b715275bbbac0e9b755c5f5138ff8284d7e6b24",
-    ("temporal", 1): "466097641ac5bf6ac701c779bfa9456e422b7e88fe2397e87224938d66829daa",
+    ("naive", 0): "6461922d1fc8fa764dc870f247d7252faa988349e56e39d70ee39b74755d69fd",
+    ("naive", 1): "3cfbf6b366498410aaf448e403ff529f1c66d3543b66fc01ec096206bf1bf397",
+    ("object_center", 0): "e5f515e3c42c6c67dad9fa6e05e670e10b748cd959f3f8b6d17e34d4bc403bb4",
+    ("object_center", 1): "8b42673b60d2f979a5bb83bcef7328af52ca79fd51f0edb364f35732f1fe690e",
+    ("temporal", 0): "c7bfc9ab603609e8fabfbc628132abf0e41a581c69047f86754bdebe0078a634",
+    ("temporal", 1): "4da724e61e7849ff69ef06c853631fee08ce395706c73b550b6f3418f92f68ef",
 }
 PINNED_LOWER_HAND = {
-    0: "82cf1246baae671cdabae165f1de8faeb6830b2b038db392404a3b7d2f898b1a",
-    1: "145bd1627ea5d03fdc19e19f103af6c6fa55dff5ba00e80ce8b7db441d9ecf45",
+    0: "2d0c64c3fa84ee366cc04f3a7a10f7e67166755293e9491a4c937784ac9938c1",
+    1: "00d8139efd1bb0f6a12d35e25cb3953d17fcf8f763ce5722cafc147e59e91a5d",
 }
 PINNED_LABEL_NOISE = {
-    0: "99f8bd3d8549b5e49bdd8196f1621d894c6f8eb56f8a507e9773b849249256fe",
-    1: "f6954edefe6326a12281abf4b94cfd73890e8aee03bc195b9b7f57fad9d4957d",
+    0: "d20625392216051e16b58bac2943c1343fab4d8d9153cb01ff8858cbd8a55837",
+    1: "fa51813f0bdee1a056ae8fe145bb9b5e1bc5792aa5b6bd08ea310eaba61914ae",
 }
 PINNED_PUSHED = {
-    ("start_blocked", 1): "3e453cc738eb2f736fe30af872618bb57eabc84a83a0db99066b373156d3d0a7",
-    ("goal_blocked", 26): "0204e1fd848e1ce2572afd7ebe190a381d815d5933b3fb5d31dd66723fecbd20",
-    ("both_blocked", 1): "38f0872a55725f9b6f434cf62f203fa0331fbd05231736209e7c3d4678207b2d",
-    ("both_free", 337): "9b03af10c70b5367e76f2a3207e9a3cb770e4eb37ea6bc3dc4e8b7dfcfe6f527",
+    ("start_blocked", 1): "dbaff15a8c69b8868b05279720a2b3b15a5ac17e160acfed4c6be759c1b300fc",
+    ("goal_blocked", 26): "61180624e30af875a520289288609e6d66660df2ec5aa549da65df25109986e6",
+    ("both_blocked", 1): "56c6a906406e128b40d08ef0dc7cae64596cd1a37cc8091ae9b75a8985b56b0e",
+    ("both_free", 337): "476cb8211452c58f05108a061ad597632b38e05530bb74ccb9221556fa016f62",
 }
-PINNED_TAKE_ABORT = "8bc54454a73901810d3f17eeb99564783348cd41967340acc8568019ec0e34dc"
+PINNED_TAKE_ABORT = "5edb321d5baaf23d7addd054c5c03a2e27d9a3b6fea3bfdf32e4e727a7f3da53"
 
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED))

@@ -20,7 +20,9 @@ from handover_sim.batch import batch, run_seeds, summarize
 from handover_sim.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main
 from handover_sim.geometry import Pose, quat_from_axis_angle, quat_mul
 from handover_sim.motion import DEFAULT_V_MAX, DEFAULT_W_MAX
+import reference
 from handover_sim.scenario import (
+    MAX_HAND_REACH,
     MAX_TIME_LIMIT,
     Scenario,
     ScenarioError,
@@ -119,6 +121,27 @@ class TestScenarioParsing:
         assert scenario_from_dict(base_dict(time_limit=MAX_TIME_LIMIT)).time_limit == MAX_TIME_LIMIT
         with pytest.raises(ScenarioError, match="MAX_TIME_LIMIT"):
             scenario_from_dict(base_dict(time_limit=np.nextafter(MAX_TIME_LIMIT, np.inf)))
+
+    def test_keyframe_is_bounded_by_max_hand_reach(self):
+        inside = base_dict(hand_trajectory=[{"t": 0.0, "pose": [0.55, -MAX_HAND_REACH, 0.28]}])
+        assert scenario_from_dict(inside).hand_keyframes[0][1].p[1] == -MAX_HAND_REACH
+        past = np.nextafter(-MAX_HAND_REACH, -np.inf)
+        frames = [{"t": 0.0, "pose": [0.55, 0.05, 0.28]}, {"t": 1.0, "pose": [0.55, past, 0.28]}]
+        with pytest.raises(ScenarioError, match="MAX_HAND_REACH"):
+            scenario_from_dict(base_dict(hand_trajectory=frames))
+
+    @pytest.mark.parametrize("last, ok", [(98.9, True), (99.2, False)])
+    def test_stacked_offsets_are_bounded_by_max_hand_reach(self, last, ok):
+        # the keyframe's largest coordinate, 0.55 m, plus every offset's
+        # components, 900 + last + 0.35 (lower_hand): 999.8 m or 1000.1 m
+        events = [*_push_event([400.0, -300.0, 200.0]), *_push_event([0.0, 0.0, -last], time=0.2),
+                  {"trigger": {"time": 0.3}, "action": {"lower_hand": {}}}]
+        d = base_dict(hand_trajectory=[{"t": 0.0, "pose": [0.55, 0.05, 0.28]}], events=events)
+        if ok:
+            assert len(scenario_from_dict(d).events) == 3
+        else:
+            with pytest.raises(ScenarioError, match="MAX_HAND_REACH"):
+                scenario_from_dict(d)
 
     def test_lower_hand_takes_empty_or_null_parameters(self):
         for params in ({}, None):
@@ -381,7 +404,7 @@ class TestTraceIO:
         hand_pt = None
         for r in bad:
             if r["type"] == "tick" and r.get("hand_points"):
-                hand_pt = [c / HAND_POINT_SCALE for c in r["hand_points"][:3]]
+                hand_pt = [c / HAND_POINT_SCALE for c in reference.hand_counts(r["hand_points"])[:3]]
         assert hand_pt is not None
         for r in bad:
             if r["type"] == "tick":
@@ -499,6 +522,9 @@ BAD_SCENARIOS = {
     "lower_hand_list": base_dict(events=[{"trigger": {"time": 0.1}, "action": {"lower_hand": []}}]),
     "label_noise_above_one": base_dict(overrides={"label_noise": 2}),
     "two_vector_push": base_dict(events=_push_event([0.1, 0.0])),
+    # a palm that could reach past MAX_HAND_REACH: by a keyframe, or by pushes that add up
+    "far_keyframe": base_dict(hand_trajectory=[{"t": 0.0, "pose": [0.55, 0.05, 1000.5]}]),
+    "far_pushes": base_dict(events=_push_event([600.0, 0.0, 0.0]) + _push_event([0.0, -400.0, 0.0])),
     "zero_rotation_axis": base_dict(events=_rotate_event([0, 0, 0])),
     "infinite_time_limit": base_dict(time_limit=float("inf")),
     # finite, but too many ticks to count: the run died computing the tick count

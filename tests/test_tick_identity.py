@@ -28,7 +28,8 @@ from handover_sim.refinement import EPSILON_DEN, HAND_MARGIN, mh_step
 from handover_sim.scene import PointCloud, PrimitiveShape, crop_around_palm, synthesize_cloud
 from handover_sim import sim
 from handover_sim.scenario import load_scenario
-from handover_sim.sim import DT, _round_pose, encode_hand_points
+from handover_sim.sim import DT, HAND_POINT_MAX, _round_pose, encode_hand_points
+from handover_sim.trace import _read_counts
 
 A = np.array([0.30, 0.0, 0.45])
 B = np.array([0.50, 0.05, 0.35])
@@ -588,15 +589,20 @@ def committed_hand_clouds():
 class TestHandPointEncoder:
     """The trace's integer counts against the float rounding they replace:
     np.rint(points * 1e5) is the step np.round(points, 5) takes before it
-    divides by 1e5, so counts / 1e5 are the rounded floats."""
+    divides by 1e5, so counts / 1e5 are the rounded floats. The counts are
+    read back from the recorded string by the reference's struct unpacking,
+    apart from verify's reader."""
 
     def check(self, points):
-        counts = encode_hand_points(points)
-        assert type(counts) is list and set(map(type, counts)) <= {int}
+        text = encode_hand_points(points)
+        assert type(text) is str and "=" not in text
+        counts = reference.hand_counts(text)
         assert np.array_equal(np.array(counts, dtype=np.int64), np.rint(points * 1e5).ravel())
-        read = np.fromiter(counts, dtype=float) / 1e5  # each count as a float, divided
-        # as verify reads them: int64 -> float64 rounds as int -> float does
-        assert same_bytes(np.fromiter(counts, dtype=np.int64) / 1e5, read)
+        # the one encoding: the counts re-encode to the same string
+        assert reference.hand_points_text(counts) == text
+        read = np.array(counts, dtype=float) / 1e5  # each count as a float, divided
+        # as verify reads them: int32 -> float64 is exact
+        assert same_bytes(_read_counts(text) / 1e5, read)
         rounded = np.array(reference.float_hand_points(points))
         assert np.array_equal(read, rounded)
         # byte for byte, but that -0.0 reads back as 0.0 (adding 0.0 makes it so)
@@ -626,6 +632,22 @@ class TestHandPointEncoder:
         for points in ((k + 0.5) / 1e5, k / 1e5, (k + 0.4999) / 1e5, np.array([-1e-7, 1e-7, -0.0, 0.0])):
             self.check(np.resize(points, (len(points) // 3, 3)))
         self.check(np.zeros((0, 3)))
+
+    def test_empty_cloud_is_the_empty_string(self):
+        assert encode_hand_points(np.zeros((0, 3))) == ""
+        assert len(_read_counts("")) == 0
+
+    def test_counts_up_to_the_int32_bound(self):
+        ends = np.array([[HAND_POINT_MAX, -HAND_POINT_MAX, 0]]) / 1e5
+        assert reference.hand_counts(encode_hand_points(ends)) == [HAND_POINT_MAX, -HAND_POINT_MAX, 0]
+        self.check(ends)
+
+    @pytest.mark.parametrize("count", [HAND_POINT_MAX + 1, -HAND_POINT_MAX - 1])
+    def test_count_past_the_int32_bound_raises(self, count):
+        points = np.full((4, 3), 0.25)
+        points[1, 2] = count / 1e5
+        with pytest.raises(ValueError, match="hand point"):
+            encode_hand_points(points)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e11])
     def test_value_with_no_exact_count_raises(self, value):

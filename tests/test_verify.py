@@ -1,7 +1,10 @@
 """verify_records: the array passes against the one-record-at-a-time
 reference, and the checks the reference does not make."""
 
+import base64
 import copy
+import functools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +17,8 @@ from handover_sim.geometry import quat_from_axis_angle, quat_mul
 from handover_sim.refinement import DEFAULT_HAND_MARGIN, collides_hand
 from handover_sim.scenario import MODES, load_scenario
 from handover_sim.sim import CLOUD_DIV, HAND_POINT_SCALE, run
-from handover_sim.trace import CLOSURE_FIELDS, TICK_FIELDS, verify_records, write_trace
+from handover_sim.trace import CLOSURE_FIELDS, TICK_FIELDS, read_trace, trace_digest, verify_records
+from handover_sim.trace import write_trace
 
 SCENARIOS = ("nominal_cylinder", "rotate90_midmotion", "hand_below_table")
 
@@ -45,7 +49,16 @@ def ticks_of(records):
 
 def hand_grasp(tick_record):
     """A grasp centred on the first hand point the tick record carries."""
-    return [c / HAND_POINT_SCALE for c in tick_record["hand_points"][:3]] + [0.0, 0.0, 0.0, 1.0]
+    counts = reference.hand_counts(tick_record["hand_points"])
+    return [c / HAND_POINT_SCALE for c in counts[:3]] + [0.0, 0.0, 0.0, 1.0]
+
+
+def set_counts(tick_record, start, values):
+    """Re-record the tick record's hand cloud with its counts from start
+    on set to values."""
+    counts = reference.hand_counts(tick_record["hand_points"])
+    counts[start:start + len(values)] = values
+    tick_record["hand_points"] = reference.hand_points_text(counts)
 
 
 def verify_exit(records, tmp_path):
@@ -84,7 +97,7 @@ def grasp_changes_within_span(records):
 
 def empty_cloud(records):
     ticks = ticks_of(records)
-    ticks[50]["hand_points"] = []
+    ticks[50]["hand_points"] = ""
     # the grasp is tested against cloud 40 up to tick 49, and against nothing after
     for t in range(45, 60):
         ticks[t]["selected_grasp"] = hand_grasp(ticks[40])
@@ -153,6 +166,15 @@ def test_loosened_header_exits_3(nominal, margin, tmp_path, capsys):
         assert text in err
 
 
+def test_cloud_edited_onto_the_grasp_exits_3(nominal, tmp_path, capsys):
+    # one hand point moved onto the selected grasp's origin
+    ticks = ticks_of(nominal)
+    grasp = ticks[50]["selected_grasp"]
+    set_counts(ticks[50], 0, [round(v * HAND_POINT_SCALE) for v in grasp[:3]])
+    assert verify_exit(nominal, tmp_path) == EXIT_INVARIANT
+    assert "tick 50: selected grasp collides with hand points" in capsys.readouterr().err
+
+
 def test_grasp_before_the_first_cloud_is_not_tested(nominal):
     ticks = ticks_of(nominal)
     # the first cloud now comes at tick 10; grasps at ticks 0-9 meet no hand cloud
@@ -178,29 +200,40 @@ def test_non_finite_selected_grasp(nominal):
     assert verify_records(nominal) == [f"tick {r['tick']}: non-finite selected_grasp" for r in ticks]
 
 
-# hand points are integer counts of 1e-5 m, so a float among them, finite
-# or not, is a malformed record (exit 2), not a violation (exit 3)
+def malformed_exit(records, tmp_path, capsys, match="not a base64 string"):
+    """Assert that verify_records raises ValueError on the records, and
+    the CLI exits 2 on them, naming a malformed record."""
+    with pytest.raises(ValueError, match=match):
+        verify_records(records)
+    assert verify_exit(records, tmp_path) == EXIT_PARSE
+    assert "malformed record" in capsys.readouterr().err
+
+
+def as_count_list(tick_record, start=0, values=()):
+    """Re-record the tick record's hand cloud in the earlier format, its
+    flat list of JSON integer counts, with the counts from start on set
+    to values."""
+    counts = reference.hand_counts(tick_record["hand_points"])
+    counts[start:start + len(values)] = values
+    tick_record["hand_points"] = counts
+
+
+# an int32 count is never non-finite: a non-finite value among the hand
+# points can only stand in the earlier list of counts, which is no string
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_hand_points(nominal, value, tmp_path, capsys):
-    ticks_of(nominal)[50]["hand_points"][3 * 3 + 2] = value  # point 3's z
-    with pytest.raises(ValueError, match="not an integer count"):
-        verify_records(nominal)
-    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
-    assert "malformed record" in capsys.readouterr().err
+    as_count_list(ticks_of(nominal)[50], 3 * 3 + 2, [value])  # point 3's z
+    malformed_exit(nominal, tmp_path, capsys)
 
 
 def test_non_finite_hand_points_in_a_cloud_no_grasp_meets(nominal, tmp_path, capsys):
     for r in ticks_of(nominal)[50:60]:
         r["selected_grasp"] = None
-    ticks_of(nominal)[50]["hand_points"][0] = float("nan")
-    with pytest.raises(ValueError, match="not an integer count"):
-        verify_records(nominal)
-    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
-    assert "malformed record" in capsys.readouterr().err
+    as_count_list(ticks_of(nominal)[50], 0, [float("nan")])
+    malformed_exit(nominal, tmp_path, capsys)
 
 
-# a hand point is an integer count, never non-finite: see
-# test_count_too_large_for_a_float_is_non_finite
+# a hand point is an int32 count, never non-finite
 NON_FINITE = {"ee_pose": float("nan"), "selected_grasp": float("nan")}
 
 
@@ -227,33 +260,59 @@ def test_pose_value_that_is_not_a_number_exits_2(nominal, field, value, whole, t
     assert "malformed record" in capsys.readouterr().err
 
 
-# values that are no JSON integer, as json.dumps writes them
-NOT_COUNTS = {"string": "0.1", "null": None, "true": True, "false": False, "float": 1.5,
-              "whole_float": 55000.0, "nan": float("nan"), "infinity": float("inf"),
-              "minus_infinity": float("-inf")}
+# whole hand_points values that are no string, as json.dumps writes them,
+# and a string with a character outside the base64 alphabet
+NOT_STRINGS = {"string": "0.1", "null": None, "true": True, "false": False, "float": 1.5,
+               "whole_float": 55000.0, "nan": float("nan"), "infinity": float("inf"),
+               "minus_infinity": float("-inf")}
+
+
+def cut_bytes(n):
+    """The cloud's bytes without their last n, re-encoded (with padding
+    where they need it)."""
+    def edit(text):
+        return base64.b64encode(base64.b64decode(text)[:-n]).decode("ascii")
+    return edit
+
+
+# edits of a hand_points string, each giving no whole (x, y, z) triples
+# of int32 counts in the one encoding, and the error each names: a
+# character outside the alphabet is named as such, not by the bytes left
+# once it is skipped
+WHOLE, ALPHABET = "not whole", "Only base64 data"
+BAD_TEXT = {
+    "drop_one": (cut_bytes(4), WHOLE),  # one count fewer
+    "drop_two": (cut_bytes(8), WHOLE),
+    "bang": (lambda text: text[:5] + "!" + text[6:], ALPHABET),
+    "cut_four_characters": (lambda text: text[:-4], WHOLE),  # 3 bytes fewer
+    "padded": (lambda text: text + "====", WHOLE),
+    "space": (lambda text: text[:8] + " " + text[8:], ALPHABET),
+    "non_ascii": (lambda text: text[:-1] + "\u00e9", "ASCII"),
+}
 
 
 @pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
-@pytest.mark.parametrize("change", ["drop_one", "drop_two", *NOT_COUNTS, "row"])
+@pytest.mark.parametrize("change", [*BAD_TEXT, *NOT_STRINGS, "row", "int_list"])
 def test_malformed_hand_points_exit_2(nominal, change, tested, tmp_path, capsys):
-    # hand_points is one flat list of x, y, z triples, every entry a JSON
-    # integer, whether or not a selected grasp is tested against the cloud
+    # hand_points is one string, the unpadded base64 of whole x, y, z
+    # triples of int32 counts, whether or not a selected grasp is tested
+    # against the cloud
     ticks = ticks_of(nominal)
     if not tested:
         for r in ticks[50:60]:
             r["selected_grasp"] = None
-    points = ticks[50]["hand_points"]
-    if change == "drop_one":
-        del points[-1]
-    elif change == "drop_two":
-        del points[-2:]
-    elif change in NOT_COUNTS:
-        points[4] = NOT_COUNTS[change]
-    else:  # the earlier [x, y, z] row form
-        points[:3] = [points[:3]]
-        del points[-1]
-    assert verify_exit(nominal, tmp_path) == EXIT_PARSE
-    assert "malformed record" in capsys.readouterr().err
+    rec, match = ticks[50], None
+    if change in BAD_TEXT:
+        edit, match = BAD_TEXT[change]
+        rec["hand_points"] = edit(rec["hand_points"])
+    elif change in NOT_STRINGS:
+        rec["hand_points"] = NOT_STRINGS[change]
+    elif change == "row":  # the [x, y, z] row form before the flat list
+        counts = reference.hand_counts(rec["hand_points"])
+        rec["hand_points"] = [counts[i:i + 3] for i in range(0, len(counts), 3)]
+    else:  # the flat list of JSON integer counts before the string
+        as_count_list(rec)
+    malformed_exit(nominal, tmp_path, capsys, match)
 
 
 def test_counts_are_read_by_division(nominal):
@@ -269,7 +328,7 @@ def test_counts_are_read_by_division(nominal):
               for x in (c / 1e5, c * 1e-5)]
     assert inside[0] != inside[1]
     ticks = ticks_of(nominal)
-    ticks[50]["hand_points"] = [c, 0, -4000]
+    ticks[50]["hand_points"] = reference.hand_points_text([c, 0, -4000])
     for r in ticks[50:60]:
         r["selected_grasp"] = [px, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
     flagged = [f"tick {t}: selected grasp collides with hand points" for t in range(50, 60)]
@@ -277,70 +336,91 @@ def test_counts_are_read_by_division(nominal):
 
 
 # counts past the ends of int64 that float() holds, up to the least
-# integer it cannot hold, 2**1024 - 2**970
+# integer it cannot hold, 2**1024 - 2**970, and counts beyond that: none
+# has an int32 form, so each can only stand in the earlier list of counts
 FLOAT_LIMIT = 2**1024 - 2**970
 BEYOND_INT64 = {"two_to_63": 2**63, "int64_min_minus_1": -(2**63) - 1,
                 "limit_minus_1": FLOAT_LIMIT - 1}
 TOO_LARGE_FOR_A_FLOAT = {"limit": FLOAT_LIMIT, "minus_limit": -FLOAT_LIMIT, "ten_to_400": 10**400}
 
 
-def count_exit(records, count, tested, tmp_path):
-    # a hand cloud is one int64 column: a count beyond it is a malformed
-    # record, whether or not a grasp is tested against the cloud
+def count_exit(records, count, tested, tmp_path, capsys):
+    # a hand cloud is one string: the list is a malformed record, whether
+    # or not a grasp is tested against the cloud
     ticks = ticks_of(records)
     if not tested:
         for r in ticks[50:60]:
             r["selected_grasp"] = None
     assert (ticks[50]["selected_grasp"] is not None) == tested
-    ticks[50]["hand_points"][4] = count
-    with pytest.raises(OverflowError):
-        verify_records(records)
-    return verify_exit(records, tmp_path)
+    as_count_list(ticks[50], 4, [count])
+    malformed_exit(records, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
 @pytest.mark.parametrize("count", BEYOND_INT64.values(), ids=BEYOND_INT64)
 def test_count_beyond_int64_exits_2(nominal, count, tested, tmp_path, capsys):
-    assert count_exit(nominal, count, tested, tmp_path) == EXIT_PARSE
-    assert "malformed record" in capsys.readouterr().err
+    count_exit(nominal, count, tested, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
 @pytest.mark.parametrize("count", TOO_LARGE_FOR_A_FLOAT.values(), ids=TOO_LARGE_FOR_A_FLOAT)
 def test_count_too_large_for_a_float_is_non_finite(nominal, count, tested, tmp_path, capsys):
-    # read as a float, such a count was a non-finite point (exit 3); it lies
-    # beyond int64 as well, so it is a malformed record before any float read
-    assert count_exit(nominal, count, tested, tmp_path) == EXIT_PARSE
-    assert "malformed record" in capsys.readouterr().err
+    # read as a float, such a count was a non-finite point (exit 3); it has
+    # no int32 form, so it is a malformed record before any read
+    count_exit(nominal, count, tested, tmp_path, capsys)
 
 
 def test_points_a_float_holds_are_still_tested(nominal):
-    # a count at the end of int64, far from the grasp, leaves the cloud's
+    # a count at the end of int32, far from the grasp, leaves the cloud's
     # other points in the grasp test
     ticks = ticks_of(nominal)
-    ticks[50]["hand_points"][3:6] = [2**63 - 1, 0, 0]
+    set_counts(ticks[50], 3, [2**31 - 1, 0, 0])
     for r in ticks[50:60]:
         r["selected_grasp"] = hand_grasp(ticks[50])
     flagged = [f"tick {t}: selected grasp collides with hand points" for t in range(50, 60)]
     assert verify_records(nominal) == reference.verify_records(nominal) == flagged
 
 
-# counts a float holds, at the ends of int64: 2**53 + 1 is the least a float rounds
+# counts at the ends of int64, and 2**53 + 1, the least a float rounds
 INT64_ENDS = {"two_to_53_plus_1": 2**53 + 1, "int64_max": 2**63 - 1, "int64_min": -(2**63)}
 
 
 @pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
 @pytest.mark.parametrize("count", INT64_ENDS.values(), ids=INT64_ENDS)
-def test_counts_at_the_ends_of_int64_are_read_as_python_floats(nominal, count, tested):
-    # a grasp at the point (c, c, c) / 1e5 meets it only where verify reads c
-    # as float(c) does: near 2**63 / 1e5 m one ulp is 1/64 m, more than the
-    # closing region's dilated half width in x
+def test_counts_at_the_ends_of_int64_are_read_as_python_floats(nominal, count, tested, tmp_path, capsys):
+    # such a count has no int32 form; written as the 8 bytes of an int64 in
+    # place of point 1's 4-byte x, it leaves the bytes off whole triples
     ticks = ticks_of(nominal)
-    ticks[50]["hand_points"][3:6] = [count] * 3
+    raw = base64.b64decode(ticks[50]["hand_points"])
+    wide = raw[:12] + np.array([count], dtype="<i8").tobytes() + raw[16:]
+    ticks[50]["hand_points"] = base64.b64encode(wide).decode("ascii")
     for r in ticks[50:60]:
         r["selected_grasp"] = [count / HAND_POINT_SCALE] * 3 + [0.0, 0.0, 0.0, 1.0] if tested else None
+    malformed_exit(nominal, tmp_path, capsys, WHOLE)
+
+
+# counts at the ends of int32, which the reader takes though the writer
+# writes neither end's last step (it stops at +-(2**31 - 1))
+INT32_ENDS = {"int32_max": 2**31 - 1, "int32_min": -(2**31), "minus_int32_max": -(2**31 - 1)}
+
+
+@pytest.mark.parametrize("count", INT32_ENDS.values(), ids=INT32_ENDS)
+def test_counts_at_the_ends_of_int32_are_read_exactly(nominal, count):
+    # a grasp at the point (c, c, c) / 1e5 meets it; the counts read as the
+    # reference's struct unpacking reads them
+    ticks = ticks_of(nominal)
+    set_counts(ticks[50], 3, [count] * 3)
+    for r in ticks[50:60]:
+        r["selected_grasp"] = [count / HAND_POINT_SCALE] * 3 + [0.0, 0.0, 0.0, 1.0]
     flagged = [f"tick {t}: selected grasp collides with hand points" for t in range(50, 60)]
-    assert verify_records(nominal) == reference.verify_records(nominal) == (flagged if tested else [])
+    assert verify_records(nominal) == reference.verify_records(nominal) == flagged
+
+
+def test_empty_cloud_verifies(nominal, tmp_path):
+    ticks = ticks_of(nominal)
+    ticks[50]["hand_points"] = ""
+    assert verify_records(nominal) == reference.verify_records(nominal) == []
+    assert verify_exit(nominal, tmp_path) == 0
 
 
 @pytest.mark.parametrize("field", ["selected_grasp"])
@@ -375,6 +455,17 @@ def test_tick_index_gap(nominal, change, expected):
     assert verify_records(nominal)[0] == expected
 
 
+def test_tick_index_at_the_top_of_int64(nominal, tmp_path):
+    # the tick after it continues the count from 2**63, which int64 cannot hold
+    ticks_of(nominal)[5]["tick"] = 2**63 - 1
+    out = verify_records(nominal)
+    assert out[:2] == [
+        "tick 9223372036854775807: tick index breaks the count 0, 1, 2, ...: expected 5",
+        "tick 6: tick index breaks the count 0, 1, 2, ...: expected 9223372036854775808",
+    ]
+    assert verify_exit(nominal, tmp_path) == EXIT_INVARIANT
+
+
 @pytest.mark.parametrize("tick, field, value, expected", [
     (30, "hand_points", None, "hand_points do not match tick % 10 == 0"),
     (21, "hand_points", [0, 0, 0], "hand_points do not match tick % 10 == 0"),
@@ -386,8 +477,8 @@ def test_flags_follow_the_rates(nominal, tick, field, value, expected):
     rec = ticks_of(nominal)[tick]
     if value is None:
         del rec[field]
-    else:
-        rec[field] = value
+    else:  # a cloud given as its counts is recorded as its string
+        rec[field] = reference.hand_points_text(value) if field == "hand_points" else value
     out = verify_records(nominal)
     assert f"tick {tick}: {expected}" in out
     assert all(v.startswith(f"tick {tick}: ") for v in out)
@@ -441,11 +532,18 @@ def test_value_outside_the_schema_exits_2(nominal, key, tick, value, tmp_path, c
     assert "malformed record" in capsys.readouterr().err
 
 
+@functools.cache
+def mode_run(name, mode):
+    """The committed scenario's records in the mode, at seed 0; callers
+    must not edit them."""
+    return run(replace(load_scenario(f"scenarios/{name}.yaml"), mode=mode), 0)[1]
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_the_writer_meets_the_record_schema(name, mode):
     # a key the writer adds, and the table lacks, fails here
-    _, records = run(replace(load_scenario(f"scenarios/{name}.yaml"), mode=mode), 0)
+    records = mode_run(name, mode)
     for rec in records:
         if rec["type"] == "tick":
             fields = TICK_FIELDS
@@ -460,9 +558,22 @@ def test_the_writer_meets_the_record_schema(name, mode):
             value = rec[key]
             if key == "selected_grasp" and value is None:  # no grasp
                 continue
-            values = value if key in ("ee_pose", "selected_grasp", "hand_points") else [value]
+            values = value if key in ("ee_pose", "selected_grasp") else [value]
             assert set(map(type, values)) <= fields[key][0], (rec["tick"], key)
         assert rec.get("candidate_count", 0) >= 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_written_trace_reads_back_to_its_digest(name, mode, tmp_path):
+    # each hand cloud is one string, which JSON writes and reads unchanged
+    records = mode_run(name, mode)
+    path = tmp_path / "t.jsonl"
+    digest = write_trace(records, path)
+    back = read_trace(path)
+    assert trace_digest(back) == digest
+    assert back == json.loads(json.dumps(records))
+    assert verify_records(back) == []
 
 
 def test_drop_entered_on_a_non_finite_tick_exits_2(nominal, tmp_path, capsys):
