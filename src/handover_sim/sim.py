@@ -1,17 +1,29 @@
-"""Fixed-timestep simulation harness.
+"""Fixed-timestep simulation harness and the run log it records.
 
 The base tick is 90 Hz, the least common multiple of the module rates:
 body tracking 15 Hz, cloud/segmentation 9 Hz, grasp refinement 5 Hz,
 planning/selection 10 Hz. ``SimState`` holds everything a run carries
 from tick to tick and has one method per stage: ``fire_events``,
 ``observe`` (cloud), ``refine``, ``select`` and ``move`` (every tick);
-``run`` calls them in that order and appends the tick record.
+``run`` calls them in that order and records the tick.
+
+A run records into one ``RunLog``: columns with one row per tick, not a
+dict per tick. Its columns are the ee poses, (T, 7), holding Python's
+``round(v, 7)`` of each value (``np.round`` differs from it near
+half-way ties); the stage codes; the three flags and
+``candidate_count``; each tick's index into a table of the selection's
+rounded grasps, or -1 for none; the hand clouds' base64 strings, on the
+cloud ticks; and the header, event and closure records, in order.
+``TICK_FIELDS`` is the one record schema: each key's types, as a record
+may hold them, and its column's dtype. ``trace`` renders the JSON lines,
+digests and verifies from these columns. A log is also a read-only
+sequence of dict records, each built on access with lists of its own.
 
 ``run`` builds the palm and object poses (``SimState.poses_at``) only on
 the ticks that read them: tracking, cloud and selection ticks, 26 of
 every 90, and the tick a take arrives and tests its closure. It rounds
-the selected grasp once each time the selection changes, and gives
-every tick record its own copy of the rounded list.
+the selected grasp once each time the selection changes, into one row
+of the log's grasp table.
 
 ``observe`` perceives the hand and object clouds in scene's three
 steps: the camera-facing samples of each part, each cropped around the
@@ -41,7 +53,10 @@ runs share a process across threads.
 from __future__ import annotations
 
 import base64
+import bisect
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +130,97 @@ def encode_hand_points(points: np.ndarray) -> str:
     return base64.b64encode(counts.astype("<i4").tobytes()).decode("ascii")
 
 
+# The record schema. Each key of a tick record -> (the types its value, or
+# each value in its list, may hold; what such a value is; the dtype of its
+# column in a RunLog). A bool is no integer count, though Python counts it
+# an int; a number is no string, bool or null, though np.array would parse
+# a string, read true as 1.0 and null as NaN. The stage column holds codes
+# into the log's stage names, and the selected_grasp column an index into
+# its grasp table, -1 for a null (no grasp); hand_points, on cloud ticks
+# only, are kept as their strings.
+COUNT, FLAG = ({int}, "an integer count", np.int64), ({bool}, "a bool", np.bool_)
+NUMBER = {int, float, np.float64}, "a number"  # np.float64: records built in memory
+TICK_FIELDS = {
+    "tick": COUNT, "stage": ({str}, "a string", np.int32), "ee_pose": (*NUMBER, np.float64),
+    "selected_grasp": (*NUMBER, np.int32), "candidate_count": COUNT,
+    "resampled": FLAG, "refined": FLAG, "selection_tick": FLAG,
+    "hand_points": ({str}, "a base64 string", str),
+}
+CLOSURE_FIELDS = {"tick": COUNT, "success": FLAG}
+# the keys a RunLog holds as arrays, in the order of a tick record
+COLUMNS = tuple(key for key in TICK_FIELDS if key != "hand_points")
+STAGES = tuple(stage.value for stage in TaskStage)
+_STAGE_CODE = {stage: code for code, stage in enumerate(TaskStage)}
+
+
+class RunLog(Sequence):
+    """One run's trace as columns, one row per tick record.
+
+    ``tick``, ``stage``, ``ee_pose``, ``selected_grasp``,
+    ``candidate_count``, ``resampled``, ``refined`` and ``selection_tick``
+    are arrays of the dtypes ``TICK_FIELDS`` names. ``stages`` names the
+    stage codes (``STAGES`` first), ``grasps`` is the table of rounded
+    grasps, as lists of 7 floats, that ``selected_grasp`` indexes,
+    ``clouds`` maps a row to its ``hand_points`` string, and ``others``
+    holds the header, event and closure records, in order, each as
+    (the row of the first tick record after it, the record).
+
+    As a sequence it is the records in order, each a new dict, so editing
+    one edits neither the log nor any other record.
+    """
+
+    def __init__(self, columns, grasps, clouds, others, stages=STAGES):
+        for key in COLUMNS:
+            setattr(self, key, np.asarray(columns[key], dtype=TICK_FIELDS[key][2]))
+        self.ee_pose = self.ee_pose.reshape(-1, 7)
+        self.grasps, self.clouds, self.others, self.stages = grasps, clouds, others, stages
+        # where each other record sits in the sequence: after its row's ticks and the others before it
+        self._other_at = [row + k for k, (row, _) in enumerate(others)]
+
+    def __len__(self) -> int:
+        return len(self.tick) + len(self.others)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("record index out of range")
+        k = bisect.bisect_left(self._other_at, i)
+        if k < len(self.others) and self._other_at[k] == i:
+            return dict(self.others[k][1])
+        return self._tick_record(i - k)
+
+    def __iter__(self):
+        k = 0
+        for row in range(len(self.tick)):
+            while k < len(self.others) and self.others[k][0] <= row:
+                yield dict(self.others[k][1])
+                k += 1
+            yield self._tick_record(row)
+        for _, rec in self.others[k:]:
+            yield dict(rec)
+
+    def _tick_record(self, row: int) -> dict:
+        g = self.selected_grasp[row]
+        rec = {
+            "type": "tick",
+            "tick": int(self.tick[row]),
+            "stage": self.stages[self.stage[row]],
+            "ee_pose": self.ee_pose[row].tolist(),
+            "selected_grasp": list(self.grasps[g]) if g >= 0 else None,
+            "candidate_count": int(self.candidate_count[row]),
+            "resampled": bool(self.resampled[row]),
+            "refined": bool(self.refined[row]),
+            "selection_tick": bool(self.selection_tick[row]),
+        }
+        if row in self.clouds:
+            rec["hand_points"] = self.clouds[row]
+        return rec
+
+
 class SimState:
     """Everything one run carries from tick to tick, with a method per stage.
 
@@ -124,6 +230,9 @@ class SimState:
     cloud, or None while they are untested: ``refine`` sets it, ``observe``
     resets it and ``select`` fills it in when it finds None. ``plan`` is the
     RRT-Connect path being followed, (goal, waypoints left), or None.
+    ``others`` holds the header, event and closure records as a RunLog
+    takes them: (row, record), where the row, the tick's own index, is the
+    tick record each comes before.
     """
 
     def __init__(self, scenario: Scenario, seed: int):
@@ -133,14 +242,8 @@ class SimState:
         self.weights = MODE_WEIGHTS[scenario.mode]
         self.metrics = Metrics()
         self.ee = HOME
-        self.records: list[dict] = [
-            {
-                "type": "header",
-                "name": scenario.name,
-                "seed": int(seed),
-                "mode": scenario.mode,
-            }
-        ]
+        header = {"type": "header", "name": scenario.name, "seed": int(seed), "mode": scenario.mode}
+        self.others: list[tuple[int, dict]] = [(0, header)]
         self.stage = TaskStage.WAIT_HOME
         self.gset = GraspSet.empty()
         self.gset_clear = None
@@ -177,7 +280,7 @@ class SimState:
                 self.grip_offset = self.grip_offset.compose(ev.turn)
             else:  # translate_hand, lower_hand
                 self.hand_offset = self.hand_offset + np.asarray(ev.offset, dtype=float)
-            self.records.append({"type": "event", "tick": tick, "action": ev.action})
+            self.others.append((tick, {"type": "event", "tick": tick, "action": ev.action}))
         self.pending = waiting
 
     def observe(self, tick: int, palm: Pose, object_pose: Pose) -> None:
@@ -294,14 +397,9 @@ class SimState:
         else:
             self.stage = TaskStage.APPROACH
             self.selected = None
-        self.records.append(
-            {
-                "type": "closure",
-                "tick": tick,
-                "success": self.metrics.success,
-                "attempt": self.metrics.attempts,
-            }
-        )
+        closure = {"type": "closure", "tick": tick, "success": self.metrics.success,
+                   "attempt": self.metrics.attempts}
+        self.others.append((tick, closure))
 
     def approach(self, tick: int) -> None:
         """Straight-first motion toward the standoff, RRT-Connect fallback."""
@@ -340,13 +438,13 @@ class SimState:
 
 
 def run(scenario: Scenario, seed: int | None = None):
-    """Execute one scenario; returns (Metrics, trace records)."""
+    """Execute one scenario; returns (Metrics, RunLog)."""
     seed = scenario.seed if seed is None else seed
     if seed < 0:  # numpy seeds its streams from non-negative integers only
         raise ScenarioError("seed must be >= 0")
     state = SimState(scenario, seed)
-    records = state.records
-    rounded_for, grasp = None, None
+    rows, grasps, clouds = [], [], {}
+    rounded_for = None
     for tick in range(int(math.ceil(scenario.time_limit * BASE_HZ))):
         t = tick * DT
         state.fire_events(tick, t)
@@ -372,24 +470,17 @@ def run(scenario: Scenario, seed: int | None = None):
         state.move(tick, t)
 
         selected = state.selected
-        if selected is not rounded_for:  # rounded once per selection
-            rounded_for = selected
-            grasp = _round_pose(selected.grasp) if selected else None
-        rec = {
-            "type": "tick",
-            "tick": tick,
-            "stage": state.stage.value,
-            "ee_pose": _round_pose(state.ee),
-            # each record its own list, so that editing one edits no other
-            "selected_grasp": [*grasp] if selected else None,
-            "candidate_count": state.candidate_count,
-            "resampled": bool(resampled),
-            "refined": bool(refine_tick),
-            "selection_tick": bool(select_tick),
-        }
+        if selected is not rounded_for and selected is not None:  # rounded once per selection
+            grasps.append(_round_pose(selected.grasp))
+        rounded_for = selected
+        # one row in the order of COLUMNS
+        rows.append((
+            tick, _STAGE_CODE[state.stage], _round_pose(state.ee),
+            len(grasps) - 1 if selected is not None else -1, state.candidate_count,
+            bool(resampled), refine_tick, select_tick,
+        ))
         if cloud_tick:
-            rec["hand_points"] = encode_hand_points(state.hand_cloud.points)
-        records.append(rec)
+            clouds[tick] = encode_hand_points(state.hand_cloud.points)
         if state.stage is TaskStage.DONE:
             break
-    return state.metrics, records
+    return state.metrics, RunLog(dict(zip(COLUMNS, zip(*rows))), grasps, clouds, state.others)

@@ -20,9 +20,13 @@ hand-point encoder of the format before the points became integer
 counts, which the encoder's tests hold ``sim.encode_hand_points`` to;
 ``hand_counts`` and ``hand_points_text`` read and write the recorded
 string with ``struct``, apart from ``trace._read_counts``.
-``IDENTITY`` is the identity pose."""
+``trace_lines`` and ``write_trace`` are the trace writer as it was while
+a run kept one dict per tick, ``json.dumps`` of each record, which
+``trace.render_trace`` is held to and which writes the hand-edited
+traces the tests hand to ``verify``. ``IDENTITY`` is the identity pose."""
 
 import base64
+import json
 import math
 import struct
 
@@ -185,6 +189,17 @@ def verify_records(records) -> list[str]:
     if prev_pose is None:
         violations.append("trace has no tick record")
     return violations
+
+
+def trace_lines(records) -> list:
+    """Each record as one JSON line, in bytes: json.dumps with no spaces."""
+    return [(json.dumps(rec, separators=(",", ":")) + "\n").encode() for rec in records]
+
+
+def write_trace(records, path) -> None:
+    """Write the records one json.dumps line each, whatever they hold."""
+    with open(path, "wb") as fh:
+        fh.writelines(trace_lines(records))
 
 
 def hand_counts(text: str) -> list:

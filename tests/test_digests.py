@@ -293,7 +293,7 @@ def test_draws_after_sampling_never_reach_a_trace(monkeypatch):
 
 
 def test_stage_path_check_rejects_paths_the_plan_cannot_take():
-    records = pinned_run(static_shape("static_box"), 0)
+    records = list(pinned_run(static_shape("static_box"), 0))
     ticks = [rec for rec in records if rec["type"] == "tick"]
     stages = [rec["stage"] for rec in ticks]
     took, dropped, done = (stages.index(stage) for stage in ("take", "drop", "done"))

@@ -357,8 +357,22 @@ class TestTraceIO:
         path = tmp_path / "trace.jsonl"
         write_trace(records, path)
         back = read_trace(path)
-        assert back == json.loads(json.dumps(records))
-        assert trace_digest(back) == trace_digest(json.loads(json.dumps(records)))
+        assert list(back) == json.loads(json.dumps(list(records)))
+        assert trace_digest(back) == trace_digest(json.loads(json.dumps(list(records))))
+
+    def test_ee_column_holds_python_round(self, monkeypatch):
+        # coordinates at half-way ties (k + 0.5) / 1e7, where np.round(v, 7)
+        # and round(v, 7) differ: the column must hold round's values
+        ties = [v for v in ((k + 0.5) / 1e7 for k in range(3_000_000, 3_000_200))
+                if np.round(v, 7) != round(v, 7)][:3]
+        assert len(ties) == 3
+        pose = Pose(ties, (0.0, 0.0, 0.0, 1.0))
+        monkeypatch.setattr(sim, "servo_step", lambda *args: pose)
+        _, log = run(short(load_scenario(NOMINAL), 0.1), seed=0)
+        assert len(log.ee_pose) == 9
+        for row in log.ee_pose.tolist():
+            assert row == [round(v, 7) for v in ties] + [0.0, 0.0, 0.0, 1.0]
+            assert row[:3] != np.round(ties, 7).tolist()
 
     def test_write_trace_returns_the_digest_of_its_bytes(self, tmp_path):
         _, records = run(short(load_scenario(NOMINAL), 1.0), seed=0)
@@ -369,7 +383,7 @@ class TestTraceIO:
     def test_verify_flags_velocity_violation(self):
         s = short(load_scenario(NOMINAL), 1.0)
         _, records = run(s, seed=0)
-        bad = copy.deepcopy(records)
+        bad = list(records)
         ticks = [r for r in bad if r["type"] == "tick"]
         ticks[-1]["ee_pose"][0] += 0.5
         out = verify_records(bad)
@@ -381,12 +395,12 @@ class TestTraceIO:
         s = short(load_scenario(NOMINAL), 1.0)
         _, bare = run(s, seed=0)
         assert not {"dt", "v_max", "w_max", "hand_margin"} & bare[0].keys()
-        records = copy.deepcopy(bare)
+        records = list(bare)
         records[0].update(dt=round(DT, 9), v_max=DEFAULT_V_MAX, w_max=DEFAULT_W_MAX)
         assert verify_records(bare) == verify_records(records) == []
         flagged = []
         for trace in (records, bare):
-            bad = copy.deepcopy(trace)
+            bad = copy.deepcopy(list(trace))
             prev, last = [r for r in bad if r["type"] == "tick"][-2:]
             # just over both limits: 0.0028 m > 0.25 m/s / 90 Hz, 0.0113 rad > 1 rad/s / 90 Hz
             last["ee_pose"][:3] = [prev["ee_pose"][0] + 0.0028, *prev["ee_pose"][1:3]]
@@ -400,7 +414,7 @@ class TestTraceIO:
     def test_verify_flags_grasp_in_hand(self):
         s = short(load_scenario(NOMINAL), 1.0)
         _, records = run(s, seed=0)
-        bad = copy.deepcopy(records)
+        bad = list(records)
         hand_pt = None
         for r in bad:
             if r["type"] == "tick" and r.get("hand_points"):
@@ -659,11 +673,21 @@ class TestCli:
         assert main(["run", "--scenario", str(bad), "--trace", str(trace)]) == EXIT_PARSE
         assert not trace.exists()
 
+    def test_cli_trace_hashes_to_its_digest_and_reads_back_to_its_bytes(self, tmp_path, capsys):
+        # the digest run prints is that of the file's bytes, and the file
+        # read into a RunLog and written again is the same file
+        trace, again = tmp_path / "t.jsonl", tmp_path / "again.jsonl"
+        assert main(["run", "--scenario", NOMINAL, "--seed", "0", "--trace", str(trace)]) == EXIT_OK
+        printed = capsys.readouterr().out.split("digest=")[1].strip()
+        assert hashlib.sha256(trace.read_bytes()).hexdigest()[:16] == printed
+        write_trace(read_trace(trace), again)
+        assert again.read_bytes() == trace.read_bytes()
+
     def test_verify_clean_and_tampered(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         assert main(["run", "--scenario", BELOW, "--seed", "0", "--trace", str(trace)]) == EXIT_OK
         assert main(["verify", "--trace", str(trace)]) == EXIT_OK
-        records = read_trace(trace)
+        records = list(read_trace(trace))
         for r in records:
             if r["type"] == "tick":
                 r["ee_pose"][0] += 1.0
