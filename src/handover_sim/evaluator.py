@@ -16,13 +16,20 @@ each block of trials in one. It tests the cloud in the grasp frame
 through box_hits, the one box test (refinement's hand prune and the
 planner's closure test use it too). box_hits moves a chunk of rows into
 their grasp frames in component-major form, a (rows, 3, N) stack of x, y
-and z rows, into two buffers that every chunk of the call reuses. It
-tests every (row, point) pair against the boxes' joint hull first, with
-no slack: a pair outside the hull is outside every box. Only the pairs
-inside, a quarter of evaluate's and a thirtieth of the hand prune's,
-are gathered and tested box by box (points_in_bounds). evaluate reads
-each row's closing-region points from these sparse hits in cloud order,
-so each row's alignment sum keeps the bits of a one-row call. Per call,
+and z rows. A chunk is sized by work, not rows: as many rows as
+PAIR_CHUNK (row, point) pairs hold for the cloud, and at least one
+(chunk_rows), so a call makes few chunks and each chunk's fixed cost is
+spread over many pairs. Both stacks of every chunk of a call are views
+of one allocation: held in two blocks, the stacks' pages went back to
+the system after a call and the next call faulted them in again (about
+two minor page faults a tick on static holds at 8-row chunks, none with
+one block). It tests every (row, point) pair against the boxes'
+joint hull first, with no slack: a pair outside the hull is outside
+every box. Only the pairs inside, a quarter of evaluate's and a
+thirtieth of the hand prune's, are gathered and tested box by box
+(points_in_bounds). evaluate reads each row's closing-region points
+from these sparse hits in cloud order, so each row's alignment sum
+keeps the bits of a one-row call. Per call,
 the set-up is only the rows' rotation matrices: a cloud carries its
 coordinate rows (PointCloud.coords, made once per cloud), and the
 gripper's box bounds are made once, at import.
@@ -50,7 +57,7 @@ from .geometry import Pose, quat_from_matrix, quat_to_matrix, quat_unit_rows, ro
 from .scene import PointCloud
 
 N_CONTAIN_REF = 20  # containment saturates at this many points
-ROW_CHUNK = 8  # grasps per stacked box test; bounds its temporaries and peak memory
+PAIR_CHUNK = 16384  # (grasp, point) pairs per stacked box test; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -146,8 +153,14 @@ def points_in_bounds(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.n
     return ((coords >= lo) & (coords <= hi)).all(axis=0)
 
 
+def chunk_rows(n_points: int) -> int:
+    """Grasp rows per box_hits chunk against a cloud of n_points: the rows
+    PAIR_CHUNK pairs hold, and at least one."""
+    return max(1, PAIR_CHUNK // max(n_points, 1))
+
+
 def box_hits(grasps, coords: np.ndarray, bounds):
-    """Yield (rows, rotations, flat, hits) per chunk of ROW_CHUNK grasp rows.
+    """Yield (rows, rotations, flat, hits) per chunk of chunk_rows(N) grasp rows.
 
     grasps is anything with p and q rows (a GraspSet, or one Pose as one
     row); coords is the cloud's (3, N) coordinate rows (geometry.coordinate_rows)
@@ -160,24 +173,31 @@ def box_hits(grasps, coords: np.ndarray, bounds):
     in the row's grasp frame, lies inside the dilated box. A pair outside
     the hull is outside every box, so the per-box tests run only on the
     hull's pairs. The tests hold the hits, spread back over every pair, to
-    the point-major box test of every pair, byte for byte.
+    the point-major box test of every pair, byte for byte. No array yielded
+    shares memory with the call's work buffer.
     """
     lo, hi, hull_lo, hull_hi = bounds
     p = np.reshape(grasps.p, (-1, 3))
     rot = quat_to_matrix(grasps.q).reshape(-1, 3, 3)
     rot_t = rot.transpose(0, 2, 1)
-    # one pair of buffers for every chunk: allocating a chunk's stacks anew
-    # costs more than the arithmetic that fills them. The product lands
-    # axis-major, (3, rows, N), so that a pair's flat index picks its x, y
-    # and z from three contiguous rows.
-    shifted = np.empty((min(len(p), ROW_CHUNK), 3, coords.shape[1]))
-    moved = np.empty((3, *shifted.shape[::2]))
-    for start in range(0, len(p), ROW_CHUNK):
-        rows = slice(start, start + ROW_CHUNK)
-        size = min(ROW_CHUNK, len(p) - start)
-        np.subtract(coords, p[rows, :, None], out=shifted[:size])
-        np.matmul(rot_t[rows], shifted[:size], out=moved[:, :size].transpose(1, 0, 2))
-        local = moved[:, :size].reshape(3, -1)  # pair (r, k) is column r * N + k
+    n = coords.shape[1]
+    step = chunk_rows(n)
+    # one allocation holds both stacks of every chunk: allocating a chunk's
+    # stacks anew costs more than the arithmetic that fills them. Each
+    # chunk takes its stacks from the front of each half, so a short last
+    # chunk's are contiguous too. The product lands axis-major,
+    # (3, rows, N), so that a pair's flat index picks its x, y and z from
+    # three contiguous rows.
+    half = 3 * min(len(p), step) * n
+    work = np.empty(2 * half)
+    for start in range(0, len(p), step):
+        rows = slice(start, start + step)
+        size = min(step, len(p) - start)
+        shifted = work[: 3 * size * n].reshape(size, 3, n)
+        moved = work[half : half + 3 * size * n].reshape(3, size, n)
+        np.subtract(coords, p[rows, :, None], out=shifted)
+        np.matmul(rot_t[rows], shifted, out=moved.transpose(1, 0, 2))
+        local = moved.reshape(3, -1)  # pair (r, k) is column r * N + k
         flat = np.flatnonzero(((local >= hull_lo) & (local <= hull_hi)).all(axis=0))
         yield rows, rot[rows], flat, points_in_bounds(local.take(flat, axis=1), lo, hi)
 

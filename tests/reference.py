@@ -32,7 +32,7 @@ import struct
 
 import numpy as np
 
-from handover_sim.evaluator import BODY_BOXES, GRIPPER_BOXES, N_CONTAIN_REF, ROW_CHUNK
+from handover_sim.evaluator import BODY_BOXES, GRIPPER_BOXES, N_CONTAIN_REF, chunk_rows
 from handover_sim.evaluator import GraspSet, evaluate
 from handover_sim.geometry import FLIP_Z, Pose, quat_angle, quat_mul, quat_normalize
 from handover_sim.motion import DEFAULT_CLEARANCE, DEFAULT_V_MAX, DEFAULT_W_MAX, TABLE_Z
@@ -397,11 +397,13 @@ def points_in_boxes(pts: np.ndarray, boxes, margin: float = 0.0) -> np.ndarray:
 
 def stacked_box_hits(grasps, points: np.ndarray, boxes, margin: float = 0.0):
     """evaluator.box_hits as dense hits of every (row, point) pair, each
-    chunk's (boxes, rows, N), through (points - p) @ R, point-major."""
+    chunk's (boxes, rows, N), through (points - p) @ R, point-major. The
+    chunks are the program's: chunk_rows(N) rows each."""
     p = np.reshape(grasps.p, (-1, 3))
     rot = quat_to_matrix(grasps.q).reshape(-1, 3, 3)
-    for start in range(0, len(p), ROW_CHUNK):
-        rows = slice(start, start + ROW_CHUNK)
+    step = chunk_rows(len(points))
+    for start in range(0, len(p), step):
+        rows = slice(start, start + step)
         local = np.matmul(points - p[rows, None, :], rot[rows])
         hits = points_in_boxes(local.reshape(-1, 3), boxes, margin)
         yield rows, rot[rows], hits.reshape(len(boxes), len(local), len(points))

@@ -8,10 +8,10 @@ from handover_sim.evaluator import (
     BODY_BOXES,
     CLOSING_REGION,
     GRIPPER_BOXES,
-    ROW_CHUNK,
     Box,
     GraspSet,
     box_bounds,
+    chunk_rows,
     evaluate,
     points_in_bounds,
     sample_grasps,
@@ -114,6 +114,9 @@ def shape_cloud(kind, n=1500, seed=31):
     return PointCloud(world.transform_points(pts), nrm)
 
 
+STEP = chunk_rows(1500)  # rows per box_hits chunk on shape_cloud: 10
+
+
 def mixed_grasps(cloud, seed=32):
     """50 sampled grasps moved up to 1 cm: some keep a score, some collide."""
     rng = np.random.default_rng(seed)
@@ -128,7 +131,8 @@ class TestEvaluateRows:
         cloud = shape_cloud(kind)
         grasps = mixed_grasps(cloud)
         assert len(grasps) == 50
-        for g in (0, 1, ROW_CHUNK, ROW_CHUNK + 1, 50):
+        assert len(cloud) == 1500
+        for g in (0, 1, STEP - 1, STEP, STEP + 1, 50):
             rows = grasps[np.arange(g)]
             expected = [scalar_evaluate(rows.pose(i), cloud) for i in range(g)]
             assert evaluate(rows, cloud).tolist() == expected
@@ -140,7 +144,7 @@ class TestEvaluateRows:
 
     def test_empty_cloud_scores_zero_for_every_row(self):
         grasps = mixed_grasps(shape_cloud("box"))
-        for g in (0, 1, ROW_CHUNK, ROW_CHUNK + 1, 50):
+        for g in (0, 1, STEP - 1, STEP, STEP + 1, 50):
             scores = evaluate(grasps[np.arange(g)], PointCloud.empty())
             assert scores.tolist() == [0.0] * g
 

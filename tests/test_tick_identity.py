@@ -12,7 +12,8 @@ import pytest
 
 import reference
 from handover_sim.evaluator import GRIPPER_BOXES, GraspSet, evaluate
-from handover_sim.evaluator import ROW_CHUNK, box_bounds, box_hits, points_in_bounds, sample_grasps
+from handover_sim.evaluator import PAIR_CHUNK, box_bounds, box_hits, chunk_rows, points_in_bounds
+from handover_sim.evaluator import sample_grasps
 from handover_sim.geometry import Pose, coordinate_rows, quat_from_axis_angle, quat_mul, quat_to_matrix
 from handover_sim.geometry import quat_unit_rows, row_norms, vector_norm
 from handover_sim.motion import (
@@ -308,13 +309,15 @@ OBJECTS = {
     "capsule": PrimitiveShape("capsule", (0.02, 0.14)),
     "sphere": PrimitiveShape("sphere", (0.035,)),
 }
-ROW_COUNTS = (0, 1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 50)
+OBJECT_POINTS = 1200  # object_cloud's size
+STEP = chunk_rows(OBJECT_POINTS)  # 13 rows a chunk: 50 rows are 3 whole chunks and a short one
+ROW_COUNTS = (0, 1, STEP - 1, STEP, STEP + 1, 50)
 
 
-def object_cloud(kind, seed=41):
-    """A surface cloud of the whole shape, every side sampled, at a random pose."""
+def object_cloud(kind, seed=41, n=OBJECT_POINTS):
+    """A surface cloud of n points over the whole shape, every side sampled, at a random pose."""
     rng = np.random.default_rng(seed)
-    pts, nrm = OBJECTS[kind].sample_surface(1200, rng)
+    pts, nrm = OBJECTS[kind].sample_surface(n, rng)
     world = Pose(rng.uniform(-0.2, 0.2, 3), rng.normal(size=4))
     return PointCloud(world.transform_points(pts), nrm @ world.rotation_matrix().T)
 
@@ -463,6 +466,36 @@ class TestBoxKernel:
         assert same_bytes(evaluate(GraspSet.empty(), cloud),
                           reference.evaluate_rows(GraspSet.empty(), cloud))
 
+    @pytest.mark.parametrize("kind", ["box", "sphere"])
+    def test_cloud_past_the_pair_budget(self, kind):
+        # more points than PAIR_CHUNK pairs: every chunk is one row
+        cloud = object_cloud(kind, n=PAIR_CHUNK + 617)
+        assert chunk_rows(len(cloud)) == 1
+        grasps = grasps_near(cloud)[np.arange(12)]
+        for margin in (0.0, HAND_MARGIN):
+            got = same_hits(dense_hits(grasps, cloud.points, margin),
+                            reference.stacked_box_hits(grasps, cloud.points, GRIPPER_BOXES, margin))
+            assert [rows.stop - rows.start for rows, _, _ in got] == [1] * len(grasps)
+        scores = evaluate(grasps, cloud)
+        assert same_bytes(scores, reference.evaluate_rows(grasps, cloud))
+        assert (scores == 0.0).any() and (scores > 0.0).any()
+
+    def test_chunks_do_not_alias_the_work_buffer(self):
+        # every chunk copied as it is yielded, against all chunks held to
+        # the end: an array that shared the call's work buffer would hold
+        # the last chunk's values in the second
+        cloud = object_cloud("capsule")
+        grasps = grasps_near(cloud)
+        for margin in (0.0, HAND_MARGIN):
+            bounds = box_bounds(GRIPPER_BOXES, margin)
+            chunks = box_hits(grasps, cloud.coords, bounds)
+            lazy = [(rows, *(a.copy() for a in arrays)) for rows, *arrays in chunks]
+            held = list(box_hits(grasps, cloud.coords, bounds))
+            assert len(held) == -(-len(grasps) // STEP) > 1
+            for (rows, *arrays), (rows_ref, *copies) in zip(held, lazy, strict=True):
+                assert rows == rows_ref
+                assert all(same_bytes(a, b) for a, b in zip(arrays, copies, strict=True))
+
     @pytest.mark.parametrize("margin", [0.0, HAND_MARGIN])
     def test_points_in_boxes(self, margin):
         rng = np.random.default_rng(43)
@@ -491,9 +524,6 @@ class TestBoxKernel:
         got = quat_to_matrix(qs)
         assert got.flags.c_contiguous
         assert same_bytes(got, np.array([quat_to_matrix(q) for q in qs]))
-
-
-MH_ROW_COUNTS = (0, 1, 7, 8, 9, 50)  # the chunk is 8 rows
 
 
 def floored(score_rows, grasps, old):
@@ -526,7 +556,7 @@ class TestMhStep:
         cloud = object_cloud(kind)
         grasps = grasps_near(cloud)
         scored = GraspSet(grasps.p, grasps.q, evaluate(grasps, cloud))
-        for g in MH_ROW_COUNTS:
+        for g in ROW_COUNTS:
             for seed in range(3):
                 out = self.check(scored[np.arange(g)], cloud, seed)
         moved = np.any(out.p != scored.p, axis=1)
@@ -541,7 +571,7 @@ class TestMhStep:
         sign = rng.choice([-1.0, 1.0], (len(grasps), 1))
         q = grasps.q * sign * (1.0 + rng.normal(scale=1e-13, size=grasps.q.shape))
         assert np.any(q[:, 3] < 0.0) and np.any(q != quat_unit_rows(q))
-        for g in MH_ROW_COUNTS:
+        for g in ROW_COUNTS:
             self.check(GraspSet(grasps.p, q, grasps.scores)[np.arange(g)], cloud, 5)
 
     def test_single_row_and_empty_set(self):

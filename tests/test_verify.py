@@ -371,7 +371,7 @@ def test_count_too_large_for_a_float_is_non_finite(nominal, count, tested, tmp_p
     count_exit(nominal, count, tested, tmp_path, capsys)
 
 
-def test_points_a_float_holds_are_still_tested(nominal):
+def test_an_int32_end_count_leaves_the_other_points_tested(nominal):
     # a count at the end of int32, far from the grasp, leaves the cloud's
     # other points in the grasp test
     ticks = ticks_of(nominal)
