@@ -10,7 +10,7 @@ from tick to tick and has one method per stage: ``fire_events``,
 A run records into one ``RunLog``: columns with one row per tick, not a
 dict per tick. Its columns are the ee poses, (T, 7), holding Python's
 ``round(v, 7)`` of each value (``np.round`` differs from it near
-half-way ties); the stage codes; the three flags and
+half-way ties); the stage names; the three flags and
 ``candidate_count``; each tick's index into a table of the selection's
 rounded grasps, or -1 for none; the hand clouds' base64 strings, on the
 cloud ticks; and the header, event and closure records, in order.
@@ -53,9 +53,7 @@ runs share a process across threads.
 from __future__ import annotations
 
 import base64
-import bisect
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -134,14 +132,15 @@ def encode_hand_points(points: np.ndarray) -> str:
 # each value in its list, may hold; what such a value is; the dtype of its
 # column in a RunLog). A bool is no integer count, though Python counts it
 # an int; a number is no string, bool or null, though np.array would parse
-# a string, read true as 1.0 and null as NaN. The stage column holds codes
-# into the log's stage names, and the selected_grasp column an index into
-# its grasp table, -1 for a null (no grasp); hand_points, on cloud ticks
+# a string, read true as 1.0 and null as NaN. The stage column holds the
+# names as objects, each with its exact characters (a numpy str column
+# drops trailing NULs), and the selected_grasp column an index into the
+# log's grasp table, -1 for a null (no grasp); hand_points, on cloud ticks
 # only, are kept as their strings.
 COUNT, FLAG = ({int}, "an integer count", np.int64), ({bool}, "a bool", np.bool_)
 NUMBER = {int, float, np.float64}, "a number"  # np.float64: records built in memory
 TICK_FIELDS = {
-    "tick": COUNT, "stage": ({str}, "a string", np.int32), "ee_pose": (*NUMBER, np.float64),
+    "tick": COUNT, "stage": ({str}, "a string", object), "ee_pose": (*NUMBER, np.float64),
     "selected_grasp": (*NUMBER, np.int32), "candidate_count": COUNT,
     "resampled": FLAG, "refined": FLAG, "selection_tick": FLAG,
     "hand_points": ({str}, "a base64 string", str),
@@ -149,8 +148,6 @@ TICK_FIELDS = {
 CLOSURE_FIELDS = {"tick": COUNT, "success": FLAG}
 # the keys a RunLog holds as arrays, in the order of a tick record
 COLUMNS = tuple(key for key in TICK_FIELDS if key != "hand_points")
-STAGES = tuple(stage.value for stage in TaskStage)
-_STAGE_CODE = {stage: code for code, stage in enumerate(TaskStage)}
 
 
 class RunLog(Sequence):
@@ -158,40 +155,30 @@ class RunLog(Sequence):
 
     ``tick``, ``stage``, ``ee_pose``, ``selected_grasp``,
     ``candidate_count``, ``resampled``, ``refined`` and ``selection_tick``
-    are arrays of the dtypes ``TICK_FIELDS`` names. ``stages`` names the
-    stage codes (``STAGES`` first), ``grasps`` is the table of rounded
-    grasps, as lists of 7 floats, that ``selected_grasp`` indexes,
-    ``clouds`` maps a row to its ``hand_points`` string, and ``others``
-    holds the header, event and closure records, in order, each as
-    (the row of the first tick record after it, the record).
+    are arrays of the dtypes ``TICK_FIELDS`` names, ``stage`` of the stage
+    names themselves. ``grasps`` is the table of rounded grasps, as lists
+    of 7 floats, that ``selected_grasp`` indexes, ``clouds`` maps a row to
+    its ``hand_points`` string, and ``others`` holds the header, event and
+    closure records, in order, each as (the row of the first tick record
+    after it, the record).
 
     As a sequence it is the records in order, each a new dict, so editing
-    one edits neither the log nor any other record.
+    one edits neither the log nor any other record. Iteration is the one
+    walk that places the other records among the ticks; an index or a
+    slice takes its records from that walk.
     """
 
-    def __init__(self, columns, grasps, clouds, others, stages=STAGES):
+    def __init__(self, columns, grasps, clouds, others):
         for key in COLUMNS:
             setattr(self, key, np.asarray(columns[key], dtype=TICK_FIELDS[key][2]))
         self.ee_pose = self.ee_pose.reshape(-1, 7)
-        self.grasps, self.clouds, self.others, self.stages = grasps, clouds, others, stages
-        # where each other record sits in the sequence: after its row's ticks and the others before it
-        self._other_at = [row + k for k, (row, _) in enumerate(others)]
+        self.grasps, self.clouds, self.others = grasps, clouds, others
 
     def __len__(self) -> int:
         return len(self.tick) + len(self.others)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("record index out of range")
-        k = bisect.bisect_left(self._other_at, i)
-        if k < len(self.others) and self._other_at[k] == i:
-            return dict(self.others[k][1])
-        return self._tick_record(i - k)
+        return list(self)[i]
 
     def __iter__(self):
         k = 0
@@ -208,7 +195,7 @@ class RunLog(Sequence):
         rec = {
             "type": "tick",
             "tick": int(self.tick[row]),
-            "stage": self.stages[self.stage[row]],
+            "stage": self.stage[row],
             "ee_pose": self.ee_pose[row].tolist(),
             "selected_grasp": list(self.grasps[g]) if g >= 0 else None,
             "candidate_count": int(self.candidate_count[row]),
@@ -475,7 +462,7 @@ def run(scenario: Scenario, seed: int | None = None):
         rounded_for = selected
         # one row in the order of COLUMNS
         rows.append((
-            tick, _STAGE_CODE[state.stage], _round_pose(state.ee),
+            tick, state.stage.value, _round_pose(state.ee),
             len(grasps) - 1 if selected is not None else -1, state.candidate_count,
             bool(resampled), refine_tick, select_tick,
         ))

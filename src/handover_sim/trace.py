@@ -52,11 +52,11 @@ never values the trace records, so a trace cannot loosen its checks.
 
 A trace without a header or a tick record fails verification; one that
 cannot be read or holds a malformed record raises TraceError. A record
-is malformed where it lacks a key ``TICK_FIELDS`` or ``CLOSURE_FIELDS``
-names (but ``hand_points``, which only cloud ticks carry), or holds a
-value of a type the table does not allow, a count beyond its int64
-column, a negative ``candidate_count``, a pose that is not 7 numbers or
-has a zero quaternion, or hand points
+is malformed where it is not a JSON object, lacks a key ``TICK_FIELDS``
+or ``CLOSURE_FIELDS`` names (but ``hand_points``, which only cloud ticks
+carry), or holds a value of a type the table does not allow, a count
+beyond its int64 column, a negative ``candidate_count``, a pose that is
+not 7 numbers or has a zero quaternion, or hand points
 that are not the one encoding of whole (x, y, z) int32 triples: a value
 that is not a string (the earlier list of JSON integers among them), a
 character outside the base64 alphabet, "=" padding, or decoded bytes that
@@ -78,7 +78,7 @@ from .motion import DEFAULT_V_MAX, DEFAULT_W_MAX, TABLE_Z
 from .planner import DROP_DURATION
 from .refinement import DEFAULT_HAND_MARGIN, collides_hand
 from .sim import CLOSURE_FIELDS, CLOUD_DIV, COLUMNS, DT, HAND_POINT_SCALE, REFINE_DIV, SELECT_DIV
-from .sim import STAGES, TICK_FIELDS, RunLog
+from .sim import TICK_FIELDS, RunLog
 
 IDENTITY = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # stands in for a pose with a non-finite value
 
@@ -113,16 +113,17 @@ def render_trace(records) -> bytes:
     records, a few per run, print through json.dumps.
     """
     log = as_log(records)
-    stage = [json.dumps(name) for name in log.stages]
+    stages = log.stage.tolist()
+    quoted = {name: json.dumps(name) for name in set(stages)}
     table = np.array(log.grasps, dtype=float).reshape(-1, 7)
     grasp = [f"[{text}]" for text in _numbers(table)] + ["null"]  # index -1: null
     ends = ["}\n"] * len(log.tick)
     for row, points in log.clouds.items():
         ends[row] = f',"hand_points":"{points}"}}\n'
     lines = [
-        _TICK % (t, stage[s], pose, grasp[g], n, _BOOL[a], _BOOL[b], _BOOL[c]) + end
+        _TICK % (t, quoted[s], pose, grasp[g], n, _BOOL[a], _BOOL[b], _BOOL[c]) + end
         for t, s, pose, g, n, a, b, c, end in zip(
-            log.tick.tolist(), log.stage.tolist(), _numbers(log.ee_pose),
+            log.tick.tolist(), stages, _numbers(log.ee_pose),
             log.selected_grasp.tolist(), log.candidate_count.tolist(), log.resampled.tolist(),
             log.refined.tolist(), log.selection_tick.tolist(), ends)
     ]
@@ -151,7 +152,7 @@ def _read_lines(path) -> list:
 
 def read_trace(path) -> RunLog:
     """The trace file parsed into a RunLog (as_log); ValueError on a line
-    that is not JSON or a malformed record."""
+    that is not JSON, not a JSON object or a malformed record."""
     return as_log(_read_lines(path))
 
 
@@ -178,16 +179,19 @@ def as_log(records) -> RunLog:
     into its columns through TICK_FIELDS, each column's types checked once.
 
     ValueError (or KeyError, TypeError, OverflowError) on a malformed
-    record: a key missing, a value of a type the table does not allow, a
-    count beyond its column's int64, a negative candidate_count, a pose
-    that is not 7 numbers, or hand_points with a character outside the
-    base64 alphabet ("=" among them). Consecutive equal grasps share a row of
-    the grasp table; equal means equal bits, so a -0.0 keeps its sign.
+    record: one that is not a dict (a JSON object), a key missing, a value
+    of a type the table does not allow, a count beyond its column's int64,
+    a negative candidate_count, a pose that is not 7 numbers, or
+    hand_points with a character outside the base64 alphabet ("=" among
+    them). Consecutive equal grasps share a row of the grasp table; equal
+    means equal bits, so a -0.0 keeps its sign.
     """
     if isinstance(records, RunLog):
         return records
     ticks, others = [], []
     for rec in records:
+        if not isinstance(rec, dict):
+            raise ValueError("a record is not a JSON object")
         if rec.get("type") == "tick":
             ticks.append(rec)
         else:
@@ -197,11 +201,6 @@ def as_log(records) -> RunLog:
         _checked(columns[key], key)
     if min(columns["candidate_count"], default=0) < 0:
         raise ValueError("candidate_count holds a negative count")
-    names = dict.fromkeys(STAGES)
-    for name in columns["stage"]:
-        names.setdefault(name)
-    code = {name: i for i, name in enumerate(names)}
-    columns["stage"] = [code[name] for name in columns["stage"]]
     columns["ee_pose"] = _pose_column(columns["ee_pose"], "ee_pose")
 
     picked = columns["selected_grasp"]
@@ -215,7 +214,7 @@ def as_log(records) -> RunLog:
     clouds = {row: rec["hand_points"] for row, rec in enumerate(ticks) if "hand_points" in rec}
     for points in _checked(clouds.values(), "hand_points"):
         _check_alphabet(points)
-    return RunLog(columns, poses[new].tolist(), clouds, others, tuple(names))
+    return RunLog(columns, poses[new].tolist(), clouds, others)
 
 
 def _check_alphabet(points: str) -> None:
@@ -262,8 +261,9 @@ def verify_records(records) -> list[str]:
     dict records once parsed. Every check is an array pass over all
     ticks. Each pose of the grasp table is made unit once, and each hand
     cloud's counts are read once, as one array (_read_counts); the grasp
-    test then runs once per cloud, over the distinct grasps selected while
-    it is in force, and only a cloud it tests is divided into points.
+    test then runs once per cloud, over the distinct rows of the grasp
+    table that the ticks select while it is in force, and only a cloud it
+    tests is divided into points.
     """
     log = as_log(records)
     row, rec = log.others[0] if log.others else (None, {})
@@ -292,12 +292,8 @@ def verify_records(records) -> list[str]:
     table, table_finite = _pose_rows(np.reshape(log.grasps, (-1, 7)))
     index = log.selected_grasp
     has_grasp = index >= 0
-    grasp = np.tile(IDENTITY, (n, 1))
-    grasp_finite = np.zeros(n, dtype=bool)
-    grasp[has_grasp], grasp_finite[has_grasp] = table[index[has_grasp]], table_finite[index[has_grasp]]
+    grasp_finite = np.append(table_finite, False)[index]  # index -1, no grasp, reads False
 
-    # a run of one grasp starts where it differs from the tick before's, or that had none to test
-    starts = np.concatenate([[True], ~grasp_finite[:-1] | np.any(grasp[1:] != grasp[:-1], axis=1)])
     collides = np.zeros(n, dtype=bool)
     clouds = list(log.clouds)
     # one cloud at a time, in force from its tick up to the next cloud's: none
@@ -306,14 +302,19 @@ def verify_records(records) -> list[str]:
         counts = _read_counts(log.clouds[k])
         tested = k + np.flatnonzero(grasp_finite[k:end])
         if len(tested):
-            # one test per run, at its head, its first tick; a cloud's first tested tick is one
-            first = np.concatenate([[True], starts[tested[1:]]])
-            heads = tested[first]
-            grasps = GraspSet(grasp[heads, :3], grasp[heads, 3:], np.zeros(len(heads)))
+            # one test per table row the cloud's ticks select; a row of
+            # collides_hand is the result of a one-row call
+            picked = index[tested]
+            used = np.zeros(len(table), dtype=bool)
+            used[picked] = True
+            rows = table[used]
+            grasps = GraspSet(rows[:, :3], rows[:, 3:], np.zeros(len(rows)))
             # dividing, not multiplying by 1e-5, gives np.round(points, 5) bit
             # for bit, but for the sign of zero, which the box test treats alike
             pts = (counts / HAND_POINT_SCALE).reshape(-1, 3)
-            collides[tested] = collides_hand(grasps, pts, DEFAULT_HAND_MARGIN)[np.cumsum(first) - 1]
+            hits = np.zeros(len(table), dtype=bool)
+            hits[used] = collides_hand(grasps, pts, DEFAULT_HAND_MARGIN)
+            collides[tested] = hits[picked]
     closing = [rec for _, rec in log.others if rec.get("type") == "closure"]
     closed, success = (_checked([rec[key] for rec in closing], key, CLOSURE_FIELDS)
                        for key in ("tick", "success"))
@@ -349,7 +350,7 @@ def verify_records(records) -> list[str]:
 
 
 def _stage_paths(log, tick, closures) -> tuple[np.ndarray, np.ndarray]:
-    """Per tick, from the log's stage codes and selection_tick and the
+    """Per tick, from the log's stage names and selection_tick and the
     ticks, "A -> B" where its stage changes along a path the plan cannot
     take ("" elsewhere), and whether it is a drop tick at or after the
     drop's end; closures maps each closure's tick to its success. The stage
@@ -360,16 +361,16 @@ def _stage_paths(log, tick, closures) -> tuple[np.ndarray, np.ndarray]:
     (the hand re-check drops the target) or on a failed closure's tick;
     take -> drop on a successful closure's tick; drop -> done on the first
     tick whose time is DROP_DURATION or more after that closure. One array
-    pass over the codes finds the changes; only those are looked at.
+    pass over the names finds the changes; only those are looked at.
     """
-    codes, names, selection = log.stage, log.stages, log.selection_tick
-    illegal = np.full(len(codes), "", dtype=object)
-    overrun = np.zeros(len(codes), dtype=bool)
-    # STAGES[0], wait_home, is code 0 in every log
-    changes = np.flatnonzero(codes != np.concatenate([[0], codes[:-1]])).tolist()
+    stage, selection = log.stage, log.selection_tick
+    illegal = np.full(len(stage), "", dtype=object)
+    overrun = np.zeros(len(stage), dtype=bool)
+    before = np.concatenate([np.array(["wait_home"], dtype=object), stage[:-1]])
+    changes = np.flatnonzero(stage != before).tolist()
     done_tick = None
-    for i, end in zip(changes, [*changes[1:], len(codes)]):
-        old, new, t = names[codes[i - 1]] if i else STAGES[0], names[codes[i]], tick[i]
+    for i, end in zip(changes, [*changes[1:], len(stage)]):
+        old, new, t = before[i], stage[i], tick[i]
         closure = closures.get(t)
         if old in ("wait_home", "approach") and new in ("wait_home", "approach", "take"):
             allowed = selection[i]

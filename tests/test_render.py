@@ -78,7 +78,7 @@ def test_equal_grasps_share_a_table_row_but_keep_the_sign_of_zero():
     # GRASP twice in a row is one row; -0.0 and 0.0 are two, as is the NaN grasp
     assert log.selected_grasp.tolist() == [-1, 0, 0, 1, 2, 3, -1]
     assert math.copysign(1.0, log.grasps[1][0]) == -1.0
-    assert log.stages[log.stage[3]] == "hover"
+    assert log.stage[3] == "hover"
 
 
 def test_parsed_log_is_its_records():

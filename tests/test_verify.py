@@ -16,9 +16,9 @@ from handover_sim.evaluator import GRIPPER_BOXES, GraspSet, box_bounds
 from handover_sim.geometry import quat_from_axis_angle, quat_mul
 from handover_sim.refinement import DEFAULT_HAND_MARGIN, collides_hand
 from handover_sim.scenario import MODES, load_scenario
-from handover_sim.sim import CLOUD_DIV, HAND_POINT_SCALE, run
+from handover_sim.sim import CLOUD_DIV, COLUMNS, HAND_POINT_SCALE, RunLog, run
 from handover_sim.trace import CLOSURE_FIELDS, TICK_FIELDS, read_trace, trace_digest, verify_records
-from handover_sim.trace import write_trace
+from handover_sim.trace import as_log, write_trace
 
 SCENARIOS = ("nominal_cylinder", "rotate90_midmotion", "hand_below_table")
 
@@ -47,10 +47,11 @@ def ticks_of(records):
     return [r for r in records if r["type"] == "tick"]
 
 
-def hand_grasp(tick_record):
-    """A grasp centred on the first hand point the tick record carries."""
+def hand_grasp(tick_record, point=0):
+    """A grasp centred on a hand point the tick record carries, the first
+    by default."""
     counts = reference.hand_counts(tick_record["hand_points"])
-    return [c / HAND_POINT_SCALE for c in counts[:3]] + [0.0, 0.0, 0.0, 1.0]
+    return [c / HAND_POINT_SCALE for c in counts[3 * point:3 * point + 3]] + [0.0, 0.0, 0.0, 1.0]
 
 
 def set_counts(tick_record, start, values):
@@ -96,6 +97,16 @@ def grasp_changes_within_span(records):
         ticks[t]["selected_grasp"] = hand_grasp(ticks[50])
 
 
+def grasp_returns_within_span(records):
+    ticks = ticks_of(records)
+    # cloud 50's span: a colliding grasp A, a colliding grasp B, then A again,
+    # each its own row of the grasp table
+    a, b = hand_grasp(ticks[50]), hand_grasp(ticks[50], 1)
+    assert a != b
+    for t, grasp in zip(range(51, 58), [a, a, b, b, a, a, a]):
+        ticks[t]["selected_grasp"] = grasp
+
+
 def empty_cloud(records):
     ticks = ticks_of(records)
     ticks[50]["hand_points"] = ""
@@ -106,7 +117,7 @@ def empty_cloud(records):
 
 def identity_grasp_after_no_grasp(records):
     # a colliding grasp, no grasp, then a grasp at the pose that stands in
-    # for no grasp: the last starts a run of its own, and clears the hand
+    # for no grasp: the last is a table row of its own, and clears the hand
     ticks = ticks_of(records)
     ticks[51]["selected_grasp"] = hand_grasp(ticks[50])
     ticks[52]["selected_grasp"] = None
@@ -122,7 +133,7 @@ def header_without_limits(records):
 
 @pytest.mark.parametrize("tamper", [
     linear_jump, angular_step_just_over, colliding_grasp_mid_span, grasp_changes_within_span,
-    empty_cloud, identity_grasp_after_no_grasp, header_without_limits,
+    grasp_returns_within_span, empty_cloud, identity_grasp_after_no_grasp, header_without_limits,
 ])
 def test_tampered_trace_verifies_as_the_reference(nominal, tamper):
     tamper(nominal)
@@ -365,7 +376,7 @@ def test_count_beyond_int64_exits_2(nominal, count, tested, tmp_path, capsys):
 
 @pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
 @pytest.mark.parametrize("count", TOO_LARGE_FOR_A_FLOAT.values(), ids=TOO_LARGE_FOR_A_FLOAT)
-def test_count_too_large_for_a_float_is_non_finite(nominal, count, tested, tmp_path, capsys):
+def test_a_count_past_int32_is_a_malformed_record(nominal, count, tested, tmp_path, capsys):
     # read as a float, such a count was a non-finite point (exit 3); it has
     # no int32 form, so it is a malformed record before any read
     count_exit(nominal, count, tested, tmp_path, capsys)
@@ -388,7 +399,7 @@ INT64_ENDS = {"two_to_53_plus_1": 2**53 + 1, "int64_max": 2**63 - 1, "int64_min"
 
 @pytest.mark.parametrize("tested", [True, False], ids=["grasp_tested", "no_grasp"])
 @pytest.mark.parametrize("count", INT64_ENDS.values(), ids=INT64_ENDS)
-def test_counts_at_the_ends_of_int64_are_read_as_python_floats(nominal, count, tested, tmp_path, capsys):
+def test_int64_bytes_in_a_cloud_are_a_malformed_record(nominal, count, tested, tmp_path, capsys):
     # such a count has no int32 form; written as the 8 bytes of an int64 in
     # place of point 1's 4-byte x, it leaves the bytes off whole triples
     ticks = ticks_of(nominal)
@@ -576,6 +587,42 @@ def test_written_trace_reads_back_to_its_digest(name, mode, tmp_path):
     assert trace_digest(back) == digest
     assert list(back) == json.loads(json.dumps(list(records)))
     assert verify_records(back) == []
+
+
+# lines that are JSON but no JSON object
+NOT_OBJECTS = {"array": "[1,2]", "number": "3", "string": '"tick"', "null": "null"}
+
+
+@pytest.mark.parametrize("line", NOT_OBJECTS.values(), ids=NOT_OBJECTS)
+def test_line_that_is_not_a_json_object_exits_2(nominal, line, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    reference.write_trace(nominal, trace)
+    lines = trace.read_text().splitlines()
+    lines[5] = line
+    trace.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="not a JSON object"):
+        read_trace(trace)
+    assert main(["verify", "--trace", str(trace)]) == EXIT_PARSE
+    assert "malformed record" in capsys.readouterr().err
+
+
+def test_equal_rows_of_a_built_grasp_table_verify_as_its_records(traces):
+    # a log built directly may hold one grasp in two rows of its table;
+    # as_log of its records keeps one row for a run of equal grasps
+    log = traces["nominal_cylinder", 0]
+    cloud = ticks_of(list(log))[50]
+    columns = {key: getattr(log, key).copy() for key in COLUMNS}
+    n = len(log.grasps)
+    kept = log.grasps[columns["selected_grasp"][65]]
+    grasps = [*log.grasps, hand_grasp(cloud), hand_grasp(cloud), list(kept), list(kept)]
+    columns["selected_grasp"][51:59] = [n, n + 1, n, n, n + 1, n + 1, n, n + 1]
+    columns["selected_grasp"][61:65] = [n + 2, n + 3, n + 3, n + 2]
+    built = RunLog(columns, grasps, log.clouds, log.others)
+    parsed = as_log(list(built))
+    assert len(parsed.grasps) < len(grasps)
+    flagged = [f"tick {t}: selected grasp collides with hand points" for t in range(51, 59)]
+    assert verify_records(built) == verify_records(parsed) == flagged
+    assert verify_records(built) == reference.verify_records(list(built))
 
 
 def test_drop_entered_on_a_non_finite_tick_exits_2(nominal, tmp_path, capsys):
